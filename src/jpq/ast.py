@@ -61,7 +61,8 @@ class ComparePredicate:
     literal: Atom
 
 
-ValuePredicate = Union[StringPredicate, ComparePredicate]
+# `|`, not typing.Union, whose process-wide cache would pin this module on reload
+ValuePredicate = StringPredicate | ComparePredicate
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
-"""Construct-clause evaluation: backbone derivation, route planning, and
-building output values from a restructured match result.
+"""Construct-clause evaluation: backbone derivation and building output
+values from a restructured match result.
 
 The backbone of a construction pattern is its underlying matching term
 (constants erased).  Building walks the construction pattern, the restructured
@@ -25,7 +25,6 @@ from .matching import (
     succeeded,
 )
 from .model import Array, Atom, EMPTY, Object, Value
-from .rewrite import RewriteRoute, infer_route
 from .terms import (
     ArrayT,
     DistinctT,
@@ -83,10 +82,6 @@ def _folded_backbone(cp: A.CArray, inner: Term) -> Term:
             "per-class content"
         )
     return ArrayT(TupleT((others[0], key)), key, folded=True)
-
-
-def validate_and_plan(extraction_term: Term, cp: A.ConstructionPattern) -> RewriteRoute:
-    return infer_route(extraction_term, backbone(cp))
 
 
 # ---------------------------------------------------------------------------

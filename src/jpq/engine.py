@@ -2,7 +2,9 @@
 
 The engine owns a document registry; `run` takes a parsed query and returns
 the constructed Value, `explain` describes the plan (matching term, backbone,
-inferred route).
+inferred route).  Routes depend on terms alone, so each engine keeps the
+routes it inferred, keyed by (projected matching term, backbone): a query
+shape is searched once per engine, whatever documents are loaded later.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from . import ast as A
 from .construct import backbone, build, build_empty
 from .errors import UnknownDocumentError
 from .filtering import filter_result, resolve_options
-from .matching import MatchResult, Matcher, MTuple, MUnit, succeeded
+from .matching import MatchResult, Matcher, MFailed, MTuple, MUnit, succeeded
 from .model import DocRegistry, Value
 from .rewrite import (
     Constraint,
@@ -22,6 +24,7 @@ from .rewrite import (
     Transformer,
     infer_route,
     project_result,
+    projected_source,
     replay,
 )
 from .terms import Term, TupleT, is_unit, project, render, var_set
@@ -47,19 +50,32 @@ class Plan:
         return "\n".join(lines)
 
 
+# routes an engine keeps; beyond this many, the least recently used is dropped
+ROUTE_CACHE_SIZE = 128
+
+
 class Engine:
     def __init__(self, registry: Optional[DocRegistry] = None):
         self.registry = registry or DocRegistry()
+        self._routes: dict[tuple[Term, Term], RewriteRoute] = {}
 
     def plan(self, q: A.QueryAst) -> Plan:
         A.validate_query(q)
-        source = A.query_matching_term(q)
-        target = backbone(q.construct)
-        route = infer_route(source, target)
+        return self._plan(q)
+
+    def _plan(self, q: A.QueryAst) -> Plan:
+        """The plan of a validated query; a failed search is not kept."""
+        source, target = A.query_matching_term(q), backbone(q.construct)
+        key = (projected_source(source, target), target)
+        route = self._routes.pop(key, None)  # re-inserted last: LRU order
+        if route is None:
+            route = infer_route(source, target)
+            if len(self._routes) >= ROUTE_CACHE_SIZE:
+                del self._routes[next(iter(self._routes))]
+        self._routes[key] = route
         return Plan(source, target, route)
 
-    def _match(self, q: A.QueryAst) -> tuple[Term, MatchResult]:
-        source = A.query_matching_term(q)
+    def _match(self, q: A.QueryAst) -> MatchResult:
         matcher = Matcher()
         parts = []
         for name, pattern in q.sources:
@@ -73,23 +89,19 @@ class Engine:
                 kept.extend(r.items)
             else:
                 kept.append(r)
-        failed = any(not succeeded(r) for _, r in parts)
+        if any(not succeeded(r) for _, r in parts):
+            return MFailed()
         if not kept:
-            combined: MatchResult = MUnit()
-        elif len(kept) == 1:
-            combined = kept[0]
-        else:
-            combined = MTuple(kept)
-        if failed:
-            from .matching import MFailed
-
-            combined = MFailed()
-        return source, combined
+            return MUnit()
+        if len(kept) == 1:
+            return kept[0]
+        return MTuple(kept)
 
     def run(self, q: A.QueryAst) -> Value:
         A.validate_query(q)
-        plan = self.plan(q)
-        source, result = self._match(q)
+        plan = self._plan(q)
+        source = plan.source_term
+        result = self._match(q)
         if not succeeded(result):
             return build_empty(q.construct)
         constraints: list[Constraint] = []

@@ -3,9 +3,9 @@ data transformation each route drives.
 
 A route is an ordered list of steps (rule, subterm path, parameter); replaying
 it from the source term yields the target term, and a Transformer applies the
-same steps to the match result.  Inference is iterative-deepening search with
-memoized states; tuple duplication is budgeted by per-variable occurrence
-deficits so the otherwise infinite system stays bounded.
+same steps to the match result.  Inference is breadth-first search that
+expands each state once; tuple duplication is budgeted by per-variable
+occurrence deficits so the otherwise infinite system stays bounded.
 """
 
 from __future__ import annotations
@@ -248,11 +248,10 @@ def _positions_preorder(t: Term) -> list[tuple[Path, Term]]:
 _RULE_ORDER = {name: i for i, name in enumerate(RULES)}
 
 
-def _successors(t: Term, target_counts: Counter, target_flats: int, target_folds: int):
+def _successors(t: Term, counts: Counter, flats: int, folds: int,
+                target_counts: Counter, target_flats: int, target_folds: int):
     """Candidate steps in canonical order: rule-enumeration order first, then
-    preorder position, then parameter."""
-    counts = var_counts(t)
-    flats, folds = _feature_counts(t)
+    preorder position, then parameter; `counts`, `flats`, `folds` describe t."""
     need_dup = any(counts[v] < target_counts[v] for v in target_counts)
     steps: list[Step] = []
     for path, node in _positions_preorder(t):
@@ -330,14 +329,6 @@ def _feature_budget(target: Term) -> tuple[int, int]:
     return flats, folds
 
 
-def _viable(t: Term, budget: Counter, target_flats: int, target_folds: int) -> bool:
-    counts = var_counts(t)
-    if any(counts[v] > budget[v] for v in counts):
-        return False
-    flats, folds = _feature_counts(t)
-    return flats <= target_flats and folds <= target_folds
-
-
 def _first_difference(source: Term, target: Term) -> str:
     missing = var_set(target) - var_set(source)
     if missing:
@@ -355,6 +346,12 @@ def _first_difference(source: Term, target: Term) -> str:
     return f"no rule sequence turns {render(source)} into {render(target)}"
 
 
+def _invalid(source: Term, target: Term) -> InvalidConstructionError:
+    return InvalidConstructionError(
+        f"invalid construction: {_first_difference(source, target)}"
+    )
+
+
 def projected_source(source: Term, target: Term) -> Term:
     return project(source, var_set(target))
 
@@ -366,15 +363,15 @@ def infer_route(
     max_states: int = 200_000,
 ) -> RewriteRoute:
     """A route whose replay from the (projected) source yields a term matching
-    the target.  Iterative deepening with a transposition table; the first
-    route found is the shallowest, rule-order-least one, so explain output is
-    deterministic.  Raises InvalidConstructionError when the space is
-    exhausted without a hit, SearchBoundExceededError when the budget ran out
-    first."""
+    the target.  Breadth-first, one level per route length, each level in the
+    order its states were found and each state's steps in canonical order, so
+    the first route found is the shallowest, rule-order-least one and explain
+    output is deterministic.  Raises InvalidConstructionError when a level
+    admits no new state (the space is exhausted without a hit), and
+    SearchBoundExceededError when a route would need more than `max_depth`
+    steps or the whole search more than `max_states` admitted states."""
     if var_set(target) - var_set(source):
-        raise InvalidConstructionError(
-            f"invalid construction: {_first_difference(source, target)}"
-        )
+        raise _invalid(source, target)
     source = projected_source(source, target)
     if terms_match(source, target):
         return ()
@@ -390,53 +387,48 @@ def infer_route(
     target_counts = var_counts(target)
     budget = _count_budget(target)
     tflats, tfolds = _feature_budget(target)
-    if not _viable(source, budget, tflats, tfolds):
-        raise InvalidConstructionError(
-            f"invalid construction: {_first_difference(source, target)}"
+
+    def viable_features(t: Term) -> Optional[tuple[Counter, int, int]]:
+        """(var counts, flat arrays, folded arrays) within budget, else None."""
+        counts, (flats, folds) = var_counts(t), _feature_counts(t)
+        if flats > tflats or folds > tfolds or any(n > budget[v] for v, n in counts.items()):
+            return None
+        return counts, flats, folds
+
+    def exceeded(depth: int) -> SearchBoundExceededError:
+        return SearchBoundExceededError(
+            f"route search exhausted its budget transforming {render(source)} "
+            f"into {render(target)}: {admitted} states admitted "
+            f"(max_states {max_states}), depth {depth} reached (max_depth {max_depth})"
         )
-    states_left = [max_states]
-    depth_hit = [False]
 
-    def dfs(t: Term, depth: int, limit: int, seen: dict, trail: list[Step]):
-        for step, succ in _successors(t, target_counts, tflats, tfolds):
-            if terms_match(succ, target):
-                return tuple(trail) + (step,)
-            if not _viable(succ, budget, tflats, tfolds):
-                continue
-            if depth + 1 == limit:
-                depth_hit[0] = True
-                continue
-            prev = seen.get(succ)
-            if prev is not None and prev <= depth + 1:
-                continue
-            if states_left[0] <= 0:
-                depth_hit[0] = True
-                return None
-            states_left[0] -= 1
-            seen[succ] = depth + 1
-            trail.append(step)
-            found = dfs(succ, depth + 1, limit, seen, trail)
-            if found is not None:
-                return found
-            trail.pop()
-        return None
-
-    for limit in range(1, max_depth + 1):
-        depth_hit[0] = False
-        states_left[0] = max_states
-        found = dfs(source, 0, limit, {source: 0}, [])
-        if found is not None:
-            return found
-        if not depth_hit[0]:
-            raise InvalidConstructionError(
-                f"invalid construction: {_first_difference(source, target)}"
-            )
-        if states_left[0] <= 0:
-            break
-    raise SearchBoundExceededError(
-        f"route search exhausted its budget transforming {render(source)} "
-        f"into {render(target)}"
-    )
+    features = viable_features(source)
+    if features is None:
+        raise _invalid(source, target)
+    # each state is met once; a level holds its admitted states, routes, features
+    seen = {source}
+    level = [(source, (), features)]
+    admitted = 0
+    for depth in range(1, max_depth + 1):
+        following = []
+        for t, route, features in level:
+            for step, succ in _successors(t, *features, target_counts, tflats, tfolds):
+                if terms_match(succ, target):
+                    return route + (step,)
+                if succ in seen:
+                    continue
+                seen.add(succ)
+                succ_features = viable_features(succ)
+                if succ_features is None:
+                    continue
+                if admitted == max_states:
+                    raise exceeded(depth)
+                admitted += 1
+                following.append((succ, route + (step,), succ_features))
+        if not following:
+            raise _invalid(source, target)
+        level = following
+    raise exceeded(max_depth)
 
 
 # ---------------------------------------------------------------------------

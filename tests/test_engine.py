@@ -1,7 +1,16 @@
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from jpq import Engine, DocRegistry, parse_document, parse_query, serialize
-from jpq.errors import InvalidCompositionError, UnknownDocumentError
+from jpq.errors import (
+    InvalidCompositionError,
+    InvalidConstructionError,
+    UnknownDocumentError,
+)
 
 EX1 = (
     'from doc("univ") /$r"?president?":(<$po,{"ID":*}>|[$pa]) '
@@ -143,3 +152,85 @@ def test_explain_shows_term_backbone_and_route(engine):
 def test_explain_without_restructuring(engine):
     text = engine.explain(parse_query('from doc("univ") {"president":$p} construct {"p":$p}'))
     assert "(no restructuring needed)" in text
+
+
+# -- plan cache -----------------------------------------------------------------
+
+
+@pytest.fixture
+def searches(monkeypatch):
+    """Counts route searches the engine starts."""
+    import jpq.engine
+
+    calls = []
+    real = jpq.engine.infer_route
+
+    def counted(source, target):
+        calls.append((source, target))
+        return real(source, target)
+
+    monkeypatch.setattr(jpq.engine, "infer_route", counted)
+    return calls
+
+
+def test_explain_then_run_plans_once(engine, searches):
+    q = parse_query(EX5)
+    engine.explain(q)
+    first = run(engine, EX5)
+    assert len(searches) == 1
+    assert run(engine, EX5) == first
+    assert len(searches) == 1
+
+
+def test_a_shape_is_planned_per_projected_source_and_backbone(engine, searches):
+    # the second query binds $m too; projected onto the backbone it is EX2's
+    with_email = EX2.replace('{"ID":$id}', '{"ID":$id,"email":$m}')
+    plain, wider = engine.explain(parse_query(EX2)), engine.explain(parse_query(with_email))
+    assert len(searches) == 1
+    assert "matching term: [($n,[$id])]" in plain
+    assert "matching term: [($n,[($id,$m)])]" in wider
+    assert plain.split("\n")[1:] == wider.split("\n")[1:]
+
+
+def test_a_failing_construction_fails_alike_every_time(engine, searches):
+    q = parse_query('from doc("univ") {"schools":[{"name":$n}]} construct {"x":$n}')
+    errors = []
+    for _ in range(2):
+        with pytest.raises(InvalidConstructionError) as e:
+            engine.run(q)
+        errors.append(str(e.value))
+    assert errors[0] == errors[1] == "invalid construction: no rule sequence turns [$n] into $n"
+
+
+def test_the_route_cache_keeps_at_most_its_bound(engine, searches, monkeypatch):
+    import jpq.engine
+
+    monkeypatch.setattr(jpq.engine, "ROUTE_CACHE_SIZE", 2)
+    shapes = [EX1, EX2, EX6]
+    for text in shapes:
+        run(engine, text)
+    assert len(engine._routes) == 2
+    run(engine, EX6)
+    assert len(searches) == 3
+    run(engine, EX1)  # the least recently used shape was dropped
+    assert len(searches) == 4
+    assert len(engine._routes) == 2
+
+
+def test_reimporting_the_package_frees_the_old_one():
+    # a reloaded package must not stay pinned by caches outside it, such as
+    # typing's cache of Union aliases
+    script = (
+        "import gc, sys, weakref\n"
+        "import jpq\n"
+        "old = weakref.ref(sys.modules['jpq.ast'].StringPredicate)\n"
+        "for name in [n for n in sys.modules if n == 'jpq' or n.startswith('jpq.')]:\n"
+        "    del sys.modules[name]\n"
+        "import jpq\n"
+        "gc.collect()\n"
+        "sys.exit(0 if old() is None else 1)\n"
+    )
+    src = pathlib.Path(__file__).parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, timeout=60)
+    assert proc.returncode == 0
