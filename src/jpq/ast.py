@@ -47,11 +47,6 @@ class StringPredicate:
         parts = self.pattern.split("?")
         return re.compile(".*".join(re.escape(p) for p in parts), re.DOTALL)
 
-    @property
-    def definitive(self) -> bool:
-        """True when the predicate is an exact string (no wildcard)."""
-        return "?" not in self.pattern
-
 
 @dataclass(frozen=True)
 class ComparePredicate:
@@ -296,16 +291,6 @@ def _pvars(p, out: list[str]) -> None:
     elif isinstance(p, KVOption):
         for b in p.branches:
             _pvars(b, out)
-
-
-def check_single_binding(p: Union[ValuePattern, KeyValuePattern]) -> None:
-    """Every variable name occurs at most once in one whole extraction
-    pattern; rebinding is ill-formed, including across option branches."""
-    seen: set[str] = set()
-    for name in pattern_vars(p):
-        if name in seen:
-            raise ReboundVariableError(name)
-        seen.add(name)
 
 
 def cond_vars(c: Condition) -> list[str]:

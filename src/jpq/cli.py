@@ -1,7 +1,8 @@
 """Command-line front end: batch execution, explain mode, and a small REPL.
 
 Exit codes: 0 success, 1 query error (parse/validate/plan), 2 data error
-(document loading, unknown doc names), 3 internal invariant breach.
+(document loading, unknown doc names), 3 internal error: an invariant breach,
+or any exception that is not a JpqError.
 """
 
 from __future__ import annotations
@@ -89,6 +90,9 @@ def run_query(
     except JpqError as e:
         err.write(f"internal error: {e}\n")
         return EXIT_INTERNAL
+    except Exception as e:
+        err.write(f"internal error: {_describe(e)}\n")
+        return EXIT_INTERNAL
     finally:
         if close:
             sink.close()
@@ -139,6 +143,12 @@ def repl(
                 err.write(f"unknown command {cmd!r}\n")
         except (JpqError, OSError) as e:
             err.write(f"error: {e}\n")
+        except Exception as e:
+            err.write(f"internal error: {_describe(e)}\n")
+
+
+def _describe(e: Exception) -> str:
+    return f"{type(e).__name__}: {e}"
 
 
 def _parse_doc_binding(text: str) -> tuple[str, str]:

@@ -14,9 +14,8 @@ from typing import Optional
 
 from . import ast as A
 from .construct import backbone, build, build_empty
-from .errors import UnknownDocumentError
 from .filtering import filter_result, resolve_options
-from .matching import MatchResult, Matcher, MFailed, MTuple, MUnit, succeeded
+from .matching import MatchResult, Matcher, MFailed, _combine, succeeded
 from .model import DocRegistry, Value
 from .rewrite import (
     Constraint,
@@ -27,7 +26,7 @@ from .rewrite import (
     projected_source,
     replay,
 )
-from .terms import Term, TupleT, is_unit, project, render, var_set
+from .terms import Term, project, render, var_set
 
 
 @dataclass
@@ -81,21 +80,9 @@ class Engine:
         for name, pattern in q.sources:
             doc = self.registry.lookup(name)
             parts.append((A.derive_matching_term(pattern), matcher.match_value(pattern, doc)))
-        kept = []
-        for t, r in parts:
-            if is_unit(t):
-                continue
-            if isinstance(t, TupleT) and isinstance(r, MTuple):
-                kept.extend(r.items)
-            else:
-                kept.append(r)
         if any(not succeeded(r) for _, r in parts):
             return MFailed()
-        if not kept:
-            return MUnit()
-        if len(kept) == 1:
-            return kept[0]
-        return MTuple(kept)
+        return _combine(parts)
 
     def run(self, q: A.QueryAst) -> Value:
         A.validate_query(q)

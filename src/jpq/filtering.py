@@ -18,10 +18,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from decimal import Decimal
-from typing import Optional, Union
+from typing import Optional
 
 from . import ast as A
-from .errors import InvalidCompositionError, TypeError_
+from .errors import InvalidCompositionError, ShapeMismatchError, TypeError_
 from .matching import (
     MArray,
     MatchResult,
@@ -34,7 +34,7 @@ from .matching import (
     compare_atoms,
     succeeded,
 )
-from .model import Atom, EMPTY, Object, Value, get_field
+from .model import Atom, EMPTY, Object, get_field
 from .rewrite import Constraint
 from .terms import (
     ArrayT,
@@ -45,7 +45,6 @@ from .terms import (
     TupleT,
     Var,
     children,
-    render,
     subterm,
     tuple_of,
     var_set,
@@ -198,7 +197,8 @@ class _Enumerator:
                 return [_Assignment({t.name: r.value}, frozenset())]
             return [_Assignment({}, frozenset())]
         if isinstance(t, TupleT):
-            assert isinstance(r, MTuple) and len(r.items) == len(t.items)
+            if not isinstance(r, MTuple) or len(r.items) != len(t.items):
+                raise ShapeMismatchError(f"expected a {len(t.items)}-tuple result")
             combos = [_Assignment({}, frozenset())]
             for i, (st, sr) in enumerate(zip(t.items, r.items)):
                 if not self._relevant(st):
@@ -211,7 +211,8 @@ class _Enumerator:
                 ]
             return combos
         if isinstance(t, OptionT):
-            assert isinstance(r, MOption)
+            if not isinstance(r, MOption):
+                raise ShapeMismatchError("expected an option result")
             covered = set()
             out: list[_Assignment] = []
             any_relevant = False
@@ -234,7 +235,8 @@ class _Enumerator:
                 self.collect.options.append((frozenset(covered), all_toks))
             return out
         if isinstance(t, ArrayT):
-            assert isinstance(r, MArray)
+            if not isinstance(r, MArray):
+                raise ShapeMismatchError("expected an array result")
             if path in self.anchors:
                 env = {("range", v): (t.elem, list(r.items)) for v in self.anchors[path]}
                 if self.needed & var_set(t.elem):

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from typing import Iterator, Optional, Union
+from typing import Optional, Union
 
 from . import ast as A
 from .model import Array, Atom, Object, Value, preorder, serialize
@@ -248,18 +248,6 @@ def match_value(p: A.ValuePattern, v: Value) -> MatchResult:
     return Matcher().match_value(p, v)
 
 
-def match_children(kv: A.KeyValuePattern, v: Value) -> MatchResult:
-    return Matcher().match_children(kv, v)
-
-
-def match_descendants(p: A.ValuePattern, v: Value) -> MatchResult:
-    return Matcher().match_descendants(p, v)
-
-
-def match_string_predicate(r: A.StringPredicate, s: str) -> bool:
-    return r.matches(s)
-
-
 def _pred_holds(pred: Union[A.StringPredicate, A.ComparePredicate], v: Value) -> bool:
     if not isinstance(v, Atom):
         return False
@@ -388,30 +376,3 @@ def render_result(r: MatchResult, max_value: int = 40) -> str:
         return "(" + " | ".join(render_result(b, max_value) for b in r.branches) + ")"
     raise TypeError(f"not a result: {r!r}")
 
-
-def result_equal(a: MatchResult, b: MatchResult) -> bool:
-    """Structural equality on shape and bound values; identities are ignored,
-    selected branches must agree."""
-    if type(a) is not type(b):
-        return False
-    if isinstance(a, (MFailed, MUnit)):
-        return True
-    if isinstance(a, MBind):
-        return a.name == b.name and a.value == b.value
-    if isinstance(a, MTuple):
-        return len(a.items) == len(b.items) and all(
-            result_equal(x, y) for x, y in zip(a.items, b.items)
-        )
-    if isinstance(a, MArray):
-        return (
-            a.folded == b.folded
-            and len(a.items) == len(b.items)
-            and all(result_equal(x, y) for x, y in zip(a.items, b.items))
-        )
-    if isinstance(a, MOption):
-        return (
-            a.selected == b.selected
-            and len(a.branches) == len(b.branches)
-            and all(result_equal(x, y) for x, y in zip(a.branches, b.branches))
-        )
-    raise TypeError(f"not a result: {a!r}")

@@ -23,15 +23,6 @@ class Value:
 
     __slots__ = ()
 
-    def is_atom(self) -> bool:
-        return isinstance(self, Atom)
-
-    def is_array(self) -> bool:
-        return isinstance(self, Array)
-
-    def is_object(self) -> bool:
-        return isinstance(self, Object)
-
 
 class Atom(Value):
     __slots__ = ("value",)
@@ -134,9 +125,9 @@ class _RawObject:
 def parse_document(text: str) -> Value:
     """Parse JSON text into a Value, preserving member order.
 
-    Raises JsonSyntaxError with line/column on malformed input and
+    Raises JsonSyntaxError with line/column on malformed input,
     DuplicateKeyError naming the key and its object path when an object
-    repeats a key.
+    repeats a key, and DataError when the document nests too deeply.
     """
     try:
         raw = json.loads(
@@ -145,9 +136,11 @@ def parse_document(text: str) -> Value:
             parse_float=Decimal,
             parse_int=Decimal,
         )
+        return _convert(raw, "$")
     except json.JSONDecodeError as exc:
         raise JsonSyntaxError(exc.msg, exc.lineno, exc.colno) from None
-    return _convert(raw, "$")
+    except RecursionError:
+        raise DataError("document nests too deeply to parse") from None
 
 
 def _convert(raw, path: str) -> Value:

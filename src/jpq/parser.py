@@ -21,7 +21,7 @@ from decimal import Decimal
 from typing import NoReturn, Optional
 
 from . import ast as A
-from .errors import SyntaxError_
+from .errors import QueryError, SyntaxError_
 from .model import Atom
 from .terms import ArrayT, DistinctT, Term, TupleT, Var
 
@@ -618,6 +618,9 @@ def parse_construction(text: str) -> A.ConstructionPattern:
 
 
 def parse_query(text: str) -> A.QueryAst:
-    q = Parser(text).query()
-    A.validate_query(q)
+    try:
+        q = Parser(text).query()
+        A.validate_query(q)
+    except RecursionError:
+        raise QueryError("query nests too deeply to parse") from None
     return q

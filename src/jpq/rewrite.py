@@ -1,11 +1,14 @@
 """Restructuring rules as a term-rewriting system, route inference, and the
 data transformation each route drives.
 
-A route is an ordered list of steps (rule, subterm path, parameter); replaying
-it from the source term yields the target term, and a Transformer applies the
-same steps to the match result.  Inference is breadth-first search that
-expands each state once; tuple duplication is budgeted by per-variable
-occurrence deficits so the otherwise infinite system stays bounded.
+Each rule is stated once, as an entry of one table: the parameters whose side
+conditions hold at a node, its rewrite of that node's term, and its rewrite
+of a result of that node's shape.  A route is an ordered list of steps (rule,
+subterm path, parameter); replaying it from the source term yields the target
+term, and a Transformer applies the same steps to the match result.
+Inference is breadth-first search that expands each state once; tuple
+duplication is budgeted by per-variable occurrence deficits so the otherwise
+infinite system stays bounded.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from .errors import (
     InvalidConstructionError,
@@ -29,6 +32,7 @@ from .matching import (
     MOption,
     MTuple,
     MUnit,
+    _combine,
     footprint,
     succeeded,
 )
@@ -52,25 +56,9 @@ from .terms import (
     var_set,
 )
 
-RULES = (
-    "tuple-commutation",
-    "tuple-association",
-    "option-commutation",
-    "option-association",
-    "tuple-duplication",
-    "array-flattening",
-    "option-tuple-distribution",
-    "array-tuple-distribution",
-    "array-tpl-folding",
-)
 
-_PARAM_RULES = {
-    "tuple-commutation",
-    "tuple-association",
-    "option-commutation",
-    "option-association",
-    "array-tpl-folding",
-}
+def _loc(path: Path) -> str:
+    return "/".join(str(p) for p in path) or "root"
 
 
 @dataclass(frozen=True)
@@ -80,16 +68,46 @@ class Step:
     param: int = 0
 
     def describe(self) -> str:
-        loc = "/".join(str(p) for p in self.path) or "root"
-        extra = f" #{self.param}" if self.rule in _PARAM_RULES else ""
-        return f"{self.rule} @ {loc}{extra}"
+        extra = f" #{self.param}" if _TABLE[self.rule].numbered else ""
+        return f"{self.rule} @ {_loc(self.path)}{extra}"
 
 
 RewriteRoute = tuple[Step, ...]
 
 
-def _fail(rule: str, reason: str):
-    raise RuleInapplicableError(f"{rule}: {reason}")
+@dataclass(frozen=True)
+class _Room:
+    """What a search state still lacks of the target."""
+
+    short: frozenset  # variables occurring fewer times than in the target
+    flat: bool  # another array may be flattened
+    fold: bool  # another array may be folded
+
+
+@dataclass(frozen=True)
+class Rule:
+    """One restructuring rule, stated once.
+
+    The rule rewrites nodes of type `on`.  `params(node, t, path)` lists in
+    ascending order the parameters whose side conditions, summarised by
+    `needs` (a plain array is neither flattened nor folded), hold at that
+    node of `t`; `term(node, param)` is the rewritten node; `data(tr, node,
+    r, arg, ctx)` rewrites a result `r` of the node's shape for Transformer
+    `tr`, given the identity tokens `ctx` chosen on the way down.
+    Flattening's data rewrite acts on the nearest enclosing array instead,
+    `arg` being the path from there.  `room`, when set, is a search-only
+    gate: route search offers the rule at a node only while the state lacks
+    what the rule adds.  `numbered` rules show their parameter in explain
+    text."""
+
+    name: str
+    on: type
+    needs: str
+    params: Callable[[Term, Term, Path], Iterable[int]]
+    term: Callable[[Term, int], Term]
+    data: Callable[..., MatchResult]
+    numbered: bool = True
+    room: Optional[Callable[[Term, _Room], bool]] = None
 
 
 def _enclosing_array(t: Term, path: Path) -> Optional[Path]:
@@ -104,109 +122,279 @@ def _enclosing_array(t: Term, path: Path) -> Optional[Path]:
     return None
 
 
+# -- commutation and association, shared by tuples and options ----------------
+
+
+def _swap(xs, i: int) -> list:
+    xs = list(xs)
+    xs[i], xs[i + 1] = xs[i + 1], xs[i]
+    return xs
+
+
+def _swaps(node: Term, t: Term, path: Path) -> range:
+    return range(len(children(node)) - 1)
+
+
+def _commute(node: Term, i: int) -> Term:
+    return type(node)(tuple(_swap(children(node), i)))
+
+
+def _splits(node: Term, t: Term, path: Path) -> tuple[int, ...]:
+    """-1 ungroups a nested last component of the node's own kind; j in
+    1..n-2 groups the components from #j on."""
+    kids = children(node)
+    if len(kids) < 2:
+        return ()
+    last = kids[-1]
+    ungroup = (-1,) if isinstance(last, type(node)) and len(children(last)) >= 2 else ()
+    return ungroup + tuple(range(1, len(kids) - 1))
+
+
+def _associate(node: Term, j: int) -> Term:
+    kind, kids = type(node), children(node)
+    if j == -1:
+        return kind(kids[:-1] + children(kids[-1]))
+    return kind(kids[:j] + (kind(kids[j:]),))
+
+
+def _commute_tuple_data(tr, t, r, i, ctx):
+    return _keep_id(MTuple(_swap(_as_tuple(r, t).items, i)), r)
+
+
+def _associate_tuple_data(tr, t, r, j, ctx):
+    items = _as_tuple(r, t).items
+    if j != -1:
+        return _keep_id(MTuple(items[:j] + [MTuple(items[j:])]), r)
+    if not isinstance(items[-1], MTuple):
+        raise ShapeMismatchError("no nested tuple result to ungroup")
+    return _keep_id(MTuple(items[:-1] + items[-1].items), r)
+
+
+def _commute_option_data(tr, t, r, i, ctx):
+    opt = _as_option(r, t)
+    selected = {i: i + 1, i + 1: i}.get(opt.selected, opt.selected)
+    out = MOption(
+        _swap(opt.branches, i), opt.option_id, selected, _swap(opt.branch_ids, i)
+    )
+    return _keep_id(out, r)
+
+
+def _associate_option_data(tr, t, r, j, ctx):
+    opt = _as_option(r, t)
+    branches, ids, selected = opt.branches, opt.branch_ids, opt.selected
+    if j == -1:
+        inner = branches[-1]
+        if isinstance(inner, MFailed):
+            # a failed nested option expands to failed branches
+            width = len(t.branches[-1].branches)
+            out = MOption(
+                branches[:-1] + [MFailed() for _ in range(width)],
+                opt.option_id,
+                selected,
+                ids[:-1] + [("g", tr.fresh_id()) for _ in range(width)],
+            )
+            return _keep_id(out, r)
+        if not isinstance(inner, MOption):
+            raise ShapeMismatchError("no nested option result to ungroup")
+        if selected is not None and selected == len(branches) - 1:
+            selected = len(branches) - 1 + (inner.selected or 0)
+        out = MOption(
+            branches[:-1] + inner.branches,
+            opt.option_id,
+            selected,
+            ids[:-1] + inner.branch_ids,
+        )
+        return _keep_id(out, r)
+    inner_sel = None
+    if selected is not None and selected >= j:
+        inner_sel, selected = selected - j, j
+    inner = MOption(branches[j:], tr.fresh_id(), inner_sel, ids[j:])
+    out = MOption(
+        branches[:j] + [inner], opt.option_id, selected, ids[:j] + [("g", tr.fresh_id())]
+    )
+    return _keep_id(out, r)
+
+
+# -- duplication and flattening -------------------------------------------------
+
+
+def _anywhere(node: Term, t: Term, path: Path) -> tuple[int, ...]:
+    return (0,)
+
+
+def _short_in(node: Term, room: _Room) -> bool:
+    return bool(room.short) and not room.short.isdisjoint(var_set(node))
+
+
+def _plain(a: ArrayT) -> bool:
+    return not a.flat and not a.folded
+
+
+def _flattenable(node: ArrayT, t: Term, path: Path) -> tuple[int, ...]:
+    inside = path and _enclosing_array(t, path) is not None
+    return (0,) if _plain(node) and inside else ()
+
+
+# -- distribution over the last component of a tuple ---------------------------
+
+
+def _over_option(node: TupleT, t: Term, path: Path) -> tuple[int, ...]:
+    return (0,) if len(node.items) >= 2 and isinstance(node.items[-1], OptionT) else ()
+
+
+def _over_array(node: TupleT, t: Term, path: Path) -> tuple[int, ...]:
+    if len(node.items) < 2 or not isinstance(node.items[-1], ArrayT):
+        return ()
+    *head, arr = node.items
+    shared = var_set(TupleT(tuple(head))) & var_set(arr.elem)
+    return (0,) if _plain(arr) and not shared else ()
+
+
+def _distribute_option(node: TupleT, _: int) -> Term:
+    *head, opt = node.items
+    return OptionT(tuple(tuple_of(head + [b]) for b in opt.branches))
+
+
+def _distribute_array(node: TupleT, _: int) -> Term:
+    *head, arr = node.items
+    return ArrayT(tuple_of(head + [arr.elem]), arr.index)
+
+
+def _pair(t: TupleT, r: MTuple, last_t: Term, last_r: MatchResult) -> MatchResult:
+    """Result of tuple_of(head + [last_t]) for the head of tuple t."""
+    return _combine(list(zip(t.items[:-1], r.items[:-1])) + [(last_t, last_r)])
+
+
+def _distribute_option_data(tr, t, r, _, ctx):
+    tup = _as_tuple(r, t)
+    opt_t = t.items[-1]
+    opt = _as_option(tup.items[-1], opt_t)
+    branches = [
+        _pair(t, tup, bt, br) if succeeded(br) else MFailed()
+        for bt, br in zip(opt_t.branches, opt.branches)
+    ]
+    return _keep_id(MOption(branches, opt.option_id, opt.selected, opt.branch_ids), r)
+
+
+def _distribute_array_data(tr, t, r, _, ctx):
+    tup = _as_tuple(r, t)
+    arr_r = tup.items[-1]
+    if not isinstance(arr_r, MArray):
+        raise ShapeMismatchError("expected an array result to distribute over")
+    head_tokens = ctx | footprint(MTuple(tup.items[:-1]))
+    items = []
+    for item in arr_r.items:
+        if compatible(head_tokens | footprint(item), tr.constraints):
+            pair = _pair(t, tup, t.items[-1].elem, item)
+            pair.elem_id = item.elem_id
+            items.append(pair)
+    return _keep_id(MArray(items, arr_r.folded), r)
+
+
+# -- folding into classes keyed by one element component ------------------------
+
+
+def _keys(node: ArrayT, t: Term, path: Path) -> range:
+    elem = node.elem
+    tuples = isinstance(elem, TupleT) and len(elem.items) >= 2
+    return range(len(elem.items) if _plain(node) and tuples else 0)
+
+
+def _fold(node: ArrayT, k: int) -> Term:
+    key = DistinctT(node.elem.items[k])
+    return ArrayT(TupleT((ArrayT(node.elem, node.index), key)), key, folded=True)
+
+
+def _fold_data(tr, t, r, k, ctx):
+    if not isinstance(r, MArray):
+        raise ShapeMismatchError("expected an array result to fold")
+    classes: dict = {}
+    for item in r.items:
+        key_r = _as_tuple(item, t.elem).items[k]
+        key = _value_key(key_r)
+        if key not in classes:
+            classes[key] = (MArray([]), key_r)
+        classes[key][0].items.append(item)
+    items = []
+    for members, key_r in classes.values():
+        cls = MTuple([members, key_r])
+        cls.elem_id = tr.fresh_id()
+        items.append(cls)
+    return _keep_id(MArray(items, folded=True), r)
+
+
+_TABLE = {
+    rule.name: rule
+    for rule in (
+        Rule(
+            "tuple-commutation", TupleT, "a tuple with components #i and #i+1",
+            _swaps, _commute, _commute_tuple_data,
+        ),
+        Rule(
+            "tuple-association", TupleT, "a tuple to ungroup (#-1) or to split at #1..n-2",
+            _splits, _associate, _associate_tuple_data,
+        ),
+        Rule(
+            "option-commutation", OptionT, "an option with branches #i and #i+1",
+            _swaps, _commute, _commute_option_data,
+        ),
+        Rule(
+            "option-association", OptionT, "an option to ungroup (#-1) or to split at #1..n-2",
+            _splits, _associate, _associate_option_data,
+        ),
+        Rule(
+            "tuple-duplication", Term, "#0",
+            _anywhere,
+            lambda node, _: TupleT((node, node)),
+            lambda tr, t, r, _, ctx: _keep_id(MTuple([r, r]), r),
+            numbered=False,
+            room=_short_in,
+        ),
+        Rule(
+            "array-flattening", ArrayT,
+            "#0 and a plain array inside an enclosing array's element term",
+            _flattenable,
+            lambda node, _: ArrayT(node.elem, node.index, flat=True),
+            lambda tr, t, r, rel, ctx: tr._splice(t, r, rel),
+            numbered=False,
+            room=lambda node, room: room.flat,
+        ),
+        Rule(
+            "option-tuple-distribution", TupleT,
+            "#0 and a tuple whose last component is an option",
+            _over_option, _distribute_option, _distribute_option_data,
+            numbered=False,
+        ),
+        Rule(
+            "array-tuple-distribution", TupleT,
+            "#0 and a tuple whose last component is a plain array sharing no variable "
+            "with the rest",
+            _over_array, _distribute_array, _distribute_array_data,
+            numbered=False,
+        ),
+        Rule(
+            "array-tpl-folding", ArrayT, "a plain array of tuples with a component #k",
+            _keys, _fold, _fold_data,
+            room=lambda node, room: room.fold,
+        ),
+    )
+}
+
+RULES = tuple(_TABLE)
+
+
 def apply_rule(rule: str, t: Term, path: Path, param: int = 0) -> Term:
-    """One restructuring step; raises RuleInapplicableError naming the
-    violated side condition.  Distribution rules accept flat tuples of any
-    width whose last component is the option/array being distributed over."""
-    target = subterm(t, path)
-    if rule == "tuple-commutation":
-        if not isinstance(target, TupleT) or len(target.items) < 2:
-            _fail(rule, "needs a tuple of at least two components")
-        if not 0 <= param < len(target.items) - 1:
-            _fail(rule, "swap position out of range")
-        items = list(target.items)
-        items[param], items[param + 1] = items[param + 1], items[param]
-        return replace(t, path, TupleT(tuple(items)))
-    if rule == "option-commutation":
-        if not isinstance(target, OptionT) or len(target.branches) < 2:
-            _fail(rule, "needs an option of at least two branches")
-        if not 0 <= param < len(target.branches) - 1:
-            _fail(rule, "swap position out of range")
-        branches = list(target.branches)
-        branches[param], branches[param + 1] = branches[param + 1], branches[param]
-        return replace(t, path, OptionT(tuple(branches)))
-    if rule == "tuple-association":
-        if not isinstance(target, TupleT):
-            _fail(rule, "needs a tuple")
-        items = target.items
-        if param == -1:
-            if not items or not isinstance(items[-1], TupleT) or len(items[-1].items) < 2:
-                _fail(rule, "no nested tuple to ungroup")
-            return replace(t, path, TupleT(items[:-1] + items[-1].items))
-        if not 1 <= param <= len(items) - 2:
-            _fail(rule, "grouping split out of range")
-        return replace(t, path, TupleT(items[:param] + (TupleT(items[param:]),)))
-    if rule == "option-association":
-        if not isinstance(target, OptionT):
-            _fail(rule, "needs an option")
-        branches = target.branches
-        if param == -1:
-            if not branches or not isinstance(branches[-1], OptionT):
-                _fail(rule, "no nested option to ungroup")
-            return replace(t, path, OptionT(branches[:-1] + branches[-1].branches))
-        if not 1 <= param <= len(branches) - 2:
-            _fail(rule, "grouping split out of range")
-        return replace(t, path, OptionT(branches[:param] + (OptionT(branches[param:]),)))
-    if rule == "tuple-duplication":
-        return replace(t, path, TupleT((target, target)))
-    if rule == "array-flattening":
-        if not isinstance(target, ArrayT):
-            _fail(rule, "needs an array")
-        if target.flat:
-            _fail(rule, "array is already flattened")
-        if target.folded:
-            _fail(rule, "cannot flatten a folded array")
-        if not path or _enclosing_array(t, path) is None:
-            _fail(rule, "array is not inside an enclosing array's element term")
-        return replace(t, path, ArrayT(target.elem, target.index, flat=True))
-    if rule == "option-tuple-distribution":
-        if not (
-            isinstance(target, TupleT)
-            and len(target.items) >= 2
-            and isinstance(target.items[-1], OptionT)
-        ):
-            _fail(rule, "needs a tuple whose last component is an option")
-        head = list(target.items[:-1])
-        opt = target.items[-1]
-        return replace(
-            t, path, OptionT(tuple(tuple_of(head + [b]) for b in opt.branches))
+    """One restructuring step; raises RuleInapplicableError stating the
+    rule's side condition when it fails, ValueError for an unknown rule."""
+    entry = _TABLE.get(rule)
+    if entry is None:
+        raise ValueError(f"unknown rule {rule!r}")
+    node = subterm(t, path)
+    if not isinstance(node, entry.on) or param not in entry.params(node, t, path):
+        raise RuleInapplicableError(
+            f"{rule} @ {_loc(path)} #{param}: needs {entry.needs}"
         )
-    if rule == "array-tuple-distribution":
-        if not (
-            isinstance(target, TupleT)
-            and len(target.items) >= 2
-            and isinstance(target.items[-1], ArrayT)
-        ):
-            _fail(rule, "needs a tuple whose last component is an array")
-        head = list(target.items[:-1])
-        arr = target.items[-1]
-        if arr.folded:
-            _fail(rule, "the array is a folded array")
-        if arr.flat:
-            _fail(rule, "the array is already flattened")
-        if var_set(TupleT(tuple(head))) & var_set(arr.elem):
-            _fail(rule, "the paired term and the array element share variables")
-        return replace(
-            t,
-            path,
-            ArrayT(tuple_of(head + [arr.elem]), arr.index, arr.flat, arr.folded),
-        )
-    if rule == "array-tpl-folding":
-        if not isinstance(target, ArrayT):
-            _fail(rule, "needs an array")
-        if target.folded:
-            _fail(rule, "array is already folded")
-        if target.flat:
-            _fail(rule, "cannot fold a flattened array")
-        elem = target.elem
-        if not isinstance(elem, TupleT) or len(elem.items) < 2:
-            _fail(rule, "element term must be a tuple")
-        if not 0 <= param < len(elem.items):
-            _fail(rule, "grouping key position out of range")
-        key = elem.items[param]
-        classes = TupleT((ArrayT(elem, target.index, False, False), DistinctT(key)))
-        return replace(t, path, ArrayT(classes, DistinctT(key), folded=True))
-    raise ValueError(f"unknown rule {rule!r}")
+    return replace(t, path, entry.term(node, param))
 
 
 def replay(source: Term, route: RewriteRoute) -> Term:
@@ -245,59 +433,19 @@ def _positions_preorder(t: Term) -> list[tuple[Path, Term]]:
     return out
 
 
-_RULE_ORDER = {name: i for i, name in enumerate(RULES)}
-
-
-def _successors(t: Term, counts: Counter, flats: int, folds: int,
-                target_counts: Counter, target_flats: int, target_folds: int):
-    """Candidate steps in canonical order: rule-enumeration order first, then
-    preorder position, then parameter; `counts`, `flats`, `folds` describe t."""
-    need_dup = any(counts[v] < target_counts[v] for v in target_counts)
-    steps: list[Step] = []
-    for path, node in _positions_preorder(t):
-        if isinstance(node, TupleT) and len(node.items) >= 2:
-            for i in range(len(node.items) - 1):
-                steps.append(Step("tuple-commutation", path, i))
-            for j in range(1, len(node.items) - 1):
-                steps.append(Step("tuple-association", path, j))
-            if isinstance(node.items[-1], TupleT) and len(node.items[-1].items) >= 2:
-                steps.append(Step("tuple-association", path, -1))
-            if isinstance(node.items[-1], OptionT):
-                steps.append(Step("option-tuple-distribution", path))
-            last = node.items[-1]
-            if (
-                isinstance(last, ArrayT)
-                and not last.folded
-                and not last.flat
-                and not (var_set(TupleT(node.items[:-1])) & var_set(last.elem))
-            ):
-                steps.append(Step("array-tuple-distribution", path))
-        if isinstance(node, OptionT) and len(node.branches) >= 2:
-            for i in range(len(node.branches) - 1):
-                steps.append(Step("option-commutation", path, i))
-            for j in range(1, len(node.branches) - 1):
-                steps.append(Step("option-association", path, j))
-            if isinstance(node.branches[-1], OptionT):
-                steps.append(Step("option-association", path, -1))
-        if need_dup and not is_unit(node):
-            if any(counts[v] < target_counts[v] for v in var_set(node)):
-                steps.append(Step("tuple-duplication", path))
-        if isinstance(node, ArrayT) and not node.flat and not node.folded:
-            if flats < target_flats and path and _enclosing_array(t, path) is not None:
-                steps.append(Step("array-flattening", path))
-            if (
-                folds < target_folds
-                and isinstance(node.elem, TupleT)
-                and len(node.elem.items) >= 2
-            ):
-                for k in range(len(node.elem.items)):
-                    steps.append(Step("array-tpl-folding", path, k))
-    steps.sort(key=lambda s: (_RULE_ORDER[s.rule], s.path, s.param))
-    for step in steps:
-        try:
-            yield step, apply_rule(step.rule, t, step.path, step.param)
-        except RuleInapplicableError:
-            continue
+def _successors(t: Term, room: _Room):
+    """Candidate steps and the states they lead to, in canonical order: rule
+    order first, then preorder position, then parameter."""
+    nodes = _positions_preorder(t)
+    of_kind = {Term: nodes}  # term classes are final: type() is the kind
+    for path, node in nodes:
+        of_kind.setdefault(type(node), []).append((path, node))
+    for rule in _TABLE.values():
+        for path, node in of_kind.get(rule.on, ()):
+            if rule.room and not rule.room(node, room):
+                continue
+            for param in rule.params(node, t, path):
+                yield Step(rule.name, path, param), apply_rule(rule.name, t, path, param)
 
 
 def _count_budget(target: Term) -> Counter:
@@ -388,12 +536,13 @@ def infer_route(
     budget = _count_budget(target)
     tflats, tfolds = _feature_budget(target)
 
-    def viable_features(t: Term) -> Optional[tuple[Counter, int, int]]:
-        """(var counts, flat arrays, folded arrays) within budget, else None."""
+    def room_of(t: Term) -> Optional[_Room]:
+        """What t still lacks of the target; None when t is over budget."""
         counts, (flats, folds) = var_counts(t), _feature_counts(t)
         if flats > tflats or folds > tfolds or any(n > budget[v] for v, n in counts.items()):
             return None
-        return counts, flats, folds
+        short = frozenset(v for v, n in target_counts.items() if counts[v] < n)
+        return _Room(short, flats < tflats, folds < tfolds)
 
     def exceeded(depth: int) -> SearchBoundExceededError:
         return SearchBoundExceededError(
@@ -402,29 +551,29 @@ def infer_route(
             f"(max_states {max_states}), depth {depth} reached (max_depth {max_depth})"
         )
 
-    features = viable_features(source)
-    if features is None:
+    room = room_of(source)
+    if room is None:
         raise _invalid(source, target)
-    # each state is met once; a level holds its admitted states, routes, features
+    # each state is met once; a level holds its admitted states, routes, rooms
     seen = {source}
-    level = [(source, (), features)]
+    level = [(source, (), room)]
     admitted = 0
     for depth in range(1, max_depth + 1):
         following = []
-        for t, route, features in level:
-            for step, succ in _successors(t, *features, target_counts, tflats, tfolds):
+        for t, route, room in level:
+            for step, succ in _successors(t, room):
                 if terms_match(succ, target):
                     return route + (step,)
                 if succ in seen:
                     continue
                 seen.add(succ)
-                succ_features = viable_features(succ)
-                if succ_features is None:
+                succ_room = room_of(succ)
+                if succ_room is None:
                     continue
                 if admitted == max_states:
                     raise exceeded(depth)
                 admitted += 1
-                following.append((succ, route + (step,), succ_features))
+                following.append((succ, route + (step,), succ_room))
         if not following:
             raise _invalid(source, target)
         level = following
@@ -496,17 +645,17 @@ class Transformer:
     # -- navigation ----------------------------------------------------------
 
     def _apply(self, step: Step, t: Term, r: MatchResult) -> MatchResult:
+        rule, path, arg = _TABLE[step.rule], step.path, step.param
         if step.rule == "array-flattening":
             # a flat ancestor holds spliced singles, not an array result, so
             # the elements to multiply live in the nearest non-flat array out
-            anchor = _enclosing_array(t, step.path)
-            while anchor is not None and subterm(t, anchor).flat:
-                anchor = _enclosing_array(t, anchor)
-            if anchor is None:
+            path = _enclosing_array(t, step.path)
+            while path is not None and subterm(t, path).flat:
+                path = _enclosing_array(t, path)
+            if path is None:
                 raise ShapeMismatchError("flattened array has no enclosing array")
-            rel = step.path[len(anchor) :]
-            return self._descend(t, r, anchor, lambda at, ar, ctx: self._splice(at, ar, rel))
-        return self._descend(t, r, step.path, lambda nt, nr, ctx: self._op(step, nt, nr, ctx))
+            arg = step.path[len(path) :]
+        return self._descend(t, r, path, lambda nt, nr, ctx: rule.data(self, nt, nr, arg, ctx))
 
     def _descend(
         self, t: Term, r: MatchResult, path: Path, op, ctx: frozenset = frozenset()
@@ -561,133 +710,6 @@ class Transformer:
             return self._descend(t.inner, r, path[1:], op, ctx)
         raise ShapeMismatchError(f"cannot descend into {render(t)}")
 
-    # -- per-rule data operations -------------------------------------------
-
-    def _op(
-        self, step: Step, t: Term, r: MatchResult, ctx: frozenset = frozenset()
-    ) -> MatchResult:
-        rule, param = step.rule, step.param
-        if rule == "tuple-commutation":
-            items = list(_as_tuple(r, t).items)
-            items[param], items[param + 1] = items[param + 1], items[param]
-            return _keep_id(MTuple(items), r)
-        if rule == "option-commutation":
-            opt = _as_option(r, t)
-            branches = list(opt.branches)
-            ids = list(opt.branch_ids)
-            branches[param], branches[param + 1] = branches[param + 1], branches[param]
-            ids[param], ids[param + 1] = ids[param + 1], ids[param]
-            selected = opt.selected
-            if selected == param:
-                selected = param + 1
-            elif selected == param + 1:
-                selected = param
-            return _keep_id(MOption(branches, opt.option_id, selected, ids), r)
-        if rule == "tuple-association":
-            items = list(_as_tuple(r, t).items)
-            if param == -1:
-                inner = items[-1]
-                if not isinstance(inner, MTuple):
-                    raise ShapeMismatchError("no nested tuple result to ungroup")
-                return _keep_id(MTuple(items[:-1] + list(inner.items)), r)
-            return _keep_id(MTuple(items[:param] + [MTuple(items[param:])]), r)
-        if rule == "option-association":
-            opt = _as_option(r, t)
-            branches = list(opt.branches)
-            ids = list(opt.branch_ids)
-            if param == -1:
-                inner = branches[-1]
-                if isinstance(inner, MFailed):
-                    # a failed nested option expands to failed branches
-                    width = len(t.branches[-1].branches)
-                    out = MOption(
-                        branches[:-1] + [MFailed() for _ in range(width)],
-                        opt.option_id,
-                        opt.selected,
-                        ids[:-1] + [("g", self.fresh_id()) for _ in range(width)],
-                    )
-                    return _keep_id(out, r)
-                if not isinstance(inner, MOption):
-                    raise ShapeMismatchError("no nested option result to ungroup")
-                selected = opt.selected
-                if selected is not None and selected == len(branches) - 1:
-                    selected = len(branches) - 1 + (inner.selected or 0)
-                out = MOption(
-                    branches[:-1] + list(inner.branches),
-                    opt.option_id,
-                    selected,
-                    ids[:-1] + list(inner.branch_ids),
-                )
-                return _keep_id(out, r)
-            inner_sel = None
-            if opt.selected is not None and opt.selected >= param:
-                inner_sel = opt.selected - param
-            inner = MOption(branches[param:], self.fresh_id(), inner_sel, ids[param:])
-            selected = opt.selected
-            if selected is not None and selected >= param:
-                selected = param
-            out = MOption(
-                branches[:param] + [inner],
-                opt.option_id,
-                selected,
-                ids[:param] + [("g", self.fresh_id())],
-            )
-            return _keep_id(out, r)
-        if rule == "tuple-duplication":
-            return _keep_id(MTuple([r, r]), r)
-        if rule == "option-tuple-distribution":
-            items = list(_as_tuple(r, t).items)
-            head_t = tuple_of(list(t.items[:-1]))
-            head_r = items[0] if len(items) == 2 else MTuple(items[:-1])
-            opt = _as_option(items[-1], t.items[-1])
-            branches = []
-            for bt, br in zip(t.items[-1].branches, opt.branches):
-                if succeeded(br):
-                    branches.append(_combine_pair(head_t, head_r, bt, br))
-                else:
-                    branches.append(MFailed())
-            out = MOption(branches, opt.option_id, opt.selected, list(opt.branch_ids))
-            return _keep_id(out, r)
-        if rule == "array-tuple-distribution":
-            items = list(_as_tuple(r, t).items)
-            head_t = tuple_of(list(t.items[:-1]))
-            head_r = items[0] if len(items) == 2 else MTuple(items[:-1])
-            arr_t = t.items[-1]
-            arr_r = items[-1]
-            if not isinstance(arr_r, MArray):
-                raise ShapeMismatchError("expected an array result to distribute over")
-            head_tokens = ctx | footprint(head_r)
-            out_items = []
-            for item in arr_r.items:
-                if not compatible(head_tokens | footprint(item), self.constraints):
-                    continue
-                pair = _combine_pair(head_t, head_r, arr_t.elem, item)
-                pair.elem_id = item.elem_id
-                out_items.append(pair)
-            return _keep_id(MArray(out_items, arr_r.folded), r)
-        if rule == "array-tpl-folding":
-            if not isinstance(r, MArray):
-                raise ShapeMismatchError("expected an array result to fold")
-            elem_t = t.elem
-            classes: dict = {}
-            order: list = []
-            for item in r.items:
-                tup = _as_tuple(item, elem_t)
-                key_r = tup.items[param]
-                key = _value_key(key_r)
-                if key not in classes:
-                    classes[key] = (MArray([]), key_r)
-                    order.append(key)
-                classes[key][0].items.append(item)
-            out_items = []
-            for key in order:
-                members, key_r = classes[key]
-                cls = MTuple([members, key_r])
-                cls.elem_id = self.fresh_id()
-                out_items.append(cls)
-            return _keep_id(MArray(out_items, folded=True), r)
-        raise ValueError(f"unknown rule {rule!r}")
-
     # -- flattening splice ---------------------------------------------------
 
     def _splice(self, arr_t: Term, arr_r: MatchResult, rel: Path) -> MatchResult:
@@ -696,7 +718,8 @@ class Transformer:
         expands into one output element per inner element."""
         if not isinstance(arr_t, ArrayT) or not isinstance(arr_r, MArray):
             raise ShapeMismatchError("flattening needs an enclosing array result")
-        assert rel and rel[0] == 0
+        if not rel or rel[0] != 0:
+            raise ShapeMismatchError("flattened position lies outside the element term")
         inner_path = rel[1:]
         items: list[MatchResult] = []
         for elem in arr_r.items:
@@ -764,25 +787,6 @@ def _as_option(r: MatchResult, t: Term) -> MOption:
     return r
 
 
-def _combine_pair(
-    head_t: Term, head_r: MatchResult, tail_t: Term, tail_r: MatchResult
-) -> MatchResult:
-    """Mirror of terms.tuple_of for the pair formed during distribution."""
-    items: list[MatchResult] = []
-    for t, r in ((head_t, head_r), (tail_t, tail_r)):
-        if is_unit(t):
-            continue
-        if isinstance(t, TupleT) and isinstance(r, MTuple):
-            items.extend(r.items)
-        else:
-            items.append(r)
-    if not items:
-        return MUnit()
-    if len(items) == 1:
-        return items[0]
-    return MTuple(items)
-
-
 def project_result(r: MatchResult, t: Term, keep: set) -> MatchResult:
     """Mirror of terms.project on a match result: drop the parts bound to
     variables outside `keep`, collapsing exactly as the term projection does."""
@@ -798,8 +802,7 @@ def project_result(r: MatchResult, t: Term, keep: set) -> MatchResult:
         parts = []
         for st, sr in zip(t.items, r.items):
             parts.append((project(st, keep), project_result(sr, st, keep)))
-        out = _combine_parts(parts)
-        return _keep_id(out, r)
+        return _keep_id(_combine(parts), r)
     if isinstance(t, OptionT):
         if is_unit(project(t, keep)):
             return _keep_id(MUnit(), r)
@@ -825,22 +828,6 @@ def project_result(r: MatchResult, t: Term, keep: set) -> MatchResult:
     if isinstance(t, DistinctT):
         return project_result(r, t.inner, keep)
     raise ShapeMismatchError(f"cannot project a result against {render(t)}")
-
-
-def _combine_parts(parts: list) -> MatchResult:
-    items: list[MatchResult] = []
-    for t, r in parts:
-        if is_unit(t):
-            continue
-        if isinstance(t, TupleT) and isinstance(r, MTuple):
-            items.extend(r.items)
-        else:
-            items.append(r)
-    if not items:
-        return MUnit()
-    if len(items) == 1:
-        return items[0]
-    return MTuple(items)
 
 
 def _value_key(r: MatchResult):

@@ -9,7 +9,7 @@ memoizes on them directly.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 Path = tuple[int, ...]

@@ -5,6 +5,7 @@ import pytest
 
 from jpq.cli import (
     EXIT_DATA,
+    EXIT_INTERNAL,
     EXIT_OK,
     EXIT_QUERY,
     CliConfig,
@@ -13,6 +14,8 @@ from jpq.cli import (
     repl,
     run_query,
 )
+
+from jpq.engine import Engine
 
 from .conftest import FIXTURES
 
@@ -161,3 +164,45 @@ def test_repl_explain_replays_the_plan():
 def test_repl_unknown_command():
     _, _, err = repl_session(":frobnicate\n:quit\n")
     assert "unknown command" in err
+
+
+# -- failures map to exit codes, never to a traceback ---------------------------
+
+
+def crash(*args, **kwargs):
+    raise RuntimeError("boom")
+
+
+def test_deeply_nested_document_exits_with_data_code(tmp_path, capfd):
+    doc = tmp_path / "deep.json"
+    doc.write_text('{"a":' + "[" * 5000 + "]" * 5000 + "}")
+    code = main(["--doc", f"univ={doc}", "-e", QUERY])
+    err = capfd.readouterr().err
+    assert code == EXIT_DATA
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_deeply_nested_query_exits_with_query_code(capfd):
+    q = 'from doc("univ") {"a":' + "[" * 3000 + "$x" + "]" * 3000 + '} construct {"x":$x}'
+    code = main(["--doc", "univ=" + UNIV, "-e", q])
+    err = capfd.readouterr().err
+    assert code == EXIT_QUERY
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_foreign_exception_exits_with_internal_code(monkeypatch, capfd):
+    monkeypatch.setattr(Engine, "run", crash)
+    code = main(["--doc", "univ=" + UNIV, "-e", QUERY])
+    err = capfd.readouterr().err
+    assert code == EXIT_INTERNAL
+    assert err == "internal error: RuntimeError: boom\n"
+
+
+def test_repl_survives_a_foreign_exception(monkeypatch):
+    monkeypatch.setattr(Engine, "explain", crash)
+    code, out, err = repl_session(
+        f":load univ {UNIV}\n:explain {QUERY}\n:run {QUERY}\n:quit\n"
+    )
+    assert code == EXIT_OK
+    assert err == "internal error: RuntimeError: boom\n"
+    assert '{"id":"0001"}' in out

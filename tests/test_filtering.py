@@ -3,8 +3,9 @@ import random
 import pytest
 
 from jpq.ast import derive_matching_term
-from jpq.errors import InvalidCompositionError, TypeError_
+from jpq.errors import InvalidCompositionError, ShapeMismatchError, TypeError_
 from jpq.filtering import (
+    _Enumerator,
     condition_argument_term,
     eval_builtin,
     filter_result,
@@ -20,7 +21,7 @@ from jpq.matching import (
 )
 from jpq.model import Atom, get_field, parse_document, serialize
 from jpq.parser import parse_condition, parse_pattern
-from jpq.terms import render
+from jpq.terms import ArrayT, OptionT, TupleT, Var, render
 
 SCHOOLS = '{"schools":[{"name":$n,"faculty":[{"ID":$id}]}]}'
 
@@ -281,3 +282,18 @@ def test_filtering_agrees_with_nested_loop_oracle(cond, holds):
             for x in r.items
         ]
         assert got == expected, serialize(doc)
+
+
+@pytest.mark.parametrize(
+    "term",
+    [
+        TupleT((Var("a"), Var("b"))),
+        OptionT((Var("a"), Var("b"))),
+        ArrayT(Var("a"), Var("a")),
+    ],
+    ids=["tuple", "option", "array"],
+)
+def test_enumerator_rejects_a_result_of_the_wrong_shape(term):
+    # a checked error, not an assert that python -O would strip
+    with pytest.raises(ShapeMismatchError):
+        _Enumerator({"a", "b"}, {}, None).run(term, MBind("a", Atom("x")), ())

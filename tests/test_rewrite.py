@@ -7,6 +7,7 @@ from jpq.errors import (
     InvalidConstructionError,
     RuleInapplicableError,
     SearchBoundExceededError,
+    ShapeMismatchError,
 )
 from jpq.matching import MArray, MBind, MTuple, instantiates
 from jpq.model import Atom
@@ -14,6 +15,9 @@ from jpq.rewrite import (
     RULES,
     Step,
     Transformer,
+    _Room,
+    _successors,
+    _TABLE,
     apply_rule,
     infer_route,
     projected_source,
@@ -322,3 +326,49 @@ def test_random_steps_keep_results_conforming():
         out = Transformer().transform(r, t, (step,))
         after = apply_rule(step.rule, t, step.path, step.param)
         assert instantiates(out, after), (render(t), step)
+
+
+def test_distribution_splices_a_nested_tuple_in_the_head():
+    # tuple_of splices the head's nested tuple into each pair; so must the data
+    for last in (OptionT((C, C)), arr(C)):
+        t = TupleT((A, TupleT((B, Var("d"))), last))
+        rule = "option-tuple-distribution" if isinstance(last, OptionT) else "array-tuple-distribution"
+        for seed in range(20):
+            r = ResultBuilder(random.Random(seed)).build(t)
+            out = Transformer().transform(r, t, (Step(rule, ()),))
+            assert instantiates(out, apply_rule(rule, t, ())), (rule, seed)
+
+
+def test_splice_outside_the_element_term_is_a_shape_mismatch():
+    with pytest.raises(ShapeMismatchError):
+        Transformer()._splice(arr(A), MArray([]), (1,))
+
+
+# -- the rule table agrees with itself ---------------------------------------
+
+
+def test_search_candidates_are_exactly_the_steps_apply_rule_accepts():
+    """Route search and apply_rule read the same side conditions: with the
+    search budgets wide open and duplication left out, the steps
+    `_successors` yields, and the states they lead to, are exactly those
+    apply_rule accepts, in canonical order."""
+    wide_open = _Room(frozenset(), flat=True, fold=True)
+    rng_terms = [gen_term(random.Random(seed), ["a", "b", "c"]) for seed in range(200)]
+    for t in term_universe() + rng_terms:
+        accepted = {}
+        for path in positions(t):
+            for rule in RULES:
+                if rule == "tuple-duplication":
+                    continue
+                for param in range(-1, 4) if _TABLE[rule].numbered else (0,):
+                    try:
+                        accepted[(rule, path, param)] = apply_rule(rule, t, path, param)
+                    except RuleInapplicableError:
+                        continue
+        yielded = {
+            (step.rule, step.path, step.param): succ
+            for step, succ in _successors(t, wide_open)
+        }
+        assert yielded == accepted, render(t)
+        order = [(RULES.index(rule), path, param) for rule, path, param in yielded]
+        assert order == sorted(order), render(t)
