@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Union
 
 from .errors import ReboundVariableError, UnboundVariableError
@@ -41,8 +42,9 @@ class StringPredicate:
     pattern: str
 
     def matches(self, s: str) -> bool:
-        return self._regex().fullmatch(s) is not None
+        return self._regex.fullmatch(s) is not None
 
+    @cached_property
     def _regex(self) -> re.Pattern:
         parts = self.pattern.split("?")
         return re.compile(".*".join(re.escape(p) for p in parts), re.DOTALL)

@@ -9,8 +9,9 @@ shape is searched once per engine, whatever documents are loaded later.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 from . import ast as A
 from .construct import backbone, build, build_empty
@@ -74,8 +75,8 @@ class Engine:
         self._routes[key] = route
         return Plan(source, target, route)
 
-    def _match(self, q: A.QueryAst) -> MatchResult:
-        matcher = Matcher()
+    def _match(self, q: A.QueryAst, ids: Iterator[int]) -> MatchResult:
+        matcher = Matcher(ids)
         parts = []
         for name, pattern in q.sources:
             doc = self.registry.lookup(name)
@@ -88,7 +89,8 @@ class Engine:
         A.validate_query(q)
         plan = self._plan(q)
         source = plan.source_term
-        result = self._match(q)
+        ids = itertools.count(1)  # one identity space for the whole run
+        result = self._match(q, ids)
         if not succeeded(result):
             return build_empty(q.construct)
         constraints: list[Constraint] = []
@@ -102,7 +104,7 @@ class Engine:
         keep = var_set(plan.target_term)
         projected_term = project(source, keep)
         projected = project_result(result, source, keep)
-        transformer = Transformer(constraints)
+        transformer = Transformer(constraints, ids)
         transformed = transformer.transform(projected, projected_term, plan.route)
         final_term = replay(projected_term, plan.route)
         return build(q.construct, final_term, transformed)

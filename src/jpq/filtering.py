@@ -47,6 +47,7 @@ from .terms import (
     children,
     subterm,
     tuple_of,
+    var_counts,
     var_set,
 )
 
@@ -178,10 +179,22 @@ class Outcome:
 
 
 class _Enumerator:
-    def __init__(self, needed: set[str], anchors: dict[Path, list[str]], collect: Optional[Outcome]):
+    """Enumerates a result's support tuples.  `joins` lists `(u, v)` variable
+    pairs whose equality every satisfied assignment needs: where a tuple
+    combines a component binding one with earlier components binding the
+    other, only pairs with equal values are formed (a hash partition)."""
+
+    def __init__(
+        self,
+        needed: set[str],
+        anchors: dict[Path, list[str]],
+        collect: Optional[Outcome],
+        joins: tuple[tuple[str, str], ...] = (),
+    ):
         self.needed = needed
         self.anchors = anchors
         self.collect = collect
+        self.joins = joins
         self.relevant_vars = needed | {v for vs in anchors.values() for v in vs}
 
     def _relevant(self, t: Term) -> bool:
@@ -200,15 +213,14 @@ class _Enumerator:
             if not isinstance(r, MTuple) or len(r.items) != len(t.items):
                 raise ShapeMismatchError(f"expected a {len(t.items)}-tuple result")
             combos = [_Assignment({}, frozenset())]
+            bound: set[str] = set()
             for i, (st, sr) in enumerate(zip(t.items, r.items)):
-                if not self._relevant(st):
+                here = var_set(st)
+                if not here & self.relevant_vars:
                     continue
                 subs = self.run(st, sr, path + (i,))
-                combos = [
-                    _Assignment({**a.env, **b.env}, a.tokens | b.tokens)
-                    for a in combos
-                    for b in subs
-                ]
+                combos = _pairs(combos, subs, self._join(bound, here))
+                bound |= here
             return combos
         if isinstance(t, OptionT):
             if not isinstance(r, MOption):
@@ -258,6 +270,38 @@ class _Enumerator:
         if isinstance(t, DistinctT):
             return self.run(t.inner, r, path + (0,))
         return [_Assignment({}, frozenset())]
+
+    def _join(self, bound: set[str], here: set[str]) -> Optional[tuple[str, str]]:
+        """The first join whose one side the earlier components bind and whose
+        other side the new component binds, as (earlier, new)."""
+        for u, v in self.joins:
+            if u in bound and v in here:
+                return u, v
+            if v in bound and u in here:
+                return v, u
+        return None
+
+
+def _pairs(
+    combos: list[_Assignment], subs: list[_Assignment], join: Optional[tuple[str, str]]
+) -> list[_Assignment]:
+    """The merged (earlier, new) assignment pairs, outer in `combos` order and
+    inner in `subs` order.  With a join `(u, v)`, each earlier assignment meets
+    only the new ones whose `v` is a dict key equal to its `u`: a superset of
+    the pairs on which `u = v` holds (a dict also matches NaN to itself), so
+    the condition is still evaluated on every pair formed.  An assignment
+    lacking its join variable pairs with nothing: `=` on a missing operand
+    is false."""
+    if join is None:
+        pairs = ((a, b) for a in combos for b in subs)
+    else:
+        u, v = join
+        buckets: dict = {}
+        for b in subs:
+            if v in b.env:
+                buckets.setdefault(b.env[v], []).append(b)
+        pairs = ((a, b) for a in combos if u in a.env for b in buckets.get(a.env[u], ()))
+    return [_Assignment({**a.env, **b.env}, a.tokens | b.tokens) for a, b in pairs]
 
 
 # ---------------------------------------------------------------------------
@@ -363,6 +407,24 @@ def _flatten_par(c: A.Condition) -> list[A.Condition]:
     return [c]
 
 
+def _equi_joins(c: A.Condition, needed: set[str], source: Term) -> tuple[tuple[str, str], ...]:
+    """The `$u = $v` conditions every satisfied assignment meets (the condition
+    itself or a top-level `and` conjunct) over needed variables the source
+    binds once, so an assignment's value of each is the one its component
+    bound."""
+    conjuncts = c.subs if isinstance(c, A.CBool) and c.op == "and" else (c,)
+    once = {v for v, n in var_counts(source).items() if n == 1} & needed
+    return tuple(
+        (s.lhs.name, s.rhs.name)
+        for s in conjuncts
+        if isinstance(s, A.CCompare)
+        and s.op == "="
+        and isinstance(s.lhs, A.EVar)
+        and isinstance(s.rhs, A.EVar)
+        and {s.lhs.name, s.rhs.name} <= once
+    )
+
+
 def _outcome(r: MatchResult, source: Term, c: A.Condition) -> Outcome:
     _check_colocation(c, source)
     paths = _var_paths(source)
@@ -376,7 +438,7 @@ def _outcome(r: MatchResult, source: Term, c: A.Condition) -> Outcome:
             under_anchor.add(v)
     needed = (set(A.cond_vars(c)) - ranges - under_anchor) & set(paths)
     outcome = Outcome()
-    walker = _Enumerator(needed, anchors, outcome)
+    walker = _Enumerator(needed, anchors, outcome, _equi_joins(c, needed, source))
     evaluator = _Evaluator(source, paths)
     for a in walker.run(source, r, ()):
         if evaluator.holds(c, a.env):

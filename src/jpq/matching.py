@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 from . import ast as A
 from .model import Array, Atom, Object, Value, preorder, serialize
@@ -136,10 +136,11 @@ def _slotted(sub_patterns, sub_results) -> MatchResult:
 
 
 class Matcher:
-    """Evaluates patterns; owns the identity counter for elements/options."""
+    """Evaluates patterns, drawing element and option identities from `ids`
+    (by default a counter of its own, from 1)."""
 
-    def __init__(self) -> None:
-        self._ids = itertools.count(1)
+    def __init__(self, ids: Optional[Iterator[int]] = None) -> None:
+        self._ids = itertools.count(1) if ids is None else ids
 
     def fresh_id(self) -> int:
         return next(self._ids)

@@ -16,7 +16,8 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from functools import cached_property
+from typing import Callable, Iterable, Iterator, Optional
 
 from .errors import (
     InvalidConstructionError,
@@ -584,6 +585,9 @@ def infer_route(
 # constraints recorded by filtering, consumed by array distribution
 
 
+_NO_POSTINGS: frozenset = frozenset()
+
+
 @dataclass(frozen=True)
 class Constraint:
     """Satisfied support-tuple footprints of one filter condition.
@@ -610,7 +614,18 @@ class Constraint:
                 required |= chosen
         if not required:
             return True
-        return any(required <= fp for fp in self.footprints)
+        # some footprint holds every required token: intersect their postings
+        first, *rest = sorted((self._postings.get(tok, _NO_POSTINGS) for tok in required), key=len)
+        return bool(first.intersection(*rest))
+
+    @cached_property
+    def _postings(self) -> dict:
+        """Token -> indexes of the footprints holding it, built on first use."""
+        postings: dict = {}
+        for i, fp in enumerate(self.footprints):
+            for tok in fp:
+                postings.setdefault(tok, set()).add(i)
+        return postings
 
 
 def compatible(tokens: frozenset, constraints: Iterable[Constraint]) -> bool:
@@ -625,12 +640,15 @@ class Transformer:
     """Applies a route's steps to a match result, step for step.
 
     Holds the filter constraints so array distribution only couples
-    combinations some satisfied support tuple allows, and a fresh-id source
-    for nodes it creates."""
+    combinations some satisfied support tuple allows, and the id source for
+    nodes it creates: the matcher's, so no new id equals a matched one that
+    a constraint refers to (by default a counter of its own, from 1)."""
 
-    def __init__(self, constraints: Iterable[Constraint] = (), id_start: int = 1_000_000):
+    def __init__(
+        self, constraints: Iterable[Constraint] = (), ids: Optional[Iterator[int]] = None
+    ):
         self.constraints = tuple(constraints)
-        self._ids = itertools.count(id_start)
+        self._ids = itertools.count(1) if ids is None else ids
 
     def fresh_id(self) -> int:
         return next(self._ids)

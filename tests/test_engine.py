@@ -1,7 +1,10 @@
+import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
@@ -78,6 +81,33 @@ def test_self_join_finds_school_pairs_sharing_a_member(engine):
         '{"school1":"Computer School","school2":"Math School"},'
         '{"school1":"Math School","school2":"Computer School"}]}'
     )
+
+
+def test_self_join_at_scale_equals_a_nested_loop_over_the_raw_json():
+    rng = random.Random(20)
+    raw = {
+        "schools": [
+            {
+                "name": f"School {s}",
+                "faculty": [{"ID": f"{rng.randrange(600):04d}"} for _ in range(20)],
+            }
+            for s in range(20)
+        ]
+    }
+    reg = DocRegistry()
+    reg.register("univ", parse_document(json.dumps(raw)))
+    got = Counter(
+        (x["school1"], x["school2"]) for x in json.loads(run(Engine(reg), EX3))["result"]
+    )
+    oracle = Counter(
+        (s1["name"], s2["name"])
+        for s1 in raw["schools"]
+        for s2 in raw["schools"]
+        if s1["name"] != s2["name"]
+        and any(m1["ID"] == m2["ID"] for m1 in s1["faculty"] for m2 in s2["faculty"])
+    )
+    assert got == oracle
+    assert 0 < len(oracle) < 20 * 19
 
 
 def test_quantified_disjunction_keeps_fully_emailed_school(engine):
@@ -234,3 +264,40 @@ def test_reimporting_the_package_frees_the_old_one():
     env = {**os.environ, "PYTHONPATH": str(src)}
     proc = subprocess.run([sys.executable, "-c", script], env=env, timeout=60)
     assert proc.returncode == 0
+
+
+# -- identities -------------------------------------------------------------------
+
+
+def test_restructuring_never_mints_a_matched_id(engine, monkeypatch):
+    # a run that has matched about a million elements: a fold class minted
+    # with a matched element's id would stand for that element in the join
+    # constraints array distribution checks
+    import jpq.engine
+    from jpq.matching import Matcher
+    from jpq.rewrite import Transformer
+
+    matched, minted = [], []
+
+    class LargeRunMatcher(Matcher):
+        def __init__(self, *args):
+            super().__init__(*args)
+            for _ in range(999_995):
+                super().fresh_id()
+
+        def fresh_id(self):
+            matched.append(super().fresh_id())
+            return matched[-1]
+
+    real_mint = Transformer.fresh_id
+
+    def mint(self):
+        minted.append(real_mint(self))
+        return minted[-1]
+
+    expected = run(engine, EX2)
+    monkeypatch.setattr(jpq.engine, "Matcher", LargeRunMatcher)
+    monkeypatch.setattr(Transformer, "fresh_id", mint)
+    assert run(engine, EX2) == expected
+    assert matched and minted
+    assert not set(matched) & set(minted)

@@ -1,8 +1,10 @@
+import json
 import random
 
 import pytest
 
 from jpq.ast import derive_matching_term
+from jpq.engine import Engine
 from jpq.errors import InvalidCompositionError, ShapeMismatchError, TypeError_
 from jpq.filtering import (
     _Enumerator,
@@ -19,8 +21,8 @@ from jpq.matching import (
     match_value,
     succeeded,
 )
-from jpq.model import Atom, get_field, parse_document, serialize
-from jpq.parser import parse_condition, parse_pattern
+from jpq.model import Atom, DocRegistry, get_field, parse_document, serialize
+from jpq.parser import parse_condition, parse_pattern, parse_query
 from jpq.terms import ArrayT, OptionT, TupleT, Var, render
 
 SCHOOLS = '{"schools":[{"name":$n,"faculty":[{"ID":$id}]}]}'
@@ -297,3 +299,93 @@ def test_enumerator_rejects_a_result_of_the_wrong_shape(term):
     # a checked error, not an assert that python -O would strip
     with pytest.raises(ShapeMismatchError):
         _Enumerator({"a", "b"}, {}, None).run(term, MBind("a", Atom("x")), ())
+
+
+
+# -- hash-partitioned joins -------------------------------------------------------
+
+# join keys equal across spellings (1 and 1.0, objects alike), apart across
+# kinds ("1", true, 1), null, and NaN, which equals nothing, not even itself
+EDGE_KEYS = [1, 1.0, "1", True, None, float("nan"), {"a": 1}, {"a": 1.0}, {"a": "1"}, 1]
+
+
+def _same(a, b) -> bool:
+    """JPQ equality on JSON values: numbers numerically, no kind equal to
+    another (booleans are not numbers), objects member by member in order."""
+    if isinstance(a, bool) or isinstance(b, bool):
+        return a is b
+    if isinstance(a, (int, float)) and isinstance(b, (int, float)):
+        return a == b
+    if isinstance(a, dict) and isinstance(b, dict):
+        return list(a) == list(b) and all(_same(a[k], b[k]) for k in a)
+    return type(a) is type(b) and a == b
+
+
+def _recorded(monkeypatch, reg, query, partition):
+    """The output and the constraints a run records, with the hash partition
+    or with every assignment pair formed by the nested loop."""
+    import jpq.engine
+    import jpq.filtering
+
+    seen = []
+
+    def spy(r, source, c, constraints):
+        out = filter_result(r, source, c, constraints)
+        seen.extend(constraints)
+        return out
+
+    with monkeypatch.context() as m:
+        m.setattr(jpq.engine, "filter_result", spy)
+        if not partition:
+            m.setattr(jpq.filtering, "_equi_joins", lambda c, needed, source: ())
+        out = serialize(Engine(reg).run(parse_query(query)))
+    return out, seen
+
+
+XS = [{"n": f"x{i}", "k": k} for i, k in enumerate(EDGE_KEYS)]
+YS = [{"n": f"y{i}", "k": k} for i, k in enumerate(EDGE_KEYS)][::-1]
+SELF_JOIN = (
+    'from doc("d") {"xs":<[{"n":$n1,"k":$k1}],[{"n":$n2,"k":$k2}]>} '
+    'construct {"r":[^[{"a":$n1,"b":$n2}]]} where '
+)
+
+
+@pytest.mark.parametrize(
+    "docs,query,left,right,residual",
+    [
+        ({"d": {"xs": XS}}, SELF_JOIN + "$k1 = $k2", XS, XS, lambda a, b: True),
+        (
+            {"d": {"xs": XS}},
+            SELF_JOIN + "not ($n1 = $n2) and $k2 = $k1",
+            XS,
+            XS,
+            lambda a, b: a != b,
+        ),
+        (
+            {"p": {"xs": XS}, "q": {"ys": YS}},
+            'from doc("p") {"xs":[{"n":$n1,"k":$k1}]}, doc("q") {"ys":[{"n":$n2,"k":$k2}]} '
+            'construct {"r":[^[{"a":$n1,"b":$n2}]]} where $k1 = $k2',
+            XS,
+            YS,
+            lambda a, b: True,
+        ),
+    ],
+    ids=["self-join", "self-join-with-residual", "two-documents"],
+)
+def test_partitioned_join_records_what_the_nested_loop_records(
+    monkeypatch, docs, query, left, right, residual
+):
+    reg = DocRegistry()
+    for name, doc in docs.items():
+        reg.register(name, parse_document(json.dumps(doc)))
+    out, constraints = _recorded(monkeypatch, reg, query, partition=True)
+    # footprints, groups and options equal and in the same order
+    assert (out, constraints) == _recorded(monkeypatch, reg, query, partition=False)
+    got = sorted((x["a"], x["b"]) for x in json.loads(out)["r"])
+    assert got == sorted(
+        (a["n"], b["n"])
+        for a in left
+        for b in right
+        if _same(a["k"], b["k"]) and residual(a["n"], b["n"])
+    )
+    assert not any("5" in a + b for a, b in got)  # NaN pairs with nothing

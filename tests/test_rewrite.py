@@ -13,6 +13,7 @@ from jpq.matching import MArray, MBind, MTuple, instantiates
 from jpq.model import Atom
 from jpq.rewrite import (
     RULES,
+    Constraint,
     Step,
     Transformer,
     _Room,
@@ -372,3 +373,42 @@ def test_search_candidates_are_exactly_the_steps_apply_rule_accepts():
         assert yielded == accepted, render(t)
         order = [(RULES.index(rule), path, param) for rule, path, param in yielded]
         assert order == sorted(order), render(t)
+
+
+# -- constraints: indexed footprints agree with a linear scan ------------------
+
+
+def linear_allows(c: Constraint, tokens: frozenset) -> bool:
+    """Reference: the required tokens held together by some footprint,
+    found by scanning every footprint."""
+    for covered, universe in c.option_universe:
+        chosen = tokens & universe
+        if chosen and not chosen <= covered:
+            return True
+    required = set()
+    for group in c.groups:
+        chosen = tokens & group
+        if len(chosen) == 1:
+            required |= chosen
+    return not required or any(required <= fp for fp in c.footprints)
+
+
+def test_indexed_allows_agrees_with_a_linear_footprint_scan():
+    rng = random.Random(4)
+    for _ in range(300):
+        elems = list(range(rng.randint(1, 12)))
+        branches = [("b", (99, i)) for i in range(rng.randint(0, 3))]
+        universe = elems + branches
+
+        def some(pool, most):
+            return frozenset(rng.sample(pool, rng.randint(0, min(most, len(pool)))))
+
+        groups = tuple(some(elems, 5) for _ in range(rng.randint(0, 3)))
+        options = (
+            ((some(branches, 2), frozenset(branches)),) if branches and rng.random() < 0.5 else ()
+        )
+        c = Constraint(tuple(some(universe, 4) for _ in range(rng.randint(0, 8))), groups, options)
+        for _ in range(20):
+            tokens = some(universe + [1000], 6)  # 1000 lies in no footprint
+            assert c.allows(tokens) == linear_allows(c, tokens), (c, tokens)
+        assert c == Constraint(c.footprints, c.groups, c.option_universe)
