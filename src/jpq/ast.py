@@ -14,7 +14,12 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Union
 
-from .errors import ReboundVariableError, UnboundVariableError
+from .errors import (
+    ConstructionError,
+    ReboundVariableError,
+    TypeError_,
+    UnboundVariableError,
+)
 from .model import Atom
 from .terms import (
     ArrayT,
@@ -28,6 +33,7 @@ from .terms import (
     option_of,
     render,
     tuple_of,
+    var_set,
 )
 
 # ---------------------------------------------------------------------------
@@ -328,36 +334,6 @@ def _evars(e: CondExpr, out: list[str]) -> None:
         out.append(e.var)
 
 
-def construction_vars(cp: ConstructionPattern) -> list[str]:
-    out: list[str] = []
-    _cpvars(cp, out)
-    return out
-
-
-def _cpvars(cp, out: list[str]) -> None:
-    if isinstance(cp, CVarRef):
-        out.append(cp.name)
-    elif isinstance(cp, CObject):
-        for _, sub in cp.members:
-            _cpvars(sub, out)
-    elif isinstance(cp, (CArray, CFlatArray)):
-        _cpvars(cp.elem, out)
-        if isinstance(cp, CArray) and cp.groupby is not None:
-            from .terms import var_set
-
-            out.extend(sorted(var_set(cp.groupby)))
-    elif isinstance(cp, COption):
-        for b in cp.branches:
-            _cpvars(b, out)
-    elif isinstance(cp, CFun):
-        for a in cp.args:
-            _cpvars(a, out)
-    elif isinstance(cp, CDistinctRef):
-        from .terms import var_set
-
-        out.extend(sorted(var_set(cp.term)))
-
-
 # ---------------------------------------------------------------------------
 # matching-term derivation
 
@@ -403,19 +379,81 @@ def query_matching_term(q: QueryAst) -> Term:
 
 
 def validate_query(q: QueryAst) -> None:
+    """Reject what no document can make valid, before any data is read."""
     bound: set[str] = set()
     for _, p in q.sources:
         for name in pattern_vars(p):
             if name in bound:
                 raise ReboundVariableError(name)
             bound.add(name)
-    for name in construction_vars(q.construct):
-        if name not in bound:
-            raise UnboundVariableError(name)
+    _check_construction(q.construct, bound)
     if q.where is not None:
         for name in cond_vars(q.where):
             if name not in bound:
                 raise UnboundVariableError(name)
+        _check_calls(q.where)
+
+
+# builtin functions and their arities; a where clause counts with count[$x]
+BUILTINS = {"count": 1, "notnull": 1, "endWith": 2, "startWith": 2, "contains": 2}
+
+
+def _check_call(name: str, arity: int) -> None:
+    if name not in BUILTINS:
+        raise TypeError_(f"unknown function {name!r}")
+    if arity != BUILTINS[name]:
+        raise TypeError_(f"{name} takes {BUILTINS[name]} argument(s), got {arity}")
+
+
+def _check_bound(t: Term, bound: set[str]) -> None:
+    for name in sorted(var_set(t)):
+        if name not in bound:
+            raise UnboundVariableError(name)
+
+
+def _check_construction(cp: ConstructionPattern, bound: set[str]) -> None:
+    if isinstance(cp, CVarRef):
+        if cp.name not in bound:
+            raise UnboundVariableError(cp.name)
+    elif isinstance(cp, CDistinctRef):
+        _check_bound(cp.term, bound)
+    elif isinstance(cp, CObject):
+        seen: set[str] = set()
+        for key, sub in cp.members:
+            if key in seen:
+                raise ConstructionError(f"duplicate key {key!r} in output object")
+            seen.add(key)
+            _check_construction(sub, bound)
+    elif isinstance(cp, (CArray, CFlatArray)):
+        _check_construction(cp.elem, bound)
+        if isinstance(cp, CArray) and cp.groupby is not None:
+            _check_bound(cp.groupby, bound)
+        if isinstance(cp, CArray) and cp.order is not None:
+            # a grouped array orders by its classes' keys
+            if cp.groupby is None:
+                raise ConstructionError("asc/desc ordering needs a groupby index term")
+            if not isinstance(cp.groupby, DistinctT) and len(var_set(cp.groupby)) != 1:
+                raise ConstructionError("an ordering term needs exactly one variable")
+    elif isinstance(cp, COption):
+        for b in cp.branches:
+            _check_construction(b, bound)
+    elif isinstance(cp, CFun):
+        _check_call(cp.name, len(cp.args))
+        for a in cp.args:
+            _check_construction(a, bound)
+
+
+def _check_calls(c: Condition) -> None:
+    if isinstance(c, CCall):
+        _check_call(c.name, len(c.args))
+    elif isinstance(c, CQuant):
+        _check_calls(c.body)
+    elif isinstance(c, CBool):
+        for s in c.subs:
+            _check_calls(s)
+    elif isinstance(c, CCompound):
+        _check_calls(c.left)
+        _check_calls(c.right)
 
 
 # ---------------------------------------------------------------------------

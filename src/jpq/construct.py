@@ -3,19 +3,20 @@ values from a restructured match result.
 
 The backbone of a construction pattern is its underlying matching term
 (constants erased).  Building walks the construction pattern, the restructured
-term, and the match result together; flat tuples are aligned by slot arity,
-folded arrays by component kind (the class member array vs the grouping key).
+term, and the match result together; flat tuples are aligned by slot arity.
+Each class of a folded array is built by the same walk, as one element whose
+slots hold the class key and the class members.
 """
 
 from __future__ import annotations
 
 from decimal import Decimal
-from typing import Optional
 
 from . import ast as A
 from .errors import ConstructionError, InvalidConstructionError, TypeError_
 from .filtering import eval_builtin
 from .matching import (
+    _combine,
     MArray,
     MatchResult,
     MBind,
@@ -36,7 +37,9 @@ from .terms import (
     is_unit,
     option_of,
     render,
+    strip_component,
     tuple_of,
+    var_set,
 )
 
 
@@ -97,28 +100,13 @@ def _arity(t: Term) -> int:
 
 
 def _slots(t: Term, r: MatchResult) -> list[tuple[Term, MatchResult]]:
-    if is_unit(t):
+    if not isinstance(t, TupleT):
+        return [(t, r)]
+    if not t.items:
         return []
-    if isinstance(t, TupleT):
-        if not isinstance(r, MTuple) or len(r.items) != len(t.items):
-            raise ConstructionError(
-                f"result does not fit the {len(t.items)}-tuple {render(t)}"
-            )
-        return list(zip(t.items, r.items))
-    return [(t, r)]
-
-
-def _take(slots: list, cp: A.ConstructionPattern):
-    """Consume this sub-pattern's share of the flat tuple slots."""
-    k = _arity(backbone(cp))
-    if k == 0:
-        return UNIT, MUnit()
-    if len(slots) < k:
-        raise ConstructionError("construction pattern is wider than the result")
-    taken = [slots.pop(0) for _ in range(k)]
-    if k == 1:
-        return taken[0]
-    return TupleT(tuple(t for t, _ in taken)), MTuple([r for _, r in taken])
+    if not isinstance(r, MTuple) or len(r.items) != len(t.items):
+        raise ConstructionError(f"result does not fit the {len(t.items)}-tuple {render(t)}")
+    return list(zip(t.items, r.items))
 
 
 def value_of(r: MatchResult) -> Value:
@@ -147,34 +135,54 @@ def build_empty(cp: A.ConstructionPattern) -> Value:
 
 
 class Builder:
+    def __init__(self):
+        # sub-pattern id -> slots its backbone takes; the patterns outlive the
+        # builder, so their ids stay unique while it is in use
+        self._widths: dict[int, int] = {}
+
+    def _take(self, slots: list, cp: A.ConstructionPattern):
+        """Consume this sub-pattern's share of the flat tuple slots."""
+        k = self._widths.get(id(cp))
+        if k is None:
+            k = self._widths[id(cp)] = _arity(backbone(cp))
+        if k == 1 and slots:
+            return slots.pop(0)
+        if k == 0:
+            return UNIT, MUnit()
+        if len(slots) < k:
+            raise ConstructionError("construction pattern is wider than the result")
+        taken = slots[:k]
+        del slots[:k]
+        return TupleT(tuple(t for t, _ in taken)), MTuple([r for _, r in taken])
+
     def build(self, cp: A.ConstructionPattern, t: Term, r: MatchResult) -> Value:
-        if isinstance(cp, A.CLit):
+        kind = type(cp)  # cheaper than isinstance; pattern classes have no subclasses
+        if kind is A.CLit:
             return cp.value
-        if isinstance(cp, A.CVarRef):
+        if kind is A.CVarRef:
             if isinstance(r, MBind):
                 return r.value
             if isinstance(r, MTuple) and len(r.items) == 1:
                 return self.build(cp, _one(t), r.items[0])
             raise ConstructionError(f"${cp.name} is not bound to a single value")
-        if isinstance(cp, A.CObject):
+        if kind is A.CDistinctRef:
+            # only a grouped array's classes offer a key here
+            return value_of(r)
+        if kind is A.CObject:
             slots = _slots(t, r)
             pairs: list[tuple[str, Value]] = []
-            seen: set[str] = set()
             for key, sub in cp.members:
-                if key in seen:
-                    raise ConstructionError(f"duplicate key {key!r} in output object")
-                seen.add(key)
-                st, sr = _take(slots, sub)
+                st, sr = self._take(slots, sub)
                 pairs.append((key, self.build(sub, st, sr)))
             return Object(tuple(pairs))
-        if isinstance(cp, A.CFun):
+        if kind is A.CFun:
             slots = _slots(t, r)
             args = []
             for sub in cp.args:
-                st, sr = _take(slots, sub)
+                st, sr = self._take(slots, sub)
                 args.append(self.build(sub, st, sr))
             return self._call(cp.name, args)
-        if isinstance(cp, A.COption):
+        if kind is A.COption:
             if not isinstance(r, MOption):
                 # constants-only option: nothing to select on, first branch wins
                 if is_unit(backbone(cp)):
@@ -186,117 +194,58 @@ class Builder:
                 raise ConstructionError("option construction does not fit the result")
             i = r.selected
             return self.build(cp.branches[i], t.branches[i], r.branches[i])
-        if isinstance(cp, A.CFlatArray):
-            if isinstance(r, MArray):
-                raise ConstructionError(
-                    "a flattened array constructor may only appear inside an "
-                    "array constructor"
-                )
-            # the flattened array's elements were spliced into the enclosing
-            # array; here one spliced element remains
+        if kind is A.CArray or kind is A.CFlatArray:
             if not isinstance(t, ArrayT):
-                raise ConstructionError("flattened constructor does not fit the result")
-            return self.build(cp.elem, t.elem, r)
-        if isinstance(cp, A.CArray):
-            if not isinstance(t, ArrayT) or not isinstance(r, MArray):
                 raise ConstructionError(f"expected an array result for {render(t)}")
-            if isinstance(cp.groupby, DistinctT):
+            if not isinstance(r, MArray):
+                if kind is A.CFlatArray:
+                    # the flattened array's elements were spliced into the
+                    # enclosing array; here one spliced element remains
+                    return self.build(cp.elem, t.elem, r)
+                raise ConstructionError(f"expected an array result for {render(t)}")
+            # a flattened array over an array result is a grouped class's content
+            order = cp.order if kind is A.CArray else None
+            if kind is A.CArray and isinstance(cp.groupby, DistinctT):
                 return self._build_folded(cp, t, r)
             values = [self.build(cp.elem, t.elem, item) for item in r.items]
-            if cp.order is not None:
-                keys = [self._order_key(cp.groupby, t.elem, item) for item in r.items]
-                values = _sorted_by(values, keys, cp.order)
+            if order is not None:
+                (name,) = var_set(cp.groupby)
+                keys = [_order_key(name, item) for item in r.items]
+                values = _sorted_by(values, keys, order)
             return Array(tuple(values))
-        if isinstance(cp, A.CDistinctRef):
-            raise ConstructionError(
-                "a distinct reference is only meaningful inside a grouped array"
-            )
         raise TypeError_(f"not a construction pattern: {cp!r}")
 
-    # -- grouped arrays -----------------------------------------------------
-
     def _build_folded(self, cp: A.CArray, t: ArrayT, r: MArray) -> Value:
+        """Build each class as one element: its key components take the class
+        key, its content component the class members with the key stripped."""
         if not t.folded:
             raise ConstructionError("groupby construction needs a folded result")
         class_t, key_t = t.elem.items
         key_inner = key_t.inner if isinstance(key_t, DistinctT) else key_t
+        member_t = class_t.elem
+        kept = [s != key_inner for s in _components(member_t)]
+        content_t = ArrayT(strip_component(member_t, key_inner), class_t.index)
+        is_key = [isinstance(c, DistinctT) for c in _components(backbone(cp.elem))]
+        elem_t = tuple_of([key_t if k else content_t for k in is_key])
         values = []
         keys = []
         for cls in r.items:
             if not isinstance(cls, MTuple) or len(cls.items) != 2:
                 raise ConstructionError("malformed class in folded result")
             class_r, key_r = cls.items
-            values.append(self._build_class(cp.elem, class_t, class_r, key_inner, key_r))
+            content_r = MArray(
+                [
+                    _combine([s for s, k in zip(_slots(member_t, m), kept) if k])
+                    for m in class_r.items
+                ]
+            )
+            parts = [key_r if k else content_r for k in is_key]
+            elem_r = parts[0] if len(parts) == 1 else MTuple(parts)
+            values.append(self.build(cp.elem, elem_t, elem_r))
             keys.append(value_of(key_r))
         if cp.order is not None:
             values = _sorted_by(values, keys, cp.order)
         return Array(tuple(values))
-
-    def _build_class(
-        self,
-        cp: A.ConstructionPattern,
-        class_t: ArrayT,
-        class_r: MArray,
-        key_inner: Term,
-        key_r: MatchResult,
-    ) -> Value:
-        if isinstance(cp, A.CDistinctRef):
-            return value_of(key_r)
-        if isinstance(cp, A.CObject):
-            pairs = []
-            seen: set[str] = set()
-            for key, sub in cp.members:
-                if key in seen:
-                    raise ConstructionError(f"duplicate key {key!r} in output object")
-                seen.add(key)
-                pairs.append((key, self._build_class(sub, class_t, class_r, key_inner, key_r)))
-            return Object(tuple(pairs))
-        if isinstance(cp, A.CLit):
-            return cp.value
-        if isinstance(cp, (A.CArray, A.CFlatArray)) and not isinstance(
-            getattr(cp, "groupby", None), DistinctT
-        ):
-            # the per-class content: class members with the grouping key hidden
-            items = []
-            for member in class_r.items:
-                mt, mr = _strip_key(class_t.elem, member, key_inner)
-                items.append(self.build(cp.elem, mt, mr))
-            values = items
-            if isinstance(cp, A.CArray) and cp.order is not None:
-                keys = []
-                for member in class_r.items:
-                    mt, mr = _strip_key(class_t.elem, member, key_inner)
-                    keys.append(self._order_key(cp.groupby, mt, mr))
-                values = _sorted_by(values, keys, cp.order)
-            return Array(tuple(values))
-        if isinstance(cp, A.CFun):
-            args = []
-            for sub in cp.args:
-                args.append(self._build_class(sub, class_t, class_r, key_inner, key_r))
-            return self._call(cp.name, args)
-        raise ConstructionError(
-            "a grouped array element may hold the distinct reference, the "
-            "per-class array, constants and function calls"
-        )
-
-    # -- ordering and functions ---------------------------------------------
-
-    def _order_key(self, index: Optional[Term], t: Term, r: MatchResult) -> Value:
-        if index is None:
-            raise ConstructionError("asc/desc ordering needs a groupby index term")
-        binds: dict[str, Value] = {}
-        _collect_binds(r, binds)
-        from .terms import var_counts
-
-        names = list(var_counts(index))
-        missing = [n for n in names if n not in binds]
-        if missing:
-            raise ConstructionError(
-                f"ordering term {render(index)} is not bound in the array element"
-            )
-        if len(names) == 1:
-            return binds[names[0]]
-        raise ConstructionError("ordering terms with several variables are not supported")
 
     def _call(self, name: str, args: list[Value]) -> Value:
         if name == "count":
@@ -308,29 +257,22 @@ class Builder:
         return Atom(bool(result))
 
 
+def _components(t: Term) -> tuple[Term, ...]:
+    return t.items if isinstance(t, TupleT) else (t,)
+
+
 def _one(t: Term) -> Term:
     if isinstance(t, TupleT) and len(t.items) == 1:
         return t.items[0]
     return t
 
 
-def _strip_key(elem_t: Term, elem_r: MatchResult, key_inner: Term):
-    """Remove the grouping-key component from one class member."""
-    if elem_t == key_inner:
-        return UNIT, MUnit()
-    if isinstance(elem_t, TupleT) and isinstance(elem_r, MTuple):
-        kept_t, kept_r = [], []
-        for st, sr in zip(elem_t.items, elem_r.items):
-            if st == key_inner:
-                continue
-            kept_t.append(st)
-            kept_r.append(sr)
-        if not kept_t:
-            return UNIT, MUnit()
-        if len(kept_t) == 1:
-            return kept_t[0], kept_r[0]
-        return TupleT(tuple(kept_t)), MTuple(kept_r)
-    return elem_t, elem_r
+def _order_key(name: str, r: MatchResult) -> Value:
+    binds: dict[str, Value] = {}
+    _collect_binds(r, binds)
+    if name not in binds:
+        raise ConstructionError(f"ordering variable ${name} is not bound in the array element")
+    return binds[name]
 
 
 def _collect_binds(r: MatchResult, out: dict) -> None:

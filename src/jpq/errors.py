@@ -83,4 +83,5 @@ class TypeError_(QueryError):
 
 
 class ConstructionError(QueryError):
-    """Output assembly failed (duplicate keys, unknown function, bad ordering)."""
+    """A construct clause that cannot be built: duplicate output keys or a bad
+    ordering (rejected before any data is read), or failed output assembly."""

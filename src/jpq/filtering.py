@@ -46,7 +46,6 @@ from .terms import (
     Var,
     children,
     subterm,
-    tuple_of,
     var_counts,
     var_set,
 )
@@ -104,12 +103,12 @@ def _range_vars(c: A.Condition) -> set[str]:
     return out
 
 
-def _check_colocation(c: A.Condition, source: Term) -> None:
+def _check_colocation(
+    c: A.Condition, source: Term, paths: dict[str, Path], ranges: set[str]
+) -> None:
     """and/or/not (and single leaves) need all argument variables reachable in
     one support tuple: no two of them may live in different branches of the
     same option."""
-    paths = _var_paths(source)
-    ranges = _range_vars(c)
     spots: list[tuple[str, Path]] = []
     for v in dict.fromkeys(A.cond_vars(c)):
         if v not in paths:
@@ -127,31 +126,6 @@ def _check_colocation(c: A.Condition, source: Term) -> None:
                     f"occur in one support tuple; combine the conditions with "
                     f"'par' instead"
                 )
-
-
-def condition_argument_term(c: A.Condition, source: Term) -> Term:
-    """The matching term a condition is a predicate over: a tuple of its
-    argument variables, with count/quantifier ranges contributing the array
-    term itself; par/with keep their two sub-arguments as a pair."""
-    if isinstance(c, A.CCompound):
-        return TupleT(
-            (
-                condition_argument_term(c.left, source),
-                condition_argument_term(c.right, source),
-            )
-        )
-    _check_colocation(c, source)
-    paths = _var_paths(source)
-    ranges = _range_vars(c)
-    parts: list[Term] = []
-    for v in dict.fromkeys(A.cond_vars(c)):
-        if v in ranges:
-            part: Term = subterm(source, _anchor_path(source, paths, v))
-        else:
-            part = Var(v)
-        if part not in parts:
-            parts.append(part)
-    return tuple_of(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -329,10 +303,6 @@ def eval_builtin(name: str, args: list) -> bool:
 
 
 class _Evaluator:
-    def __init__(self, source: Term, paths: dict[str, Path]):
-        self.source = source
-        self.paths = paths
-
     def expr(self, e: A.CondExpr, env: dict):
         if isinstance(e, A.ELit):
             return e.value
@@ -426,9 +396,9 @@ def _equi_joins(c: A.Condition, needed: set[str], source: Term) -> tuple[tuple[s
 
 
 def _outcome(r: MatchResult, source: Term, c: A.Condition) -> Outcome:
-    _check_colocation(c, source)
     paths = _var_paths(source)
     ranges = _range_vars(c)
+    _check_colocation(c, source, paths, ranges)
     anchors: dict[Path, list[str]] = {}
     for v in ranges:
         anchors.setdefault(_anchor_path(source, paths, v), []).append(v)
@@ -439,7 +409,7 @@ def _outcome(r: MatchResult, source: Term, c: A.Condition) -> Outcome:
     needed = (set(A.cond_vars(c)) - ranges - under_anchor) & set(paths)
     outcome = Outcome()
     walker = _Enumerator(needed, anchors, outcome, _equi_joins(c, needed, source))
-    evaluator = _Evaluator(source, paths)
+    evaluator = _Evaluator()
     for a in walker.run(source, r, ()):
         if evaluator.holds(c, a.env):
             outcome.footprints.append(a.tokens)

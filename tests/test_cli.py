@@ -206,3 +206,25 @@ def test_repl_survives_a_foreign_exception(monkeypatch):
     assert code == EXIT_OK
     assert err == "internal error: RuntimeError: boom\n"
     assert '{"id":"0001"}' in out
+
+
+SCHOOLS = 'from doc("univ") {"schools":[{"name":$n,"dean":{"ID":$d}}]} '
+STATIC_ERRORS = {
+    "duplicate-key": SCHOOLS + 'construct {"s":[{"a":$n,"a":$n}]}',
+    "duplicate-key-top": 'from doc("univ") {"president":{"ID":$i}} construct {"a":$i,"a":$i}',
+    "order-without-groupby": SCHOOLS + 'construct {"s":[$n] asc}',
+    "order-by-two-variables": SCHOOLS + 'construct {"s":[{"n":$n,"d":$d}] groupby ($n,$d) asc}',
+    "unknown-function": SCHOOLS + 'construct {"s":[frob($n)]}',
+    "unknown-predicate": SCHOOLS + 'construct {"s":[$n]} where frob($n)',
+    "count-arity": SCHOOLS + 'construct {"s":[count($n,$n)]}',
+    "predicate-arity": SCHOOLS + 'construct {"s":[$n]} where contains($n)',
+}
+
+
+@pytest.mark.parametrize("query", STATIC_ERRORS.values(), ids=STATIC_ERRORS.keys())
+def test_static_query_errors_exit_1_whatever_the_data(query, tmp_path):
+    other = tmp_path / "other.json"
+    other.write_text('{"other":1}')
+    for doc in (UNIV, str(other)):
+        code, out, err = run(CliConfig(docs=[("univ", doc)], query_text=query))
+        assert (code, out) == (EXIT_QUERY, "") and err.startswith("error:"), doc

@@ -188,12 +188,6 @@ def test_value_of_resolved_options_and_bindings():
         value_of(MTuple([bind("a", "1"), bind("b", "2")]))
 
 
-def test_duplicate_output_keys_are_rejected():
-    cp = parse_construction('{"a":$x,"a":$y}')
-    with pytest.raises(ConstructionError):
-        build(cp, TupleT((X, Y)), MTuple([bind("x", "1"), bind("y", "2")]))
-
-
 def test_pattern_wider_than_result_is_rejected():
     cp = parse_construction('{"a":$x,"b":$y}')
     with pytest.raises(ConstructionError):

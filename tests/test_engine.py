@@ -152,6 +152,47 @@ def test_unmatched_pattern_builds_the_empty_shape(engine):
     assert serialize(engine.run(q)) == '{"who":null}'
 
 
+GROUPED = 'from doc("univ") {"schools":[{"name":$n,"faculty":[{"ID":$id}]}]} construct '
+GROUPED_ELEMENTS = {
+    "flat-class-content": (
+        '{"faculty":[{"ID":^[$id]%,"schools":^[{"name":$n}]}] groupby ^[$id]%}',
+        '{"faculty":[{"ID":"0001","schools":[{"name":"Computer School"},{"name":"Math School"}]},'
+        '{"ID":"0012","schools":[{"name":"Computer School"}]},'
+        '{"ID":"0013","schools":[{"name":"Computer School"}]},'
+        '{"ID":"0003","schools":[{"name":"Math School"}]},'
+        '{"ID":"0014","schools":[{"name":"Math School"}]}]}',
+    ),
+    "key-repeated-in-inner-object": (
+        '{"faculty":[{"ID":^[$id]%,"o":{"again":^[$id]%,"schools":[{"name":$n}]}}] '
+        "groupby ^[$id]% desc}",
+        '{"faculty":[{"ID":"0014","o":{"again":"0014","schools":[{"name":"Math School"}]}},'
+        '{"ID":"0013","o":{"again":"0013","schools":[{"name":"Computer School"}]}},'
+        '{"ID":"0012","o":{"again":"0012","schools":[{"name":"Computer School"}]}},'
+        '{"ID":"0003","o":{"again":"0003","schools":[{"name":"Math School"}]}},'
+        '{"ID":"0001","o":{"again":"0001","schools":[{"name":"Computer School"},'
+        '{"name":"Math School"}]}}]}',
+    ),
+    "count-beside-constant": (
+        '{"faculty":[{"ID":^[$id]%,"kind":"member","n":count([$n])}] groupby ^[$id]% asc}',
+        '{"faculty":[{"ID":"0001","kind":"member","n":2},{"ID":"0003","kind":"member","n":1},'
+        '{"ID":"0012","kind":"member","n":1},{"ID":"0013","kind":"member","n":1},'
+        '{"ID":"0014","kind":"member","n":1}]}',
+    ),
+    "hidden-key": (
+        '{"f":[[$n]] groupby ^[$id]%}',
+        '{"f":[["Computer School","Math School"],["Computer School"],["Computer School"],'
+        '["Math School"],["Math School"]]}',
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "construct, expected", GROUPED_ELEMENTS.values(), ids=GROUPED_ELEMENTS.keys()
+)
+def test_grouped_array_elements(engine, construct, expected):
+    assert run(engine, GROUPED + construct) == expected
+
+
 def test_multi_document_join():
     reg = DocRegistry()
     reg.register("people", parse_document('{"ps":[{"id":"1","name":"A"},{"id":"2","name":"B"}]}'))

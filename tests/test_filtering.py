@@ -8,7 +8,6 @@ from jpq.engine import Engine
 from jpq.errors import InvalidCompositionError, ShapeMismatchError, TypeError_
 from jpq.filtering import (
     _Enumerator,
-    condition_argument_term,
     eval_builtin,
     filter_result,
     resolve_options,
@@ -23,7 +22,7 @@ from jpq.matching import (
 )
 from jpq.model import Atom, DocRegistry, get_field, parse_document, serialize
 from jpq.parser import parse_condition, parse_pattern, parse_query
-from jpq.terms import ArrayT, OptionT, TupleT, Var, render
+from jpq.terms import ArrayT, OptionT, TupleT, Var
 
 SCHOOLS = '{"schools":[{"name":$n,"faculty":[{"ID":$id}]}]}'
 
@@ -203,15 +202,6 @@ def test_or_across_option_branches_suggests_par(univ):
 def test_or_within_one_branch_is_fine(univ):
     r = filtered(SCHOOLS, '$id = "0012" or $id = "0013"', univ)
     assert school_view(r) == [("Computer School", ["0012", "0013"])]
-
-
-def test_condition_argument_term_pairs_compound_sides(univ):
-    p = parse_pattern(SCHOOLS)
-    source = derive_matching_term(p)
-    t = condition_argument_term(parse_condition('count[$id] > 1 par $n = "x"'), source)
-    assert render(t) == "([$id],$n)"  # the self-indexed member array, then $n
-    t2 = condition_argument_term(parse_condition('$id = "0012" par $n = "x"'), source)
-    assert render(t2) == "($id,$n)"
 
 
 def test_filter_empties_unsatisfied_option_branch(univ):
