@@ -2,8 +2,9 @@
 patterns, and the derivation of a pattern's matching term.
 
 The concrete grammar lives in parser.py; this module owns the node types,
-their unparser (the printer round-trips through the parser), and the
-structural mt() derivation.
+their unparser (the printer round-trips through the parser), the structural
+derivations of a pattern's matching term and a construction's backbone (each
+cached on its node), and the static checks every query passes on creation.
 """
 
 from __future__ import annotations
@@ -12,10 +13,12 @@ import json
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Union
+from typing import Optional
 
 from .errors import (
     ConstructionError,
+    InvalidCompositionError,
+    InvalidConstructionError,
     ReboundVariableError,
     TypeError_,
     UnboundVariableError,
@@ -25,13 +28,16 @@ from .terms import (
     ArrayT,
     DistinctT,
     OptionT,
+    Path,
     Term,
     TupleT,
     UNIT,
     Var,
+    children,
     is_unit,
     option_of,
     render,
+    subterm,
     tuple_of,
     var_set,
 )
@@ -72,11 +78,20 @@ ValuePredicate = StringPredicate | ComparePredicate
 # extraction patterns
 
 
-class ValuePattern:
+class Pattern:
+    __slots__ = ()
+
+    @cached_property
+    def term(self) -> Term:
+        """The matching term, derived once per node."""
+        return derive_matching_term(self)
+
+
+class ValuePattern(Pattern):
     __slots__ = ()
 
 
-class KeyValuePattern:
+class KeyValuePattern(Pattern):
     __slots__ = ()
 
 
@@ -212,6 +227,11 @@ class CCompound(Condition):
 class ConstructionPattern:
     __slots__ = ()
 
+    @cached_property
+    def backbone(self) -> Term:
+        """The backbone, derived once per node."""
+        return backbone(self)
+
 
 @dataclass(frozen=True)
 class CLit(ConstructionPattern):
@@ -264,12 +284,20 @@ class QueryAst:
     construct: ConstructionPattern
     where: Optional[Condition]
 
+    def __post_init__(self) -> None:
+        validate_query(self)
+
+    @cached_property
+    def term(self) -> Term:
+        """The matching term of all sources, derived once per query."""
+        return query_matching_term(self)
+
 
 # ---------------------------------------------------------------------------
 # variable inventory
 
 
-def pattern_vars(p: Union[ValuePattern, KeyValuePattern]) -> list[str]:
+def pattern_vars(p: Pattern) -> list[str]:
     """All variable bindings, in textual order, duplicates included."""
     out: list[str] = []
     _pvars(p, out)
@@ -338,7 +366,7 @@ def _evars(e: CondExpr, out: list[str]) -> None:
 # matching-term derivation
 
 
-def derive_matching_term(p: Union[ValuePattern, KeyValuePattern]) -> Term:
+def derive_matching_term(p: Pattern) -> Term:
     """The abstract shape of p's match results.
 
     Variables become variable terms; object, conjunctive, and definitive
@@ -351,31 +379,68 @@ def derive_matching_term(p: Union[ValuePattern, KeyValuePattern]) -> Term:
     if isinstance(p, (PPred, PWild)):
         return UNIT
     if isinstance(p, PObject):
-        return tuple_of([derive_matching_term(m) for m in p.members])
+        return tuple_of([m.term for m in p.members])
     if isinstance(p, PConj):
-        return tuple_of([derive_matching_term(s) for s in p.items])
-    if isinstance(p, PArray):
-        elem = derive_matching_term(p.elem)
+        return tuple_of([s.term for s in p.items])
+    if isinstance(p, (PArray, PChildren, PDescend)):
+        elem = (p.elem if isinstance(p, PArray) else
+                p.member if isinstance(p, PChildren) else p.pattern).term
         return UNIT if is_unit(elem) else ArrayT(elem, elem)
-    if isinstance(p, POption):
-        return option_of([derive_matching_term(b) for b in p.branches])
-    if isinstance(p, PChildren):
-        elem = derive_matching_term(p.member)
-        return UNIT if is_unit(elem) else ArrayT(elem, elem)
-    if isinstance(p, PDescend):
-        elem = derive_matching_term(p.pattern)
-        return UNIT if is_unit(elem) else ArrayT(elem, elem)
+    if isinstance(p, (POption, KVOption)):
+        return option_of([b.term for b in p.branches])
     if isinstance(p, KVPattern):
-        key_part = Var(p.var) if p.var else UNIT
-        return tuple_of([key_part, derive_matching_term(p.value)])
-    if isinstance(p, KVOption):
-        return option_of([derive_matching_term(b) for b in p.branches])
+        return tuple_of([Var(p.var) if p.var else UNIT, p.value.term])
     raise TypeError(f"not a pattern: {p!r}")
 
 
 def query_matching_term(q: QueryAst) -> Term:
     """Multiple sources combine their terms as one tuple in source order."""
-    return tuple_of([derive_matching_term(p) for _, p in q.sources])
+    return tuple_of([p.term for _, p in q.sources])
+
+
+def backbone(cp: ConstructionPattern) -> Term:
+    """The matching term underlying a construction pattern: constants erased;
+    a plain array ordered by a term leaves its index open."""
+    if isinstance(cp, CLit):
+        return UNIT
+    if isinstance(cp, CVarRef):
+        return Var(cp.name)
+    if isinstance(cp, CDistinctRef):
+        return cp.term
+    if isinstance(cp, CObject):
+        return tuple_of([sub.backbone for _, sub in cp.members])
+    if isinstance(cp, CFun):
+        return tuple_of([a.backbone for a in cp.args])
+    if isinstance(cp, COption):
+        return option_of([b.backbone for b in cp.branches])
+    if isinstance(cp, CFlatArray):
+        inner = cp.elem.backbone
+        return UNIT if is_unit(inner) else ArrayT(inner, None, flat=True)
+    if isinstance(cp, CArray):
+        inner = cp.elem.backbone
+        if isinstance(cp.groupby, DistinctT):
+            return _folded_backbone(cp, inner)
+        if is_unit(inner):
+            return UNIT
+        return ArrayT(inner, None if cp.order else cp.groupby)
+    raise TypeError_(f"not a construction pattern: {cp!r}")
+
+
+def _folded_backbone(cp: CArray, inner: Term) -> Term:
+    key = cp.groupby
+    comps = list(inner.items) if isinstance(inner, TupleT) else [inner]
+    key_refs = [c for c in comps if isinstance(c, DistinctT)]
+    others = [c for c in comps if not isinstance(c, DistinctT)]
+    if any(k != key for k in key_refs):
+        raise InvalidConstructionError(
+            "a grouped array's distinct reference must match its groupby key"
+        )
+    if len(others) != 1 or not isinstance(others[0], ArrayT):
+        raise InvalidConstructionError(
+            "a grouped array element needs exactly one array holding the "
+            "per-class content"
+        )
+    return ArrayT(TupleT((others[0], key)), key, folded=True)
 
 
 def validate_query(q: QueryAst) -> None:
@@ -392,6 +457,7 @@ def validate_query(q: QueryAst) -> None:
             if name not in bound:
                 raise UnboundVariableError(name)
         _check_calls(q.where)
+        _check_where(q.where, q.term)
 
 
 # builtin functions and their arities; a where clause counts with count[$x]
@@ -456,6 +522,135 @@ def _check_calls(c: Condition) -> None:
         _check_calls(c.right)
 
 
+def _check_where(c: Condition, source: Term) -> None:
+    """Decide the composition errors of each `with` side and `par` part."""
+    if isinstance(c, CCompound) and c.op == "with":
+        _check_where(c.left, source)
+        _check_where(c.right, source)
+    else:
+        for part in par_parts(c):
+            condition_scope(part, source)
+
+
+def par_parts(c: Condition) -> list[Condition]:
+    """The conditions a `par` evaluates independently (c alone if no `par`)."""
+    if isinstance(c, CCompound) and c.op == "par":
+        return par_parts(c.left) + par_parts(c.right)
+    if isinstance(c, CCompound):
+        raise InvalidCompositionError("'with' cannot be nested under 'par'")
+    return [c]
+
+
+# ---------------------------------------------------------------------------
+# the scope of one condition: what its support tuples bind and range over
+
+
+def condition_scope(c: Condition, source: Term) -> tuple[dict[Path, list[str]], set[str]]:
+    """The arrays c's counts and quantifiers range over (anchor path -> range
+    variables) and the variables each support tuple must bind.  Raises the
+    composition errors no document can repair."""
+    paths = _var_paths(source)
+    ranges = _range_vars(c)
+    _check_colocation(c, source, paths, ranges)
+    anchor_of = {v: _anchor_path(source, paths, v) for v in ranges}
+    anchors: dict[Path, list[str]] = {}
+    for v in ranges:
+        anchors.setdefault(anchor_of[v], []).append(v)
+
+    def under(anchor: Path, v: str) -> bool:
+        return len(paths[v]) > len(anchor) and paths[v][: len(anchor)] == anchor
+
+    under_anchor = {v for v in paths if any(under(a, v) for a in anchors)}
+    if _read_vars(c, lambda q, v: under(anchor_of[q], v)) & under_anchor:
+        raise InvalidCompositionError(
+            "an array cannot be both a count/quantifier range and an elementwise "
+            "condition argument in one condition; apply them in turn with 'with'"
+        )
+    return anchors, (set(cond_vars(c)) - ranges - under_anchor) & set(paths)
+
+
+def _read_vars(c: Condition, per_item) -> set[str]:
+    """The variables c reads from a support tuple: not count[] arguments, nor
+    what a quantifier over $q reads from each item (`per_item(q, v)`)."""
+    if isinstance(c, CQuant):
+        return {v for v in _read_vars(c.body, per_item) if not per_item(c.var, v)}
+    if isinstance(c, CBool):
+        return set().union(*(_read_vars(s, per_item) for s in c.subs))
+    exprs = (c.lhs, c.rhs) if isinstance(c, CCompare) else c.args if isinstance(c, CCall) else ()
+    return {e.name if isinstance(e, EVar) else e.var for e in exprs if isinstance(e, (EVar, EField))}
+
+
+def _var_paths(t: Term, path: Path = ()) -> dict[str, Path]:
+    out: dict[str, Path] = {}
+    if isinstance(t, Var):
+        out[t.name] = path
+    else:
+        for i, kid in enumerate(children(t)):
+            out.update(_var_paths(kid, path + (i,)))
+    return out
+
+
+def _anchor_path(source: Term, paths: dict[str, Path], var: str) -> Path:
+    """Path of the innermost array on the way to `var`: the array a count or
+    quantifier over that variable ranges over."""
+    if var not in paths:
+        raise TypeError_(f"${var} is not bound by the extraction pattern")
+    p = paths[var]
+    anchor = None
+    for cut in range(len(p)):
+        if isinstance(subterm(source, p[:cut]), ArrayT):
+            anchor = p[:cut]
+    if anchor is None:
+        raise TypeError_(f"count/quantifier over ${var} needs an array, got a scalar binding")
+    return anchor
+
+
+def _range_vars(c: Condition) -> set[str]:
+    out: set[str] = set()
+    if isinstance(c, CQuant):
+        out.add(c.var)
+        out |= _range_vars(c.body)
+    elif isinstance(c, CBool):
+        for s in c.subs:
+            out |= _range_vars(s)
+    elif isinstance(c, CCompound):
+        out |= _range_vars(c.left) | _range_vars(c.right)
+    elif isinstance(c, CCompare):
+        for e in (c.lhs, c.rhs):
+            if isinstance(e, ECount):
+                out.add(e.var)
+    elif isinstance(c, CCall):
+        for e in c.args:
+            if isinstance(e, ECount):
+                out.add(e.var)
+    return out
+
+
+def _check_colocation(
+    c: Condition, source: Term, paths: dict[str, Path], ranges: set[str]
+) -> None:
+    """and/or/not (and single leaves) need all argument variables reachable in
+    one support tuple: no two of them may live in different branches of the
+    same option."""
+    spots: list[tuple[str, Path]] = []
+    for v in dict.fromkeys(cond_vars(c)):
+        if v not in paths:
+            raise TypeError_(f"${v} is not bound by the extraction pattern")
+        spots.append((v, _anchor_path(source, paths, v) if v in ranges else paths[v]))
+    for i in range(len(spots)):
+        for j in range(i + 1, len(spots)):
+            (u, pu), (w, pw) = spots[i], spots[j]
+            k = 0
+            while k < len(pu) and k < len(pw) and pu[k] == pw[k]:
+                k += 1
+            if k < len(pu) and k < len(pw) and isinstance(subterm(source, pu[:k]), OptionT):
+                raise InvalidCompositionError(
+                    f"${u} and ${w} live in different option branches and never "
+                    f"occur in one support tuple; combine the conditions with "
+                    f"'par' instead"
+                )
+
+
 # ---------------------------------------------------------------------------
 # unparsing
 
@@ -470,7 +665,7 @@ def _atom_src(a: Atom) -> str:
     return _atom_text(a.value)
 
 
-def unparse_pattern(p: Union[ValuePattern, KeyValuePattern]) -> str:
+def unparse_pattern(p: Pattern) -> str:
     if isinstance(p, PVar):
         return f"${p.name}"
     if isinstance(p, PWild):

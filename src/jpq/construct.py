@@ -1,9 +1,10 @@
-"""Construct-clause evaluation: backbone derivation and building output
-values from a restructured match result.
+"""Construct-clause evaluation: building output values from a restructured
+match result.
 
 The backbone of a construction pattern is its underlying matching term
-(constants erased).  Building walks the construction pattern, the restructured
-term, and the match result together; flat tuples are aligned by slot arity.
+(constants erased), derived in ast.py and re-exported here.  Building walks
+the construction pattern, the restructured term, and the match result
+together; flat tuples are aligned by slot arity.
 Each class of a folded array is built by the same walk, as one element whose
 slots hold the class key and the class members.
 """
@@ -13,7 +14,8 @@ from __future__ import annotations
 from decimal import Decimal
 
 from . import ast as A
-from .errors import ConstructionError, InvalidConstructionError, TypeError_
+from .ast import backbone  # noqa: F401  (re-exported)
+from .errors import ConstructionError, TypeError_
 from .filtering import eval_builtin
 from .matching import (
     _combine,
@@ -33,58 +35,12 @@ from .terms import (
     Term,
     TupleT,
     UNIT,
-    Var,
     is_unit,
-    option_of,
     render,
     strip_component,
     tuple_of,
     var_set,
 )
-
-
-def backbone(cp: A.ConstructionPattern) -> Term:
-    """The matching term underlying a construction pattern."""
-    if isinstance(cp, A.CLit):
-        return UNIT
-    if isinstance(cp, A.CVarRef):
-        return Var(cp.name)
-    if isinstance(cp, A.CDistinctRef):
-        return cp.term
-    if isinstance(cp, A.CObject):
-        return tuple_of([backbone(sub) for _, sub in cp.members])
-    if isinstance(cp, A.CFun):
-        return tuple_of([backbone(a) for a in cp.args])
-    if isinstance(cp, A.COption):
-        return option_of([backbone(b) for b in cp.branches])
-    if isinstance(cp, A.CFlatArray):
-        inner = backbone(cp.elem)
-        return UNIT if is_unit(inner) else ArrayT(inner, None, flat=True)
-    if isinstance(cp, A.CArray):
-        inner = backbone(cp.elem)
-        if isinstance(cp.groupby, DistinctT):
-            return _folded_backbone(cp, inner)
-        if is_unit(inner):
-            return UNIT
-        return ArrayT(inner, cp.groupby)
-    raise TypeError_(f"not a construction pattern: {cp!r}")
-
-
-def _folded_backbone(cp: A.CArray, inner: Term) -> Term:
-    key = cp.groupby
-    comps = list(inner.items) if isinstance(inner, TupleT) else [inner]
-    key_refs = [c for c in comps if isinstance(c, DistinctT)]
-    others = [c for c in comps if not isinstance(c, DistinctT)]
-    if any(k != key for k in key_refs):
-        raise InvalidConstructionError(
-            "a grouped array's distinct reference must match its groupby key"
-        )
-    if len(others) != 1 or not isinstance(others[0], ArrayT):
-        raise InvalidConstructionError(
-            "a grouped array element needs exactly one array holding the "
-            "per-class content"
-        )
-    return ArrayT(TupleT((others[0], key)), key, folded=True)
 
 
 # ---------------------------------------------------------------------------
@@ -135,16 +91,9 @@ def build_empty(cp: A.ConstructionPattern) -> Value:
 
 
 class Builder:
-    def __init__(self):
-        # sub-pattern id -> slots its backbone takes; the patterns outlive the
-        # builder, so their ids stay unique while it is in use
-        self._widths: dict[int, int] = {}
-
     def _take(self, slots: list, cp: A.ConstructionPattern):
         """Consume this sub-pattern's share of the flat tuple slots."""
-        k = self._widths.get(id(cp))
-        if k is None:
-            k = self._widths[id(cp)] = _arity(backbone(cp))
+        k = _arity(cp.backbone)
         if k == 1 and slots:
             return slots.pop(0)
         if k == 0:
@@ -185,7 +134,7 @@ class Builder:
         if kind is A.COption:
             if not isinstance(r, MOption):
                 # constants-only option: nothing to select on, first branch wins
-                if is_unit(backbone(cp)):
+                if is_unit(cp.backbone):
                     return self.build(cp.branches[0], UNIT, MUnit())
                 raise ConstructionError("expected an option result")
             if r.selected is None:
@@ -225,7 +174,7 @@ class Builder:
         member_t = class_t.elem
         kept = [s != key_inner for s in _components(member_t)]
         content_t = ArrayT(strip_component(member_t, key_inner), class_t.index)
-        is_key = [isinstance(c, DistinctT) for c in _components(backbone(cp.elem))]
+        is_key = [isinstance(c, DistinctT) for c in _components(cp.elem.backbone)]
         elem_t = tuple_of([key_t if k else content_t for k in is_key])
         values = []
         keys = []

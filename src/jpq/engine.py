@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from . import ast as A
-from .construct import backbone, build, build_empty
+from .construct import build, build_empty
 from .filtering import filter_result, resolve_options
 from .matching import MatchResult, Matcher, MFailed, _combine, succeeded
 from .model import DocRegistry, Value
@@ -60,12 +60,8 @@ class Engine:
         self._routes: dict[tuple[Term, Term], RewriteRoute] = {}
 
     def plan(self, q: A.QueryAst) -> Plan:
-        A.validate_query(q)
-        return self._plan(q)
-
-    def _plan(self, q: A.QueryAst) -> Plan:
-        """The plan of a validated query; a failed search is not kept."""
-        source, target = A.query_matching_term(q), backbone(q.construct)
+        """The query's plan; a failed search is not kept."""
+        source, target = q.term, q.construct.backbone
         key = (projected_source(source, target), target)
         route = self._routes.pop(key, None)  # re-inserted last: LRU order
         if route is None:
@@ -80,14 +76,13 @@ class Engine:
         parts = []
         for name, pattern in q.sources:
             doc = self.registry.lookup(name)
-            parts.append((A.derive_matching_term(pattern), matcher.match_value(pattern, doc)))
+            parts.append((pattern.term, matcher.match_value(pattern, doc)))
         if any(not succeeded(r) for _, r in parts):
             return MFailed()
         return _combine(parts)
 
     def run(self, q: A.QueryAst) -> Value:
-        A.validate_query(q)
-        plan = self._plan(q)
+        plan = self.plan(q)
         source = plan.source_term
         ids = itertools.count(1)  # one identity space for the whole run
         result = self._match(q, ids)

@@ -21,7 +21,7 @@ from decimal import Decimal
 from typing import Optional
 
 from . import ast as A
-from .errors import InvalidCompositionError, ShapeMismatchError, TypeError_
+from .errors import ShapeMismatchError, TypeError_
 from .matching import (
     MArray,
     MatchResult,
@@ -36,96 +36,9 @@ from .matching import (
 )
 from .model import Atom, EMPTY, Object, get_field
 from .rewrite import Constraint
-from .terms import (
-    ArrayT,
-    DistinctT,
-    OptionT,
-    Path,
-    Term,
-    TupleT,
-    Var,
-    children,
-    subterm,
-    var_counts,
-    var_set,
-)
+from .terms import ArrayT, DistinctT, OptionT, Path, Term, TupleT, Var, var_counts, var_set
 
 _MISSING = object()
-
-
-# ---------------------------------------------------------------------------
-# argument terms and composition validation
-
-
-def _var_paths(t: Term, path: Path = ()) -> dict[str, Path]:
-    out: dict[str, Path] = {}
-    if isinstance(t, Var):
-        out[t.name] = path
-    else:
-        for i, kid in enumerate(children(t)):
-            out.update(_var_paths(kid, path + (i,)))
-    return out
-
-
-def _anchor_path(source: Term, paths: dict[str, Path], var: str) -> Path:
-    """Path of the innermost array on the way to `var`: the array a count or
-    quantifier over that variable ranges over."""
-    if var not in paths:
-        raise TypeError_(f"${var} is not bound by the extraction pattern")
-    p = paths[var]
-    anchor = None
-    for cut in range(len(p)):
-        if isinstance(subterm(source, p[:cut]), ArrayT):
-            anchor = p[:cut]
-    if anchor is None:
-        raise TypeError_(f"count/quantifier over ${var} needs an array, got a scalar binding")
-    return anchor
-
-
-def _range_vars(c: A.Condition) -> set[str]:
-    out: set[str] = set()
-    if isinstance(c, A.CQuant):
-        out.add(c.var)
-        out |= _range_vars(c.body)
-    elif isinstance(c, A.CBool):
-        for s in c.subs:
-            out |= _range_vars(s)
-    elif isinstance(c, A.CCompound):
-        out |= _range_vars(c.left) | _range_vars(c.right)
-    elif isinstance(c, A.CCompare):
-        for e in (c.lhs, c.rhs):
-            if isinstance(e, A.ECount):
-                out.add(e.var)
-    elif isinstance(c, A.CCall):
-        for e in c.args:
-            if isinstance(e, A.ECount):
-                out.add(e.var)
-    return out
-
-
-def _check_colocation(
-    c: A.Condition, source: Term, paths: dict[str, Path], ranges: set[str]
-) -> None:
-    """and/or/not (and single leaves) need all argument variables reachable in
-    one support tuple: no two of them may live in different branches of the
-    same option."""
-    spots: list[tuple[str, Path]] = []
-    for v in dict.fromkeys(A.cond_vars(c)):
-        if v not in paths:
-            raise TypeError_(f"${v} is not bound by the extraction pattern")
-        spots.append((v, _anchor_path(source, paths, v) if v in ranges else paths[v]))
-    for i in range(len(spots)):
-        for j in range(i + 1, len(spots)):
-            (u, pu), (w, pw) = spots[i], spots[j]
-            k = 0
-            while k < len(pu) and k < len(pw) and pu[k] == pw[k]:
-                k += 1
-            if k < len(pu) and k < len(pw) and isinstance(subterm(source, pu[:k]), OptionT):
-                raise InvalidCompositionError(
-                    f"${u} and ${w} live in different option branches and never "
-                    f"occur in one support tuple; combine the conditions with "
-                    f"'par' instead"
-                )
 
 
 # ---------------------------------------------------------------------------
@@ -225,11 +138,6 @@ class _Enumerator:
                 raise ShapeMismatchError("expected an array result")
             if path in self.anchors:
                 env = {("range", v): (t.elem, list(r.items)) for v in self.anchors[path]}
-                if self.needed & var_set(t.elem):
-                    raise InvalidCompositionError(
-                        "an array cannot be both a count/quantifier range and "
-                        "an elementwise condition argument in one condition"
-                    )
                 return [_Assignment(env, frozenset())]
             if not self._relevant(t.elem):
                 return [_Assignment({}, frozenset())]
@@ -369,14 +277,6 @@ class _Evaluator:
 # the filter itself
 
 
-def _flatten_par(c: A.Condition) -> list[A.Condition]:
-    if isinstance(c, A.CCompound) and c.op == "par":
-        return _flatten_par(c.left) + _flatten_par(c.right)
-    if isinstance(c, A.CCompound):
-        raise InvalidCompositionError("'with' cannot be nested under 'par'")
-    return [c]
-
-
 def _equi_joins(c: A.Condition, needed: set[str], source: Term) -> tuple[tuple[str, str], ...]:
     """The `$u = $v` conditions every satisfied assignment meets (the condition
     itself or a top-level `and` conjunct) over needed variables the source
@@ -396,17 +296,7 @@ def _equi_joins(c: A.Condition, needed: set[str], source: Term) -> tuple[tuple[s
 
 
 def _outcome(r: MatchResult, source: Term, c: A.Condition) -> Outcome:
-    paths = _var_paths(source)
-    ranges = _range_vars(c)
-    _check_colocation(c, source, paths, ranges)
-    anchors: dict[Path, list[str]] = {}
-    for v in ranges:
-        anchors.setdefault(_anchor_path(source, paths, v), []).append(v)
-    under_anchor = set()
-    for v, p in paths.items():
-        if any(p[: len(a)] == a and len(p) > len(a) for a in anchors):
-            under_anchor.add(v)
-    needed = (set(A.cond_vars(c)) - ranges - under_anchor) & set(paths)
+    anchors, needed = A.condition_scope(c, source)
     outcome = Outcome()
     walker = _Enumerator(needed, anchors, outcome, _equi_joins(c, needed, source))
     evaluator = _Evaluator()
@@ -493,7 +383,7 @@ def filter_result(
             return MFailed()
         return filter_result(left, source, c.right, constraints)
     if isinstance(c, A.CCompound) and c.op == "par":
-        outcomes = [_outcome(r, source, sub) for sub in _flatten_par(c)]
+        outcomes = [_outcome(r, source, sub) for sub in A.par_parts(c)]
         return _apply_outcomes(r, outcomes, constraints)
     return _apply_outcomes(r, [_outcome(r, source, c)], constraints)
 

@@ -12,7 +12,6 @@ filtering can talk about which elements and branches survived.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
 from typing import Iterator, Optional, Union
 
 from . import ast as A
@@ -107,11 +106,6 @@ def succeeded(r: MatchResult) -> bool:
     return True
 
 
-@lru_cache(maxsize=4096)
-def _mt(p) -> Term:
-    return A.derive_matching_term(p)
-
-
 def _combine(parts: list[tuple[Term, MatchResult]]) -> MatchResult:
     """Combine (term, result) slots as a flat tuple — the exact mirror of
     terms.tuple_of: unit slots dropped, tuple slots spliced, singletons
@@ -132,7 +126,7 @@ def _combine(parts: list[tuple[Term, MatchResult]]) -> MatchResult:
 
 
 def _slotted(sub_patterns, sub_results) -> MatchResult:
-    return _combine([(_mt(p), r) for p, r in zip(sub_patterns, sub_results)])
+    return _combine([(p.term, r) for p, r in zip(sub_patterns, sub_results)])
 
 
 class Matcher:
@@ -230,7 +224,7 @@ class Matcher:
             return MFailed()
         key_term = Var(kv.var) if kv.var else UNIT
         key_result = MBind(kv.var, Atom(key)) if kv.var else MUnit()
-        return _combine([(key_term, key_result), (_mt(kv.value), vr)])
+        return _combine([(key_term, key_result), (kv.value.term, vr)])
 
     def _match_kv_in_object(self, kv: A.KeyValuePattern, obj: Object) -> MatchResult:
         """First pair (document order) that satisfies kv; Failed when none does."""

@@ -17,7 +17,8 @@ Concrete syntax notes (the abstract syntax leaves these open):
 
 from __future__ import annotations
 
-from decimal import Decimal
+import re
+from decimal import Decimal, InvalidOperation
 from typing import NoReturn, Optional
 
 from . import ast as A
@@ -31,11 +32,26 @@ _KEYWORDS = {
     "true", "false", "null",
 }
 
-_PUNCT = [
-    "//", "!=", "<=", ">=",
-    "{", "}", "[", "]", "<", ">", "(", ")",
-    ":", ",", "|", "/", "*", "%", "^", "=", ";", ".",
-]
+# one alternative per token kind.  A string holds only valid escapes, so a
+# quote that starts no string starts either a bad escape (the longest valid
+# prefix, which the lookahead takes without backtracking, then a backslash)
+# or an unterminated string.
+_CHARS = r'(?:[^"\\\n]|\\(?:["\\/bfnrt]|u[0-9a-fA-F]{4}))*'
+_TOKEN = re.compile(
+    r"""
+    (?P<NEWLINE>\n) | [ \t\r]+ | \#.*
+  | (?P<STRING>"CHARS")
+  | (?P<BAD_ESCAPE>"(?=(?P<prefix>CHARS))(?P=prefix)\\[\s\S])
+  | \$(?P<VAR>\w*)
+  | (?P<NUMBER>-?\d(?:[\deE]|\.(?=\d)|(?<=[eE])[+-])*)
+  | (?P<WORD>[^\W\d]\w*)
+  | (?P<PUNCT>//|!=|<=|>=|[{}\[\]<>():,|/*%^=;.])
+  | (?P<ERROR>.)
+    """.replace("CHARS", _CHARS),
+    re.VERBOSE,
+)
+_ESCAPE = re.compile(r"\\(?:u(.{4})|(.))")
+_ESCAPES = {'"': '"', "\\": "\\", "/": "/", "b": "\b", "f": "\f", "n": "\n", "r": "\r", "t": "\t"}
 
 
 class Token:
@@ -51,107 +67,43 @@ class Token:
         return f"Token({self.kind}, {self.value!r})"
 
 
+def _unescape(m: re.Match) -> str:
+    return chr(int(m[1], 16)) if m[1] else _ESCAPES[m[2]]
+
+
 def tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind is None:  # blanks and comments
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
+        if kind == "NEWLINE":
+            line, line_start = line + 1, m.end()
             continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start_line, start_col = line, col
-        if ch == '"':
-            value, consumed = _lex_string(text, i, line, col)
-            tokens.append(Token("STRING", value, start_line, start_col))
-            i += consumed
-            col += consumed
-            continue
-        if ch == "$":
-            j = i + 1
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            if j == i + 1:
-                raise SyntaxError_("expected identifier after '$'", line, col)
-            tokens.append(Token("VAR", text[i + 1 : j], start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch.isdigit() or (ch == "-" and i + 1 < n and text[i + 1].isdigit()):
-            j = i + 1
-            while j < n and (text[j].isdigit() or text[j] in ".eE+-"):
-                # stop a trailing '.' that is not a fraction (field access)
-                if text[j] == "." and not (j + 1 < n and text[j + 1].isdigit()):
-                    break
-                if text[j] in "+-" and text[j - 1] not in "eE":
-                    break
-                j += 1
+        value, col = m[kind], m.start() - line_start + 1
+        if kind == "STRING":
+            value = _ESCAPE.sub(_unescape, value[1:-1])
+        elif kind == "VAR" and not value:
+            raise SyntaxError_("expected identifier after '$'", line, col)
+        elif kind == "NUMBER":
             try:
-                num = Decimal(text[i:j])
-            except Exception:
-                raise SyntaxError_(f"bad number {text[i:j]!r}", line, col) from None
-            tokens.append(Token("NUMBER", num, start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i + 1
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            kind = word.upper() if word in _KEYWORDS else "IDENT"
-            tokens.append(Token(kind, word, start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        for punct in _PUNCT:
-            if text.startswith(punct, i):
-                tokens.append(Token(punct, punct, start_line, start_col))
-                i += len(punct)
-                col += len(punct)
-                break
-        else:
-            raise SyntaxError_(f"unexpected character {ch!r}", line, col)
-    tokens.append(Token("EOF", None, line, col))
+                value = Decimal(value)
+            except InvalidOperation:
+                raise SyntaxError_(f"bad number {value!r}", line, col) from None
+        elif kind == "WORD":
+            kind = value.upper() if value in _KEYWORDS else "IDENT"
+        elif kind == "PUNCT":
+            kind = value
+        elif kind == "BAD_ESCAPE":
+            raise SyntaxError_(f"bad escape \\{value[-1]}", line, col)
+        elif kind == "ERROR":
+            if value == '"':
+                raise SyntaxError_("unterminated string", line, col)
+            raise SyntaxError_(f"unexpected character {value!r}", line, col)
+        tokens.append(Token(kind, value, line, col))
+    tokens.append(Token("EOF", None, line, len(text) - line_start + 1))
     return tokens
-
-
-def _lex_string(text: str, i: int, line: int, col: int) -> tuple[str, int]:
-    out: list[str] = []
-    j = i + 1
-    escapes = {'"': '"', "\\": "\\", "/": "/", "b": "\b", "f": "\f", "n": "\n", "r": "\r", "t": "\t"}
-    while j < len(text):
-        ch = text[j]
-        if ch == '"':
-            return "".join(out), j - i + 1
-        if ch == "\\":
-            if j + 1 >= len(text):
-                break
-            esc = text[j + 1]
-            if esc == "u":
-                out.append(chr(int(text[j + 2 : j + 6], 16)))
-                j += 6
-                continue
-            if esc not in escapes:
-                raise SyntaxError_(f"bad escape \\{esc}", line, col)
-            out.append(escapes[esc])
-            j += 2
-            continue
-        if ch == "\n":
-            break
-        out.append(ch)
-        j += 1
-    raise SyntaxError_("unterminated string", line, col)
 
 
 _COMPARE_OPS = {"=", "!=", "<", "<=", ">", ">="}
@@ -619,8 +571,6 @@ def parse_construction(text: str) -> A.ConstructionPattern:
 
 def parse_query(text: str) -> A.QueryAst:
     try:
-        q = Parser(text).query()
-        A.validate_query(q)
+        return Parser(text).query()  # a QueryAst validates itself
     except RecursionError:
         raise QueryError("query nests too deeply to parse") from None
-    return q

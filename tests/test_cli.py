@@ -209,6 +209,7 @@ def test_repl_survives_a_foreign_exception(monkeypatch):
 
 
 SCHOOLS = 'from doc("univ") {"schools":[{"name":$n,"dean":{"ID":$d}}]} '
+FACULTY = 'from doc("univ") {"schools":[{"name":$n,"faculty":[{"ID":$id}]}]} '
 STATIC_ERRORS = {
     "duplicate-key": SCHOOLS + 'construct {"s":[{"a":$n,"a":$n}]}',
     "duplicate-key-top": 'from doc("univ") {"president":{"ID":$i}} construct {"a":$i,"a":$i}',
@@ -218,6 +219,12 @@ STATIC_ERRORS = {
     "unknown-predicate": SCHOOLS + 'construct {"s":[$n]} where frob($n)',
     "count-arity": SCHOOLS + 'construct {"s":[count($n,$n)]}',
     "predicate-arity": SCHOOLS + 'construct {"s":[$n]} where contains($n)',
+    "or-across-option-branches": 'from doc("univ") {"president":({"ID":$a}|{"email":$b})} '
+    'construct {"p":($a|$b)} where $a = "0001" or $b = "x"',
+    "count-over-a-scalar": QUERY + ' where count[$i] > 0',
+    "quantifier-over-a-scalar": QUERY + ' where foreach $i; $i = "x"',
+    "with-under-par": SCHOOLS + 'construct {"s":[$n]} where ($n = "x" with $d = "y") par $n = "z"',
+    "range-and-elementwise": FACULTY + 'construct {"s":[$n]} where count[$id] > 1 and $id = "0001"',
 }
 
 
@@ -228,3 +235,46 @@ def test_static_query_errors_exit_1_whatever_the_data(query, tmp_path):
     for doc in (UNIV, str(other)):
         code, out, err = run(CliConfig(docs=[("univ", doc)], query_text=query))
         assert (code, out) == (EXIT_QUERY, "") and err.startswith("error:"), doc
+
+
+# -- ordering by a member term -------------------------------------------------------
+
+SHUFFLED = {
+    "schools": [
+        {"name": name, "dean": {"ID": dean}, "faculty": [{"ID": i} for i in ids]}
+        for name, dean, ids in [
+            ("Law", "0031", ["0002", "0005"]),
+            ("Art", "0032", ["0005"]),
+            ("Physics", "0033", ["0002", "0004", "0005"]),
+            ("Math", "0034", ["0004"]),
+        ]
+    ]
+}
+
+
+def run_on_shuffled(tmp_path, query):
+    doc = tmp_path / "shuffled.json"
+    doc.write_text(json.dumps(SHUFFLED))
+    code, out, err = run(CliConfig(docs=[("univ", str(doc))], query_text=query))
+    assert (code, err) == (EXIT_OK, "")
+    return json.loads(out)
+
+
+def test_plain_array_ordered_by_a_member_term(tmp_path):
+    got = run_on_shuffled(tmp_path, SCHOOLS + 'construct {"s":[{"n":$n,"d":$d}] groupby $n desc}')
+    expected = [{"n": s["name"], "d": s["dean"]["ID"]} for s in SHUFFLED["schools"]]
+    assert got == {"s": sorted(expected, key=lambda e: e["n"], reverse=True)}
+
+
+def test_grouped_class_content_ordered_by_a_member_term(tmp_path):
+    got = run_on_shuffled(
+        tmp_path,
+        FACULTY + 'construct {"f":[{"ID":^[$id]%,"ss":[$n] groupby $n desc}] groupby ^[$id]% asc}',
+    )
+    ids = sorted({f["ID"] for s in SHUFFLED["schools"] for f in s["faculty"]})
+    expected = [
+        {"ID": i, "ss": sorted((s["name"] for s in SHUFFLED["schools"]
+                                if i in [f["ID"] for f in s["faculty"]]), reverse=True)}
+        for i in ids
+    ]
+    assert got == {"f": expected}

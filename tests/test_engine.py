@@ -342,3 +342,52 @@ def test_restructuring_never_mints_a_matched_id(engine, monkeypatch):
     assert run(engine, EX2) == expected
     assert matched and minted
     assert not set(matched) & set(minted)
+
+
+# -- the front end: one validation per query, only typed failures ----------------
+
+
+def test_a_query_is_validated_once_however_often_it_is_planned(engine, monkeypatch):
+    from jpq import ast as A
+
+    calls = []
+    validate = A.validate_query
+    monkeypatch.setattr(A, "validate_query", lambda q: calls.append(q) or validate(q))
+    q = parse_query(EX2)
+    engine.explain(q)
+    engine.run(q)
+    assert calls == [q]
+
+
+def mutate(rng, text, alphabet):
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(text) + 1)
+        edit = rng.random()
+        if edit < 0.5:
+            text = text[:i] + rng.choice(alphabet) + text[i:]
+        elif edit < 0.75:
+            text = text[:i] + text[i + rng.randint(1, 3):]
+        else:
+            text = text[:i] + rng.choice(alphabet) + text[i + 1:]
+    return text
+
+
+def test_mutated_queries_fail_only_with_typed_errors(engine):
+    from jpq.errors import JpqError
+
+    rng = random.Random(2015)
+    alphabet = ["\\u", "\\u00", "\\u0041", "\\", "$", "#", '"', "0", "7", "-", ".", "e",
+                "\n", " ", "{", "}", "[", "]", "(", ")", "<", ">", ":", ",", "|", "%",
+                "^", "*", "/", "=", "!", ";", "x", "²"]
+    examples = [EX1, EX2, EX3, EX4, EX5, EX6]
+    parsed = 0
+    for _ in range(1500):
+        text = mutate(rng, rng.choice(examples), alphabet)
+        try:
+            q = parse_query(text)
+            parsed += 1
+            engine.explain(q)
+            engine.run(q)
+        except JpqError:
+            pass
+    assert parsed > 100  # the edits reach planning and running, not only the lexer

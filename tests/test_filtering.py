@@ -199,6 +199,23 @@ def test_or_across_option_branches_suggests_par(univ):
     assert "par" in str(e.value)
 
 
+def test_a_range_cannot_also_be_read_elementwise(univ):
+    for cond in ('count[$id] > 1 and $id = "0001"', 'count[$id] > 1 and not ($id = "0001")',
+                 'count[$n] > 1 and $id = "0001"'):
+        with pytest.raises(InvalidCompositionError) as e:
+            filtered(SCHOOLS, cond, univ)
+        assert "with" in str(e.value), cond
+    # what a quantifier reads per item of its range, and what lies outside
+    # every range, may sit beside a count
+    r = filtered(SCHOOLS, 'forsome $n; $id = "0003"', univ)
+    assert [name for name, _ in school_view(r)] == ["Computer School", "Math School"]
+    r = filtered(SCHOOLS, 'count[$id] > 2 or (forsome $id; $id = "0012")', univ)
+    assert school_view(r) == [("Computer School", ["0001", "0012", "0013"]),
+                              ("Math School", ["0001", "0003", "0014"])]
+    r = filtered(SCHOOLS, 'count[$id] > 2 and $n = "Math School"', univ)
+    assert school_view(r) == [("Math School", ["0001", "0003", "0014"])]
+
+
 def test_or_within_one_branch_is_fine(univ):
     r = filtered(SCHOOLS, '$id = "0012" or $id = "0013"', univ)
     assert school_view(r) == [("Computer School", ["0012", "0013"])]

@@ -1,4 +1,5 @@
 import random
+from decimal import Decimal
 
 import pytest
 
@@ -6,7 +7,13 @@ from jpq import ast as A
 from jpq.ast import unparse_pattern, unparse_query
 from jpq.errors import SyntaxError_
 from jpq.model import Atom
-from jpq.parser import parse_condition, parse_construction, parse_pattern, parse_query
+from jpq.parser import (
+    parse_condition,
+    parse_construction,
+    parse_pattern,
+    parse_query,
+    tokenize,
+)
 from jpq.terms import ArrayT, DistinctT, Var
 
 from .generators import _Vars, gen_document, gen_matching_pattern
@@ -103,6 +110,50 @@ def test_syntax_errors_carry_position():
     with pytest.raises(SyntaxError_) as e:
         parse_query('from doc( {"a":$x} construct $x')
     assert "line 1" in str(e.value)
+
+
+LEXED = (
+    'from doc("d") {"k\\u0041\\n":$x_1} # note\n'
+    ' construct [-1.5e+3, 10, true] where $x_1."k" != 2 and //</>=<=!=%^;.*|'
+)
+TOKENS = [
+    ("FROM", "from", 1, 1), ("DOC", "doc", 1, 6), ("(", "(", 1, 9), ("STRING", "d", 1, 10),
+    (")", ")", 1, 13), ("{", "{", 1, 15), ("STRING", "kA\n", 1, 16), (":", ":", 1, 27),
+    ("VAR", "x_1", 1, 28), ("}", "}", 1, 32), ("CONSTRUCT", "construct", 2, 2),
+    ("[", "[", 2, 12), ("NUMBER", Decimal("-1.5E+3"), 2, 13), (",", ",", 2, 20),
+    ("NUMBER", Decimal("10"), 2, 22), (",", ",", 2, 24), ("TRUE", "true", 2, 26),
+    ("]", "]", 2, 30), ("WHERE", "where", 2, 32), ("VAR", "x_1", 2, 38), (".", ".", 2, 42),
+    ("STRING", "k", 2, 43), ("!=", "!=", 2, 47), ("NUMBER", Decimal("2"), 2, 50),
+    ("AND", "and", 2, 52), ("//", "//", 2, 56), ("<", "<", 2, 58), ("/", "/", 2, 59),
+    (">=", ">=", 2, 60), ("<=", "<=", 2, 62), ("!=", "!=", 2, 64), ("%", "%", 2, 66),
+    ("^", "^", 2, 67), (";", ";", 2, 68), (".", ".", 2, 69), ("*", "*", 2, 70),
+    ("|", "|", 2, 71), ("EOF", None, 2, 72),
+]
+
+
+def test_tokens_carry_kind_value_line_and_column():
+    assert [(t.kind, t.value, t.line, t.col) for t in tokenize(LEXED)] == TOKENS
+    # the end of input lies after a trailing comment
+    assert tokenize('"ok" # c')[-1].col == 9
+
+
+LEX_ERRORS = {
+    "bad-number": ("$x = 1e", "bad number '1e' at line 1, column 6"),
+    "bad-escape": ('\n  "a\\q"', "bad escape \\q at line 2, column 3"),
+    "unterminated-string": ('{"abc', "unterminated string at line 1, column 2"),
+    "unexpected-character": ("a @", "unexpected character '@' at line 1, column 3"),
+    "dollar-without-name": ("$ x", "expected identifier after '$' at line 1, column 1"),
+    # \u takes exactly four hex digits
+    "bad-unicode-escape": ('"\\uZZZZ"', "bad escape \\u at line 1, column 1"),
+    "short-unicode-escape": ('"\\u41"', "bad escape \\u at line 1, column 1"),
+}
+
+
+@pytest.mark.parametrize("text,message", LEX_ERRORS.values(), ids=LEX_ERRORS.keys())
+def test_lexer_errors_carry_text_and_position(text, message):
+    with pytest.raises(SyntaxError_) as e:
+        tokenize(text)
+    assert str(e.value) == message
 
 
 def test_parse_rejects_trailing_input():
