@@ -13,7 +13,7 @@ import json
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from typing import Iterator, Optional
 
 from .errors import (
     ConstructionError,
@@ -329,37 +329,39 @@ def _pvars(p, out: list[str]) -> None:
             _pvars(b, out)
 
 
-def cond_vars(c: Condition) -> list[str]:
-    out: list[str] = []
-    _cvars(c, out)
-    return out
-
-
-def _cvars(c, out: list[str]) -> None:
-    if isinstance(c, CCompare):
-        _evars(c.lhs, out)
-        _evars(c.rhs, out)
-    elif isinstance(c, CCall):
-        for a in c.args:
-            _evars(a, out)
-    elif isinstance(c, CQuant):
-        out.append(c.var)
-        _cvars(c.body, out)
+def cond_nodes(c: Condition) -> Iterator[Condition]:
+    """c and every condition nested in it, preorder (textual order)."""
+    yield c
+    if isinstance(c, CQuant):
+        yield from cond_nodes(c.body)
     elif isinstance(c, CBool):
         for s in c.subs:
-            _cvars(s, out)
+            yield from cond_nodes(s)
     elif isinstance(c, CCompound):
-        _cvars(c.left, out)
-        _cvars(c.right, out)
+        yield from cond_nodes(c.left)
+        yield from cond_nodes(c.right)
 
 
-def _evars(e: CondExpr, out: list[str]) -> None:
-    if isinstance(e, EVar):
-        out.append(e.name)
-    elif isinstance(e, EField):
-        out.append(e.var)
-    elif isinstance(e, ECount):
-        out.append(e.var)
+def leaf_exprs(c: Condition) -> tuple[CondExpr, ...]:
+    """The expressions a comparison or a call reads; none for other nodes."""
+    return (c.lhs, c.rhs) if isinstance(c, CCompare) else c.args if isinstance(c, CCall) else ()
+
+
+def _expr_var(e: CondExpr) -> Optional[str]:
+    """The variable an expression reads; None for a literal."""
+    if isinstance(e, ELit):
+        return None
+    return e.name if isinstance(e, EVar) else e.var
+
+
+def cond_vars(c: Condition) -> list[str]:
+    """All variable mentions, in textual order, duplicates included."""
+    out: list[str] = []
+    for node in cond_nodes(c):
+        if isinstance(node, CQuant):
+            out.append(node.var)
+        out.extend(v for v in map(_expr_var, leaf_exprs(node)) if v is not None)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +458,9 @@ def validate_query(q: QueryAst) -> None:
         for name in cond_vars(q.where):
             if name not in bound:
                 raise UnboundVariableError(name)
-        _check_calls(q.where)
+        for node in cond_nodes(q.where):
+            if isinstance(node, CCall):
+                _check_call(node.name, len(node.args))
         _check_where(q.where, q.term)
 
 
@@ -509,19 +513,6 @@ def _check_construction(cp: ConstructionPattern, bound: set[str]) -> None:
             _check_construction(a, bound)
 
 
-def _check_calls(c: Condition) -> None:
-    if isinstance(c, CCall):
-        _check_call(c.name, len(c.args))
-    elif isinstance(c, CQuant):
-        _check_calls(c.body)
-    elif isinstance(c, CBool):
-        for s in c.subs:
-            _check_calls(s)
-    elif isinstance(c, CCompound):
-        _check_calls(c.left)
-        _check_calls(c.right)
-
-
 def _check_where(c: Condition, source: Term) -> None:
     """Decide the composition errors of each `with` side and `par` part."""
     if isinstance(c, CCompound) and c.op == "with":
@@ -529,6 +520,11 @@ def _check_where(c: Condition, source: Term) -> None:
         _check_where(c.right, source)
     else:
         for part in par_parts(c):
+            for node in cond_nodes(part):
+                if isinstance(node, CCompound):
+                    raise InvalidCompositionError(
+                        f"'{node.op}' cannot be nested under 'and', 'or', 'not' or a quantifier"
+                    )
             condition_scope(part, source)
 
 
@@ -550,21 +546,30 @@ def condition_scope(c: Condition, source: Term) -> tuple[dict[Path, list[str]], 
     variables) and the variables each support tuple must bind.  Raises the
     composition errors no document can repair."""
     paths = _var_paths(source)
-    ranges = _range_vars(c)
+    ranges = set()
+    for node in cond_nodes(c):
+        if isinstance(node, CQuant):
+            ranges.add(node.var)
+        ranges.update(e.var for e in leaf_exprs(node) if isinstance(e, ECount))
     _check_colocation(c, source, paths, ranges)
     anchor_of = {v: _anchor_path(source, paths, v) for v in ranges}
     anchors: dict[Path, list[str]] = {}
     for v in ranges:
         anchors.setdefault(anchor_of[v], []).append(v)
 
-    def under(anchor: Path, v: str) -> bool:
-        return len(paths[v]) > len(anchor) and paths[v][: len(anchor)] == anchor
+    def inside(p: Path, anchor: Path) -> bool:
+        return len(p) > len(anchor) and p[: len(anchor)] == anchor
 
-    under_anchor = {v for v in paths if any(under(a, v) for a in anchors)}
-    if _read_vars(c, lambda q, v: under(anchor_of[q], v)) & under_anchor:
+    under_anchor = {v for v in paths if any(inside(paths[v], a) for a in anchors)}
+    if _read_vars(c, lambda q, v: inside(paths[v], anchor_of[q])) & under_anchor:
         raise InvalidCompositionError(
             "an array cannot be both a count/quantifier range and an elementwise "
             "condition argument in one condition; apply them in turn with 'with'"
+        )
+    if any(inside(b, a) for a in anchors for b in anchors):
+        raise InvalidCompositionError(
+            "a count/quantifier range cannot lie inside another in one condition; "
+            "apply them in turn with 'with'"
         )
     return anchors, (set(cond_vars(c)) - ranges - under_anchor) & set(paths)
 
@@ -576,8 +581,7 @@ def _read_vars(c: Condition, per_item) -> set[str]:
         return {v for v in _read_vars(c.body, per_item) if not per_item(c.var, v)}
     if isinstance(c, CBool):
         return set().union(*(_read_vars(s, per_item) for s in c.subs))
-    exprs = (c.lhs, c.rhs) if isinstance(c, CCompare) else c.args if isinstance(c, CCall) else ()
-    return {e.name if isinstance(e, EVar) else e.var for e in exprs if isinstance(e, (EVar, EField))}
+    return {_expr_var(e) for e in leaf_exprs(c) if isinstance(e, (EVar, EField))}
 
 
 def _var_paths(t: Term, path: Path = ()) -> dict[str, Path]:
@@ -603,27 +607,6 @@ def _anchor_path(source: Term, paths: dict[str, Path], var: str) -> Path:
     if anchor is None:
         raise TypeError_(f"count/quantifier over ${var} needs an array, got a scalar binding")
     return anchor
-
-
-def _range_vars(c: Condition) -> set[str]:
-    out: set[str] = set()
-    if isinstance(c, CQuant):
-        out.add(c.var)
-        out |= _range_vars(c.body)
-    elif isinstance(c, CBool):
-        for s in c.subs:
-            out |= _range_vars(s)
-    elif isinstance(c, CCompound):
-        out |= _range_vars(c.left) | _range_vars(c.right)
-    elif isinstance(c, CCompare):
-        for e in (c.lhs, c.rhs):
-            if isinstance(e, ECount):
-                out.add(e.var)
-    elif isinstance(c, CCall):
-        for e in c.args:
-            if isinstance(e, ECount):
-                out.add(e.var)
-    return out
 
 
 def _check_colocation(
@@ -732,22 +715,6 @@ def unparse_condition(c: Condition) -> str:
     raise TypeError(f"not a condition: {c!r}")
 
 
-def unparse_term_expr(t: Term) -> str:
-    """Printer for the small term-expression sublanguage usable after
-    `groupby` and in distinct references (no index subscripts)."""
-    if isinstance(t, Var):
-        return f"${t.name}"
-    if isinstance(t, TupleT):
-        return "(" + ",".join(unparse_term_expr(s) for s in t.items) + ")"
-    if isinstance(t, ArrayT):
-        return ("^[" if t.flat else "[") + unparse_term_expr(t.elem) + "]"
-    if isinstance(t, DistinctT):
-        return unparse_term_expr(t.inner) + "%"
-    if isinstance(t, OptionT):
-        return "(" + "|".join(unparse_term_expr(b) for b in t.branches) + ")"
-    raise TypeError(f"not a term expression: {render(t)}")
-
-
 def unparse_construction(cp: ConstructionPattern) -> str:
     if isinstance(cp, CLit):
         return _atom_src(cp.value)
@@ -758,7 +725,7 @@ def unparse_construction(cp: ConstructionPattern) -> str:
     if isinstance(cp, CArray):
         body = "[" + unparse_construction(cp.elem) + "]"
         if cp.groupby is not None:
-            body += f" groupby {unparse_term_expr(cp.groupby)}"
+            body += f" groupby {render(cp.groupby)}"
         if cp.order is not None:
             body += f" {cp.order}"
         return body
@@ -769,7 +736,7 @@ def unparse_construction(cp: ConstructionPattern) -> str:
     if isinstance(cp, CFun):
         return f"{cp.name}(" + ", ".join(unparse_construction(a) for a in cp.args) + ")"
     if isinstance(cp, CDistinctRef):
-        return unparse_term_expr(cp.term)
+        return render(cp.term)
     raise TypeError(f"not a construction pattern: {cp!r}")
 
 

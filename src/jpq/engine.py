@@ -3,8 +3,9 @@
 The engine owns a document registry; `run` takes a parsed query and returns
 the constructed Value, `explain` describes the plan (matching term, backbone,
 inferred route).  Routes depend on terms alone, so each engine keeps the
-routes it inferred, keyed by (projected matching term, backbone): a query
-shape is searched once per engine, whatever documents are loaded later.
+routes it inferred and the terms they lead to, keyed by (projected matching
+term, backbone): a query shape is searched and replayed once per engine,
+whatever documents are loaded later.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .rewrite import (
     projected_source,
     replay,
 )
-from .terms import Term, project, render, var_set
+from .terms import Term, render, var_set
 
 
 @dataclass
@@ -35,6 +36,8 @@ class Plan:
     source_term: Term
     target_term: Term
     route: RewriteRoute
+    projected_term: Term  # the source term keeping only the backbone's variables
+    final_term: Term  # projected_term after the route
 
     def describe(self) -> str:
         lines = [
@@ -57,19 +60,22 @@ ROUTE_CACHE_SIZE = 128
 class Engine:
     def __init__(self, registry: Optional[DocRegistry] = None):
         self.registry = registry or DocRegistry()
-        self._routes: dict[tuple[Term, Term], RewriteRoute] = {}
+        self._routes: dict[tuple[Term, Term], tuple[RewriteRoute, Term]] = {}
 
     def plan(self, q: A.QueryAst) -> Plan:
         """The query's plan; a failed search is not kept."""
         source, target = q.term, q.construct.backbone
-        key = (projected_source(source, target), target)
-        route = self._routes.pop(key, None)  # re-inserted last: LRU order
-        if route is None:
+        projected = projected_source(source, target)
+        key = (projected, target)
+        planned = self._routes.pop(key, None)  # re-inserted last: LRU order
+        if planned is None:
             route = infer_route(source, target)
+            planned = (route, replay(projected, route))
             if len(self._routes) >= ROUTE_CACHE_SIZE:
                 del self._routes[next(iter(self._routes))]
-        self._routes[key] = route
-        return Plan(source, target, route)
+        self._routes[key] = planned
+        route, final = planned
+        return Plan(source, target, route, projected, final)
 
     def _match(self, q: A.QueryAst, ids: Iterator[int]) -> MatchResult:
         matcher = Matcher(ids)
@@ -96,13 +102,10 @@ class Engine:
         result = resolve_options(result)
         if not succeeded(result):
             return build_empty(q.construct)
-        keep = var_set(plan.target_term)
-        projected_term = project(source, keep)
-        projected = project_result(result, source, keep)
+        projected = project_result(result, source, var_set(plan.target_term))
         transformer = Transformer(constraints, ids)
-        transformed = transformer.transform(projected, projected_term, plan.route)
-        final_term = replay(projected_term, plan.route)
-        return build(q.construct, final_term, transformed)
+        transformed = transformer.transform(projected, plan.projected_term, plan.route)
+        return build(q.construct, plan.final_term, transformed)
 
     def explain(self, q: A.QueryAst) -> str:
         return self.plan(q).describe()

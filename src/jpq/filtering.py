@@ -16,7 +16,7 @@ right one on the already-filtered result.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import Decimal
 from typing import Optional
 
@@ -51,38 +51,25 @@ class _Assignment:
     tokens: frozenset
 
 
-@dataclass
-class Outcome:
-    """Everything one condition's evaluation says about the result."""
-
-    footprints: list[frozenset] = field(default_factory=list)
-    groups: list[frozenset] = field(default_factory=list)
-    options: list[tuple[frozenset, frozenset]] = field(default_factory=list)
-
-    def constraint(self) -> Constraint:
-        return Constraint(
-            tuple(self.footprints), tuple(self.groups), tuple(self.options)
-        )
-
-
 class _Enumerator:
-    """Enumerates a result's support tuples.  `joins` lists `(u, v)` variable
-    pairs whose equality every satisfied assignment needs: where a tuple
-    combines a component binding one with earlier components binding the
-    other, only pairs with equal values are formed (a hash partition)."""
+    """Enumerates a result's support tuples, recording the array groups and
+    option universes it walks (see `Constraint`).  `joins` lists `(u, v)`
+    variable pairs whose equality every satisfied assignment needs: where a
+    tuple combines a component binding one with earlier components binding
+    the other, only pairs with equal values are formed (a hash partition)."""
 
     def __init__(
         self,
         needed: set[str],
         anchors: dict[Path, list[str]],
-        collect: Optional[Outcome],
         joins: tuple[tuple[str, str], ...] = (),
     ):
         self.needed = needed
         self.anchors = anchors
-        self.collect = collect
         self.joins = joins
         self.relevant_vars = needed | {v for vs in anchors.values() for v in vs}
+        self.groups: list[frozenset] = []
+        self.options: list[tuple[frozenset, frozenset]] = []
 
     def _relevant(self, t: Term) -> bool:
         return bool(var_set(t) & self.relevant_vars)
@@ -129,9 +116,8 @@ class _Enumerator:
                     out.append(_Assignment(a.env, a.tokens | {tok}))
             if not any_relevant:
                 return [_Assignment({}, frozenset())]
-            if self.collect is not None:
-                all_toks = frozenset(branch_token(r, i) for i in range(len(r.branches)))
-                self.collect.options.append((frozenset(covered), all_toks))
+            all_toks = frozenset(branch_token(r, i) for i in range(len(r.branches)))
+            self.options.append((frozenset(covered), all_toks))
             return out
         if isinstance(t, ArrayT):
             if not isinstance(r, MArray):
@@ -141,9 +127,7 @@ class _Enumerator:
                 return [_Assignment(env, frozenset())]
             if not self._relevant(t.elem):
                 return [_Assignment({}, frozenset())]
-            group = frozenset(item.elem_id for item in r.items)
-            if self.collect is not None:
-                self.collect.groups.append(group)
+            self.groups.append(frozenset(item.elem_id for item in r.items))
             out = []
             for item in r.items:
                 for a in self.run(t.elem, item, path + (0,)):
@@ -210,67 +194,63 @@ def eval_builtin(name: str, args: list) -> bool:
     raise TypeError_(f"unknown function {name!r}")
 
 
-class _Evaluator:
-    def expr(self, e: A.CondExpr, env: dict):
-        if isinstance(e, A.ELit):
-            return e.value
-        if isinstance(e, A.EVar):
-            return env.get(e.name, _MISSING)
-        if isinstance(e, A.EField):
-            v = env.get(e.var, _MISSING)
-            for key in e.keys:
-                if v is _MISSING or not isinstance(v, Object):
-                    return _MISSING
-                v = get_field(v, key)
-                if v is None:
-                    return _MISSING
-            return v
-        if isinstance(e, A.ECount):
-            rng = env.get(("range", e.var), _MISSING)
-            if rng is _MISSING:
-                raise TypeError_(f"count[${e.var}] applies to arrays only")
-            return Atom(Decimal(len(rng[1])))
-        raise TypeError_(f"not a condition expression: {e!r}")
+def _expr(e: A.CondExpr, env: dict):
+    if isinstance(e, A.ELit):
+        return e.value
+    if isinstance(e, A.EVar):
+        return env.get(e.name, _MISSING)
+    if isinstance(e, A.EField):
+        v = env.get(e.var, _MISSING)
+        for key in e.keys:
+            if v is _MISSING or not isinstance(v, Object):
+                return _MISSING
+            v = get_field(v, key)
+            if v is None:
+                return _MISSING
+        return v
+    if isinstance(e, A.ECount):
+        rng = env.get(("range", e.var), _MISSING)
+        if rng is _MISSING:
+            raise TypeError_(f"count[${e.var}] applies to arrays only")
+        return Atom(Decimal(len(rng[1])))
+    raise TypeError_(f"not a condition expression: {e!r}")
 
-    def holds(self, c: A.Condition, env: dict) -> bool:
-        if isinstance(c, A.CCompare):
-            lhs, rhs = self.expr(c.lhs, env), self.expr(c.rhs, env)
-            if lhs is _MISSING or rhs is _MISSING:
-                return False
-            if isinstance(lhs, Atom) and isinstance(rhs, Atom):
-                return compare_atoms(c.op, lhs, rhs)
-            if c.op == "=":
-                return lhs == rhs
-            if c.op == "!=":
-                return not (lhs == rhs)
+
+def _holds(c: A.Condition, env: dict) -> bool:
+    if isinstance(c, A.CCompare):
+        lhs, rhs = _expr(c.lhs, env), _expr(c.rhs, env)
+        if lhs is _MISSING or rhs is _MISSING:
             return False
-        if isinstance(c, A.CCall):
-            return eval_builtin(c.name, [self.expr(a, env) for a in c.args])
-        if isinstance(c, A.CBool):
-            if c.op == "and":
-                return all(self.holds(s, env) for s in c.subs)
-            if c.op == "or":
-                return any(self.holds(s, env) for s in c.subs)
-            return not self.holds(c.subs[0], env)
-        if isinstance(c, A.CQuant):
-            rng = env.get(("range", c.var), _MISSING)
-            if rng is _MISSING:
-                raise TypeError_(
-                    f"{c.kind} ${c.var} needs an array binding for ${c.var}"
-                )
-            elem_t, items = rng
-            body_vars = set(A.cond_vars(c.body)) & var_set(elem_t)
-            walker = _Enumerator(body_vars, {}, None)
-            judged = []
-            for item in items:
-                subs = walker.run(elem_t, item, ())
-                judged.append(
-                    any(self.holds(c.body, {**env, **a.env}) for a in subs)
-                )
-            if c.kind == "foreach":
-                return all(judged)
-            return any(judged)
-        raise TypeError_(f"not a condition: {c!r}")
+        if isinstance(lhs, Atom) and isinstance(rhs, Atom):
+            return compare_atoms(c.op, lhs, rhs)
+        if c.op == "=":
+            return lhs == rhs
+        if c.op == "!=":
+            return not (lhs == rhs)
+        return False
+    if isinstance(c, A.CCall):
+        return eval_builtin(c.name, [_expr(a, env) for a in c.args])
+    if isinstance(c, A.CBool):
+        if c.op == "and":
+            return all(_holds(s, env) for s in c.subs)
+        if c.op == "or":
+            return any(_holds(s, env) for s in c.subs)
+        return not _holds(c.subs[0], env)
+    if isinstance(c, A.CQuant):
+        rng = env.get(("range", c.var), _MISSING)
+        if rng is _MISSING:
+            raise TypeError_(f"{c.kind} ${c.var} needs an array binding for ${c.var}")
+        elem_t, items = rng
+        body_vars = set(A.cond_vars(c.body)) & var_set(elem_t)
+        walker = _Enumerator(body_vars, {})
+        judged = []
+        for item in items:
+            subs = walker.run(elem_t, item, ())
+            judged.append(any(_holds(c.body, {**env, **a.env}) for a in subs))
+        if c.kind == "foreach":
+            return all(judged)
+        return any(judged)
+    raise TypeError_(f"not a condition: {c!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -295,15 +275,12 @@ def _equi_joins(c: A.Condition, needed: set[str], source: Term) -> tuple[tuple[s
     )
 
 
-def _outcome(r: MatchResult, source: Term, c: A.Condition) -> Outcome:
+def _outcome(r: MatchResult, source: Term, c: A.Condition) -> Constraint:
+    """Everything one condition's evaluation says about the result."""
     anchors, needed = A.condition_scope(c, source)
-    outcome = Outcome()
-    walker = _Enumerator(needed, anchors, outcome, _equi_joins(c, needed, source))
-    evaluator = _Evaluator()
-    for a in walker.run(source, r, ()):
-        if evaluator.holds(c, a.env):
-            outcome.footprints.append(a.tokens)
-    return outcome
+    walker = _Enumerator(needed, anchors, _equi_joins(c, needed, source))
+    footprints = tuple(a.tokens for a in walker.run(source, r, ()) if _holds(c, a.env))
+    return Constraint(footprints, tuple(walker.groups), tuple(walker.options))
 
 
 def _sweep(r: MatchResult, removed: set, emptied: set) -> MatchResult:
@@ -345,7 +322,7 @@ def _sweep(r: MatchResult, removed: set, emptied: set) -> MatchResult:
 
 
 def _apply_outcomes(
-    r: MatchResult, outcomes: list[Outcome], constraints: list[Constraint]
+    r: MatchResult, outcomes: list[Constraint], constraints: list[Constraint]
 ) -> MatchResult:
     satisfied: set = set()
     grouped: set = set()
@@ -355,10 +332,10 @@ def _apply_outcomes(
             satisfied |= fp
         for g in o.groups:
             grouped |= g
-        for cov, _all in o.options:
+        for cov, _all in o.option_universe:
             covered |= cov
-        constraints.append(o.constraint())
-        if not o.footprints and not o.groups and not o.options:
+        constraints.append(o)
+        if not o.footprints and not o.groups and not o.option_universe:
             return MFailed()
     removed = grouped - satisfied
     emptied = covered - satisfied

@@ -12,7 +12,7 @@ filtering can talk about which elements and branches survived.
 from __future__ import annotations
 
 import itertools
-from typing import Iterator, Optional, Union
+from typing import Iterable, Iterator, Optional, Union
 
 from . import ast as A
 from .model import Array, Atom, Object, Value, preorder, serialize
@@ -161,7 +161,7 @@ class Matcher:
         if isinstance(p, A.PArray):
             if not isinstance(v, Array):
                 return MFailed()
-            return self._collect(p.elem, v.items)
+            return self._collect(self.match_value(p.elem, x) for x in v.items)
         if isinstance(p, A.PConj):
             results = []
             for sub in p.items:
@@ -173,37 +173,21 @@ class Matcher:
         if isinstance(p, A.POption):
             return MOption([self.match_value(b, v) for b in p.branches], self.fresh_id())
         if isinstance(p, A.PChildren):
-            return self.match_children(p.member, v)
+            # an object's pairs, document order
+            if not isinstance(v, Object):
+                return MFailed()
+            return self._collect(self.match_kv_pair(p.member, k, x) for k, x in v.pairs)
         if isinstance(p, A.PDescend):
-            return self.match_descendants(p.pattern, v)
+            # v and every nested value, preorder
+            return self._collect(self.match_value(p.pattern, d) for d in preorder(v))
         raise TypeError(f"not a value pattern: {p!r}")
 
-    def match_children(self, kv: A.KeyValuePattern, v: Value) -> MatchResult:
-        """Iterate an object's pairs, matching each against kv, document order."""
-        if not isinstance(v, Object):
-            return MFailed()
+    def _collect(self, results: Iterable[MatchResult]) -> MArray:
+        """The successful results as array elements, each given an id as soon
+        as it is matched: `results` is lazy, so ids drawn inside an element
+        come before the element's own."""
         items = []
-        for key, sub in v.pairs:
-            r = self.match_kv_pair(kv, key, sub)
-            if succeeded(r):
-                r.elem_id = self.fresh_id()
-                items.append(r)
-        return MArray(items)
-
-    def match_descendants(self, p: A.ValuePattern, v: Value) -> MatchResult:
-        """All successful matches of p against v and every nested value, preorder."""
-        items = []
-        for d in preorder(v):
-            r = self.match_value(p, d)
-            if succeeded(r):
-                r.elem_id = self.fresh_id()
-                items.append(r)
-        return MArray(items)
-
-    def _collect(self, elem: A.ValuePattern, values) -> MArray:
-        items = []
-        for v in values:
-            r = self.match_value(elem, v)
+        for r in results:
             if succeeded(r):
                 r.elem_id = self.fresh_id()
                 items.append(r)

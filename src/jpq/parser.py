@@ -269,38 +269,29 @@ class Parser:
         """Value side of a key-value pattern: option branches stop where a new
         `key:` begins, so `\"a\":$x|\"b\":$y` splits at the key-value level."""
         branches = [self.value_pattern_atom()]
-        while self.at("|"):
-            mark = self.pos
+        while self.at("|") and not self._looks_like_key_part(1):
             self.next()
-            if self._looks_like_key_part():
-                self.pos = mark
-                break
             branches.append(self.value_pattern_atom())
         if len(branches) == 1:
             return branches[0]
         return A.POption(tuple(branches))
 
-    def _looks_like_key_part(self) -> bool:
+    def _looks_like_key_part(self, ahead: int = 0) -> bool:
+        """Whether a key part followed by ':' starts `ahead` tokens on."""
         mark = self.pos
+        self.pos += ahead
         found = self._try_key_part() is not None
         self.pos = mark
         return found
 
     def keyvalue_pattern(self) -> A.KeyValuePattern:
         branches: list[A.KeyValuePattern] = [self.keyvalue_single()]
-        while self.at("|") and self._kv_follows():
+        while self.at("|") and self._looks_like_key_part(1):
             self.next()
             branches.append(self.keyvalue_single())
         if len(branches) == 1:
             return branches[0]
         return A.KVOption(tuple(branches))
-
-    def _kv_follows(self) -> bool:
-        mark = self.pos
-        self.next()  # the '|'
-        found = self._try_key_part() is not None
-        self.pos = mark
-        return found
 
     # -- term expressions (groupby / distinct references) -------------------
 

@@ -225,6 +225,9 @@ STATIC_ERRORS = {
     "quantifier-over-a-scalar": QUERY + ' where foreach $i; $i = "x"',
     "with-under-par": SCHOOLS + 'construct {"s":[$n]} where ($n = "x" with $d = "y") par $n = "z"',
     "range-and-elementwise": FACULTY + 'construct {"s":[$n]} where count[$id] > 1 and $id = "0001"',
+    "nested-ranges": FACULTY + 'construct {"s":[$n]} where count[$n] > 1 and count[$id] > 2',
+    "par-under-not": SCHOOLS + 'construct {"s":[$n]} where not ($n = "x" par $d = "y")',
+    "with-under-forsome": FACULTY + 'construct {"s":[$n]} where forsome $id; ($id = "0001" with $n = "y")',
 }
 
 
@@ -235,6 +238,12 @@ def test_static_query_errors_exit_1_whatever_the_data(query, tmp_path):
     for doc in (UNIV, str(other)):
         code, out, err = run(CliConfig(docs=[("univ", doc)], query_text=query))
         assert (code, out) == (EXIT_QUERY, "") and err.startswith("error:"), doc
+
+
+def test_nested_ranges_run_when_applied_in_turn():
+    query = FACULTY + 'construct {"s":[$n]} where count[$n] > 1 with count[$id] > 2'
+    code, out, err = run(CliConfig(docs=[("univ", UNIV)], query_text=query))
+    assert (code, out, err) == (EXIT_OK, '{"s":["Computer School","Math School"]}\n', "")
 
 
 # -- ordering by a member term -------------------------------------------------------

@@ -253,6 +253,23 @@ def test_explain_then_run_plans_once(engine, searches):
     assert len(searches) == 1
 
 
+def test_a_planned_shape_is_not_replayed_again(engine, monkeypatch):
+    import jpq.engine
+
+    calls = []
+    real = jpq.engine.replay
+
+    def counted(source, route):
+        calls.append(route)
+        return real(source, route)
+
+    monkeypatch.setattr(jpq.engine, "replay", counted)
+    first = run(engine, EX5)
+    assert len(calls) == 1
+    assert run(engine, EX5) == first
+    assert len(calls) == 1
+
+
 def test_a_shape_is_planned_per_projected_source_and_backbone(engine, searches):
     # the second query binds $m too; projected onto the backbone it is EX2's
     with_email = EX2.replace('{"ID":$id}', '{"ID":$id,"email":$m}')

@@ -1,0 +1,82 @@
+"""Byte-identity of explain text and output for every benchmark template.
+
+`tests/golden.json` records, for each template in `bench/templates.py` and
+each document set below, the `--explain` text and the compact output the
+CLI prints.  A change meant to keep behaviour (a refactor, a speed-up) must
+leave them byte-identical; a change meant to alter them records the file
+again and says why:
+
+    PYTHONPATH=src python3 tests/test_golden.py
+
+`bench/` is only read: its modules are loaded without writing bytecode.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+import json
+import pathlib
+import random
+import sys
+
+from jpq import DocRegistry, Engine, parse_document, parse_query, serialize
+
+ROOT = pathlib.Path(__file__).parent.parent
+GOLDEN = pathlib.Path(__file__).parent / "golden.json"
+SEED = 2015
+
+
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(f"_golden_bench_{name}", ROOT / "bench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    saved, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = saved
+    return module
+
+
+gen, T = _load("gen"), _load("templates")
+
+
+def document_sets() -> dict[str, dict[str, str]]:
+    """Document set name -> {document name: JSON text}."""
+    rng = random.Random(SEED)
+    people, jobs = gen.people_jobs(rng, 30)
+    return {
+        "fixture": {"univ": (ROOT / "fixtures" / "univ.json").read_text(encoding="utf-8")},
+        "univ-6x5": {"univ": gen.dump(gen.univ(rng, 6, 5))},
+        "univ-12x12": {"univ": gen.dump(gen.univ(rng, 12, 12))},
+        "people-jobs-30": {"people": gen.dump(people), "jobs": gen.dump(jobs)},
+    }
+
+
+def record() -> dict[str, str]:
+    """`<template>@<document set>` -> what `jpq --explain` prints.  One engine
+    holds every set, each document renamed `<set>/<name>`."""
+    engine = Engine(DocRegistry())
+    sets = document_sets()
+    for set_name, docs in sets.items():
+        for name, text in docs.items():
+            engine.registry.register(f"{set_name}/{name}", parse_document(text))
+    out = {}
+    for template in T.ALL:
+        for set_name, docs in sets.items():
+            if set(docs) == set(template.docs):
+                q = parse_query(template.query({d: f"{set_name}/{d}" for d in docs}))
+                out[f"{template.name}@{set_name}"] = f"{engine.explain(q)}\n{serialize(engine.run(q))}\n"
+    return out
+
+
+def test_explain_text_and_output_are_byte_identical():
+    got = record()
+    want = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    assert {key.split("@")[0] for key in got} == {t.name for t in T.ALL}
+    assert sorted(got) == sorted(want)
+    assert [key for key in want if got[key] != want[key]] == []
+
+
+if __name__ == "__main__":
+    GOLDEN.write_text(json.dumps(record(), indent=1, ensure_ascii=False) + "\n", encoding="utf-8")

@@ -163,3 +163,17 @@ def test_matcher_assigns_distinct_element_ids():
     r = Matcher().match_value(parse_pattern('{"xs":[$x]}'), v)
     ids = [item.elem_id for item in r.items]
     assert len(set(ids)) == 3 and None not in ids
+
+
+def test_an_element_takes_its_id_after_the_ids_drawn_inside_it():
+    # arrays, enumerations and descendants alike: each element is matched,
+    # then numbered, before the next element is matched
+    def drawn(r):
+        kids = r.items if isinstance(r, (MArray, MTuple)) else []
+        own = [] if r.elem_id is None else [r.elem_id]
+        return [i for k in kids for i in drawn(k)] + own
+
+    for pattern, doc in [("[[$x]]", "[[1,2],[3]]"), ('/$k:[$x]', '{"a":[1],"b":[2,3]}'),
+                         ("//[$x]", "[[1],[2,3]]")]:
+        ids = drawn(Matcher().match_value(parse_pattern(pattern), parse_document(doc)))
+        assert ids == list(range(1, len(ids) + 1)), pattern
