@@ -33,9 +33,10 @@ from .terms import (
     TupleT,
     UNIT,
     Var,
-    children,
+    components,
     is_unit,
     option_of,
+    positions,
     render,
     subterm,
     tuple_of,
@@ -298,35 +299,9 @@ class QueryAst:
 
 
 def pattern_vars(p: Pattern) -> list[str]:
-    """All variable bindings, in textual order, duplicates included."""
-    out: list[str] = []
-    _pvars(p, out)
-    return out
-
-
-def _pvars(p, out: list[str]) -> None:
-    if isinstance(p, PVar):
-        out.append(p.name)
-    elif isinstance(p, PObject):
-        for m in p.members:
-            _pvars(m, out)
-    elif isinstance(p, (PArray, PDescend)):
-        _pvars(p.elem if isinstance(p, PArray) else p.pattern, out)
-    elif isinstance(p, PConj):
-        for s in p.items:
-            _pvars(s, out)
-    elif isinstance(p, POption):
-        for b in p.branches:
-            _pvars(b, out)
-    elif isinstance(p, PChildren):
-        _pvars(p.member, out)
-    elif isinstance(p, KVPattern):
-        if p.var:
-            out.append(p.var)
-        _pvars(p.value, out)
-    elif isinstance(p, KVOption):
-        for b in p.branches:
-            _pvars(b, out)
+    """All variable bindings, in textual order, duplicates included: the
+    matching term keeps every binding, and its preorder is textual order."""
+    return [n.name for _, n in positions(p.term) if isinstance(n, Var)]
 
 
 def cond_nodes(c: Condition) -> Iterator[Condition]:
@@ -430,7 +405,7 @@ def backbone(cp: ConstructionPattern) -> Term:
 
 def _folded_backbone(cp: CArray, inner: Term) -> Term:
     key = cp.groupby
-    comps = list(inner.items) if isinstance(inner, TupleT) else [inner]
+    comps = components(inner)
     key_refs = [c for c in comps if isinstance(c, DistinctT)]
     others = [c for c in comps if not isinstance(c, DistinctT)]
     if any(k != key for k in key_refs):
@@ -584,14 +559,9 @@ def _read_vars(c: Condition, per_item) -> set[str]:
     return {_expr_var(e) for e in leaf_exprs(c) if isinstance(e, (EVar, EField))}
 
 
-def _var_paths(t: Term, path: Path = ()) -> dict[str, Path]:
-    out: dict[str, Path] = {}
-    if isinstance(t, Var):
-        out[t.name] = path
-    else:
-        for i, kid in enumerate(children(t)):
-            out.update(_var_paths(kid, path + (i,)))
-    return out
+def _var_paths(t: Term) -> dict[str, Path]:
+    """Each variable's path; a later occurrence overrides an earlier one."""
+    return {n.name: path for path, n in positions(t) if isinstance(n, Var)}
 
 
 def _anchor_path(source: Term, paths: dict[str, Path], var: str) -> Path:

@@ -35,6 +35,7 @@ from .terms import (
     Term,
     TupleT,
     UNIT,
+    components,
     is_unit,
     render,
     strip_component,
@@ -45,14 +46,6 @@ from .terms import (
 
 # ---------------------------------------------------------------------------
 # building
-
-
-def _arity(t: Term) -> int:
-    if is_unit(t):
-        return 0
-    if isinstance(t, TupleT):
-        return len(t.items)
-    return 1
 
 
 def _slots(t: Term, r: MatchResult) -> list[tuple[Term, MatchResult]]:
@@ -93,7 +86,7 @@ def build_empty(cp: A.ConstructionPattern) -> Value:
 class Builder:
     def _take(self, slots: list, cp: A.ConstructionPattern):
         """Consume this sub-pattern's share of the flat tuple slots."""
-        k = _arity(cp.backbone)
+        k = len(components(cp.backbone))
         if k == 1 and slots:
             return slots.pop(0)
         if k == 0:
@@ -172,9 +165,9 @@ class Builder:
         class_t, key_t = t.elem.items
         key_inner = key_t.inner if isinstance(key_t, DistinctT) else key_t
         member_t = class_t.elem
-        kept = [s != key_inner for s in _components(member_t)]
+        kept = [s != key_inner for s in components(member_t)]
         content_t = ArrayT(strip_component(member_t, key_inner), class_t.index)
-        is_key = [isinstance(c, DistinctT) for c in _components(cp.elem.backbone)]
+        is_key = [isinstance(c, DistinctT) for c in components(cp.elem.backbone)]
         elem_t = tuple_of([key_t if k else content_t for k in is_key])
         values = []
         keys = []
@@ -206,10 +199,6 @@ class Builder:
         return Atom(bool(result))
 
 
-def _components(t: Term) -> tuple[Term, ...]:
-    return t.items if isinstance(t, TupleT) else (t,)
-
-
 def _one(t: Term) -> Term:
     if isinstance(t, TupleT) and len(t.items) == 1:
         return t.items[0]
@@ -236,25 +225,20 @@ def _collect_binds(r: MatchResult, out: dict) -> None:
 
 
 def _sorted_by(values: list[Value], keys: list[Value], order: str) -> list[Value]:
-    def sort_key(pair):
-        k = pair[0]
-        if not isinstance(k, Atom):
-            raise TypeError_("ordering keys must be atoms")
-        if isinstance(k.value, bool) or k.value is None:
-            raise TypeError_("ordering keys must be numbers or strings")
-        return k.value
-
     kinds = set()
     for k in keys:
-        if isinstance(k, Atom) and isinstance(k.value, str):
+        v = k.value if isinstance(k, Atom) else None
+        if isinstance(v, str):
             kinds.add("str")
-        elif isinstance(k, Atom) and not isinstance(k.value, bool) and k.value is not None:
+        elif isinstance(v, Decimal) and not v.is_nan():
             kinds.add("num")
+        elif isinstance(v, Decimal):
+            raise TypeError_("ordering keys must not be NaN")
         else:
             raise TypeError_("ordering keys must be numbers or strings")
     if len(kinds) > 1:
         raise TypeError_("cannot order a mix of numbers and strings")
-    paired = sorted(zip(keys, values), key=sort_key, reverse=(order == "desc"))
+    paired = sorted(zip(keys, values), key=lambda pair: pair[0].value, reverse=(order == "desc"))
     return [v for _, v in paired]
 
 

@@ -237,7 +237,8 @@ def _pred_holds(pred: Union[A.StringPredicate, A.ComparePredicate], v: Value) ->
 
 def compare_atoms(op: str, a: Atom, b: Atom) -> bool:
     """Numeric comparison on numbers, code-point on strings; booleans and
-    empty support only (in)equality; mismatched kinds never compare equal."""
+    empty support only (in)equality; mismatched kinds never compare equal, and
+    NaN, which equals nothing, is neither smaller nor larger than anything."""
     if op == "=":
         return a == b
     if op == "!=":
@@ -246,6 +247,8 @@ def compare_atoms(op: str, a: Atom, b: Atom) -> bool:
     if isinstance(av, bool) or isinstance(bv, bool) or av is None or bv is None:
         return False
     if isinstance(av, str) != isinstance(bv, str):
+        return False
+    if not isinstance(av, str) and (av.is_nan() or bv.is_nan()):
         return False
     if op == "<":
         return av < bv
@@ -321,7 +324,7 @@ def _collect_footprint(r: MatchResult, tokens: set) -> None:
             _collect_footprint(s, tokens)
     elif isinstance(r, MOption):
         if r.selected is not None:
-            tokens.add(("b", r.branch_ids[r.selected]))
+            tokens.add(branch_token(r, r.selected))
             _collect_footprint(r.branches[r.selected], tokens)
         else:
             for i, b in enumerate(r.branches):

@@ -255,6 +255,3 @@ class DocRegistry:
             return self._docs[name]
         except KeyError:
             raise UnknownDocumentError(name) from None
-
-    def names(self) -> list[str]:
-        return sorted(self._docs)

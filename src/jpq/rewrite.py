@@ -34,6 +34,7 @@ from .matching import (
     MTuple,
     MUnit,
     _combine,
+    branch_token,
     footprint,
     succeeded,
 )
@@ -47,6 +48,7 @@ from .terms import (
     Var,
     children,
     is_unit,
+    positions,
     project,
     render,
     replace,
@@ -422,22 +424,10 @@ def _feature_counts(t: Term) -> tuple[int, int]:
     return flats, folds
 
 
-def _positions_preorder(t: Term) -> list[tuple[Path, Term]]:
-    out: list[tuple[Path, Term]] = []
-
-    def walk(node: Term, path: Path) -> None:
-        out.append((path, node))
-        for i, kid in enumerate(children(node)):
-            walk(kid, path + (i,))
-
-    walk(t, ())
-    return out
-
-
 def _successors(t: Term, room: _Room):
     """Candidate steps and the states they lead to, in canonical order: rule
     order first, then preorder position, then parameter."""
-    nodes = _positions_preorder(t)
+    nodes = positions(t)
     of_kind = {Term: nodes}  # term classes are final: type() is the kind
     for path, node in nodes:
         of_kind.setdefault(type(node), []).append((path, node))
@@ -454,12 +444,9 @@ def _count_budget(target: Term) -> Counter:
     the target may hide its grouping key inside the member term, so each
     distinct key contributes one extra allowed occurrence of its variables."""
     budget = var_counts(target)
-    stack = [target]
-    while stack:
-        node = stack.pop()
+    for _, node in positions(target):
         if isinstance(node, DistinctT):
             budget.update(var_counts(node.inner))
-        stack.extend(children(node))
     return budget
 
 
@@ -467,14 +454,11 @@ def _feature_budget(target: Term) -> tuple[int, int]:
     """Flat/folded array ceilings, widened the same way as `_count_budget`:
     the hidden key copy inside a folded class may itself be flat or folded."""
     flats, folds = _feature_counts(target)
-    stack = [target]
-    while stack:
-        node = stack.pop()
+    for _, node in positions(target):
         if isinstance(node, DistinctT):
             f, d = _feature_counts(node.inner)
             flats += f
             folds += d
-        stack.extend(children(node))
     return flats, folds
 
 
@@ -526,7 +510,7 @@ def infer_route(
         return ()
     # no rule introduces an option into an option-free term
     def has_option(t: Term) -> bool:
-        return isinstance(t, OptionT) or any(has_option(k) for k in children(t))
+        return any(isinstance(n, OptionT) for _, n in positions(t))
 
     if has_option(target) and not has_option(source):
         raise InvalidConstructionError(
@@ -703,7 +687,7 @@ class Transformer:
                 raise ShapeMismatchError(f"expected an option result for {render(t)}")
             branches = list(r.branches)
             if succeeded(branches[step]):
-                branch_ctx = ctx | {("b", r.branch_ids[step])}
+                branch_ctx = ctx | {branch_token(r, step)}
                 branches[step] = self._descend(
                     t.branches[step], branches[step], path[1:], op, branch_ctx
                 )

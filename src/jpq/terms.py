@@ -147,12 +147,22 @@ def replace(t: Term, path: Path, new: Term) -> Term:
     return with_children(t, tuple(kids))
 
 
-def positions(t: Term) -> list[Path]:
-    """All node paths, preorder."""
-    out: list[Path] = [()]
-    for i, kid in enumerate(children(t)):
-        out.extend(((i,) + p) for p in positions(kid))
+def positions(t: Term) -> list[tuple[Path, Term]]:
+    """Every node of t with its path, preorder."""
+    out: list[tuple[Path, Term]] = []
+    stack: list[tuple[Path, Term]] = [((), t)]
+    while stack:
+        path, node = stack.pop()
+        out.append((path, node))
+        kids = children(node)
+        for i in range(len(kids) - 1, -1, -1):
+            stack.append((path + (i,), kids[i]))
     return out
+
+
+def components(t: Term) -> tuple[Term, ...]:
+    """The slots of a flat tuple: none for unit, a tuple's items, else t alone."""
+    return t.items if isinstance(t, TupleT) else (t,)
 
 
 def render(t: Term) -> str:

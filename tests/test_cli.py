@@ -228,6 +228,12 @@ STATIC_ERRORS = {
     "nested-ranges": FACULTY + 'construct {"s":[$n]} where count[$n] > 1 and count[$id] > 2',
     "par-under-not": SCHOOLS + 'construct {"s":[$n]} where not ($n = "x" par $d = "y")',
     "with-under-forsome": FACULTY + 'construct {"s":[$n]} where forsome $id; ($id = "0001" with $n = "y")',
+    "rebound-in-one-object": 'from doc("univ") {"president":{"ID":$x,"email":$x}} construct {"p":$x}',
+    "rebound-across-option-branches": 'from doc("univ") {"president":({"ID":$x}|{"email":$x})} '
+    'construct {"p":$x}',
+    "rebound-key-and-value": 'from doc("univ") {$k:$k} construct {"p":$k}',
+    "rebound-across-sources": 'from doc("univ") {"president":{"ID":$x}}, '
+    'doc("univ") {"president":{"email":$x}} construct {"p":$x}',
 }
 
 
@@ -287,3 +293,42 @@ def test_grouped_class_content_ordered_by_a_member_term(tmp_path):
         for i in ids
     ]
     assert got == {"f": expected}
+
+
+# -- NaN numbers -----------------------------------------------------------------------
+
+
+def run_on(tmp_path, text, query):
+    doc = tmp_path / "d.json"
+    doc.write_text(text)
+    return run(CliConfig(docs=[("d", str(doc))], query_text=query))
+
+
+NAN_XS = '{"xs":[{"v":NaN},{"v":2}]}'
+
+
+def test_nan_fails_an_ordering_condition(tmp_path):
+    query = 'from doc("d") {"xs":[{"v":$v}]} construct {"r":[$v]} where $v > 1'
+    assert run_on(tmp_path, NAN_XS, query) == (EXIT_OK, '{"r":[2]}\n', "")
+
+
+def test_nan_fails_an_ordering_predicate(tmp_path):
+    query = 'from doc("d") {"xs":[<{"v":(> 1)},$x>]} construct {"r":[$x]}'
+    assert run_on(tmp_path, NAN_XS, query) == (EXIT_OK, '{"r":[{"v":2}]}\n', "")
+
+
+@pytest.mark.parametrize(
+    "text, query",
+    [
+        (NAN_XS, 'from doc("d") {"xs":[{"v":$v}]} construct {"r":[$v] groupby $v asc}'),
+        (
+            '{"xs":[{"v":1,"ys":[NaN,2]},{"v":3,"ys":[2]}]}',
+            'from doc("d") {"xs":[{"v":$v,"ys":[$y]}]} '
+            'construct {"r":[{"k":^[$y]%,"c":[$v]}] groupby ^[$y]% asc}',
+        ),
+    ],
+    ids=["member-term", "grouped-classes"],
+)
+def test_nan_ordering_key_is_a_type_error(tmp_path, text, query):
+    code, out, err = run_on(tmp_path, text, query)
+    assert (code, out, err) == (EXIT_QUERY, "", "error: ordering keys must not be NaN\n")

@@ -185,7 +185,7 @@ def test_unreachable_shape_is_invalid():
 
 
 def blind_successors(t):
-    for path in positions(t):
+    for path, _ in positions(t):
         for rule in RULES:
             for param in range(-1, 4):
                 try:
@@ -310,7 +310,7 @@ def test_random_steps_keep_results_conforming():
         rng = random.Random(seed)
         t = gen_term(rng, ["a", "b", "c"], depth=3)
         steps = []
-        for path in positions(t):
+        for path, _ in positions(t):
             for rule in RULES:
                 if rule == "tuple-duplication":
                     continue
@@ -357,7 +357,7 @@ def test_search_candidates_are_exactly_the_steps_apply_rule_accepts():
     rng_terms = [gen_term(random.Random(seed), ["a", "b", "c"]) for seed in range(200)]
     for t in term_universe() + rng_terms:
         accepted = {}
-        for path in positions(t):
+        for path, _ in positions(t):
             for rule in RULES:
                 if rule == "tuple-duplication":
                     continue

@@ -57,7 +57,10 @@ def test_subterm_and_replace_are_inverse():
     assert replace(t, (1, 0, 1), A) == TupleT(
         (A, ArrayT(TupleT((B, A)), TupleT((B, C))))
     )
-    assert () in positions(t) and (1, 0, 0) in positions(t)
+    paths = [path for path, _ in positions(t)]
+    assert () in paths and (1, 0, 0) in paths
+    assert paths == sorted(paths)  # preorder
+    assert all(subterm(t, path) == node for path, node in positions(t))
 
 
 def test_project_drops_unused_structure():
