@@ -14,7 +14,7 @@ from typing import Optional, TextIO
 
 from .engine import Engine
 from .errors import DataError, JpqError, QueryError
-from .model import DocRegistry, parse_document, serialize
+from .model import parse_document, serialize
 from .parser import parse_query
 
 EXIT_OK = 0
@@ -33,26 +33,35 @@ class CliConfig:
     output: Optional[str] = None
 
 
-def _load_docs(bindings: list[tuple[str, str]]) -> DocRegistry:
-    registry = DocRegistry()
-    for name, path in bindings:
-        try:
-            with open(path, encoding="utf-8") as f:
-                text = f.read()
-        except OSError as e:
-            raise DataError(f"cannot read document {name!r}: {e}") from e
-        registry.register(name, parse_document(text))
-    return registry
+def _read_document(engine: Engine, name: str, path: str) -> None:
+    """Read the JSON file at `path` into the engine's registry as `name`."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
+    except OSError as e:
+        raise DataError(f"cannot read document {name!r}: {e}") from e
+    engine.registry.register(name, parse_document(text))
+
+
+def _failure(e: Exception) -> tuple[str, int]:
+    """The message reporting a failed command, and its exit code."""
+    if isinstance(e, DataError):
+        return f"error: {e}", EXIT_DATA
+    if isinstance(e, QueryError):
+        return f"error: {e}", EXIT_QUERY
+    if isinstance(e, JpqError):
+        return f"internal error: {e}", EXIT_INTERNAL
+    return f"internal error: {type(e).__name__}: {e}", EXIT_INTERNAL
 
 
 def _execute(config: CliConfig, query_text: str, out: TextIO) -> None:
-    registry = _load_docs(config.docs)
-    engine = Engine(registry)
-    q = parse_query(query_text)
+    q = parse_query(query_text)  # static query errors come before any document
+    engine = Engine()
+    for name, path in config.docs:
+        _read_document(engine, name, path)
     if config.explain:
         out.write(engine.explain(q) + "\n")
-    result = engine.run(q)
-    out.write(serialize(result, pretty=config.pretty) + "\n")
+    out.write(serialize(engine.run(q), pretty=config.pretty) + "\n")
 
 
 def run_query(
@@ -81,18 +90,10 @@ def run_query(
     try:
         _execute(config, query_text, sink)
         return EXIT_OK
-    except DataError as e:
-        err.write(f"error: {e}\n")
-        return EXIT_DATA
-    except QueryError as e:
-        err.write(f"error: {e}\n")
-        return EXIT_QUERY
-    except JpqError as e:
-        err.write(f"internal error: {e}\n")
-        return EXIT_INTERNAL
     except Exception as e:
-        err.write(f"internal error: {_describe(e)}\n")
-        return EXIT_INTERNAL
+        message, code = _failure(e)
+        err.write(message + "\n")
+        return code
     finally:
         if close:
             sink.close()
@@ -109,8 +110,7 @@ def repl(
     stdin = sys.stdin if stdin is None else stdin
     out = sys.stdout if out is None else out
     err = sys.stderr if err is None else err
-    registry = DocRegistry()
-    engine = Engine(registry)
+    engine = Engine()
     out.write("jpq - :load name path | :run <query> | :explain <query> | :quit\n")
     while True:
         out.write("jpq> ")
@@ -130,8 +130,7 @@ def repl(
                 if not name or not path.strip():
                     err.write("usage: :load name path\n")
                     continue
-                with open(path.strip(), encoding="utf-8") as f:
-                    registry.register(name, parse_document(f.read()))
+                _read_document(engine, name, path.strip())
                 out.write(f"loaded {name}\n")
             elif cmd == ":run":
                 q = parse_query(rest)
@@ -141,14 +140,8 @@ def repl(
                 out.write(engine.explain(q) + "\n")
             else:
                 err.write(f"unknown command {cmd!r}\n")
-        except (JpqError, OSError) as e:
-            err.write(f"error: {e}\n")
         except Exception as e:
-            err.write(f"internal error: {_describe(e)}\n")
-
-
-def _describe(e: Exception) -> str:
-    return f"{type(e).__name__}: {e}"
+            err.write(_failure(e)[0] + "\n")
 
 
 def _parse_doc_binding(text: str) -> tuple[str, str]:

@@ -66,8 +66,6 @@ def value_of(r: MatchResult) -> Value:
         if r.selected is None:
             raise ConstructionError("cannot take the value of an unresolved option")
         return value_of(r.branches[r.selected])
-    if isinstance(r, MTuple) and len(r.items) == 1:
-        return value_of(r.items[0])
     raise ConstructionError("expected a single bound value")
 
 
@@ -104,8 +102,6 @@ class Builder:
         if kind is A.CVarRef:
             if isinstance(r, MBind):
                 return r.value
-            if isinstance(r, MTuple) and len(r.items) == 1:
-                return self.build(cp, _one(t), r.items[0])
             raise ConstructionError(f"${cp.name} is not bound to a single value")
         if kind is A.CDistinctRef:
             # only a grouped array's classes offer a key here
@@ -197,12 +193,6 @@ class Builder:
             return Atom(Decimal(len(x.items)))
         result = eval_builtin(name, args)
         return Atom(bool(result))
-
-
-def _one(t: Term) -> Term:
-    if isinstance(t, TupleT) and len(t.items) == 1:
-        return t.items[0]
-    return t
 
 
 def _order_key(name: str, r: MatchResult) -> Value:

@@ -3,9 +3,9 @@
 The engine owns a document registry; `run` takes a parsed query and returns
 the constructed Value, `explain` describes the plan (matching term, backbone,
 inferred route).  Routes depend on terms alone, so each engine keeps the
-routes it inferred and the terms they lead to, keyed by (projected matching
-term, backbone): a query shape is searched and replayed once per engine,
-whatever documents are loaded later.
+routes it inferred and the terms they pass through, keyed by (projected
+matching term, backbone): a query shape is searched and replayed once per
+engine, whatever documents are loaded later.
 """
 
 from __future__ import annotations
@@ -36,8 +36,9 @@ class Plan:
     source_term: Term
     target_term: Term
     route: RewriteRoute
-    projected_term: Term  # the source term keeping only the backbone's variables
-    final_term: Term  # projected_term after the route
+    # the terms the route passes through, from the source term keeping only
+    # the backbone's variables to the term the result is built from
+    terms: tuple[Term, ...]
 
     def describe(self) -> str:
         lines = [
@@ -60,7 +61,7 @@ ROUTE_CACHE_SIZE = 128
 class Engine:
     def __init__(self, registry: Optional[DocRegistry] = None):
         self.registry = registry or DocRegistry()
-        self._routes: dict[tuple[Term, Term], tuple[RewriteRoute, Term]] = {}
+        self._routes: dict[tuple[Term, Term], tuple[RewriteRoute, tuple[Term, ...]]] = {}
 
     def plan(self, q: A.QueryAst) -> Plan:
         """The query's plan; a failed search is not kept."""
@@ -74,8 +75,7 @@ class Engine:
             if len(self._routes) >= ROUTE_CACHE_SIZE:
                 del self._routes[next(iter(self._routes))]
         self._routes[key] = planned
-        route, final = planned
-        return Plan(source, target, route, projected, final)
+        return Plan(source, target, *planned)
 
     def _match(self, q: A.QueryAst, ids: Iterator[int]) -> MatchResult:
         matcher = Matcher(ids)
@@ -92,20 +92,16 @@ class Engine:
         source = plan.source_term
         ids = itertools.count(1)  # one identity space for the whole run
         result = self._match(q, ids)
-        if not succeeded(result):
-            return build_empty(q.construct)
         constraints: list[Constraint] = []
         if q.where is not None:
             result = filter_result(result, source, q.where, constraints)
-            if not succeeded(result):
-                return build_empty(q.construct)
         result = resolve_options(result)
         if not succeeded(result):
             return build_empty(q.construct)
         projected = project_result(result, source, var_set(plan.target_term))
         transformer = Transformer(constraints, ids)
-        transformed = transformer.transform(projected, plan.projected_term, plan.route)
-        return build(q.construct, plan.final_term, transformed)
+        transformed = transformer.transform(projected, plan.terms, plan.route)
+        return build(q.construct, plan.terms[-1], transformed)
 
     def explain(self, q: A.QueryAst) -> str:
         return self.plan(q).describe()

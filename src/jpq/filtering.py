@@ -299,10 +299,8 @@ def _sweep(r: MatchResult, removed: set, emptied: set) -> MatchResult:
             if item.elem_id in removed:
                 continue
             swept = _sweep(item, removed, emptied)
-            if not succeeded(swept):
-                continue
-            swept.elem_id = item.elem_id
-            items.append(swept)
+            if succeeded(swept):
+                items.append(swept)
         out = MArray(items, r.folded)
         out.elem_id = r.elem_id
         return out
@@ -387,7 +385,6 @@ def resolve_options(r: MatchResult) -> MatchResult:
         for item in r.items:
             res = resolve_options(item)
             if succeeded(res):
-                res.elem_id = item.elem_id
                 items.append(res)
         out = MArray(items, r.folded)
         out.elem_id = r.elem_id

@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
+from decimal import Decimal
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -38,6 +39,7 @@ from .matching import (
     footprint,
     succeeded,
 )
+from .model import Array, Atom, Value
 from .terms import (
     ArrayT,
     DistinctT,
@@ -212,6 +214,8 @@ def _associate_option_data(tr, t, r, j, ctx):
     if selected is not None and selected >= j:
         inner_sel, selected = selected - j, j
     inner = MOption(branches[j:], tr.fresh_id(), inner_sel, ids[j:])
+    if not succeeded(inner):
+        inner = MFailed()  # a failed group is a failed branch, as matching makes it
     out = MOption(
         branches[:j] + [inner], opt.option_id, selected, ids[:j] + [("g", tr.fresh_id())]
     )
@@ -400,11 +404,12 @@ def apply_rule(rule: str, t: Term, path: Path, param: int = 0) -> Term:
     return replace(t, path, entry.term(node, param))
 
 
-def replay(source: Term, route: RewriteRoute) -> Term:
-    t = source
+def replay(source: Term, route: RewriteRoute) -> tuple[Term, ...]:
+    """The terms the route passes through, the source first, the result last."""
+    terms = [source]
     for step in route:
-        t = apply_rule(step.rule, t, step.path, step.param)
-    return t
+        terms.append(apply_rule(step.rule, terms[-1], step.path, step.param))
+    return tuple(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -637,11 +642,12 @@ class Transformer:
     def fresh_id(self) -> int:
         return next(self._ids)
 
-    def transform(self, r: MatchResult, source: Term, route: RewriteRoute) -> MatchResult:
-        t = source
-        for step in route:
+    def transform(
+        self, r: MatchResult, terms: tuple[Term, ...], route: RewriteRoute
+    ) -> MatchResult:
+        """`terms` are the terms `route` passes through (`replay`)."""
+        for t, step in zip(terms, route):
             r = self._apply(step, t, r)
-            t = apply_rule(step.rule, t, step.path, step.param)
         return r
 
     # -- navigation ----------------------------------------------------------
@@ -702,11 +708,7 @@ class Transformer:
                 return _keep_id(new, r)
             if not isinstance(r, MArray):
                 raise ShapeMismatchError(f"expected an array result for {render(t)}")
-            items = []
-            for item in r.items:
-                new = self._descend(t.elem, item, path[1:], op, ctx)
-                new.elem_id = item.elem_id
-                items.append(new)
+            items = [self._descend(t.elem, item, path[1:], op, ctx) for item in r.items]
             return _keep_id(MArray(items, r.folded), r)
         if isinstance(t, DistinctT):
             return self._descend(t.inner, r, path[1:], op, ctx)
@@ -821,11 +823,7 @@ def project_result(r: MatchResult, t: Term, keep: set) -> MatchResult:
             return _keep_id(MUnit(), r)
         if not isinstance(r, MArray):
             raise ShapeMismatchError(f"expected an array result for {render(t)}")
-        items = []
-        for item in r.items:
-            new = project_result(item, t.elem, keep)
-            new.elem_id = item.elem_id
-            items.append(new)
+        items = [project_result(item, t.elem, keep) for item in r.items]
         return _keep_id(MArray(items, r.folded), r)
     if isinstance(t, DistinctT):
         return project_result(r, t.inner, keep)
@@ -835,7 +833,7 @@ def project_result(r: MatchResult, t: Term, keep: set) -> MatchResult:
 def _value_key(r: MatchResult):
     """Deep structural key of a result's bound values, used for grouping."""
     if isinstance(r, MBind):
-        return ("b", r.name, r.value)
+        return ("b", r.name, _grouping_value(r.value))
     if isinstance(r, MTuple):
         return ("t",) + tuple(_value_key(s) for s in r.items)
     if isinstance(r, MArray):
@@ -847,3 +845,17 @@ def _value_key(r: MatchResult):
     if isinstance(r, MUnit):
         return ("u",)
     raise ShapeMismatchError("cannot take the value of a failed result")
+
+
+_NAN = ("nan",)
+
+
+def _grouping_value(v: Value):
+    """`v` as a grouping key.  NaN equals nothing, itself included, so every
+    NaN atom, wherever it sits in `v`, keys as the one value `_NAN`."""
+    if isinstance(v, Atom):
+        x = v.value
+        return _NAN if isinstance(x, Decimal) and x.is_nan() else v
+    if isinstance(v, Array):
+        return ("a", tuple(_grouping_value(s) for s in v.items))
+    return ("o", tuple((k, _grouping_value(s)) for k, s in v.pairs))

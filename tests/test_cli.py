@@ -16,6 +16,7 @@ from jpq.cli import (
 )
 
 from jpq.engine import Engine
+from jpq.errors import ShapeMismatchError
 
 from .conftest import FIXTURES
 
@@ -208,6 +209,26 @@ def test_repl_survives_a_foreign_exception(monkeypatch):
     assert '{"id":"0001"}' in out
 
 
+def test_repl_reports_an_internal_error_as_batch_does(monkeypatch):
+    def mismatch(*args, **kwargs):
+        raise ShapeMismatchError("expected a tuple result")
+
+    monkeypatch.setattr(Engine, "run", mismatch)
+    code, out, err = repl_session(f":load univ {UNIV}\n:run {QUERY}\n:explain {QUERY}\n")
+    assert code == EXIT_OK
+    assert err == "internal error: expected a tuple result\n"
+    assert "matching term:" in out
+    assert run(CliConfig(docs=[("univ", UNIV)], query_text=QUERY)) == (EXIT_INTERNAL, "", err)
+
+
+def test_repl_load_of_a_missing_file_reports_it_as_batch_does(tmp_path):
+    missing = str(tmp_path / "none.json")
+    _, out, err = repl_session(f":load x {missing}\n")
+    assert "loaded" not in out
+    assert err.startswith("error: cannot read document 'x': ")
+    assert run(CliConfig(docs=[("x", missing)], query_text=QUERY)) == (EXIT_DATA, "", err)
+
+
 SCHOOLS = 'from doc("univ") {"schools":[{"name":$n,"dean":{"ID":$d}}]} '
 FACULTY = 'from doc("univ") {"schools":[{"name":$n,"faculty":[{"ID":$id}]}]} '
 STATIC_ERRORS = {
@@ -239,9 +260,10 @@ STATIC_ERRORS = {
 
 @pytest.mark.parametrize("query", STATIC_ERRORS.values(), ids=STATIC_ERRORS.keys())
 def test_static_query_errors_exit_1_whatever_the_data(query, tmp_path):
+    # the query is checked before any document is read, even an unreadable one
     other = tmp_path / "other.json"
     other.write_text('{"other":1}')
-    for doc in (UNIV, str(other)):
+    for doc in (UNIV, str(other), str(tmp_path / "missing.json")):
         code, out, err = run(CliConfig(docs=[("univ", doc)], query_text=query))
         assert (code, out) == (EXIT_QUERY, "") and err.startswith("error:"), doc
 
@@ -332,3 +354,25 @@ def test_nan_fails_an_ordering_predicate(tmp_path):
 def test_nan_ordering_key_is_a_type_error(tmp_path, text, query):
     code, out, err = run_on(tmp_path, text, query)
     assert (code, out, err) == (EXIT_QUERY, "", "error: ordering keys must not be NaN\n")
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        (
+            '{"xs":[{"v":1,"ys":[NaN,2]},{"v":3,"ys":[NaN]}]}',
+            '{"r":[{"k":NaN,"c":[1,3]},{"k":2,"c":[1]}]}',
+        ),
+        (
+            '{"xs":[{"v":1,"ys":[{"a":[NaN]},1,true]},{"v":3,"ys":[{"a":[NaN]},1.0]}]}',
+            '{"r":[{"k":{"a":[NaN]},"c":[1,3]},{"k":1,"c":[1,3]},{"k":true,"c":[1]}]}',
+        ),
+    ],
+    ids=["atom", "nested"],
+)
+def test_nan_grouping_keys_form_one_class(tmp_path, text, expected):
+    query = (
+        'from doc("d") {"xs":[{"v":$v,"ys":[$y]}]} '
+        'construct {"r":[{"k":^[$y]%,"c":[$v]}] groupby ^[$y]%}'
+    )
+    assert run_on(tmp_path, text, query) == (EXIT_OK, expected + "\n", "")

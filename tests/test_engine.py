@@ -270,6 +270,24 @@ def test_a_planned_shape_is_not_replayed_again(engine, monkeypatch):
     assert len(calls) == 1
 
 
+def test_a_warm_run_applies_no_rule(engine, monkeypatch):
+    # the plan carries the terms its route passes through; only data moves
+    import jpq.rewrite
+
+    queries = [EX1, EX2, EX3, EX4, EX5, EX6]
+    first = [run(engine, text) for text in queries]
+    calls = []
+    real = jpq.rewrite.apply_rule
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(jpq.rewrite, "apply_rule", counted)
+    assert [run(engine, text) for text in queries] == first
+    assert calls == []
+
+
 def test_a_shape_is_planned_per_projected_source_and_backbone(engine, searches):
     # the second query binds $m too; projected onto the backbone it is EX2's
     with_email = EX2.replace('{"ID":$id}', '{"ID":$id,"email":$m}')

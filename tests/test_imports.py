@@ -1,16 +1,21 @@
-"""Unused-import guard: every name a module imports is referenced in it.
+"""Unused-code guards, over sources parsed with the stdlib `ast` module.
 
-Each `src/jpq/*.py` module except the package `__init__` is parsed with the
-stdlib `ast` module.  An import line marked `# noqa: F401` (a deliberate
-re-export) is exempt.
+- Unused imports: every name a `src/jpq/*.py` module (the package
+  `__init__` aside) imports is referenced in it.  An import line marked
+  `# noqa: F401` (a deliberate re-export) is exempt.
+- Dead definitions: every function, method and class defined in `src/jpq`
+  (dunders aside) is referenced, by name, attribute or import, somewhere
+  in `src/`, `tests/` or `bench/` outside its own body.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "jpq"
+REPO = Path(__file__).resolve().parent.parent
+SRC = REPO / "src" / "jpq"
 MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -37,3 +42,48 @@ def test_module_uses_every_name_it_imports(module):
 def test_guard_flags_an_unused_import_and_honours_noqa():
     source = "import os\nfrom x import (\n    a,\n    b,  # noqa: F401\n)\nprint(os)\n"
     assert unused_imports(source) == ["a (line 3)"]
+
+
+def references(tree: ast.AST) -> Counter:
+    """How often each name is used under `tree`: as a name, an attribute or
+    an imported name."""
+    names: Counter = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            names[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            names[node.name.split(".")[-1]] += 1
+    return names
+
+
+def dead_definitions(defining: list[str], others: list[str]) -> list[str]:
+    """Definitions in the `defining` sources that no source refers to outside
+    the definition's own body."""
+    trees = [ast.parse(source) for source in defining + others]
+    used = sum((references(tree) for tree in trees), Counter())
+    return [
+        f"{node.name} (line {node.lineno})"
+        for tree in trees[: len(defining)]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and used[node.name] == references(node)[node.name]
+    ]
+
+
+def test_every_definition_is_referenced():
+    others = [p for d in ("tests", "bench") for p in (REPO / d).rglob("*.py")]
+    assert dead_definitions(
+        [p.read_text() for p in sorted(SRC.glob("*.py"))], [p.read_text() for p in others]
+    ) == []
+
+
+def test_guard_flags_a_definition_only_its_own_body_uses():
+    source = (
+        "class K:\n    def __init__(self):\n        pass\n    def m(self):\n        return 1\n"
+        "def f(n):\n    return f(n - 1)\n"
+        "def g():\n    return K().m()\n"
+    )
+    assert dead_definitions([source], ["from x import g\n"]) == ["f (line 6)"]

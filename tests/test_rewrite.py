@@ -9,6 +9,7 @@ from jpq.errors import (
     SearchBoundExceededError,
     ShapeMismatchError,
 )
+from jpq.filtering import resolve_options
 from jpq.matching import MArray, MBind, MTuple, instantiates
 from jpq.model import Atom
 from jpq.rewrite import (
@@ -149,7 +150,7 @@ def test_route_for_merging_option_into_one_array():
         "array-tuple-distribution @ 0/1",
         "array-flattening @ 0/1",
     ]
-    assert terms_match(replay(projected_source(source, target), route), target)
+    assert terms_match(replay(projected_source(source, target), route)[-1], target)
 
 
 def test_route_for_grouping_by_distinct_key():
@@ -164,7 +165,7 @@ def test_route_for_grouping_by_distinct_key():
         "array-flattening @ 0/1",
         "array-tpl-folding @ root #1",
     ]
-    assert terms_match(replay(source, route), target)
+    assert terms_match(replay(source, route)[-1], target)
 
 
 def test_unbound_target_variable_is_invalid():
@@ -249,7 +250,7 @@ def test_route_search_agrees_with_blind_search():
             except (InvalidConstructionError, SearchBoundExceededError):
                 assert not reachable, (render(source), render(target))
                 continue
-            got = replay(projected_source(source, target), route)
+            got = replay(projected_source(source, target), route)[-1]
             assert terms_match(got, target), (render(source), render(target))
     assert checked > 100
 
@@ -268,7 +269,7 @@ def test_distribution_preserves_element_count():
         rng = random.Random(seed)
         t = TupleT((A, arr(B)))
         r = ResultBuilder(rng).build(t, max_items=5)
-        out = Transformer().transform(r, t, (Step("array-tuple-distribution", ()),))
+        out = Transformer().transform(r, (t,), (Step("array-tuple-distribution", ()),))
         assert isinstance(out, MArray)
         assert len(out.items) == len(r.items[1].items)
         assert instantiates(out, apply_rule("array-tuple-distribution", t, ()))
@@ -280,7 +281,7 @@ def test_flattening_preserves_total_elements():
         rng = random.Random(seed)
         r = ResultBuilder(rng).build(t, max_items=4)
         expected = sum(len(item.items[1].items) for item in r.items)
-        out = Transformer().transform(r, t, (Step("array-flattening", (0, 1)),))
+        out = Transformer().transform(r, (t,), (Step("array-flattening", (0, 1)),))
         assert len(out.items) == expected
         assert instantiates(out, apply_rule("array-flattening", t, (0, 1)))
 
@@ -290,7 +291,7 @@ def test_folding_partitions_with_homogeneous_keys():
     for seed in range(350):
         rng = random.Random(seed)
         r = ResultBuilder(rng).build(t, max_items=6)
-        out = Transformer().transform(r, t, (Step("array-tpl-folding", (), 1),))
+        out = Transformer().transform(r, (t,), (Step("array-tpl-folding", (), 1),))
         assert out.folded
         members = 0
         seen_keys = []
@@ -324,7 +325,7 @@ def test_random_steps_keep_results_conforming():
             continue
         step = rng.choice(steps)
         r = ResultBuilder(rng).build(t)
-        out = Transformer().transform(r, t, (step,))
+        out = Transformer().transform(r, (t,), (step,))
         after = apply_rule(step.rule, t, step.path, step.param)
         assert instantiates(out, after), (render(t), step)
 
@@ -336,8 +337,34 @@ def test_distribution_splices_a_nested_tuple_in_the_head():
         rule = "option-tuple-distribution" if isinstance(last, OptionT) else "array-tuple-distribution"
         for seed in range(20):
             r = ResultBuilder(random.Random(seed)).build(t)
-            out = Transformer().transform(r, t, (Step(rule, ()),))
+            out = Transformer().transform(r, (t,), (Step(rule, ()),))
             assert instantiates(out, apply_rule(rule, t, ())), (rule, seed)
+
+
+D, E = Var("d"), Var("e")
+ASSOCIATIONS = {
+    f"{render(t)} #{j}": (f"{name}-association", t, j)
+    for name, kind in (("tuple", TupleT), ("option", OptionT))
+    for t, j in [
+        (kind((A, B, kind((C, D)))), -1),
+        (kind((A, B, C, kind((D, E)))), -1),
+        (kind((A, B, C)), 1),
+        (kind((A, B, C, D)), 1),
+        (kind((A, B, C, D)), 2),
+    ]
+}
+
+
+@pytest.mark.parametrize("rule, t, j", ASSOCIATIONS.values(), ids=ASSOCIATIONS.keys())
+def test_association_keeps_results_conforming(rule, t, j):
+    # an option's taken branch may lie on either side of the split, and
+    # routes run on resolved results as well as on raw ones
+    after = apply_rule(rule, t, (), j)
+    for seed in range(60):
+        raw = ResultBuilder(random.Random(seed)).build(t)
+        for r in (raw, resolve_options(raw)):
+            out = Transformer().transform(r, (t,), (Step(rule, (), j),))
+            assert instantiates(out, after), (seed, r)
 
 
 def test_splice_outside_the_element_term_is_a_shape_mismatch():
