@@ -1,8 +1,8 @@
 """Command-line front end: batch execution, explain mode, and a small REPL.
 
 Exit codes: 0 success, 1 query error (parse/validate/plan), 2 data error
-(document loading, unknown doc names), 3 internal error: an invariant breach,
-or any exception that is not a JpqError.
+(reading a document or the query file, unknown doc names), 3 internal error:
+an invariant breach, or any exception that is not a JpqError.
 """
 
 from __future__ import annotations
@@ -33,14 +33,18 @@ class CliConfig:
     output: Optional[str] = None
 
 
-def _read_document(engine: Engine, name: str, path: str) -> None:
-    """Read the JSON file at `path` into the engine's registry as `name`."""
+def _read(path: str, what: str) -> str:
+    """The text of the UTF-8 file at `path`, which the error message calls `what`."""
     try:
         with open(path, encoding="utf-8") as f:
-            text = f.read()
-    except OSError as e:
-        raise DataError(f"cannot read document {name!r}: {e}") from e
-    engine.registry.register(name, parse_document(text))
+            return f.read()
+    except (OSError, UnicodeDecodeError) as e:
+        raise DataError(f"cannot read {what}: {e}") from e
+
+
+def _read_document(engine: Engine, name: str, path: str) -> None:
+    """Read the JSON file at `path` into the engine's registry as `name`."""
+    engine.registry.register(name, parse_document(_read(path, f"document {name!r}")))
 
 
 def _failure(e: Exception) -> tuple[str, int]:
@@ -54,49 +58,41 @@ def _failure(e: Exception) -> tuple[str, int]:
     return f"internal error: {type(e).__name__}: {e}", EXIT_INTERNAL
 
 
-def _execute(config: CliConfig, query_text: str, out: TextIO) -> None:
+def _execute(config: CliConfig) -> str:
+    """What the command prints: the plan when asked for, then the result."""
+    query_text = config.query_text
+    if query_text is None:
+        query_text = _read(config.query_path, "query file")
     q = parse_query(query_text)  # static query errors come before any document
     engine = Engine()
     for name, path in config.docs:
         _read_document(engine, name, path)
-    if config.explain:
-        out.write(engine.explain(q) + "\n")
-    out.write(serialize(engine.run(q), pretty=config.pretty) + "\n")
+    plan = engine.explain(q) + "\n" if config.explain else ""
+    return plan + serialize(engine.run(q), pretty=config.pretty) + "\n"
 
 
 def run_query(
     config: CliConfig, out: Optional[TextIO] = None, err: Optional[TextIO] = None
 ) -> int:
+    """Run one command; its text reaches stdout or the output file only
+    when the whole command succeeds."""
     out = sys.stdout if out is None else out
     err = sys.stderr if err is None else err
-    if config.query_text is not None:
-        query_text = config.query_text
-    else:
-        try:
-            with open(config.query_path, encoding="utf-8") as f:
-                query_text = f.read()
-        except OSError as e:
-            err.write(f"error: cannot read query file: {e}\n")
-            return EXIT_DATA
-    sink = out
-    close = False
-    if config.output:
-        try:
-            sink = open(config.output, "w", encoding="utf-8")
-        except OSError as e:
-            err.write(f"error: cannot open output file: {e}\n")
-            return EXIT_DATA
-        close = True
     try:
-        _execute(config, query_text, sink)
+        text = _execute(config)
+        if config.output:
+            try:
+                with open(config.output, "w", encoding="utf-8") as f:
+                    f.write(text)
+            except OSError as e:
+                raise DataError(f"cannot open output file: {e}") from e
+        else:
+            out.write(text)
         return EXIT_OK
     except Exception as e:
         message, code = _failure(e)
         err.write(message + "\n")
         return code
-    finally:
-        if close:
-            sink.close()
 
 
 def repl(

@@ -288,35 +288,17 @@ def _sweep(r: MatchResult, removed: set, emptied: set) -> MatchResult:
         return r
     if isinstance(r, MTuple):
         items = [_sweep(s, removed, emptied) for s in r.items]
-        if any(isinstance(s, MFailed) or not succeeded(s) for s in items):
-            return MFailed()
-        out = MTuple(items)
-        out.elem_id = r.elem_id
-        return out
+        return r.with_parts(items) if all(succeeded(s) for s in items) else MFailed()
     if isinstance(r, MArray):
-        items = []
-        for item in r.items:
-            if item.elem_id in removed:
-                continue
-            swept = _sweep(item, removed, emptied)
-            if succeeded(swept):
-                items.append(swept)
-        out = MArray(items, r.folded)
-        out.elem_id = r.elem_id
-        return out
-    if isinstance(r, MOption):
-        branches = []
-        for i, b in enumerate(r.branches):
-            if branch_token(r, i) in emptied or not succeeded(b):
-                branches.append(MFailed())
-            else:
-                branches.append(_sweep(b, removed, emptied))
-        out = MOption(branches, r.option_id, r.selected, list(r.branch_ids))
-        out.elem_id = r.elem_id
-        if not succeeded(out):
-            return MFailed()
-        return out
-    raise TypeError_(f"not a result: {r!r}")
+        kept = (_sweep(item, removed, emptied) for item in r.items if item.elem_id not in removed)
+        return r.with_parts([s for s in kept if succeeded(s)])
+    out = r.with_parts([
+        _sweep(b, removed, emptied)
+        if succeeded(b) and branch_token(r, i) not in emptied
+        else MFailed()
+        for i, b in enumerate(r.branches)
+    ])
+    return out if succeeded(out) else MFailed()
 
 
 def _apply_outcomes(
@@ -375,34 +357,13 @@ def resolve_options(r: MatchResult) -> MatchResult:
         return r
     if isinstance(r, MTuple):
         items = [resolve_options(s) for s in r.items]
-        if any(not succeeded(s) for s in items):
-            return MFailed()
-        out = MTuple(items)
-        out.elem_id = r.elem_id
-        return out
+        return r.with_parts(items) if all(succeeded(s) for s in items) else MFailed()
     if isinstance(r, MArray):
-        items = []
-        for item in r.items:
-            res = resolve_options(item)
-            if succeeded(res):
-                items.append(res)
-        out = MArray(items, r.folded)
-        out.elem_id = r.elem_id
-        return out
-    if isinstance(r, MOption):
-        branches: list[MatchResult] = []
-        selected = None
-        for b in r.branches:
-            if selected is None and succeeded(b):
-                res = resolve_options(b)
-                if succeeded(res):
-                    selected = len(branches)
-                    branches.append(res)
-                    continue
-            branches.append(MFailed())
-        if selected is None:
-            return MFailed()
-        out = MOption(branches, r.option_id, selected, list(r.branch_ids))
-        out.elem_id = r.elem_id
-        return out
-    raise TypeError_(f"not a result: {r!r}")
+        return r.with_parts([s for s in map(resolve_options, r.items) if succeeded(s)])
+    for i, b in enumerate(r.branches):
+        res = resolve_options(b)
+        if succeeded(res):
+            out = r.with_parts([res if j == i else MFailed() for j in range(len(r.branches))])
+            out.selected = i
+            return out
+    return MFailed()

@@ -20,10 +20,19 @@ from .terms import ArrayT, DistinctT, OptionT, Term, TupleT, UNIT, Var, is_unit
 
 
 class MatchResult:
+    """A match result node.  The composite nodes (tuples, arrays, options)
+    list their sub-results with `parts()` and rebuild over new ones with
+    `with_parts(parts)`, which keeps the node's identity: its element id, an
+    array's folding, an option's branch tokens and selection."""
+
     __slots__ = ("elem_id",)
 
     def __init__(self):
         self.elem_id: Optional[int] = None
+
+    def _keeping_id(self, out: MatchResult) -> MatchResult:
+        out.elem_id = self.elem_id
+        return out
 
 
 class MBind(MatchResult):
@@ -45,6 +54,12 @@ class MTuple(MatchResult):
         super().__init__()
         self.items = list(items)
 
+    def parts(self) -> list[MatchResult]:
+        return list(self.items)
+
+    def with_parts(self, parts: list[MatchResult]) -> MTuple:
+        return self._keeping_id(MTuple(parts))
+
     def __repr__(self):
         return f"MTuple({self.items!r})"
 
@@ -57,28 +72,39 @@ class MArray(MatchResult):
         self.items = list(items)
         self.folded = folded
 
+    def parts(self) -> list[MatchResult]:
+        return list(self.items)
+
+    def with_parts(self, parts: list[MatchResult]) -> MArray:
+        return self._keeping_id(MArray(parts, self.folded))
+
     def __repr__(self):
         return f"MArray({self.items!r})"
 
 
 class MOption(MatchResult):
-    __slots__ = ("branches", "option_id", "selected", "branch_ids")
+    __slots__ = ("branches", "selected", "branch_ids")
 
     def __init__(
         self,
         branches: list[MatchResult],
-        option_id: int,
+        option_id: Optional[int],
         selected: Optional[int] = None,
         branch_ids: Optional[list[int]] = None,
     ):
         super().__init__()
         self.branches = list(branches)
-        self.option_id = option_id
         self.selected = selected
         # stable per-branch tokens; they follow branches through commutation
         if branch_ids is None:
             branch_ids = [(option_id, i) for i in range(len(branches))]
         self.branch_ids = list(branch_ids)
+
+    def parts(self) -> list[MatchResult]:
+        return list(self.branches)
+
+    def with_parts(self, parts: list[MatchResult]) -> MOption:
+        return self._keeping_id(MOption(parts, None, self.selected, self.branch_ids))
 
     def __repr__(self):
         return f"MOption({self.branches!r}, selected={self.selected})"

@@ -163,25 +163,29 @@ def _associate(node: Term, j: int) -> Term:
 
 
 def _commute_tuple_data(tr, t, r, i, ctx):
-    return _keep_id(MTuple(_swap(_as_tuple(r, t).items, i)), r)
+    return _as_tuple(r, t).with_parts(_swap(r.items, i))
 
 
 def _associate_tuple_data(tr, t, r, j, ctx):
     items = _as_tuple(r, t).items
     if j != -1:
-        return _keep_id(MTuple(items[:j] + [MTuple(items[j:])]), r)
+        return r.with_parts(items[:j] + [MTuple(items[j:])])
     if not isinstance(items[-1], MTuple):
         raise ShapeMismatchError("no nested tuple result to ungroup")
-    return _keep_id(MTuple(items[:-1] + items[-1].items), r)
+    return r.with_parts(items[:-1] + items[-1].items)
+
+
+def _rebranched(opt: MOption, branches: list, branch_ids: list, selected) -> MOption:
+    """`opt` over new branches, given their tokens and the selected one."""
+    out = opt.with_parts(branches)
+    out.branch_ids, out.selected = branch_ids, selected
+    return out
 
 
 def _commute_option_data(tr, t, r, i, ctx):
     opt = _as_option(r, t)
     selected = {i: i + 1, i + 1: i}.get(opt.selected, opt.selected)
-    out = MOption(
-        _swap(opt.branches, i), opt.option_id, selected, _swap(opt.branch_ids, i)
-    )
-    return _keep_id(out, r)
+    return _rebranched(opt, _swap(opt.branches, i), _swap(opt.branch_ids, i), selected)
 
 
 def _associate_option_data(tr, t, r, j, ctx):
@@ -192,34 +196,24 @@ def _associate_option_data(tr, t, r, j, ctx):
         if isinstance(inner, MFailed):
             # a failed nested option expands to failed branches
             width = len(t.branches[-1].branches)
-            out = MOption(
-                branches[:-1] + [MFailed() for _ in range(width)],
-                opt.option_id,
-                selected,
-                ids[:-1] + [("g", tr.fresh_id()) for _ in range(width)],
+            grouped = [("g", tr.fresh_id()) for _ in range(width)]
+            return _rebranched(
+                opt, branches[:-1] + [MFailed()] * width, ids[:-1] + grouped, selected
             )
-            return _keep_id(out, r)
         if not isinstance(inner, MOption):
             raise ShapeMismatchError("no nested option result to ungroup")
         if selected is not None and selected == len(branches) - 1:
             selected = len(branches) - 1 + (inner.selected or 0)
-        out = MOption(
-            branches[:-1] + inner.branches,
-            opt.option_id,
-            selected,
-            ids[:-1] + inner.branch_ids,
+        return _rebranched(
+            opt, branches[:-1] + inner.branches, ids[:-1] + inner.branch_ids, selected
         )
-        return _keep_id(out, r)
     inner_sel = None
     if selected is not None and selected >= j:
         inner_sel, selected = selected - j, j
-    inner = MOption(branches[j:], tr.fresh_id(), inner_sel, ids[j:])
+    inner = MOption(branches[j:], None, inner_sel, ids[j:])
     if not succeeded(inner):
         inner = MFailed()  # a failed group is a failed branch, as matching makes it
-    out = MOption(
-        branches[:j] + [inner], opt.option_id, selected, ids[:j] + [("g", tr.fresh_id())]
-    )
-    return _keep_id(out, r)
+    return _rebranched(opt, branches[:j] + [inner], ids[:j] + [("g", tr.fresh_id())], selected)
 
 
 # -- duplication and flattening -------------------------------------------------
@@ -280,7 +274,7 @@ def _distribute_option_data(tr, t, r, _, ctx):
         _pair(t, tup, bt, br) if succeeded(br) else MFailed()
         for bt, br in zip(opt_t.branches, opt.branches)
     ]
-    return _keep_id(MOption(branches, opt.option_id, opt.selected, opt.branch_ids), r)
+    return _keep_id(opt.with_parts(branches), r)
 
 
 def _distribute_array_data(tr, t, r, _, ctx):
@@ -292,10 +286,8 @@ def _distribute_array_data(tr, t, r, _, ctx):
     items = []
     for item in arr_r.items:
         if compatible(head_tokens | footprint(item), tr.constraints):
-            pair = _pair(t, tup, t.items[-1].elem, item)
-            pair.elem_id = item.elem_id
-            items.append(pair)
-    return _keep_id(MArray(items, arr_r.folded), r)
+            items.append(_keep_id(_pair(t, tup, t.items[-1].elem, item), item))
+    return _keep_id(arr_r.with_parts(items), r)
 
 
 # -- folding into classes keyed by one element component ------------------------
@@ -682,34 +674,31 @@ class Transformer:
                 raise ShapeMismatchError(
                     f"expected a {len(t.items)}-tuple result for {render(t)}"
                 )
-            items = list(r.items)
+            items = r.parts()
             for i, sib in enumerate(items):
                 if i != step:
                     ctx = ctx | footprint(sib)
             items[step] = self._descend(t.items[step], items[step], path[1:], op, ctx)
-            return _keep_id(MTuple(items), r)
+            return r.with_parts(items)
         if isinstance(t, OptionT):
             if not isinstance(r, MOption):
                 raise ShapeMismatchError(f"expected an option result for {render(t)}")
-            branches = list(r.branches)
+            branches = r.parts()
             if succeeded(branches[step]):
                 branch_ctx = ctx | {branch_token(r, step)}
                 branches[step] = self._descend(
                     t.branches[step], branches[step], path[1:], op, branch_ctx
                 )
-            out = MOption(branches, r.option_id, r.selected, list(r.branch_ids))
-            return _keep_id(out, r)
+            return r.with_parts(branches)
         if isinstance(t, ArrayT):
             if step != 0:
                 raise ShapeMismatchError("array terms have a single element position")
             if t.flat:
                 # spliced representation: the position holds the element content
-                new = self._descend(t.elem, r, path[1:], op, ctx)
-                return _keep_id(new, r)
+                return _keep_id(self._descend(t.elem, r, path[1:], op, ctx), r)
             if not isinstance(r, MArray):
                 raise ShapeMismatchError(f"expected an array result for {render(t)}")
-            items = [self._descend(t.elem, item, path[1:], op, ctx) for item in r.items]
-            return _keep_id(MArray(items, r.folded), r)
+            return r.with_parts([self._descend(t.elem, s, path[1:], op, ctx) for s in r.items])
         if isinstance(t, DistinctT):
             return self._descend(t.inner, r, path[1:], op, ctx)
         raise ShapeMismatchError(f"cannot descend into {render(t)}")
@@ -728,7 +717,7 @@ class Transformer:
         items: list[MatchResult] = []
         for elem in arr_r.items:
             items.extend(self._expand(arr_t.elem, elem, inner_path))
-        return _keep_id(MArray(items, arr_r.folded), arr_r)
+        return arr_r.with_parts(items)
 
     def _expand(self, t: Term, r: MatchResult, path: Path) -> list[MatchResult]:
         if not path:
@@ -739,29 +728,23 @@ class Transformer:
                     item.elem_id = self.fresh_id()
             return list(r.items)
         step = path[0]
-        if isinstance(t, TupleT):
-            if not isinstance(r, MTuple):
-                raise ShapeMismatchError("expected a tuple result while flattening")
+        if isinstance(t, (TupleT, OptionT)):
+            tuple_t = isinstance(t, TupleT)
+            if not isinstance(r, MTuple if tuple_t else MOption):
+                kind = "a tuple" if tuple_t else "an option"
+                raise ShapeMismatchError(f"expected {kind} result while flattening")
+            parts = r.parts()
+            if not tuple_t:
+                # an option expands only through the branch it takes
+                take = r.selected
+                if take is None:
+                    take = next((i for i, b in enumerate(parts) if succeeded(b)), None)
+                if take != step or not succeeded(parts[step]):
+                    return [r]
             out = []
-            for sub in self._expand(t.items[step], r.items[step], path[1:]):
-                items = list(r.items)
-                items[step] = sub
-                out.append(_keep_id(MTuple(items), r))
-            return out
-        if isinstance(t, OptionT):
-            if not isinstance(r, MOption):
-                raise ShapeMismatchError("expected an option result while flattening")
-            take = r.selected
-            if take is None:
-                take = next((i for i, b in enumerate(r.branches) if succeeded(b)), None)
-            if take != step or not succeeded(r.branches[step]):
-                return [r]
-            out = []
-            for sub in self._expand(t.branches[step], r.branches[step], path[1:]):
-                branches = list(r.branches)
-                branches[step] = sub
-                new = MOption(branches, r.option_id, r.selected, list(r.branch_ids))
-                out.append(_keep_id(new, r))
+            for sub in self._expand(children(t)[step], parts[step], path[1:]):
+                parts[step] = sub
+                out.append(r.with_parts(parts))
             return out
         if isinstance(t, ArrayT) and t.flat:
             if step != 0:
@@ -812,19 +795,16 @@ def project_result(r: MatchResult, t: Term, keep: set) -> MatchResult:
             return _keep_id(MUnit(), r)
         if not isinstance(r, MOption):
             raise ShapeMismatchError(f"expected an option result for {render(t)}")
-        branches = [
+        return r.with_parts([
             project_result(b, bt, keep) if succeeded(b) else MFailed()
             for bt, b in zip(t.branches, r.branches)
-        ]
-        out = MOption(branches, r.option_id, r.selected, list(r.branch_ids))
-        return _keep_id(out, r)
+        ])
     if isinstance(t, ArrayT):
         if is_unit(project(t.elem, keep)):
             return _keep_id(MUnit(), r)
         if not isinstance(r, MArray):
             raise ShapeMismatchError(f"expected an array result for {render(t)}")
-        items = [project_result(item, t.elem, keep) for item in r.items]
-        return _keep_id(MArray(items, r.folded), r)
+        return r.with_parts([project_result(item, t.elem, keep) for item in r.items])
     if isinstance(t, DistinctT):
         return project_result(r, t.inner, keep)
     raise ShapeMismatchError(f"cannot project a result against {render(t)}")

@@ -229,6 +229,68 @@ def test_repl_load_of_a_missing_file_reports_it_as_batch_does(tmp_path):
     assert run(CliConfig(docs=[("x", missing)], query_text=QUERY)) == (EXIT_DATA, "", err)
 
 
+def not_utf8(tmp_path, name):
+    path = tmp_path / name
+    path.write_bytes(b'{"a":"\xff"}')
+    return str(path)
+
+
+def test_a_document_that_is_not_utf8_is_a_data_error(tmp_path):
+    bad = not_utf8(tmp_path, "bad.json")
+    code, out, err = run(CliConfig(docs=[("d", bad)], query_text=QUERY))
+    assert (code, out) == (EXIT_DATA, "")
+    assert err.startswith("error: cannot read document 'd': ")
+
+
+def test_a_query_file_that_is_not_utf8_is_a_data_error(tmp_path):
+    bad = not_utf8(tmp_path, "bad.jpq")
+    code, out, err = run(CliConfig(docs=[("univ", UNIV)], query_path=bad))
+    assert (code, out) == (EXIT_DATA, "")
+    assert err.startswith("error: cannot read query file: ")
+
+
+def test_repl_load_of_a_file_that_is_not_utf8_reports_a_data_error(tmp_path):
+    bad = not_utf8(tmp_path, "bad.json")
+    code, out, err = repl_session(f":load d {bad}\n")
+    assert code == EXIT_OK and "loaded" not in out
+    assert err.startswith("error: cannot read document 'd': ")
+    assert run(CliConfig(docs=[("d", bad)], query_text=QUERY)) == (EXIT_DATA, "", err)
+
+
+@pytest.mark.parametrize(
+    "failure, code",
+    [
+        (dict(query_text="from doc( oops"), EXIT_QUERY),
+        (dict(docs=[("univ", "missing.json")]), EXIT_DATA),
+        (
+            dict(
+                query_text='from doc("univ") {"president":{"ID":$i}} construct {"n":count($i)}',
+                explain=True,
+            ),
+            EXIT_QUERY,
+        ),
+    ],
+    ids=["query-error", "unreadable-document", "run-error-after-explain"],
+)
+def test_a_failed_command_writes_no_output(tmp_path, failure, code):
+    config = {"docs": [("univ", UNIV)], "query_text": QUERY, **failure}
+    got, out, err = run(CliConfig(**config))
+    assert (got, out) == (code, "") and err.startswith("error: ")
+    target = tmp_path / "out.json"
+    target.write_text("keep")
+    assert run(CliConfig(**config, output=str(target))) == (code, "", err)
+    assert target.read_text() == "keep"
+
+
+def test_an_unopenable_output_file_is_reported_after_the_query(tmp_path):
+    target = str(tmp_path / "no-such-dir" / "out.json")
+    bad = CliConfig(docs=[("univ", UNIV)], query_text="from doc( oops", output=target)
+    assert run(bad)[0] == EXIT_QUERY
+    code, out, err = run(CliConfig(docs=[("univ", UNIV)], query_text=QUERY, output=target))
+    assert (code, out) == (EXIT_DATA, "")
+    assert err.startswith("error: cannot open output file: ")
+
+
 SCHOOLS = 'from doc("univ") {"schools":[{"name":$n,"dean":{"ID":$d}}]} '
 FACULTY = 'from doc("univ") {"schools":[{"name":$n,"faculty":[{"ID":$id}]}]} '
 STATIC_ERRORS = {

@@ -8,6 +8,10 @@ again and says why:
 
     PYTHONPATH=src python3 tests/test_golden.py
 
+`tests/golden_rules.json` does the same on `fixtures/univ.json` for a few
+queries outside the benchmark, chosen so that the routes of the two files
+together use every rewrite rule; the same command records it.
+
 `bench/` is only read: its modules are loaded without writing bytecode.
 """
 
@@ -17,12 +21,15 @@ import importlib.util
 import json
 import pathlib
 import random
+import re
 import sys
 
 from jpq import DocRegistry, Engine, parse_document, parse_query, serialize
+from jpq.rewrite import RULES
 
 ROOT = pathlib.Path(__file__).parent.parent
 GOLDEN = pathlib.Path(__file__).parent / "golden.json"
+GOLDEN_RULES = pathlib.Path(__file__).parent / "golden_rules.json"
 SEED = 2015
 
 
@@ -78,5 +85,50 @@ def test_explain_text_and_output_are_byte_identical():
     assert [key for key in want if got[key] != want[key]] == []
 
 
+# query -> the rules its route is meant to exercise
+RULE_QUERIES = {
+    'from doc("univ") /$r"?president?":(<$po,{"ID":*}>|[$pa]) '
+    'construct {"p":[^[{"role":$r,"info":$pa}]|{"role":$r,"info":$po}]}': {"option-commutation"},
+    'from doc("univ") /$k:({"ID":$a}|[{"ID":$b}]|[{"name":$c}]) '
+    'construct {"r":[{"k":$k,"v":($a|(^[$b]|^[$c]))}]}': {"option-association", "array-flattening"},
+    'from doc("univ") /$k:({"ID":$a}|[{"ID":$b}]|[{"name":$c}]) '
+    'construct {"r":[{"k":$k,"v":($a|(^[$b]|^[$c]))}]} '
+    'where $b != "0003" par $a = "0001"': {"option-association", "array-flattening"},
+    'from doc("univ") {"president":{"ID":$i}} construct {"a":$i,"b":$i}': {"tuple-duplication"},
+    'from doc("univ") {"schools":[{"name":$n,"dean":{"ID":$d}}]} '
+    'construct {"s":[{"d":$d,"pair":{"n":$n,"n2":$n}}]}': {"tuple-association"},
+}
+
+
+def record_rules() -> dict[str, str]:
+    """Query -> what `jpq --explain` prints for it on `fixtures/univ.json`."""
+    engine = Engine(DocRegistry())
+    engine.registry.register("univ", parse_document(document_sets()["fixture"]["univ"]))
+    out = {}
+    for query in RULE_QUERIES:
+        q = parse_query(query)
+        out[query] = f"{engine.explain(q)}\n{serialize(engine.run(q))}\n"
+    return out
+
+
+def _route_rules(text: str) -> set[str]:
+    """The rule names in the route of an explain text."""
+    return set(re.findall(r"^  \d+\. (\S+) @", text, re.MULTILINE))
+
+
+def test_every_rewrite_rule_has_golden_coverage():
+    got = record_rules()
+    want = json.loads(GOLDEN_RULES.read_text(encoding="utf-8"))
+    assert sorted(got) == sorted(want)
+    assert [query for query in want if got[query] != want[query]] == []
+    for query, rules in RULE_QUERIES.items():
+        assert rules <= _route_rules(got[query]), query
+    texts = list(want.values()) + list(json.loads(GOLDEN.read_text(encoding="utf-8")).values())
+    assert set().union(*map(_route_rules, texts)) == set(RULES)
+
+
 if __name__ == "__main__":
     GOLDEN.write_text(json.dumps(record(), indent=1, ensure_ascii=False) + "\n", encoding="utf-8")
+    GOLDEN_RULES.write_text(
+        json.dumps(record_rules(), indent=1, ensure_ascii=False) + "\n", encoding="utf-8"
+    )

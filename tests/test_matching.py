@@ -22,7 +22,7 @@ from jpq.model import Atom, Object, parse_document, preorder
 from jpq.parser import parse_pattern
 from jpq.terms import ArrayT, TupleT, Var
 
-from .generators import _Vars, gen_document, gen_matching_pattern
+from .generators import ResultBuilder, _Vars, gen_document, gen_matching_pattern, gen_term
 
 
 def bind_values(r):
@@ -151,6 +151,46 @@ def test_footprint_collects_element_and_branch_tokens():
     tokens = footprint(MTuple([MArray([item]), opt]))
     assert 7 in tokens
     assert ("b", (3, 0)) in tokens
+
+
+def _composites(r):
+    """r and every tuple, array and option under it, preorder."""
+    if isinstance(r, (MTuple, MArray, MOption)):
+        yield r
+        for s in r.parts():
+            yield from _composites(s)
+
+
+def _identity(r):
+    return (
+        type(r),
+        r.elem_id,
+        getattr(r, "folded", None),
+        getattr(r, "branch_ids", None),
+        getattr(r, "selected", None),
+    )
+
+
+def test_with_parts_keeps_a_result_nodes_identity():
+    for seed in range(100):
+        rng = random.Random(seed)
+        r = ResultBuilder(rng).build(gen_term(rng, ["a", "b", "c"], depth=4))
+        for node in _composites(r):
+            # vary what the builder leaves at its default
+            node.elem_id = rng.choice([None, rng.randrange(1000)])
+            if isinstance(node, MArray):
+                node.folded = rng.random() < 0.5
+            if isinstance(node, MOption):
+                rng.shuffle(node.branch_ids)
+                node.selected = rng.choice([None, rng.randrange(len(node.branches))])
+        for node in _composites(r):
+            before, parts = _identity(node), node.parts()
+            copy = node.with_parts(parts)
+            assert _identity(copy) == before
+            assert copy.parts() == parts
+            parts.append(MUnit())
+            parts[0] = MFailed()
+            assert _identity(node) == before and node.parts() == copy.parts()
 
 
 def test_render_result_uses_worked_notation():

@@ -29,10 +29,22 @@ def test_atoms_parse_to_typed_values():
     )
 
 
-def test_numbers_keep_exact_decimal_text():
-    v = parse_document('{"n":0.1}')
-    assert get_field(v, "n") == Atom(Decimal("0.1"))
-    assert serialize(v) == '{"n":0.1}'
+@pytest.mark.parametrize(
+    "text, printed",
+    [
+        ("0.1", "0.1"),
+        ("3.50", "3.50"),
+        ("-0.0", "-0.0"),
+        ("2.5e-3", "0.0025"),
+        ("1e5", "1E+5"),
+        ("0.0000001", "1E-7"),
+    ],
+)
+def test_numbers_keep_exact_decimal_text(text, printed):
+    # digits and trailing zeros survive; exponents print in Decimal form
+    v = parse_document(f'{{"n":{text}}}')
+    assert get_field(v, "n") == Atom(Decimal(text))
+    assert serialize(v) == f'{{"n":{printed}}}'
 
 
 def test_object_preserves_document_order():
