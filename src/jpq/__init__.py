@@ -20,13 +20,11 @@ from .errors import (
     UnboundVariableError,
     UnknownDocumentError,
 )
-from .model import Array, Atom, DocRegistry, Object, Value, parse_document, serialize
+from .model import DocRegistry, Value, parse_document, serialize
 from .parser import parse_condition, parse_construction, parse_pattern, parse_query
 from .ast import unparse_query
 
 __all__ = [
-    "Array",
-    "Atom",
     "ConstructionError",
     "DataError",
     "DocRegistry",
@@ -36,7 +34,6 @@ __all__ = [
     "InvalidConstructionError",
     "JpqError",
     "JsonSyntaxError",
-    "Object",
     "Plan",
     "QueryError",
     "SearchBoundExceededError",

@@ -9,7 +9,6 @@ cached on its node), and the static checks every query passes on creation.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -23,7 +22,7 @@ from .errors import (
     TypeError_,
     UnboundVariableError,
 )
-from .model import Atom
+from .model import Value, serialize
 from .terms import (
     ArrayT,
     DistinctT,
@@ -68,7 +67,7 @@ class ComparePredicate:
     """Comparison against a literal atom: =, !=, <, <=, >, >=."""
 
     op: str
-    literal: Atom
+    literal: Value
 
 
 # `|`, not typing.Union, whose process-wide cache would pin this module on reload
@@ -174,7 +173,7 @@ class EField(CondExpr):
 
 @dataclass(frozen=True)
 class ELit(CondExpr):
-    value: Atom
+    value: Value
 
 
 @dataclass(frozen=True)
@@ -236,7 +235,7 @@ class ConstructionPattern:
 
 @dataclass(frozen=True)
 class CLit(ConstructionPattern):
-    value: Atom
+    value: Value
 
 
 @dataclass(frozen=True)
@@ -608,16 +607,6 @@ def _check_colocation(
 # unparsing
 
 
-def _str(s: str) -> str:
-    return json.dumps(s)
-
-
-def _atom_src(a: Atom) -> str:
-    from .model import _atom_text
-
-    return _atom_text(a.value)
-
-
 def unparse_pattern(p: Pattern) -> str:
     if isinstance(p, PVar):
         return f"${p.name}"
@@ -626,10 +615,10 @@ def unparse_pattern(p: Pattern) -> str:
     if isinstance(p, PPred):
         pred = p.pred
         if isinstance(pred, StringPredicate):
-            return _str(pred.pattern)
+            return serialize(pred.pattern)
         if pred.op == "=":
-            return _atom_src(pred.literal)
-        return f"({pred.op} {_atom_src(pred.literal)})"
+            return serialize(pred.literal)
+        return f"({pred.op} {serialize(pred.literal)})"
     if isinstance(p, PObject):
         return "{" + ", ".join(unparse_pattern(m) for m in p.members) + "}"
     if isinstance(p, PArray):
@@ -644,11 +633,11 @@ def unparse_pattern(p: Pattern) -> str:
         return "//" + unparse_pattern(p.pattern)
     if isinstance(p, KVPattern):
         if p.var and p.key:
-            head = f"${p.var}{_str(p.key.pattern)}"
+            head = f"${p.var}{serialize(p.key.pattern)}"
         elif p.var:
             head = f"${p.var}"
         elif p.key:
-            head = _str(p.key.pattern)
+            head = serialize(p.key.pattern)
         else:
             head = "*"
         return head + ":" + unparse_pattern(p.value)
@@ -661,9 +650,9 @@ def unparse_expr(e: CondExpr) -> str:
     if isinstance(e, EVar):
         return f"${e.name}"
     if isinstance(e, EField):
-        return f"${e.var}" + "".join(f".{_str(k)}" for k in e.keys)
+        return f"${e.var}" + "".join(f".{serialize(k)}" for k in e.keys)
     if isinstance(e, ELit):
-        return _atom_src(e.value)
+        return serialize(e.value)
     if isinstance(e, ECount):
         return f"count[${e.var}]"
     raise TypeError(f"not an expression: {e!r}")
@@ -687,11 +676,12 @@ def unparse_condition(c: Condition) -> str:
 
 def unparse_construction(cp: ConstructionPattern) -> str:
     if isinstance(cp, CLit):
-        return _atom_src(cp.value)
+        return serialize(cp.value)
     if isinstance(cp, CVarRef):
         return f"${cp.name}"
     if isinstance(cp, CObject):
-        return "{" + ", ".join(f"{_str(k)}:{unparse_construction(v)}" for k, v in cp.members) + "}"
+        members = (f"{serialize(k)}:{unparse_construction(v)}" for k, v in cp.members)
+        return "{" + ", ".join(members) + "}"
     if isinstance(cp, CArray):
         body = "[" + unparse_construction(cp.elem) + "]"
         if cp.groupby is not None:
@@ -711,7 +701,7 @@ def unparse_construction(cp: ConstructionPattern) -> str:
 
 
 def unparse_query(q: QueryAst) -> str:
-    sources = ", ".join(f'doc({_str(name)}) {unparse_pattern(p)}' for name, p in q.sources)
+    sources = ", ".join(f'doc({serialize(name)}) {unparse_pattern(p)}' for name, p in q.sources)
     text = f"from {sources} construct {unparse_construction(q.construct)}"
     if q.where is not None:
         text += f" where {unparse_condition(q.where)}"

@@ -27,7 +27,7 @@ from .matching import (
     MUnit,
     succeeded,
 )
-from .model import Array, Atom, EMPTY, Object, Value
+from .model import Value
 from .terms import (
     ArrayT,
     DistinctT,
@@ -75,10 +75,10 @@ def build_empty(cp: A.ConstructionPattern) -> Value:
     if isinstance(cp, A.CLit):
         return cp.value
     if isinstance(cp, A.CObject):
-        return Object(tuple((k, build_empty(sub)) for k, sub in cp.members))
+        return {k: build_empty(sub) for k, sub in cp.members}
     if isinstance(cp, (A.CArray, A.CFlatArray)):
-        return Array(())
-    return EMPTY
+        return []
+    return None
 
 
 class Builder:
@@ -108,11 +108,11 @@ class Builder:
             return value_of(r)
         if kind is A.CObject:
             slots = _slots(t, r)
-            pairs: list[tuple[str, Value]] = []
+            obj = {}
             for key, sub in cp.members:
                 st, sr = self._take(slots, sub)
-                pairs.append((key, self.build(sub, st, sr)))
-            return Object(tuple(pairs))
+                obj[key] = self.build(sub, st, sr)
+            return obj
         if kind is A.CFun:
             slots = _slots(t, r)
             args = []
@@ -150,7 +150,7 @@ class Builder:
                 (name,) = var_set(cp.groupby)
                 keys = [_order_key(name, item) for item in r.items]
                 values = _sorted_by(values, keys, order)
-            return Array(tuple(values))
+            return values
         raise TypeError_(f"not a construction pattern: {cp!r}")
 
     def _build_folded(self, cp: A.CArray, t: ArrayT, r: MArray) -> Value:
@@ -183,16 +183,15 @@ class Builder:
             keys.append(value_of(key_r))
         if cp.order is not None:
             values = _sorted_by(values, keys, cp.order)
-        return Array(tuple(values))
+        return values
 
     def _call(self, name: str, args: list[Value]) -> Value:
         if name == "count":
             (x,) = args
-            if not isinstance(x, Array):
+            if not isinstance(x, list):
                 raise TypeError_("count applies to arrays only")
-            return Atom(Decimal(len(x.items)))
-        result = eval_builtin(name, args)
-        return Atom(bool(result))
+            return Decimal(len(x))
+        return bool(eval_builtin(name, args))
 
 
 def _order_key(name: str, r: MatchResult) -> Value:
@@ -217,18 +216,17 @@ def _collect_binds(r: MatchResult, out: dict) -> None:
 def _sorted_by(values: list[Value], keys: list[Value], order: str) -> list[Value]:
     kinds = set()
     for k in keys:
-        v = k.value if isinstance(k, Atom) else None
-        if isinstance(v, str):
+        if isinstance(k, str):
             kinds.add("str")
-        elif isinstance(v, Decimal) and not v.is_nan():
+        elif isinstance(k, Decimal) and not k.is_nan():
             kinds.add("num")
-        elif isinstance(v, Decimal):
+        elif isinstance(k, Decimal):
             raise TypeError_("ordering keys must not be NaN")
         else:
             raise TypeError_("ordering keys must be numbers or strings")
     if len(kinds) > 1:
         raise TypeError_("cannot order a mix of numbers and strings")
-    paired = sorted(zip(keys, values), key=lambda pair: pair[0].value, reverse=(order == "desc"))
+    paired = sorted(zip(keys, values), key=lambda pair: pair[0], reverse=(order == "desc"))
     return [v for _, v in paired]
 
 

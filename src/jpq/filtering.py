@@ -34,12 +34,9 @@ from .matching import (
     compare_atoms,
     succeeded,
 )
-from .model import Atom, EMPTY, Object, get_field
+from .model import MISSING, get_field, key
 from .rewrite import Constraint
 from .terms import ArrayT, DistinctT, OptionT, Path, Term, TupleT, Var, var_counts, var_set
-
-_MISSING = object()
-
 
 # ---------------------------------------------------------------------------
 # assignment enumeration
@@ -153,7 +150,7 @@ def _pairs(
 ) -> list[_Assignment]:
     """The merged (earlier, new) assignment pairs, outer in `combos` order and
     inner in `subs` order.  With a join `(u, v)`, each earlier assignment meets
-    only the new ones whose `v` is a dict key equal to its `u`: a superset of
+    only the new ones whose `v` has the same `key` as its `u`: a superset of
     the pairs on which `u = v` holds (a dict also matches NaN to itself), so
     the condition is still evaluated on every pair formed.  An assignment
     lacking its join variable pairs with nothing: `=` on a missing operand
@@ -165,8 +162,8 @@ def _pairs(
         buckets: dict = {}
         for b in subs:
             if v in b.env:
-                buckets.setdefault(b.env[v], []).append(b)
-        pairs = ((a, b) for a in combos if u in a.env for b in buckets.get(a.env[u], ()))
+                buckets.setdefault(key(b.env[v]), []).append(b)
+        pairs = ((a, b) for a in combos if u in a.env for b in buckets.get(key(a.env[u]), ()))
     return [_Assignment({**a.env, **b.env}, a.tokens | b.tokens) for a, b in pairs]
 
 
@@ -177,20 +174,16 @@ def _pairs(
 def eval_builtin(name: str, args: list) -> bool:
     if name == "notnull":
         (x,) = args
-        return x is not _MISSING and not (isinstance(x, Atom) and x == EMPTY)
+        return x is not MISSING and x is not None
     if name in ("endWith", "startWith", "contains"):
         a, b = args
-        if any(x is _MISSING for x in (a, b)):
-            return False
-        if not (isinstance(a, Atom) and isinstance(a.value, str)):
-            return False
-        if not (isinstance(b, Atom) and isinstance(b.value, str)):
+        if not (isinstance(a, str) and isinstance(b, str)):
             return False
         if name == "endWith":
-            return a.value.endswith(b.value)
+            return a.endswith(b)
         if name == "startWith":
-            return a.value.startswith(b.value)
-        return b.value in a.value
+            return a.startswith(b)
+        return b in a
     raise TypeError_(f"unknown function {name!r}")
 
 
@@ -198,36 +191,26 @@ def _expr(e: A.CondExpr, env: dict):
     if isinstance(e, A.ELit):
         return e.value
     if isinstance(e, A.EVar):
-        return env.get(e.name, _MISSING)
+        return env.get(e.name, MISSING)
     if isinstance(e, A.EField):
-        v = env.get(e.var, _MISSING)
-        for key in e.keys:
-            if v is _MISSING or not isinstance(v, Object):
-                return _MISSING
-            v = get_field(v, key)
-            if v is None:
-                return _MISSING
+        v = env.get(e.var, MISSING)
+        for name in e.keys:
+            v = get_field(v, name)
         return v
     if isinstance(e, A.ECount):
-        rng = env.get(("range", e.var), _MISSING)
-        if rng is _MISSING:
+        rng = env.get(("range", e.var), MISSING)
+        if rng is MISSING:
             raise TypeError_(f"count[${e.var}] applies to arrays only")
-        return Atom(Decimal(len(rng[1])))
+        return Decimal(len(rng[1]))
     raise TypeError_(f"not a condition expression: {e!r}")
 
 
 def _holds(c: A.Condition, env: dict) -> bool:
     if isinstance(c, A.CCompare):
         lhs, rhs = _expr(c.lhs, env), _expr(c.rhs, env)
-        if lhs is _MISSING or rhs is _MISSING:
+        if lhs is MISSING or rhs is MISSING:
             return False
-        if isinstance(lhs, Atom) and isinstance(rhs, Atom):
-            return compare_atoms(c.op, lhs, rhs)
-        if c.op == "=":
-            return lhs == rhs
-        if c.op == "!=":
-            return not (lhs == rhs)
-        return False
+        return compare_atoms(c.op, lhs, rhs)
     if isinstance(c, A.CCall):
         return eval_builtin(c.name, [_expr(a, env) for a in c.args])
     if isinstance(c, A.CBool):
@@ -237,8 +220,8 @@ def _holds(c: A.Condition, env: dict) -> bool:
             return any(_holds(s, env) for s in c.subs)
         return not _holds(c.subs[0], env)
     if isinstance(c, A.CQuant):
-        rng = env.get(("range", c.var), _MISSING)
-        if rng is _MISSING:
+        rng = env.get(("range", c.var), MISSING)
+        if rng is MISSING:
             raise TypeError_(f"{c.kind} ${c.var} needs an array binding for ${c.var}")
         elem_t, items = rng
         body_vars = set(A.cond_vars(c.body)) & var_set(elem_t)

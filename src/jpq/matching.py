@@ -12,10 +12,11 @@ filtering can talk about which elements and branches survived.
 from __future__ import annotations
 
 import itertools
+from decimal import Decimal
 from typing import Iterable, Iterator, Optional, Union
 
 from . import ast as A
-from .model import Array, Atom, Object, Value, preorder, serialize
+from .model import Value, key, preorder, serialize
 from .terms import ArrayT, DistinctT, OptionT, Term, TupleT, UNIT, Var, is_unit
 
 
@@ -175,7 +176,7 @@ class Matcher:
         if isinstance(p, A.PPred):
             return MUnit() if _pred_holds(p.pred, v) else MFailed()
         if isinstance(p, A.PObject):
-            if not isinstance(v, Object):
+            if not isinstance(v, dict):
                 return MFailed()
             results = []
             for member in p.members:
@@ -185,9 +186,9 @@ class Matcher:
                 results.append(r)
             return _slotted(p.members, results)
         if isinstance(p, A.PArray):
-            if not isinstance(v, Array):
+            if not isinstance(v, list):
                 return MFailed()
-            return self._collect(self.match_value(p.elem, x) for x in v.items)
+            return self._collect(self.match_value(p.elem, x) for x in v)
         if isinstance(p, A.PConj):
             results = []
             for sub in p.items:
@@ -200,9 +201,9 @@ class Matcher:
             return MOption([self.match_value(b, v) for b in p.branches], self.fresh_id())
         if isinstance(p, A.PChildren):
             # an object's pairs, document order
-            if not isinstance(v, Object):
+            if not isinstance(v, dict):
                 return MFailed()
-            return self._collect(self.match_kv_pair(p.member, k, x) for k, x in v.pairs)
+            return self._collect(self.match_kv_pair(p.member, k, x) for k, x in v.items())
         if isinstance(p, A.PDescend):
             # v and every nested value, preorder
             return self._collect(self.match_value(p.pattern, d) for d in preorder(v))
@@ -221,29 +222,29 @@ class Matcher:
 
     # -- key-value patterns --------------------------------------------------
 
-    def match_kv_pair(self, kv: A.KeyValuePattern, key: str, value: Value) -> MatchResult:
+    def match_kv_pair(self, kv: A.KeyValuePattern, name: str, value: Value) -> MatchResult:
         """Match one key-value pair (used by enumeration)."""
         if isinstance(kv, A.KVOption):
             return MOption(
-                [self.match_kv_pair(b, key, value) for b in kv.branches], self.fresh_id()
+                [self.match_kv_pair(b, name, value) for b in kv.branches], self.fresh_id()
             )
-        if kv.key is not None and not kv.key.matches(key):
+        if kv.key is not None and not kv.key.matches(name):
             return MFailed()
         vr = self.match_value(kv.value, value)
         if not succeeded(vr):
             return MFailed()
         key_term = Var(kv.var) if kv.var else UNIT
-        key_result = MBind(kv.var, Atom(key)) if kv.var else MUnit()
+        key_result = MBind(kv.var, name) if kv.var else MUnit()
         return _combine([(key_term, key_result), (kv.value.term, vr)])
 
-    def _match_kv_in_object(self, kv: A.KeyValuePattern, obj: Object) -> MatchResult:
+    def _match_kv_in_object(self, kv: A.KeyValuePattern, obj: dict) -> MatchResult:
         """First pair (document order) that satisfies kv; Failed when none does."""
         if isinstance(kv, A.KVOption):
             return MOption(
                 [self._match_kv_in_object(b, obj) for b in kv.branches], self.fresh_id()
             )
-        for key, sub in obj.pairs:
-            r = self.match_kv_pair(kv, key, sub)
+        for name, sub in obj.items():
+            r = self.match_kv_pair(kv, name, sub)
             if succeeded(r):
                 return r
         return MFailed()
@@ -254,36 +255,34 @@ def match_value(p: A.ValuePattern, v: Value) -> MatchResult:
 
 
 def _pred_holds(pred: Union[A.StringPredicate, A.ComparePredicate], v: Value) -> bool:
-    if not isinstance(v, Atom):
+    if isinstance(v, (dict, list)):
         return False
     if isinstance(pred, A.StringPredicate):
-        return isinstance(v.value, str) and pred.matches(v.value)
+        return isinstance(v, str) and pred.matches(v)
     return compare_atoms(pred.op, v, pred.literal)
 
 
-def compare_atoms(op: str, a: Atom, b: Atom) -> bool:
-    """Numeric comparison on numbers, code-point on strings; booleans and
-    empty support only (in)equality; mismatched kinds never compare equal, and
-    NaN, which equals nothing, is neither smaller nor larger than anything."""
+def compare_atoms(op: str, a: Value, b: Value) -> bool:
+    """JPQ equality (`model.key`) on any values; ordering numeric on numbers,
+    code-point on strings; booleans, null, arrays and objects support only
+    (in)equality; mismatched kinds never compare equal, and NaN, which equals
+    nothing, is neither smaller nor larger than anything."""
     if op == "=":
-        return a == b
+        return key(a) == key(b)
     if op == "!=":
-        return not (a == b)
-    av, bv = a.value, b.value
-    if isinstance(av, bool) or isinstance(bv, bool) or av is None or bv is None:
-        return False
-    if isinstance(av, str) != isinstance(bv, str):
-        return False
-    if not isinstance(av, str) and (av.is_nan() or bv.is_nan()):
+        return not (key(a) == key(b))
+    strings = isinstance(a, str) and isinstance(b, str)
+    numbers = isinstance(a, Decimal) and isinstance(b, Decimal)
+    if not (strings or (numbers and not (a.is_nan() or b.is_nan()))):
         return False
     if op == "<":
-        return av < bv
+        return a < b
     if op == "<=":
-        return av <= bv
+        return a <= b
     if op == ">":
-        return av > bv
+        return a > b
     if op == ">=":
-        return av >= bv
+        return a >= b
     raise ValueError(f"unknown comparison {op!r}")
 
 

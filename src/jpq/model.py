@@ -1,246 +1,117 @@
-"""The JHM value model: atoms, arrays, and unique-keyed objects.
-
-A document fragment is a `Value`.  Atoms are strings, numbers (arbitrary
-precision decimals), booleans, or the distinguished `empty` atom, which maps
-to JSON `null` on both input and output.  Objects preserve document order of
-their members and reject duplicate keys outright.  Values are immutable after
-construction and safe to share.
-"""
+"""The JHM value model as plain Python values: `dict` (an object, members in
+document order), `list`, `str`, `Decimal`, `bool` and `None` (`null`), never
+mutated once built.  JPQ equality compares `key`s; `==` is not it."""
 
 from __future__ import annotations
 
 import json
 from decimal import Decimal
-from typing import Iterator, Optional, Union
+from json.encoder import encode_basestring_ascii
+from typing import Iterator, Union
 
 from .errors import DataError, DuplicateKeyError, JsonSyntaxError, UnknownDocumentError
 
-AtomValue = Union[str, bool, Decimal, None]  # None represents `empty`
-
-
-class Value:
-    """Base class for JHM values."""
-
-    __slots__ = ()
-
-
-class Atom(Value):
-    __slots__ = ("value",)
-
-    def __init__(self, value: AtomValue | int | float):
-        if isinstance(value, bool) or value is None or isinstance(value, (str, Decimal)):
-            self.value = value
-        elif isinstance(value, int):
-            self.value = Decimal(value)
-        elif isinstance(value, float):
-            self.value = Decimal(repr(value))
-        else:
-            raise TypeError(f"not an atom value: {value!r}")
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Atom):
-            return NotImplemented
-        a, b = self.value, other.value
-        # bool is an int subtype in Python; keep booleans apart from numbers
-        if isinstance(a, bool) or isinstance(b, bool):
-            return isinstance(a, bool) and isinstance(b, bool) and a == b
-        if isinstance(a, Decimal) and isinstance(b, Decimal):
-            return a == b  # numeric, not textual
-        return type(a) is type(b) and a == b
-
-    def __hash__(self) -> int:
-        v = self.value
-        return hash((isinstance(v, bool), v))
-
-    def __repr__(self) -> str:
-        return f"Atom({self.value!r})"
-
-
-EMPTY = Atom(None)
-
-
-class Array(Value):
-    __slots__ = ("items",)
-
-    def __init__(self, items: list[Value] | tuple[Value, ...] = ()):
-        self.items = tuple(items)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Array):
-            return NotImplemented
-        return self.items == other.items
-
-    def __hash__(self) -> int:
-        return hash(self.items)
-
-    def __len__(self) -> int:
-        return len(self.items)
-
-    def __iter__(self) -> Iterator[Value]:
-        return iter(self.items)
-
-    def __repr__(self) -> str:
-        return f"Array({list(self.items)!r})"
-
-
-class Object(Value):
-    __slots__ = ("pairs",)
-
-    def __init__(self, pairs: list[tuple[str, Value]] | tuple[tuple[str, Value], ...] = ()):
-        pairs = tuple(pairs)
-        seen = set()
-        for key, _ in pairs:
-            if key in seen:
-                raise DuplicateKeyError(key, "")
-            seen.add(key)
-        self.pairs = pairs
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Object):
-            return NotImplemented
-        return self.pairs == other.pairs
-
-    def __hash__(self) -> int:
-        return hash(self.pairs)
-
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-    def keys(self) -> list[str]:
-        return [k for k, _ in self.pairs]
-
-    def __repr__(self) -> str:
-        return f"Object({list(self.pairs)!r})"
-
-
-class _RawObject:
-    """Intermediate carrier so json.loads keeps duplicate keys for us to report."""
-
-    __slots__ = ("pairs",)
-
-    def __init__(self, pairs):
-        self.pairs = pairs
+Value = Union[dict, list, str, Decimal, bool, None]
+MISSING = object()  # what get_field finds where an object has no such member
 
 
 def parse_document(text: str) -> Value:
-    """Parse JSON text into a Value, preserving member order.
-
-    Raises JsonSyntaxError with line/column on malformed input,
-    DuplicateKeyError naming the key and its object path when an object
-    repeats a key, and DataError when the document nests too deeply.
-    """
+    """Parse JSON text into a Value.  Raises JsonSyntaxError (with line and
+    column), DuplicateKeyError (with the object's path) or DataError."""
+    numbers = dict(parse_int=Decimal, parse_float=Decimal, parse_constant=Decimal)
     try:
-        raw = json.loads(
-            text,
-            object_pairs_hook=_RawObject,
-            parse_float=Decimal,
-            parse_int=Decimal,
-        )
-        return _convert(raw, "$")
+        try:
+            return json.loads(text, object_pairs_hook=_object, **numbers)
+        except DuplicateKeyError:  # parse again, objects as tuples of pairs, to say where
+            _first_duplicate(json.loads(text, object_pairs_hook=tuple), "$")
     except json.JSONDecodeError as exc:
         raise JsonSyntaxError(exc.msg, exc.lineno, exc.colno) from None
     except RecursionError:
         raise DataError("document nests too deeply to parse") from None
 
 
-def _convert(raw, path: str) -> Value:
-    if isinstance(raw, _RawObject):
+def _object(pairs: list[tuple[str, Value]]) -> dict:
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        raise DuplicateKeyError("", "")  # parse_document finds which, and where
+    return obj
+
+
+def _first_duplicate(raw, path: str) -> None:
+    """Raise for the first repeated key; a key is checked before its member."""
+    if isinstance(raw, tuple):
         seen = set()
-        pairs = []
-        for key, sub in raw.pairs:
-            if key in seen:
-                raise DuplicateKeyError(key, path)
-            seen.add(key)
-            pairs.append((key, _convert(sub, f"{path}.{key}")))
-        obj = Object.__new__(Object)
-        obj.pairs = tuple(pairs)
-        return obj
-    if isinstance(raw, list):
-        return Array([_convert(item, f"{path}[{i}]") for i, item in enumerate(raw)])
-    return Atom(raw)
+        for k, sub in raw:
+            if k in seen:
+                raise DuplicateKeyError(k, path)
+            seen.add(k)
+            _first_duplicate(sub, f"{path}.{k}")
+    elif isinstance(raw, list):
+        for i, item in enumerate(raw):
+            _first_duplicate(item, f"{path}[{i}]")
 
 
 def serialize(v: Value, pretty: bool = False) -> str:
-    """Render a Value as standard JSON text.
-
-    parse_document(serialize(v)) is structurally equal to v.
-    """
+    """Render a Value as standard JSON text; parsing it gives v back."""
     out: list[str] = []
-    _write(v, out, 0, pretty)
+    try:
+        _write(v, out, "\n" if pretty else "", "  " if pretty else "", ": " if pretty else ":")
+    except RecursionError:
+        raise DataError("result nests too deeply to serialize") from None
     return "".join(out)
 
 
-def _write(v: Value, out: list[str], depth: int, pretty: bool) -> None:
-    if isinstance(v, Atom):
-        out.append(_atom_text(v.value))
-        return
-    pad, inner = ("", "") if not pretty else ("  " * depth, "  " * (depth + 1))
-    sep = "," if not pretty else ",\n"
-    nl = "" if not pretty else "\n"
-    if isinstance(v, Array):
-        if not v.items:
-            out.append("[]")
-            return
-        out.append("[" + nl)
-        for i, item in enumerate(v.items):
-            if i:
-                out.append(sep)
-            out.append(inner)
-            _write(item, out, depth + 1, pretty)
-        out.append(nl + pad + "]")
-        return
-    if isinstance(v, Object):
-        if not v.pairs:
-            out.append("{}")
-            return
-        out.append("{" + nl)
-        colon = ":" if not pretty else ": "
-        for i, (key, sub) in enumerate(v.pairs):
-            if i:
-                out.append(sep)
-            out.append(inner + json.dumps(key) + colon)
-            _write(sub, out, depth + 1, pretty)
-        out.append(nl + pad + "}")
-        return
-    raise TypeError(f"not a Value: {v!r}")
+def _write(v: Value, out: list[str], nl: str, step: str, colon: str) -> None:
+    """`nl` starts a line at v's depth; `step` indents one level more."""
+    if isinstance(v, (dict, list)):
+        obj = isinstance(v, dict)
+        sep, inner = "{" if obj else "[", nl + step
+        for k, sub in v.items() if obj else enumerate(v):
+            out.append(sep + inner + (encode_basestring_ascii(k) + colon if obj else ""))
+            _write(sub, out, inner, step, colon)
+            sep = ","
+        # an empty one closes right after its opening bracket
+        out.append((nl if v else sep) + ("}" if obj else "]"))
+    elif isinstance(v, (str, Decimal)):
+        out.append(encode_basestring_ascii(v) if isinstance(v, str) else str(v))
+    else:
+        out.append("null" if v is None else "true" if v else "false")
 
 
-def _atom_text(value: AtomValue) -> str:
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, Decimal):
-        return str(value)
-    return json.dumps(value)
+def key(v: Value, nan_equal: bool = False):
+    """v's hashable key for JPQ equality: numbers numerically, booleans apart,
+    members in order; a container keys as its nodes' tokens in preorder.  With
+    `nan_equal` every NaN keys alike, as a grouping key's one NaN class."""
+    if isinstance(v, (dict, list)):
+        return tuple(_token(s, nan_equal) for s in preorder(v))
+    return _token(v, nan_equal)
 
 
-def get_field(v: Value, key: str) -> Optional[Value]:
-    """Value under `key` if v is an object containing it, else None (absent)."""
-    if isinstance(v, Object):
-        for k, sub in v.pairs:
-            if k == key:
-                return sub
-    return None
+def _token(v: Value, nan_equal: bool):
+    if isinstance(v, (dict, list)):  # the shape that the tokens after it fill
+        return (dict, tuple(v)) if isinstance(v, dict) else (list, len(v))
+    if isinstance(v, bool):
+        return (bool, v)
+    return ("NaN",) if nan_equal and isinstance(v, Decimal) and v.is_nan() else v
+
+
+def get_field(v: Value, name: str) -> Value:
+    """Value under `name` if v is an object containing it, else MISSING."""
+    return v.get(name, MISSING) if isinstance(v, dict) else MISSING
 
 
 def preorder(v: Value) -> Iterator[Value]:
-    """v itself, then every nested value, preorder; objects before arrays as laid out."""
-    yield v
-    if isinstance(v, Object):
-        for _, sub in v.pairs:
-            yield from preorder(sub)
-    elif isinstance(v, Array):
-        for item in v.items:
-            yield from preorder(item)
+    """v, then every value nested in it, preorder; a stack serves any depth."""
+    stack = [v]
+    while stack:
+        v = stack.pop()
+        yield v
+        if isinstance(v, (dict, list)):
+            stack.extend(reversed(v.values() if isinstance(v, dict) else v))
 
 
 class DocRegistry:
-    """Named root documents available to `doc("name")` sources.
-
-    Populated before evaluation, read-only afterwards.  Looking up an
-    unregistered name is an error, never a silent empty document.
-    """
+    """Named root documents for `doc("name")`; an unknown name is an error."""
 
     def __init__(self) -> None:
         self._docs: dict[str, Value] = {}
@@ -251,7 +122,6 @@ class DocRegistry:
         self._docs[name] = root
 
     def lookup(self, name: str) -> Value:
-        try:
-            return self._docs[name]
-        except KeyError:
-            raise UnknownDocumentError(name) from None
+        if name not in self._docs:
+            raise UnknownDocumentError(name)
+        return self._docs[name]

@@ -23,7 +23,7 @@ from typing import NoReturn, Optional
 
 from . import ast as A
 from .errors import QueryError, SyntaxError_
-from .model import Atom
+from .model import Value
 from .terms import ArrayT, DistinctT, Term, TupleT, Var
 
 _KEYWORDS = {
@@ -151,16 +151,16 @@ class Parser:
     def at_literal(self) -> bool:
         return self.at("STRING", "NUMBER", "TRUE", "FALSE", "NULL")
 
-    def literal(self) -> Atom:
+    def literal(self) -> Value:
         tok = self.next()
         if tok.kind == "STRING" or tok.kind == "NUMBER":
-            return Atom(tok.value)
+            return tok.value
         if tok.kind == "TRUE":
-            return Atom(True)
+            return True
         if tok.kind == "FALSE":
-            return Atom(False)
+            return False
         if tok.kind == "NULL":
-            return Atom(None)
+            return None
         raise SyntaxError_(f"expected a literal, found {tok.value!r}", tok.line, tok.col)
 
     # -- extraction patterns ----------------------------------------------

@@ -16,7 +16,6 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from decimal import Decimal
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -39,7 +38,7 @@ from .matching import (
     footprint,
     succeeded,
 )
-from .model import Array, Atom, Value
+from .model import key
 from .terms import (
     ArrayT,
     DistinctT,
@@ -300,8 +299,8 @@ def _keys(node: ArrayT, t: Term, path: Path) -> range:
 
 
 def _fold(node: ArrayT, k: int) -> Term:
-    key = DistinctT(node.elem.items[k])
-    return ArrayT(TupleT((ArrayT(node.elem, node.index), key)), key, folded=True)
+    by = DistinctT(node.elem.items[k])
+    return ArrayT(TupleT((ArrayT(node.elem, node.index), by)), by, folded=True)
 
 
 def _fold_data(tr, t, r, k, ctx):
@@ -310,10 +309,10 @@ def _fold_data(tr, t, r, k, ctx):
     classes: dict = {}
     for item in r.items:
         key_r = _as_tuple(item, t.elem).items[k]
-        key = _value_key(key_r)
-        if key not in classes:
-            classes[key] = (MArray([]), key_r)
-        classes[key][0].items.append(item)
+        class_key = _value_key(key_r)
+        if class_key not in classes:
+            classes[class_key] = (MArray([]), key_r)
+        classes[class_key][0].items.append(item)
     items = []
     for members, key_r in classes.values():
         cls = MTuple([members, key_r])
@@ -813,7 +812,7 @@ def project_result(r: MatchResult, t: Term, keep: set) -> MatchResult:
 def _value_key(r: MatchResult):
     """Deep structural key of a result's bound values, used for grouping."""
     if isinstance(r, MBind):
-        return ("b", r.name, _grouping_value(r.value))
+        return ("b", r.name, key(r.value, nan_equal=True))
     if isinstance(r, MTuple):
         return ("t",) + tuple(_value_key(s) for s in r.items)
     if isinstance(r, MArray):
@@ -826,16 +825,3 @@ def _value_key(r: MatchResult):
         return ("u",)
     raise ShapeMismatchError("cannot take the value of a failed result")
 
-
-_NAN = ("nan",)
-
-
-def _grouping_value(v: Value):
-    """`v` as a grouping key.  NaN equals nothing, itself included, so every
-    NaN atom, wherever it sits in `v`, keys as the one value `_NAN`."""
-    if isinstance(v, Atom):
-        x = v.value
-        return _NAN if isinstance(x, Decimal) and x.is_nan() else v
-    if isinstance(v, Array):
-        return ("a", tuple(_grouping_value(s) for s in v.items))
-    return ("o", tuple((k, _grouping_value(s)) for k, s in v.pairs))

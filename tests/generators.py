@@ -12,39 +12,56 @@ from decimal import Decimal
 
 from jpq import ast as A
 from jpq.matching import MArray, MBind, MFailed, MOption, MTuple, MUnit
-from jpq.model import Array, Atom, Object
 from jpq.terms import ArrayT, TupleT, Var
 
 KEYS = ["id", "name", "tags", "meta", "size", "note", "kind", "data"]
 WORDS = ["alpha", "beta", "gamma", "delta", "x", "", "edu", "a b", 'q"t', "\\n"]
 
 
-def gen_atom(rng: random.Random) -> Atom:
+def gen_atom(rng: random.Random):
     pick = rng.randrange(5)
     if pick == 0:
-        return Atom(rng.choice(WORDS))
+        return rng.choice(WORDS)
     if pick == 1:
-        return Atom(Decimal(rng.randint(-1000, 1000)))
+        return Decimal(rng.randint(-1000, 1000))
     if pick == 2:
-        return Atom(Decimal(rng.randint(-9999, 9999)) / Decimal(100))
+        return Decimal(rng.randint(-9999, 9999)) / Decimal(100)
     if pick == 3:
-        return Atom(rng.choice([True, False]))
-    return Atom(None)
+        return rng.choice([True, False])
+    return None
 
 
 def gen_value(rng: random.Random, depth: int = 3):
     if depth <= 0 or rng.random() < 0.4:
         return gen_atom(rng)
     if rng.random() < 0.5:
-        return Array([gen_value(rng, depth - 1) for _ in range(rng.randrange(4))])
+        return [gen_value(rng, depth - 1) for _ in range(rng.randrange(4))]
     keys = rng.sample(KEYS, rng.randrange(1, 4))
-    return Object([(k, gen_value(rng, depth - 1)) for k in keys])
+    return {k: gen_value(rng, depth - 1) for k in keys}
 
 
 def gen_document(rng: random.Random):
     """A root object, as parse_document requires."""
     keys = rng.sample(KEYS, rng.randrange(1, 5))
-    return Object([(k, gen_value(rng, 3)) for k in keys])
+    return {k: gen_value(rng, 3) for k in keys}
+
+
+def _same(a, b) -> bool:
+    """JPQ equality on JSON values, type-strict where Python's `==` is not:
+    numbers (int, float or Decimal) numerically, no kind equal to another
+    (booleans are not numbers), arrays item by item, objects member by
+    member in order.  Tuples compare like arrays, so binding pairs can be
+    checked too."""
+    if isinstance(a, bool) or isinstance(b, bool):
+        return a is b
+    numbers = (int, float, Decimal)
+    if isinstance(a, numbers) and isinstance(b, numbers):
+        return a == b
+    if isinstance(a, dict) and isinstance(b, dict):
+        return list(a) == list(b) and all(_same(a[k], b[k]) for k in a)
+    if isinstance(a, (list, tuple)) and type(a) is type(b):
+        return len(a) == len(b) and all(_same(x, y) for x, y in zip(a, b))
+    return type(a) is type(b) and a == b
 
 
 # -- patterns guaranteed to match a given value -------------------------------
@@ -68,8 +85,9 @@ def gen_matching_pattern(rng: random.Random, value, vars_: _Vars | None = None, 
         return A.PVar(vars_.fresh())
     if pick < 0.4:
         return A.PWild()
-    if isinstance(value, Object) and value.pairs and pick < 0.8:
-        chosen = rng.sample(value.pairs, rng.randrange(1, min(2, len(value.pairs)) + 1))
+    if isinstance(value, dict) and value and pick < 0.8:
+        pairs = list(value.items())
+        chosen = rng.sample(pairs, rng.randrange(1, min(2, len(pairs)) + 1))
         members = []
         for key, sub in chosen:
             var = vars_.fresh() if rng.random() < 0.3 else None
@@ -81,15 +99,14 @@ def gen_matching_pattern(rng: random.Random, value, vars_: _Vars | None = None, 
                 )
             )
         return A.PObject(tuple(members))
-    if isinstance(value, Array) and pick < 0.8:
+    if isinstance(value, list) and pick < 0.8:
         # element pattern built from the first element still matches a subset
-        elem = value.items[0] if value.items else None
-        if elem is None:
+        if not value:
             return A.PArray(A.PVar(vars_.fresh()))
-        return A.PArray(gen_matching_pattern(rng, elem, vars_, depth - 1))
-    if isinstance(value, Atom) and isinstance(value.value, str) and pick < 0.7:
-        if "?" not in value.value:
-            return A.PPred(A.StringPredicate(value.value))
+        return A.PArray(gen_matching_pattern(rng, value[0], vars_, depth - 1))
+    if isinstance(value, str) and pick < 0.7:
+        if "?" not in value:
+            return A.PPred(A.StringPredicate(value))
         return A.PVar(vars_.fresh())
     if pick < 0.9:
         # matching branch first; the second is a fresh binder and also matches

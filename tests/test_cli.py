@@ -183,6 +183,25 @@ def test_deeply_nested_document_exits_with_data_code(tmp_path, capfd):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("depth", [450, 900, 990])
+@pytest.mark.parametrize("kind", ["array", "object"])
+@pytest.mark.parametrize("pattern", ["$x", "//$y"])
+def test_a_deep_document_is_queried_or_fails_as_a_data_error(tmp_path, depth, kind, pattern):
+    # every stage, comparison included, reaches the depth README supports;
+    # past it, parsing or serializing fails as a data error
+    text = "[" * depth + "]" * depth if kind == "array" else '{"a":' * depth + "1" + "}" * depth
+    var = pattern.lstrip("/")
+    built = var if var == pattern else f"[{var}]"
+    query = f'from doc("d") {pattern} construct {{"r":{built}}} where {var} = {var}'
+    code, out, err = run_on(tmp_path, text, query)
+    if code == EXIT_OK:
+        assert out.startswith('{"r":') and err == ""
+    else:
+        assert (code, out) == (EXIT_DATA, "") and "nests too deeply" in err, err
+    if depth <= 900:
+        assert code == EXIT_OK, err
+
+
 def test_deeply_nested_query_exits_with_query_code(capfd):
     q = 'from doc("univ") {"a":' + "[" * 3000 + "$x" + "]" * 3000 + '} construct {"x":$x}'
     code = main(["--doc", "univ=" + UNIV, "-e", q])
@@ -438,3 +457,45 @@ def test_nan_grouping_keys_form_one_class(tmp_path, text, expected):
         'construct {"r":[{"k":^[$y]%,"c":[$v]}] groupby ^[$y]%}'
     )
     assert run_on(tmp_path, text, query) == (EXIT_OK, expected + "\n", "")
+
+
+# -- absent members, null, member order and true against 1 ------------------------
+
+NULLS = '{"xs":[{"n":"a","k":null},{"n":"b"},{"n":"c","k":1}]}'
+
+
+@pytest.mark.parametrize(
+    "condition, expected",
+    [
+        ('$o."k" = null', '{"r":[{"n":"a","k":null}]}'),
+        ('notnull($o."k")', '{"r":[{"n":"c","k":1}]}'),
+        ('$o."k" != null', '{"r":[{"n":"c","k":1}]}'),
+    ],
+)
+def test_an_absent_member_is_not_null(tmp_path, condition, expected):
+    query = 'from doc("d") {"xs":[$o]} construct {"r":[$o]} where ' + condition
+    assert run_on(tmp_path, NULLS, query) == (EXIT_OK, expected + "\n", "")
+
+
+ORDERS = (
+    '{"xs":[{"n":"a","k":{"p":1,"q":2}},{"n":"b","k":{"q":2,"p":1}},'
+    '{"n":"c","k":true},{"n":"d","k":1}]}'
+)
+
+
+def test_a_join_tells_member_order_and_true_from_1(tmp_path):
+    query = (
+        'from doc("d") {"xs":<[{"n":$n1,"k":$k1}],[{"n":$n2,"k":$k2}]>} '
+        'construct {"r":[^[{"a":$n1,"b":$n2}]]} where $k1 = $k2'
+    )
+    expected = '{"r":[{"a":"a","b":"a"},{"a":"b","b":"b"},{"a":"c","b":"c"},{"a":"d","b":"d"}]}'
+    assert run_on(tmp_path, ORDERS, query) == (EXIT_OK, expected + "\n", "")
+
+
+def test_grouping_tells_member_order_and_true_from_1(tmp_path):
+    query = 'from doc("d") {"xs":[{"n":$n,"k":$k}]} construct {"r":[{"k":$k%,"c":[$n]}] groupby $k%}'
+    expected = (
+        '{"r":[{"k":{"p":1,"q":2},"c":["a"]},{"k":{"q":2,"p":1},"c":["b"]},'
+        '{"k":true,"c":["c"]},{"k":1,"c":["d"]}]}'
+    )
+    assert run_on(tmp_path, ORDERS, query) == (EXIT_OK, expected + "\n", "")

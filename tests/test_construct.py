@@ -5,15 +5,13 @@ import pytest
 from jpq.construct import backbone, build, build_empty, value_of
 from jpq.errors import ConstructionError, InvalidConstructionError, TypeError_
 from jpq.matching import MArray, MBind, MFailed, MOption, MTuple, MUnit
-from jpq.model import Array, Atom, Object, serialize
+from jpq.model import serialize
 from jpq.parser import parse_construction
 from jpq.terms import UNIT, ArrayT, DistinctT, OptionT, TupleT, Var, is_unit
 
+from .generators import _same
+
 X, Y, Z, N, K = Var("x"), Var("y"), Var("z"), Var("n"), Var("k")
-
-
-def bind(name, raw):
-    return MBind(name, Atom(raw))
 
 
 def marr(items, folded=False):
@@ -63,31 +61,31 @@ def test_grouped_array_needs_a_class_content_array():
 
 
 def test_build_variable_reference():
-    assert build(parse_construction("$x"), X, bind("x", "v")) == Atom("v")
+    assert _same(build(parse_construction("$x"), X, MBind("x", "v")), "v")
 
 
 def test_build_object_aligns_members_with_tuple_slots():
     cp = parse_construction('{"a":$x,"b":$y}')
-    out = build(cp, TupleT((X, Y)), MTuple([bind("x", "1"), bind("y", "2")]))
-    assert out == Object((("a", Atom("1")), ("b", Atom("2"))))
+    out = build(cp, TupleT((X, Y)), MTuple([MBind("x", "1"), MBind("y", "2")]))
+    assert _same(out, {"a": "1", "b": "2"})
 
 
 def test_build_nested_object_consumes_its_share_of_slots():
     cp = parse_construction('{"p":{"a":$x,"b":$y},"c":$z}')
-    r = MTuple([bind("x", "1"), bind("y", "2"), bind("z", "3")])
+    r = MTuple([MBind("x", "1"), MBind("y", "2"), MBind("z", "3")])
     out = build(cp, TupleT((X, Y, Z)), r)
     assert serialize(out) == '{"p":{"a":"1","b":"2"},"c":"3"}'
 
 
 def test_build_interleaves_constants():
     cp = parse_construction('{"kind":"person","name":$x}')
-    out = build(cp, X, bind("x", "Li"))
+    out = build(cp, X, MBind("x", "Li"))
     assert serialize(out) == '{"kind":"person","name":"Li"}'
 
 
 def test_build_array_of_objects():
     cp = parse_construction('[{"v":$x}]')
-    r = marr([bind("x", "a"), bind("x", "b")])
+    r = marr([MBind("x", "a"), MBind("x", "b")])
     out = build(cp, ArrayT(X, X), r)
     assert serialize(out) == '[{"v":"a"},{"v":"b"}]'
 
@@ -95,7 +93,7 @@ def test_build_array_of_objects():
 def test_build_orders_ascending_and_descending():
     cp_asc = parse_construction("[$x] groupby $x asc")
     cp_desc = parse_construction("[$x] groupby $x desc")
-    r = marr([bind("x", Decimal(3)), bind("x", Decimal(1)), bind("x", Decimal(2))])
+    r = marr([MBind("x", Decimal(3)), MBind("x", Decimal(1)), MBind("x", Decimal(2))])
     t = ArrayT(X, X)
     assert serialize(build(cp_asc, t, r)) == "[1,2,3]"
     assert serialize(build(cp_desc, t, r)) == "[3,2,1]"
@@ -106,9 +104,9 @@ def test_ordering_is_stable_for_equal_keys():
     t = ArrayT(TupleT((X, Y)), TupleT((X, Y)))
     r = marr(
         [
-            MTuple([bind("x", "b"), bind("y", "1")]),
-            MTuple([bind("x", "a"), bind("y", "2")]),
-            MTuple([bind("x", "b"), bind("y", "3")]),
+            MTuple([MBind("x", "b"), MBind("y", "1")]),
+            MTuple([MBind("x", "a"), MBind("y", "2")]),
+            MTuple([MBind("x", "b"), MBind("y", "3")]),
         ]
     )
     assert serialize(build(cp, t, r)) == (
@@ -118,21 +116,21 @@ def test_ordering_is_stable_for_equal_keys():
 
 def test_ordering_rejects_mixed_key_types():
     cp = parse_construction("[$x] groupby $x asc")
-    r = marr([bind("x", "a"), bind("x", Decimal(1))])
+    r = marr([MBind("x", "a"), MBind("x", Decimal(1))])
     with pytest.raises(TypeError_):
         build(cp, ArrayT(X, X), r)
 
 
 def test_build_count_of_an_array():
     cp = parse_construction("count([$x])")
-    r = marr([bind("x", "a"), bind("x", "b"), bind("x", "c")])
-    assert build(cp, ArrayT(X, None), r) == Atom(Decimal(3))
+    r = marr([MBind("x", "a"), MBind("x", "b"), MBind("x", "c")])
+    assert _same(build(cp, ArrayT(X, None), r), Decimal(3))
 
 
 def test_build_selected_option_branch():
     cp = parse_construction('({"a":$x} | {"b":$y})')
     t = OptionT((X, Y))
-    r = MOption([MFailed(), bind("y", "v")], option_id=1, selected=1)
+    r = MOption([MFailed(), MBind("y", "v")], option_id=1, selected=1)
     assert serialize(build(cp, t, r)) == '{"b":"v"}'
 
 
@@ -141,8 +139,8 @@ def test_build_grouped_array_classes():
     t = backbone(cp)
     classes = marr(
         [
-            MTuple([marr([bind("n", "a"), bind("n", "b")]), bind("k", "1")]),
-            MTuple([marr([bind("n", "c")]), bind("k", "2")]),
+            MTuple([marr([MBind("n", "a"), MBind("n", "b")]), MBind("k", "1")]),
+            MTuple([marr([MBind("n", "c")]), MBind("k", "2")]),
         ],
         folded=True,
     )
@@ -157,8 +155,8 @@ def test_build_grouped_array_orders_by_key():
     t = backbone(cp)
     classes = marr(
         [
-            MTuple([marr([bind("n", "a")]), bind("k", "1")]),
-            MTuple([marr([bind("n", "c")]), bind("k", "2")]),
+            MTuple([marr([MBind("n", "a")]), MBind("k", "1")]),
+            MTuple([marr([MBind("n", "c")]), MBind("k", "2")]),
         ],
         folded=True,
     )
@@ -181,14 +179,14 @@ def test_build_empty_keeps_constants_and_structure():
 
 
 def test_value_of_resolved_options_and_bindings():
-    assert value_of(bind("x", "v")) == Atom("v")
-    opt = MOption([MFailed(), bind("y", "w")], option_id=0, selected=1)
-    assert value_of(opt) == Atom("w")
+    assert _same(value_of(MBind("x", "v")), "v")
+    opt = MOption([MFailed(), MBind("y", "w")], option_id=0, selected=1)
+    assert _same(value_of(opt), "w")
     with pytest.raises(ConstructionError):
-        value_of(MTuple([bind("a", "1"), bind("b", "2")]))
+        value_of(MTuple([MBind("a", "1"), MBind("b", "2")]))
 
 
 def test_pattern_wider_than_result_is_rejected():
     cp = parse_construction('{"a":$x,"b":$y}')
     with pytest.raises(ConstructionError):
-        build(cp, X, bind("x", "1"))
+        build(cp, X, MBind("x", "1"))

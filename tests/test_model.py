@@ -4,29 +4,15 @@ from decimal import Decimal
 import pytest
 
 from jpq.errors import DuplicateKeyError, JsonSyntaxError
-from jpq.model import (
-    Array,
-    Atom,
-    Object,
-    get_field,
-    parse_document,
-    preorder,
-    serialize,
-)
+from jpq.model import MISSING, get_field, key, parse_document, preorder, serialize
 
-from .generators import gen_document
+from .generators import _same, gen_document
 
 
 def test_atoms_parse_to_typed_values():
     v = parse_document('{"s":"hi","n":1.5,"b":true,"e":null}')
-    assert v == Object(
-        [
-            ("s", Atom("hi")),
-            ("n", Atom(Decimal("1.5"))),
-            ("b", Atom(True)),
-            ("e", Atom(None)),
-        ]
-    )
+    assert _same(v, {"s": "hi", "n": Decimal("1.5"), "b": True, "e": None})
+    assert type(v["n"]) is Decimal
 
 
 @pytest.mark.parametrize(
@@ -43,13 +29,13 @@ def test_atoms_parse_to_typed_values():
 def test_numbers_keep_exact_decimal_text(text, printed):
     # digits and trailing zeros survive; exponents print in Decimal form
     v = parse_document(f'{{"n":{text}}}')
-    assert get_field(v, "n") == Atom(Decimal(text))
+    assert _same(get_field(v, "n"), Decimal(text))
     assert serialize(v) == f'{{"n":{printed}}}'
 
 
 def test_object_preserves_document_order():
     v = parse_document('{"z":1,"a":2,"m":3}')
-    assert v.keys() == ["z", "a", "m"]
+    assert list(v) == ["z", "a", "m"]
 
 
 def test_duplicate_keys_rejected():
@@ -57,36 +43,83 @@ def test_duplicate_keys_rejected():
         parse_document('{"a":1,"a":2}')
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"a":1,"a":2}', "duplicate key 'a' in object at $"),
+        # a key is checked before the member under it, so the inner repeat
+        # is reported first
+        ('{"a":{"b":[0,{"c":1,"c":2}]},"a":3}', "duplicate key 'c' in object at $.a.b[1]"),
+        ('{"x":[{"k":1,"k":1}],"y":{"z":0,"z":0}}', "duplicate key 'k' in object at $.x[0]"),
+        ('[{"q":{"w":1,"w":2}}]', "duplicate key 'w' in object at $[0].q"),
+    ],
+)
+def test_duplicate_key_message_names_the_first_repeat_and_its_path(text, message):
+    with pytest.raises(DuplicateKeyError) as e:
+        parse_document(text)
+    assert str(e.value) == message
+
+
 def test_malformed_document_rejected():
     with pytest.raises(JsonSyntaxError):
         parse_document('{"a":')
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"a":', "Expecting value at line 1, column 6"),
+        ('{"a":\n [1,\n 2,,]}', "Expecting value at line 3, column 4"),
+        # a syntax error anywhere wins over a repeated key before it
+        ('{"a":1,"a":2,', "Expecting property name enclosed in double quotes at line 1, column 14"),
+    ],
+)
+def test_syntax_error_message_gives_line_and_column(text, message):
+    with pytest.raises(JsonSyntaxError) as e:
+        parse_document(text)
+    assert str(e.value) == message
+
+
 def test_serialize_pretty_round_trips():
     v = parse_document('{"a":[1,{"b":"x"}],"c":null}')
-    assert parse_document(serialize(v, pretty=True)) == v
+    assert _same(parse_document(serialize(v, pretty=True)), v)
 
 
-def test_get_field_missing_returns_none(univ):
-    assert get_field(univ, "no-such-key") is None
-    assert get_field(get_field(univ, "president"), "ID") == Atom("0001")
+def test_get_field_tells_a_missing_member_from_null(univ):
+    assert get_field(univ, "no-such-key") is MISSING
+    assert get_field(parse_document('{"k":null}'), "k") is None
+    assert get_field(MISSING, "k") is MISSING
+    assert _same(get_field(get_field(univ, "president"), "ID"), "0001")
 
 
 def test_preorder_visits_parent_before_children():
     v = parse_document('{"a":{"b":[1,2]}}')
     seen = list(preorder(v))
     assert seen[0] is v
-    assert seen.index(get_field(v, "a")) < seen.index(Atom(Decimal(1)))
+    assert [type(x) for x in seen] == [dict, dict, list, Decimal, Decimal]
+    assert seen[1] is get_field(v, "a") and _same(seen[3:], [Decimal(1), Decimal(2)])
 
 
 def test_string_escapes_round_trip():
-    v = Object([("k", Atom('a"b\\c\n\té'))])
-    assert parse_document(serialize(v)) == v
+    v = {"k": 'a"b\\c\n\té'}
+    assert _same(parse_document(serialize(v)), v)
 
 
 def test_generated_documents_round_trip():
     for seed in range(300):
         rng = random.Random(seed)
         doc = gen_document(rng)
-        assert parse_document(serialize(doc)) == doc
-        assert parse_document(serialize(doc, pretty=True)) == doc
+        assert _same(parse_document(serialize(doc)), doc)
+        assert _same(parse_document(serialize(doc, pretty=True)), doc)
+
+
+def test_key_is_jpq_equality():
+    one, one_point_0 = Decimal(1), Decimal("1.0")
+    assert key(one) == key(one_point_0) and key(True) != key(one) and key(None) != key(False)
+    assert key({"p": one, "q": [True]}) == key({"p": one_point_0, "q": [True]})
+    assert key({"p": 1, "q": 2}) != key({"q": 2, "p": 1})
+    # nesting is part of the key, not only the atoms in preorder
+    assert key([[one], one]) != key([[one, one]]) and key([[]]) != key([[], []])
+    assert len({key([one, {"a": None}]), key([one_point_0, {"a": None}])}) == 1
+    nan = Decimal("NaN")
+    assert key(nan) != key(nan) and key(nan, nan_equal=True) == key(Decimal("NaN"), nan_equal=True)
