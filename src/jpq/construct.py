@@ -25,6 +25,7 @@ from .matching import (
     MOption,
     MTuple,
     MUnit,
+    chosen,
     succeeded,
 )
 from .model import Value
@@ -63,9 +64,7 @@ def value_of(r: MatchResult) -> Value:
     if isinstance(r, MBind):
         return r.value
     if isinstance(r, MOption):
-        if r.selected is None:
-            raise ConstructionError("cannot take the value of an unresolved option")
-        return value_of(r.branches[r.selected])
+        return value_of(r.branches[chosen(r)])
     raise ConstructionError("expected a single bound value")
 
 
@@ -126,11 +125,9 @@ class Builder:
                 if is_unit(cp.backbone):
                     return self.build(cp.branches[0], UNIT, MUnit())
                 raise ConstructionError("expected an option result")
-            if r.selected is None:
-                raise ConstructionError("cannot build from an unresolved option")
             if not isinstance(t, OptionT) or len(t.branches) != len(cp.branches):
                 raise ConstructionError("option construction does not fit the result")
-            i = r.selected
+            i = chosen(r)
             return self.build(cp.branches[i], t.branches[i], r.branches[i])
         if kind is A.CArray or kind is A.CFlatArray:
             if not isinstance(t, ArrayT):
@@ -209,8 +206,7 @@ def _collect_binds(r: MatchResult, out: dict) -> None:
         for s in r.items:
             _collect_binds(s, out)
     elif isinstance(r, MOption):
-        if r.selected is not None:
-            _collect_binds(r.branches[r.selected], out)
+        _collect_binds(r.branches[chosen(r)], out)
 
 
 def _sorted_by(values: list[Value], keys: list[Value], order: str) -> list[Value]:

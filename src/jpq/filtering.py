@@ -30,6 +30,7 @@ from .matching import (
     MOption,
     MTuple,
     MUnit,
+    _viable,
     branch_token,
     compare_atoms,
     succeeded,
@@ -107,8 +108,6 @@ class _Enumerator:
                 covered.add(tok)
                 if not succeeded(br):
                     continue
-                if r.selected is not None and r.selected != i:
-                    continue
                 for a in self.run(bt, br, path + (i,)):
                     out.append(_Assignment(a.env, a.tokens | {tok}))
             if not any_relevant:
@@ -150,11 +149,10 @@ def _pairs(
 ) -> list[_Assignment]:
     """The merged (earlier, new) assignment pairs, outer in `combos` order and
     inner in `subs` order.  With a join `(u, v)`, each earlier assignment meets
-    only the new ones whose `v` has the same `key` as its `u`: a superset of
-    the pairs on which `u = v` holds (a dict also matches NaN to itself), so
-    the condition is still evaluated on every pair formed.  An assignment
-    lacking its join variable pairs with nothing: `=` on a missing operand
-    is false."""
+    only the new ones whose `v` has the same `key` as its `u`, the pairs on
+    which `u = v` holds; the condition is still evaluated on every pair
+    formed.  An assignment lacking its join variable pairs with nothing: `=`
+    on a missing operand is false."""
     if join is None:
         pairs = ((a, b) for a in combos for b in subs)
     else:
@@ -275,13 +273,10 @@ def _sweep(r: MatchResult, removed: set, emptied: set) -> MatchResult:
     if isinstance(r, MArray):
         kept = (_sweep(item, removed, emptied) for item in r.items if item.elem_id not in removed)
         return r.with_parts([s for s in kept if succeeded(s)])
-    out = r.with_parts([
-        _sweep(b, removed, emptied)
-        if succeeded(b) and branch_token(r, i) not in emptied
-        else MFailed()
+    return _viable(r.with_parts([
+        MFailed() if branch_token(r, i) in emptied else _sweep(b, removed, emptied)
         for i, b in enumerate(r.branches)
-    ])
-    return out if succeeded(out) else MFailed()
+    ]))
 
 
 def _apply_outcomes(
@@ -333,20 +328,14 @@ def filter_result(
 
 
 def resolve_options(r: MatchResult) -> MatchResult:
-    """Collapse every option to its first surviving branch, keeping the
-    selected-branch marker; options with no surviving branch fail and
-    propagate (array elements drop, tuples fail)."""
+    """Resolve every option to its first surviving branch in pattern order by
+    failing the others, so `chosen` names the branch taken.  No result fails
+    here: an option always has a surviving branch."""
     if isinstance(r, (MBind, MUnit, MFailed)):
         return r
-    if isinstance(r, MTuple):
-        items = [resolve_options(s) for s in r.items]
-        return r.with_parts(items) if all(succeeded(s) for s in items) else MFailed()
-    if isinstance(r, MArray):
-        return r.with_parts([s for s in map(resolve_options, r.items) if succeeded(s)])
-    for i, b in enumerate(r.branches):
-        res = resolve_options(b)
-        if succeeded(res):
-            out = r.with_parts([res if j == i else MFailed() for j in range(len(r.branches))])
-            out.selected = i
-            return out
-    return MFailed()
+    if isinstance(r, MOption):
+        take = next(i for i, b in enumerate(r.branches) if succeeded(b))
+        return r.with_parts([
+            resolve_options(b) if i == take else MFailed() for i, b in enumerate(r.branches)
+        ])
+    return r.with_parts([resolve_options(s) for s in r.items])

@@ -16,6 +16,7 @@ from decimal import Decimal
 from typing import Iterable, Iterator, Optional, Union
 
 from . import ast as A
+from .errors import ShapeMismatchError
 from .model import Value, key, preorder, serialize
 from .terms import ArrayT, DistinctT, OptionT, Term, TupleT, UNIT, Var, is_unit
 
@@ -24,16 +25,19 @@ class MatchResult:
     """A match result node.  The composite nodes (tuples, arrays, options)
     list their sub-results with `parts()` and rebuild over new ones with
     `with_parts(parts)`, which keeps the node's identity: its element id, an
-    array's folding, an option's branch tokens and selection."""
+    array's folding, an option's branch tokens.  A failed result is MFailed,
+    never an option whose branches all failed; an option is resolved when all
+    its branches but one have failed, and `chosen` names that one."""
 
     __slots__ = ("elem_id",)
 
     def __init__(self):
         self.elem_id: Optional[int] = None
 
-    def _keeping_id(self, out: MatchResult) -> MatchResult:
-        out.elem_id = self.elem_id
-        return out
+
+def _keep_id(new: MatchResult, old: MatchResult) -> MatchResult:
+    new.elem_id = old.elem_id
+    return new
 
 
 class MBind(MatchResult):
@@ -59,7 +63,7 @@ class MTuple(MatchResult):
         return list(self.items)
 
     def with_parts(self, parts: list[MatchResult]) -> MTuple:
-        return self._keeping_id(MTuple(parts))
+        return _keep_id(MTuple(parts), self)
 
     def __repr__(self):
         return f"MTuple({self.items!r})"
@@ -77,25 +81,23 @@ class MArray(MatchResult):
         return list(self.items)
 
     def with_parts(self, parts: list[MatchResult]) -> MArray:
-        return self._keeping_id(MArray(parts, self.folded))
+        return _keep_id(MArray(parts, self.folded), self)
 
     def __repr__(self):
         return f"MArray({self.items!r})"
 
 
 class MOption(MatchResult):
-    __slots__ = ("branches", "selected", "branch_ids")
+    __slots__ = ("branches", "branch_ids")
 
     def __init__(
         self,
         branches: list[MatchResult],
         option_id: Optional[int],
-        selected: Optional[int] = None,
         branch_ids: Optional[list[int]] = None,
     ):
         super().__init__()
         self.branches = list(branches)
-        self.selected = selected
         # stable per-branch tokens; they follow branches through commutation
         if branch_ids is None:
             branch_ids = [(option_id, i) for i in range(len(branches))]
@@ -105,10 +107,10 @@ class MOption(MatchResult):
         return list(self.branches)
 
     def with_parts(self, parts: list[MatchResult]) -> MOption:
-        return self._keeping_id(MOption(parts, None, self.selected, self.branch_ids))
+        return _keep_id(MOption(parts, None, self.branch_ids), self)
 
     def __repr__(self):
-        return f"MOption({self.branches!r}, selected={self.selected})"
+        return f"MOption({self.branches!r})"
 
 
 class MUnit(MatchResult):
@@ -126,11 +128,21 @@ class MFailed(MatchResult):
 
 
 def succeeded(r: MatchResult) -> bool:
-    if isinstance(r, MFailed):
-        return False
-    if isinstance(r, MOption):
-        return any(succeeded(b) for b in r.branches)
-    return True
+    return not isinstance(r, MFailed)
+
+
+def _viable(opt: MOption) -> MatchResult:
+    """The option, or MFailed when none of its branches survived: the mirror
+    of terms.option_of, as _combine is of tuple_of."""
+    return opt if any(succeeded(b) for b in opt.branches) else MFailed()
+
+
+def chosen(opt: MOption) -> int:
+    """The branch a resolved option took: its one surviving branch."""
+    alive = [i for i, b in enumerate(opt.branches) if succeeded(b)]
+    if len(alive) != 1:
+        raise ShapeMismatchError(f"an option with {len(alive)} surviving branches is unresolved")
+    return alive[0]
 
 
 def _combine(parts: list[tuple[Term, MatchResult]]) -> MatchResult:
@@ -198,7 +210,7 @@ class Matcher:
                 results.append(r)
             return _slotted(p.items, results)
         if isinstance(p, A.POption):
-            return MOption([self.match_value(b, v) for b in p.branches], self.fresh_id())
+            return _viable(MOption([self.match_value(b, v) for b in p.branches], self.fresh_id()))
         if isinstance(p, A.PChildren):
             # an object's pairs, document order
             if not isinstance(v, dict):
@@ -225,9 +237,8 @@ class Matcher:
     def match_kv_pair(self, kv: A.KeyValuePattern, name: str, value: Value) -> MatchResult:
         """Match one key-value pair (used by enumeration)."""
         if isinstance(kv, A.KVOption):
-            return MOption(
-                [self.match_kv_pair(b, name, value) for b in kv.branches], self.fresh_id()
-            )
+            branches = [self.match_kv_pair(b, name, value) for b in kv.branches]
+            return _viable(MOption(branches, self.fresh_id()))
         if kv.key is not None and not kv.key.matches(name):
             return MFailed()
         vr = self.match_value(kv.value, value)
@@ -240,9 +251,8 @@ class Matcher:
     def _match_kv_in_object(self, kv: A.KeyValuePattern, obj: dict) -> MatchResult:
         """First pair (document order) that satisfies kv; Failed when none does."""
         if isinstance(kv, A.KVOption):
-            return MOption(
-                [self._match_kv_in_object(b, obj) for b in kv.branches], self.fresh_id()
-            )
+            branches = [self._match_kv_in_object(b, obj) for b in kv.branches]
+            return _viable(MOption(branches, self.fresh_id()))
         for name, sub in obj.items():
             r = self.match_kv_pair(kv, name, sub)
             if succeeded(r):
@@ -311,9 +321,8 @@ def instantiates(r: MatchResult, t: Term) -> bool:
             and all(
                 instantiates(b, bt)
                 for b, bt in zip(r.branches, t.branches)
-                if not isinstance(b, MFailed)
+                if succeeded(b)
             )
-            and any(not isinstance(b, MFailed) for b in r.branches)
         )
     if isinstance(t, ArrayT):
         if t.flat and not isinstance(r, MArray):
@@ -331,8 +340,9 @@ def instantiates(r: MatchResult, t: Term) -> bool:
 
 
 def footprint(r: MatchResult) -> frozenset:
-    """Identity tokens under r: element ids, plus (option, branch) markers for
-    selected branches.  Unresolved options contribute all viable branches."""
+    """Identity tokens under r: element ids, plus a branch token for each
+    surviving option branch, which is the branch taken once options are
+    resolved."""
     tokens: set = set()
     _collect_footprint(r, tokens)
     return frozenset(tokens)
@@ -348,13 +358,10 @@ def _collect_footprint(r: MatchResult, tokens: set) -> None:
         for s in r.items:
             _collect_footprint(s, tokens)
     elif isinstance(r, MOption):
-        if r.selected is not None:
-            tokens.add(branch_token(r, r.selected))
-            _collect_footprint(r.branches[r.selected], tokens)
-        else:
-            for i, b in enumerate(r.branches):
-                if succeeded(b):
-                    _collect_footprint(b, tokens)
+        for i, b in enumerate(r.branches):
+            if succeeded(b):
+                tokens.add(branch_token(r, i))
+                _collect_footprint(b, tokens)
 
 
 def branch_token(opt: MOption, i: int):
@@ -378,8 +385,7 @@ def render_result(r: MatchResult, max_value: int = 40) -> str:
     if isinstance(r, MArray):
         return "[" + "; ".join(render_result(s, max_value) for s in r.items) + "]"
     if isinstance(r, MOption):
-        if r.selected is not None:
-            return render_result(r.branches[r.selected], max_value)
-        return "(" + " | ".join(render_result(b, max_value) for b in r.branches) + ")"
+        alts = [render_result(b, max_value) for b in r.branches if succeeded(b)]
+        return alts[0] if len(alts) == 1 else "(" + " | ".join(alts) + ")"
     raise TypeError(f"not a result: {r!r}")
 

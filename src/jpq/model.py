@@ -80,8 +80,10 @@ def _write(v: Value, out: list[str], nl: str, step: str, colon: str) -> None:
 
 def key(v: Value, nan_equal: bool = False):
     """v's hashable key for JPQ equality: numbers numerically, booleans apart,
-    members in order; a container keys as its nodes' tokens in preorder.  With
-    `nan_equal` every NaN keys alike, as a grouping key's one NaN class."""
+    members in order; a container keys as its nodes' tokens in preorder.  A
+    NaN keys as a fresh token, so it and any container holding it equal
+    nothing; with `nan_equal` every NaN keys alike, as a grouping key's one
+    NaN class."""
     if isinstance(v, (dict, list)):
         return tuple(_token(s, nan_equal) for s in preorder(v))
     return _token(v, nan_equal)
@@ -92,7 +94,9 @@ def _token(v: Value, nan_equal: bool):
         return (dict, tuple(v)) if isinstance(v, dict) else (list, len(v))
     if isinstance(v, bool):
         return (bool, v)
-    return ("NaN",) if nan_equal and isinstance(v, Decimal) and v.is_nan() else v
+    if isinstance(v, Decimal) and v.is_nan():
+        return ("NaN",) if nan_equal else object()
+    return v
 
 
 def get_field(v: Value, name: str) -> Value:

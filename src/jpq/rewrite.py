@@ -34,7 +34,10 @@ from .matching import (
     MTuple,
     MUnit,
     _combine,
+    _keep_id,
+    _viable,
     branch_token,
+    chosen,
     footprint,
     succeeded,
 )
@@ -174,45 +177,32 @@ def _associate_tuple_data(tr, t, r, j, ctx):
     return r.with_parts(items[:-1] + items[-1].items)
 
 
-def _rebranched(opt: MOption, branches: list, branch_ids: list, selected) -> MOption:
-    """`opt` over new branches, given their tokens and the selected one."""
-    out = opt.with_parts(branches)
-    out.branch_ids, out.selected = branch_ids, selected
-    return out
+def _rebranched(opt: MOption, branches: list, branch_ids: list) -> MOption:
+    """`opt` over new branches, given their tokens."""
+    return _keep_id(MOption(branches, None, branch_ids), opt)
 
 
 def _commute_option_data(tr, t, r, i, ctx):
     opt = _as_option(r, t)
-    selected = {i: i + 1, i + 1: i}.get(opt.selected, opt.selected)
-    return _rebranched(opt, _swap(opt.branches, i), _swap(opt.branch_ids, i), selected)
+    return _rebranched(opt, _swap(opt.branches, i), _swap(opt.branch_ids, i))
 
 
 def _associate_option_data(tr, t, r, j, ctx):
     opt = _as_option(r, t)
-    branches, ids, selected = opt.branches, opt.branch_ids, opt.selected
+    branches, ids = opt.branches, opt.branch_ids
     if j == -1:
         inner = branches[-1]
         if isinstance(inner, MFailed):
             # a failed nested option expands to failed branches
             width = len(t.branches[-1].branches)
             grouped = [("g", tr.fresh_id()) for _ in range(width)]
-            return _rebranched(
-                opt, branches[:-1] + [MFailed()] * width, ids[:-1] + grouped, selected
-            )
+            return _rebranched(opt, branches[:-1] + [MFailed()] * width, ids[:-1] + grouped)
         if not isinstance(inner, MOption):
             raise ShapeMismatchError("no nested option result to ungroup")
-        if selected is not None and selected == len(branches) - 1:
-            selected = len(branches) - 1 + (inner.selected or 0)
-        return _rebranched(
-            opt, branches[:-1] + inner.branches, ids[:-1] + inner.branch_ids, selected
-        )
-    inner_sel = None
-    if selected is not None and selected >= j:
-        inner_sel, selected = selected - j, j
-    inner = MOption(branches[j:], None, inner_sel, ids[j:])
-    if not succeeded(inner):
-        inner = MFailed()  # a failed group is a failed branch, as matching makes it
-    return _rebranched(opt, branches[:j] + [inner], ids[:j] + [("g", tr.fresh_id())], selected)
+        return _rebranched(opt, branches[:-1] + inner.branches, ids[:-1] + inner.branch_ids)
+    # a failed group is a failed branch, as matching makes it
+    inner = _viable(MOption(branches[j:], None, ids[j:]))
+    return _rebranched(opt, branches[:j] + [inner], ids[:j] + [("g", tr.fresh_id())])
 
 
 # -- duplication and flattening -------------------------------------------------
@@ -706,7 +696,7 @@ class Transformer:
 
     def _splice(self, arr_t: Term, arr_r: MatchResult, rel: Path) -> MatchResult:
         """`rel` addresses the array being flattened inside the enclosing
-        array's element term; every element whose selected content reaches it
+        array's element term; every element whose chosen content reaches it
         expands into one output element per inner element."""
         if not isinstance(arr_t, ArrayT) or not isinstance(arr_r, MArray):
             raise ShapeMismatchError("flattening needs an enclosing array result")
@@ -732,14 +722,9 @@ class Transformer:
             if not isinstance(r, MTuple if tuple_t else MOption):
                 kind = "a tuple" if tuple_t else "an option"
                 raise ShapeMismatchError(f"expected {kind} result while flattening")
+            if not tuple_t and chosen(r) != step:
+                return [r]  # an option expands only through the branch it takes
             parts = r.parts()
-            if not tuple_t:
-                # an option expands only through the branch it takes
-                take = r.selected
-                if take is None:
-                    take = next((i for i, b in enumerate(parts) if succeeded(b)), None)
-                if take != step or not succeeded(parts[step]):
-                    return [r]
             out = []
             for sub in self._expand(children(t)[step], parts[step], path[1:]):
                 parts[step] = sub
@@ -754,11 +739,6 @@ class Transformer:
         raise ShapeMismatchError(
             "flattening may only cross tuples and options inside the element term"
         )
-
-
-def _keep_id(new: MatchResult, old: MatchResult) -> MatchResult:
-    new.elem_id = old.elem_id
-    return new
 
 
 def _as_tuple(r: MatchResult, t: Term) -> MTuple:
@@ -794,10 +774,7 @@ def project_result(r: MatchResult, t: Term, keep: set) -> MatchResult:
             return _keep_id(MUnit(), r)
         if not isinstance(r, MOption):
             raise ShapeMismatchError(f"expected an option result for {render(t)}")
-        return r.with_parts([
-            project_result(b, bt, keep) if succeeded(b) else MFailed()
-            for bt, b in zip(t.branches, r.branches)
-        ])
+        return r.with_parts([project_result(b, bt, keep) for bt, b in zip(t.branches, r.branches)])
     if isinstance(t, ArrayT):
         if is_unit(project(t.elem, keep)):
             return _keep_id(MUnit(), r)
@@ -818,9 +795,7 @@ def _value_key(r: MatchResult):
     if isinstance(r, MArray):
         return ("a",) + tuple(_value_key(s) for s in r.items)
     if isinstance(r, MOption):
-        if r.selected is not None:
-            return ("o", r.selected, _value_key(r.branches[r.selected]))
-        return ("o",) + tuple(_value_key(b) for b in r.branches if succeeded(b))
+        return ("o",) + tuple((i, _value_key(b)) for i, b in enumerate(r.branches) if succeeded(b))
     if isinstance(r, MUnit):
         return ("u",)
     raise ShapeMismatchError("cannot take the value of a failed result")

@@ -459,6 +459,57 @@ def test_nan_grouping_keys_form_one_class(tmp_path, text, expected):
     assert run_on(tmp_path, text, query) == (EXIT_OK, expected + "\n", "")
 
 
+@pytest.mark.parametrize(
+    "condition, expected",
+    [("$x = $x", '{"r":[1]}'), ("$x != $x", '{"r":[NaN,[NaN],{"a":NaN}]}')],
+    ids=["equal", "unequal"],
+)
+def test_an_array_or_object_holding_nan_equals_nothing(tmp_path, condition, expected):
+    query = 'from doc("d") {"xs":[$x]} construct {"r":[$x]} where ' + condition
+    text = '{"xs":[NaN,[NaN],{"a":NaN},1]}'
+    assert run_on(tmp_path, text, query) == (EXIT_OK, expected + "\n", "")
+
+
+# -- option alternatives through commutation and ungrouping -------------------------
+
+OPTS = '{"p":{"ID":"1"},"q":[{"ID":"2"},{"ID":"3"}],"r":{"name":"n"},"s":{"ID":"4","name":"m"}}'
+UNGROUPED = (
+    'from doc("d") /$k:({"ID":$a}|([{"ID":$b}]|{"name":$c})) '
+    'construct {"r":[{"k":$k,"v":($a|^[$b]|$c)}]}'
+)
+
+
+@pytest.mark.parametrize(
+    "query, route, expected",
+    [
+        (
+            UNGROUPED,
+            "option-association @ 0/1 #-1",
+            '{"r":[{"k":"p","v":"1"},{"k":"q","v":"2"},{"k":"q","v":"3"},'
+            '{"k":"r","v":"n"},{"k":"s","v":"4"}]}',
+        ),
+        (
+            # s matches both alternatives and keeps the first in pattern order
+            'from doc("d") /$k:({"ID":$a}|{"name":$c}) construct {"r":[{"k":$k,"v":($c|$a)}]}',
+            "option-commutation @ 0/1 #0",
+            '{"r":[{"k":"p","v":"1"},{"k":"r","v":"n"},{"k":"s","v":"4"}]}',
+        ),
+        (
+            UNGROUPED + ' where $a != "4" par $c = "n"',
+            "option-association @ 0/1 #-1",
+            '{"r":[{"k":"p","v":"1"},{"k":"r","v":"n"}]}',
+        ),
+    ],
+    ids=["ungrouping", "commutation", "filtered-ungrouping"],
+)
+def test_option_alternatives_survive_rewriting(tmp_path, query, route, expected):
+    doc = tmp_path / "d.json"
+    doc.write_text(OPTS)
+    code, out, err = run(CliConfig(docs=[("d", str(doc))], query_text=query, explain=True))
+    assert (code, err) == (EXIT_OK, "")
+    assert route in out and out.endswith("\n" + expected + "\n")
+
+
 # -- absent members, null, member order and true against 1 ------------------------
 
 NULLS = '{"xs":[{"n":"a","k":null},{"n":"b"},{"n":"c","k":1}]}'

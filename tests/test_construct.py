@@ -130,7 +130,7 @@ def test_build_count_of_an_array():
 def test_build_selected_option_branch():
     cp = parse_construction('({"a":$x} | {"b":$y})')
     t = OptionT((X, Y))
-    r = MOption([MFailed(), MBind("y", "v")], option_id=1, selected=1)
+    r = MOption([MFailed(), MBind("y", "v")], option_id=1)
     assert serialize(build(cp, t, r)) == '{"b":"v"}'
 
 
@@ -180,7 +180,7 @@ def test_build_empty_keeps_constants_and_structure():
 
 def test_value_of_resolved_options_and_bindings():
     assert _same(value_of(MBind("x", "v")), "v")
-    opt = MOption([MFailed(), MBind("y", "w")], option_id=0, selected=1)
+    opt = MOption([MFailed(), MBind("y", "w")], option_id=0)
     assert _same(value_of(opt), "w")
     with pytest.raises(ConstructionError):
         value_of(MTuple([MBind("a", "1"), MBind("b", "2")]))

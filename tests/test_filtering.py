@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 
@@ -17,6 +18,7 @@ from jpq.matching import (
     MBind,
     MOption,
     MTuple,
+    chosen,
     match_value,
     succeeded,
 )
@@ -25,6 +27,8 @@ from jpq.parser import parse_condition, parse_pattern, parse_query
 from jpq.terms import ArrayT, OptionT, TupleT, Var
 
 from .generators import _same
+from .test_golden import T, document_sets
+from .test_matching import _options
 
 SCHOOLS = '{"schools":[{"name":$n,"faculty":[{"ID":$id}]}]}'
 
@@ -228,15 +232,38 @@ def test_filter_empties_unsatisfied_option_branch(univ):
     r = filtered(p, '$a = "nope"', univ)
     assert succeeded(r)  # the $b branch is untouched
     resolved = resolve_options(r)
-    assert resolved.selected == 1
+    assert chosen(resolved) == 1
     assert _same(binds(resolved), [("b", "0001")])
 
 
 def test_resolve_options_prefers_the_first_surviving_branch(univ):
     p = '{"president":({"email":$a}|{"ID":$b})}'
     r = resolve_options(match_value(parse_pattern(p), univ))
-    assert r.selected == 0
+    assert chosen(r) == 0
     assert _same(binds(r), [("a", "xxli@123.edu")])
+
+
+def test_resolved_options_keep_exactly_one_branch():
+    # every benchmark template, on the fixture and on seeded documents
+    engine = Engine(DocRegistry())
+    sets = document_sets()
+    for set_name, docs in sets.items():
+        for name, text in docs.items():
+            engine.registry.register(f"{set_name}/{name}", parse_document(text))
+    options = 0
+    for template in T.ALL:
+        for set_name, docs in sets.items():
+            if set(docs) != set(template.docs):
+                continue
+            q = parse_query(template.query({d: f"{set_name}/{d}" for d in docs}))
+            r = engine._match(q, itertools.count(1))
+            if q.where is not None:
+                r = filter_result(r, q.term, q.where)
+            for opt in _options(resolve_options(r)):
+                options += 1
+                assert sum(map(succeeded, opt.branches)) == 1, template.name
+                assert succeeded(opt.branches[chosen(opt)])
+    assert options
 
 
 # -- oracle: nested-loop evaluation over flat assignments ---------------------

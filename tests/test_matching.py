@@ -143,10 +143,29 @@ def test_generated_matches_instantiate_their_terms():
         assert instantiates(r, derive_matching_term(p))
 
 
+def _options(r):
+    """Every option under r, preorder."""
+    return [node for node in _composites(r) if isinstance(node, MOption)]
+
+
+def test_no_option_result_has_only_failed_branches(univ):
+    # an array of documents, each matched against an option whose first branch
+    # fits it and whose nested option is built for documents picked at random
+    docs = [univ] + [gen_document(random.Random(seed)) for seed in range(30)]
+    for seed in range(100):
+        rng = random.Random(seed)
+        vars_ = _Vars()
+        branches = [gen_matching_pattern(rng, rng.choice(docs), vars_) for _ in range(3)]
+        p = A.PArray(A.POption((branches[0], A.POption(tuple(branches[1:])))))
+        r = match_value(p, docs)
+        assert r.items
+        assert [o for o in _options(r) if not any(map(succeeded, o.branches))] == []
+
+
 def test_footprint_collects_element_and_branch_tokens():
     item = MBind("x", "v")
     item.elem_id = 7
-    opt = MOption([MUnit(), MFailed()], option_id=3, selected=0)
+    opt = MOption([MUnit(), MFailed()], option_id=3)
     tokens = footprint(MTuple([MArray([item]), opt]))
     assert 7 in tokens
     assert ("b", (3, 0)) in tokens
@@ -166,7 +185,6 @@ def _identity(r):
         r.elem_id,
         getattr(r, "folded", None),
         getattr(r, "branch_ids", None),
-        getattr(r, "selected", None),
     )
 
 
@@ -181,7 +199,6 @@ def test_with_parts_keeps_a_result_nodes_identity():
                 node.folded = rng.random() < 0.5
             if isinstance(node, MOption):
                 rng.shuffle(node.branch_ids)
-                node.selected = rng.choice([None, rng.randrange(len(node.branches))])
         for node in _composites(r):
             before, parts = _identity(node), node.parts()
             copy = node.with_parts(parts)
