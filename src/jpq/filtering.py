@@ -334,7 +334,9 @@ def resolve_options(r: MatchResult) -> MatchResult:
     if isinstance(r, (MBind, MUnit, MFailed)):
         return r
     if isinstance(r, MOption):
-        take = next(i for i, b in enumerate(r.branches) if succeeded(b))
+        take = next((i for i, b in enumerate(r.branches) if succeeded(b)), None)
+        if take is None:
+            raise ShapeMismatchError("an option with no surviving branch reached resolution")
         return r.with_parts([
             resolve_options(b) if i == take else MFailed() for i, b in enumerate(r.branches)
         ])

@@ -323,6 +323,7 @@ def instantiates(r: MatchResult, t: Term) -> bool:
                 for b, bt in zip(r.branches, t.branches)
                 if succeeded(b)
             )
+            and succeeded(_viable(r))
         )
     if isinstance(t, ArrayT):
         if t.flat and not isinstance(r, MArray):

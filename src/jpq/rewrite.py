@@ -179,7 +179,9 @@ def _associate_tuple_data(tr, t, r, j, ctx):
 
 def _rebranched(opt: MOption, branches: list, branch_ids: list) -> MOption:
     """`opt` over new branches, given their tokens."""
-    return _keep_id(MOption(branches, None, branch_ids), opt)
+    out = opt.with_parts(branches)
+    out.branch_ids = list(branch_ids)
+    return out
 
 
 def _commute_option_data(tr, t, r, i, ctx):

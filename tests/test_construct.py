@@ -3,7 +3,7 @@ from decimal import Decimal
 import pytest
 
 from jpq.construct import backbone, build, build_empty, value_of
-from jpq.errors import ConstructionError, InvalidConstructionError, TypeError_
+from jpq.errors import ConstructionError, InvalidConstructionError, ShapeMismatchError, TypeError_
 from jpq.matching import MArray, MBind, MFailed, MOption, MTuple, MUnit
 from jpq.model import serialize
 from jpq.parser import parse_construction
@@ -182,6 +182,8 @@ def test_value_of_resolved_options_and_bindings():
     assert _same(value_of(MBind("x", "v")), "v")
     opt = MOption([MFailed(), MBind("y", "w")], option_id=0)
     assert _same(value_of(opt), "w")
+    with pytest.raises(ShapeMismatchError):
+        value_of(MOption([MBind("y", "v"), MBind("y", "w")], option_id=0))
     with pytest.raises(ConstructionError):
         value_of(MTuple([MBind("a", "1"), MBind("b", "2")]))
 

@@ -20,7 +20,7 @@ from jpq.matching import (
 )
 from jpq.model import parse_document, preorder
 from jpq.parser import parse_pattern
-from jpq.terms import ArrayT, TupleT, Var
+from jpq.terms import ArrayT, OptionT, TupleT, Var
 
 from .generators import ResultBuilder, _Vars, _same, gen_document, gen_matching_pattern, gen_term
 
@@ -131,6 +131,12 @@ def test_match_result_instantiates_derived_term(univ):
     inner = ArrayT(Var("id"), Var("id"))
     assert t == ArrayT(TupleT((Var("n"), inner)), TupleT((Var("n"), inner)))
     assert instantiates(match_value(p, univ), t)
+
+
+def test_an_option_with_every_branch_failed_instantiates_nothing():
+    t = OptionT((Var("a"), Var("b")))
+    assert instantiates(MOption([MFailed(), MBind("b", "1")], option_id=0), t)
+    assert not instantiates(MOption([MFailed(), MFailed()], option_id=0), t)
 
 
 def test_generated_matches_instantiate_their_terms():
