@@ -273,12 +273,11 @@ def _distribute_array_data(tr, t, r, _, ctx):
     arr_r = tup.items[-1]
     if not isinstance(arr_r, MArray):
         raise ShapeMismatchError("expected an array result to distribute over")
-    head_tokens = ctx | footprint(MTuple(tup.items[:-1]))
-    items = []
-    for item in arr_r.items:
-        if compatible(head_tokens | footprint(item), tr.constraints):
-            items.append(_keep_id(_pair(t, tup, t.items[-1].elem, item), item))
-    return _keep_id(arr_r.with_parts(items), r)
+    items = arr_r.items
+    if tr.constraints:
+        items = tr.allowed(ctx | footprint(MTuple(tup.items[:-1])), arr_r)
+    elem_t = t.items[-1].elem
+    return _keep_id(arr_r.with_parts([_keep_id(_pair(t, tup, elem_t, i), i) for i in items]), r)
 
 
 # -- folding into classes keyed by one element component ------------------------
@@ -557,9 +556,6 @@ def infer_route(
 # constraints recorded by filtering, consumed by array distribution
 
 
-_NO_POSTINGS: frozenset = frozenset()
-
-
 @dataclass(frozen=True)
 class Constraint:
     """Satisfied support-tuple footprints of one filter condition.
@@ -576,19 +572,34 @@ class Constraint:
 
     def allows(self, tokens: frozenset) -> bool:
         for covered, universe in self.option_universe:
-            chosen = tokens & universe
-            if chosen and not chosen <= covered:
+            if tokens & (universe - covered):  # a branch the condition never inspected
                 return True
         required: set = set()
         for group in self.groups:
             chosen = tokens & group
             if len(chosen) == 1:
                 required |= chosen
-        if not required:
-            return True
-        # some footprint holds every required token: intersect their postings
-        first, *rest = sorted((self._postings.get(tok, _NO_POSTINGS) for tok in required), key=len)
-        return bool(first.intersection(*rest))
+        return not required or bool(self._holding(required))
+
+    def candidates(self, head: frozenset, ids: set, under: set) -> set:
+        """A superset of the ids in `ids` whose item `allows` beside `head`, given
+        the tokens `under` the items but their own ids.  All of `ids` unless no
+        option is covered and the items lie in one group alone, which neither
+        `head` nor `under` meets, nor `under` a group `head` holds one token of."""
+        meets = [g for g in self.groups if not g.isdisjoint(ids)]
+        group = meets[0] if len(meets) == 1 else frozenset()
+        sources = [g for g in self.groups if len(head & g) == 1]
+        if self.option_universe or not ids <= group or not head.isdisjoint(group) or any(
+            not under.isdisjoint(g) for g in [group, *sources]
+        ):
+            return ids
+        required = set().union(*(head & g for g in sources))
+        return {tok for i in self._holding(required) for tok in self.footprints[i] & group}
+
+    def _holding(self, required: set):
+        """Indexes of the footprints holding every required token, all for none."""
+        postings = sorted((self._postings.get(tok, frozenset()) for tok in required), key=len)
+        return postings[0].intersection(*postings[1:]) if postings else range(len(self.footprints))
 
     @cached_property
     def _postings(self) -> dict:
@@ -598,10 +609,6 @@ class Constraint:
             for tok in fp:
                 postings.setdefault(tok, set()).add(i)
         return postings
-
-
-def compatible(tokens: frozenset, constraints: Iterable[Constraint]) -> bool:
-    return all(c.allows(tokens) for c in constraints)
 
 
 # ---------------------------------------------------------------------------
@@ -616,11 +623,31 @@ class Transformer:
     nodes it creates: the matcher's, so no new id equals a matched one that
     a constraint refers to (by default a counter of its own, from 1)."""
 
+    SCAN_UP_TO = 8  # a candidate lookup costs a few item checks: short arrays check all
+
     def __init__(
         self, constraints: Iterable[Constraint] = (), ids: Optional[Iterator[int]] = None
     ):
         self.constraints = tuple(constraints)
         self._ids = itertools.count(1) if ids is None else ids
+        self._summaries: dict = {}
+
+    def allowed(self, head: frozenset, arr: MArray) -> list[MatchResult]:
+        """`arr`'s items every constraint allows beside the tokens `head`.  Past
+        `SCAN_UP_TO` items only the candidates all constraints name are checked,
+        and the item data is kept for the step's next head."""
+        cs, items = self.constraints, arr.items
+        if len(items) <= self.SCAN_UP_TO:
+            pairs = ((item, footprint(item)) for item in items)
+        else:
+            if arr not in self._summaries:  # keyed by identity
+                fps = [footprint(item) for item in items]
+                under = set().union(*(fp - {item.elem_id} for item, fp in zip(items, fps)))
+                self._summaries[arr] = fps, {item.elem_id for item in items}, under
+            fps, ids, under = self._summaries[arr]
+            named = ids.intersection(*(c.candidates(head, ids, under) for c in cs))
+            pairs = ((item, fp) for item, fp in zip(items, fps) if item.elem_id in named)
+        return [item for item, fp in pairs if all(c.allows(head | fp) for c in cs)]
 
     def fresh_id(self) -> int:
         return next(self._ids)
@@ -637,6 +664,7 @@ class Transformer:
 
     def _apply(self, step: Step, t: Term, r: MatchResult) -> MatchResult:
         rule, path, arg = _TABLE[step.rule], step.path, step.param
+        self._summaries.clear()  # a cache for one step: it pins the arrays it holds
         if step.rule == "array-flattening":
             # a flat ancestor holds spliced singles, not an array result, so
             # the elements to multiply live in the nearest non-flat array out

@@ -18,6 +18,12 @@ Path = tuple[int, ...]
 class Term:
     __slots__ = ()
 
+    def __hash__(self) -> int:
+        """Kept once computed; from kind and fields, so equal terms hash alike."""
+        if "_hash" not in self.__dict__:
+            self.__dict__["_hash"] = hash((type(self), *self.__dict__.values()))
+        return self.__dict__["_hash"]
+
 
 @dataclass(frozen=True)
 class Var(Term):
@@ -46,6 +52,9 @@ class ArrayT(Term):
 class DistinctT(Term):
     inner: Term
 
+
+for _kind in (Var, TupleT, OptionT, ArrayT, DistinctT):
+    _kind.__hash__ = Term.__hash__  # not the dataclass one, which rehashes every field
 
 UNIT = TupleT(())
 
@@ -119,10 +128,8 @@ def children(t: Term) -> tuple[Term, ...]:
 
 
 def with_children(t: Term, kids: tuple[Term, ...]) -> Term:
-    if isinstance(t, TupleT):
-        return TupleT(kids)
-    if isinstance(t, OptionT):
-        return OptionT(kids)
+    if isinstance(t, (TupleT, OptionT)):
+        return type(t)(kids)
     if isinstance(t, ArrayT):
         return ArrayT(kids[0], t.index, t.flat, t.folded)
     if isinstance(t, DistinctT):
@@ -203,7 +210,8 @@ def project(t: Term, keep: set[str]) -> Term:
         elem = project(t.elem, keep)
         if is_unit(elem):
             return UNIT
-        index = t.index if t.index is None else project(t.index, keep)
+        # a self-indexed array stays one, its element projected once
+        index = elem if t.index is t.elem else t.index and project(t.index, keep)
         if index is not None and is_unit(index):
             index = elem
         return ArrayT(elem, index, t.flat, t.folded)

@@ -12,8 +12,10 @@ from jpq import Engine, DocRegistry, parse_document, parse_query, serialize
 from jpq.errors import (
     InvalidCompositionError,
     InvalidConstructionError,
+    SearchBoundExceededError,
     UnknownDocumentError,
 )
+from jpq.rewrite import infer_route
 
 EX1 = (
     'from doc("univ") /$r"?president?":(<$po,{"ID":*}>|[$pa]) '
@@ -236,9 +238,9 @@ def searches(monkeypatch):
     calls = []
     real = jpq.engine.infer_route
 
-    def counted(source, target):
+    def counted(source, target, *budget):
         calls.append((source, target))
-        return real(source, target)
+        return real(source, target, *budget)
 
     monkeypatch.setattr(jpq.engine, "infer_route", counted)
     return calls
@@ -426,3 +428,26 @@ def test_mutated_queries_fail_only_with_typed_errors(engine):
         except JpqError:
             pass
     assert parsed > 100  # the edits reach planning and running, not only the lexer
+
+
+def test_the_route_search_budget_is_an_engine_option(univ):
+    reg = DocRegistry()
+    reg.register("univ", univ)
+    q = parse_query(EX5)
+    with pytest.raises(SearchBoundExceededError):
+        Engine(reg, max_states=10).plan(q)
+    with pytest.raises(SearchBoundExceededError):
+        Engine(reg, max_depth=2).plan(q)
+    # by default 200,000 states and depth 14, the bounds infer_route has
+    plan = Engine(reg).plan(q)
+    assert plan.route == infer_route(q.term, q.construct.backbone, 14, 200_000)
+    assert len(plan.route) > 2
+
+
+def test_a_deeply_nested_array_pattern_costs_linear_time():
+    depth = 40  # each level used to double the work: 2**40 steps
+    reg = DocRegistry()
+    reg.register("d", parse_document("[" * depth + "1" + "]" * depth))
+    pattern = "[" * depth + "$x" + "]" * depth
+    q = f'from doc("d") {pattern} construct {{"r":{pattern}}}'
+    assert run(Engine(reg), q) == '{"r":' + "[" * depth + "1" + "]" * depth + "}"

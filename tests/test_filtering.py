@@ -24,6 +24,7 @@ from jpq.matching import (
 )
 from jpq.model import DocRegistry, get_field, parse_document, serialize
 from jpq.parser import parse_condition, parse_pattern, parse_query
+from jpq.rewrite import Constraint, Transformer
 from jpq.terms import ArrayT, OptionT, TupleT, Var
 
 from .generators import _same
@@ -413,3 +414,86 @@ def test_partitioned_join_records_what_the_nested_loop_records(
         if _same(a["k"], b["k"]) and residual(a["n"], b["n"])
     )
     assert not any("5" in a + b for a, b in got)  # NaN pairs with nothing
+
+
+# -- key-directed array distribution -------------------------------------------
+
+
+def _with_ids(r):
+    """A result's shape with every element id and branch token."""
+    parts = [_with_ids(p) for p in r.parts()] if hasattr(r, "parts") else getattr(r, "name", None)
+    return type(r).__name__, r.elem_id, getattr(r, "branch_ids", None), parts
+
+
+def _distributed(monkeypatch, reg, query, pruning):
+    """The output, the constraints recorded, the transformed result with its
+    ids, and the `allows` calls made, with each distributed head paired only
+    with the candidates the constraints name, however short the array, or
+    with every item checked."""
+    transformed, calls = [], []
+    transform, allows = Transformer.transform, Constraint.allows
+
+    def spy_transform(self, r, terms, route):
+        out = transform(self, r, terms, route)
+        transformed.append(_with_ids(out))
+        return out
+
+    def spy_allows(self, tokens):
+        calls.append(tokens)
+        return allows(self, tokens)
+
+    with monkeypatch.context() as m:
+        m.setattr(Transformer, "transform", spy_transform)
+        m.setattr(Constraint, "allows", spy_allows)
+        m.setattr(Transformer, "SCAN_UP_TO", 0 if pruning else float("inf"))
+        out, constraints = _recorded(monkeypatch, reg, query, partition=True)
+    return out, constraints, transformed, len(calls)
+
+
+# repeated person ids, jobs naming one person twice, and jobs naming nobody
+PEOPLE = [{"id": "p0", "name": "A"}, {"id": "p1", "name": "B"}, {"id": "p2", "name": "C"},
+          {"id": "p1", "name": "D"}]
+JOBS = [{"pid": "p1", "title": "dean"}, {"pid": "x9", "title": "chair"},
+        {"pid": "p1", "title": "clerk"}, {"pid": "p0", "title": "head"}, {"pid": "p7", "title": "x"}]
+
+
+@pytest.mark.parametrize(
+    "query,docset",
+    [
+        (SELF_JOIN + "$k1 = $k2", None),
+        (SELF_JOIN + "not ($n1 = $n2) and $k2 = $k1", None),
+        ('from doc("p") {"xs":[{"n":$n1,"k":$k1}]}, doc("q") {"ys":[{"n":$n2,"k":$k2}]} '
+         'construct {"r":[^[{"a":$n1,"b":$n2}]]} where $k1 = $k2', None),
+        (SELF_JOIN + "$k1 = $k2 with not ($n1 = $n2)", None),
+        (T.EX3.text, "fixture"),
+        (T.EX3.text, "univ-6x5"),
+        (T.EX5.text, "fixture"),
+        (T.EX5.text, "univ-6x5"),
+        (T.PEOPLE_JOBS.text, None),
+        (T.PEOPLE_JOBS.text, "people-jobs-30"),
+    ],
+    ids=["self-join", "self-join-with-residual", "two-documents", "with", "EX3", "EX3-6x5",
+         "EX5-par", "EX5-par-6x5", "people-jobs", "people-jobs-30"],
+)
+def test_key_directed_distribution_records_what_the_full_scan_records(monkeypatch, query, docset):
+    docs = {"d": {"xs": XS}, "p": {"xs": XS}, "q": {"ys": YS}, "people": {"ps": PEOPLE},
+            "jobs": {"js": JOBS}}
+    texts = {name: json.dumps(doc) for name, doc in docs.items()}
+    texts.update(document_sets()[docset] if docset else {})
+    reg = DocRegistry()
+    for name, text in texts.items():
+        reg.register(name, parse_document(text))
+    out, constraints, transformed, calls = _distributed(monkeypatch, reg, query, pruning=True)
+    # outputs, element ids and constraints equal, in the same order
+    full = _distributed(monkeypatch, reg, query, pruning=False)
+    assert (out, constraints, transformed) == full[:3]
+    if query == T.EX5.text:  # an option the condition covers: every item gets the full check
+        assert calls == full[3] > 0 and any(c.option_universe for c in constraints)
+    else:
+        assert calls < full[3]
+    if docset is None and query == T.PEOPLE_JOBS.text:
+        assert sorted(json.loads(out)["staff"], key=str) == sorted(
+            ({"name": p["name"], "title": j["title"]} for p in PEOPLE for j in JOBS
+             if p["id"] == j["pid"]),
+            key=str,
+        )

@@ -438,3 +438,39 @@ def test_indexed_allows_agrees_with_a_linear_footprint_scan():
             tokens = some(universe + [1000], 6)  # 1000 lies in no footprint
             assert c.allows(tokens) == linear_allows(c, tokens), (c, tokens)
         assert c == Constraint(c.footprints, c.groups, c.option_universe)
+
+
+def test_candidates_hold_every_item_allows_beside_the_head():
+    rng = random.Random(5)
+    pruned = 0
+    for _ in range(400):
+        tokens = list(range(24))
+        rng.shuffle(tokens)
+        # one group per array instance, as filtering records them
+        groups = tuple(frozenset(tokens[6 * i : 6 * i + 6]) for i in range(rng.randint(1, 4)))
+        if rng.random() < 0.3:  # and, defensively, groups that overlap
+            groups += (frozenset(rng.sample(tokens, 6)),)
+        branches = [("b", (99, 0)), ("b", (99, 1))]
+        options = ((frozenset(branches[:1]), frozenset(branches)),) if rng.random() < 0.2 else ()
+        # a satisfied assignment picks one element per group, at times a branch
+        footprints = tuple(
+            frozenset(rng.choice(sorted(g)) for g in groups)
+            | set(rng.sample(branches, rng.randint(0, 1)))
+            for _ in range(rng.randint(0, 10))
+        )
+        c = Constraint(footprints, groups, options)
+        pool = sorted(rng.choice(groups)) if rng.random() < 0.8 else tokens + [100]
+        items = []
+        for _ in range(rng.randint(1, 6)):
+            inner = rng.sample(tokens + branches, rng.randint(0, 2)) if rng.random() < 0.2 else []
+            x = rng.choice(pool)
+            items.append((x, frozenset([x, *inner])))
+        head = frozenset(rng.sample(tokens + branches + [101], rng.randint(0, 3)))
+        ids = {x for x, _ in items}
+        under = set().union(*(fp - {x} for x, fp in items))
+        named = c.candidates(head, ids, under)
+        for x, fp in items:
+            if c.allows(head | fp):
+                assert x in named, (c, head, items)
+        pruned += named < ids
+    assert pruned > 30  # not every draw falls back to the full scan

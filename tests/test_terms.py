@@ -107,3 +107,26 @@ def test_terms_match_folded_class_may_hide_key():
     state = ArrayT(TupleT((class_arr, state_key)), state_key, folded=True)
     hidden = ArrayT(TupleT((ArrayT(A, None), key)), key, folded=True)
     assert terms_match(state, hidden)
+
+
+def test_equal_terms_built_apart_hash_alike():
+    def build():
+        # fresh nodes throughout, no subterm shared between the two builds
+        a = ArrayT(TupleT((Var("a"), OptionT((Var("b"), TupleT(()))))), TupleT((Var("a"),)))
+        return DistinctT(ArrayT(TupleT((a, Var("c"))), None, flat=True))
+
+    s, t = build(), build()
+    assert s is not t and s == t and hash(s) == hash(t)
+    assert hash(s) == hash(t)  # again, from the kept values
+
+
+def test_projecting_a_self_indexed_array_keeps_one_shared_element():
+    t = A
+    for _ in range(60):
+        t = arr(t)
+    p = project(t, {"a"})
+    assert render(p) == render(t)
+    for _ in range(60):
+        assert p.index is p.elem
+        p = p.elem
+    assert p == A
