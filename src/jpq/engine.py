@@ -59,9 +59,8 @@ ROUTE_CACHE_SIZE = 128
 
 
 class Engine:
-    def __init__(self, registry: Optional[DocRegistry] = None, max_states=200_000, max_depth=14):
+    def __init__(self, registry: Optional[DocRegistry] = None):
         self.registry = registry or DocRegistry()
-        self.max_states, self.max_depth = max_states, max_depth
         self._routes: dict[tuple[Term, Term], tuple[RewriteRoute, tuple[Term, ...]]] = {}
 
     def plan(self, q: A.QueryAst) -> Plan:
@@ -71,7 +70,7 @@ class Engine:
         key = (projected, target)
         planned = self._routes.pop(key, None)  # re-inserted last: LRU order
         if planned is None:
-            route = infer_route(source, target, self.max_depth, self.max_states)
+            route = infer_route(source, target)
             planned = (route, replay(projected, route))
             if len(self._routes) >= ROUTE_CACHE_SIZE:
                 del self._routes[next(iter(self._routes))]

@@ -623,8 +623,6 @@ class Transformer:
     nodes it creates: the matcher's, so no new id equals a matched one that
     a constraint refers to (by default a counter of its own, from 1)."""
 
-    SCAN_UP_TO = 8  # a candidate lookup costs a few item checks: short arrays check all
-
     def __init__(
         self, constraints: Iterable[Constraint] = (), ids: Optional[Iterator[int]] = None
     ):
@@ -633,21 +631,17 @@ class Transformer:
         self._summaries: dict = {}
 
     def allowed(self, head: frozenset, arr: MArray) -> list[MatchResult]:
-        """`arr`'s items every constraint allows beside the tokens `head`.  Past
-        `SCAN_UP_TO` items only the candidates all constraints name are checked,
-        and the item data is kept for the step's next head."""
+        """`arr`'s items every constraint allows beside the tokens `head`; only the
+        candidates all constraints name are checked.  Item data is kept for the step."""
         cs, items = self.constraints, arr.items
-        if len(items) <= self.SCAN_UP_TO:
-            pairs = ((item, footprint(item)) for item in items)
-        else:
-            if arr not in self._summaries:  # keyed by identity
-                fps = [footprint(item) for item in items]
-                under = set().union(*(fp - {item.elem_id} for item, fp in zip(items, fps)))
-                self._summaries[arr] = fps, {item.elem_id for item in items}, under
-            fps, ids, under = self._summaries[arr]
-            named = ids.intersection(*(c.candidates(head, ids, under) for c in cs))
-            pairs = ((item, fp) for item, fp in zip(items, fps) if item.elem_id in named)
-        return [item for item, fp in pairs if all(c.allows(head | fp) for c in cs)]
+        if arr not in self._summaries:  # keyed by identity
+            fps = [footprint(item) for item in items]
+            under = set().union(*(fp - {item.elem_id} for item, fp in zip(items, fps)))
+            self._summaries[arr] = fps, {item.elem_id for item in items}, under
+        fps, ids, under = self._summaries[arr]
+        named = ids.intersection(*(c.candidates(head, ids, under) for c in cs))
+        return [item for item, fp in zip(items, fps)
+                if item.elem_id in named and all(c.allows(head | fp) for c in cs)]
 
     def fresh_id(self) -> int:
         return next(self._ids)

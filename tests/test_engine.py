@@ -12,10 +12,8 @@ from jpq import Engine, DocRegistry, parse_document, parse_query, serialize
 from jpq.errors import (
     InvalidCompositionError,
     InvalidConstructionError,
-    SearchBoundExceededError,
     UnknownDocumentError,
 )
-from jpq.rewrite import infer_route
 
 EX1 = (
     'from doc("univ") /$r"?president?":(<$po,{"ID":*}>|[$pa]) '
@@ -238,9 +236,9 @@ def searches(monkeypatch):
     calls = []
     real = jpq.engine.infer_route
 
-    def counted(source, target, *budget):
+    def counted(source, target):
         calls.append((source, target))
-        return real(source, target, *budget)
+        return real(source, target)
 
     monkeypatch.setattr(jpq.engine, "infer_route", counted)
     return calls
@@ -428,20 +426,6 @@ def test_mutated_queries_fail_only_with_typed_errors(engine):
         except JpqError:
             pass
     assert parsed > 100  # the edits reach planning and running, not only the lexer
-
-
-def test_the_route_search_budget_is_an_engine_option(univ):
-    reg = DocRegistry()
-    reg.register("univ", univ)
-    q = parse_query(EX5)
-    with pytest.raises(SearchBoundExceededError):
-        Engine(reg, max_states=10).plan(q)
-    with pytest.raises(SearchBoundExceededError):
-        Engine(reg, max_depth=2).plan(q)
-    # by default 200,000 states and depth 14, the bounds infer_route has
-    plan = Engine(reg).plan(q)
-    assert plan.route == infer_route(q.term, q.construct.backbone, 14, 200_000)
-    assert len(plan.route) > 2
 
 
 def test_a_deeply_nested_array_pattern_costs_linear_time():

@@ -428,8 +428,7 @@ def _with_ids(r):
 def _distributed(monkeypatch, reg, query, pruning):
     """The output, the constraints recorded, the transformed result with its
     ids, and the `allows` calls made, with each distributed head paired only
-    with the candidates the constraints name, however short the array, or
-    with every item checked."""
+    with the candidates the constraints name, or with every item checked."""
     transformed, calls = [], []
     transform, allows = Transformer.transform, Constraint.allows
 
@@ -445,7 +444,8 @@ def _distributed(monkeypatch, reg, query, pruning):
     with monkeypatch.context() as m:
         m.setattr(Transformer, "transform", spy_transform)
         m.setattr(Constraint, "allows", spy_allows)
-        m.setattr(Transformer, "SCAN_UP_TO", 0 if pruning else float("inf"))
+        if not pruning:
+            m.setattr(Constraint, "candidates", lambda self, head, ids, under: ids)
         out, constraints = _recorded(monkeypatch, reg, query, partition=True)
     return out, constraints, transformed, len(calls)
 
