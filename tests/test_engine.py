@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import pathlib
@@ -407,17 +408,22 @@ def mutate(rng, text, alphabet):
     return text
 
 
-def test_mutated_queries_fail_only_with_typed_errors(engine):
-    from jpq.errors import JpqError
-
+def mutated_queries():
+    """Seeded random edits of the worked examples, without end."""
     rng = random.Random(2015)
     alphabet = ["\\u", "\\u00", "\\u0041", "\\", "$", "#", '"', "0", "7", "-", ".", "e",
                 "\n", " ", "{", "}", "[", "]", "(", ")", "<", ">", ":", ",", "|", "%",
                 "^", "*", "/", "=", "!", ";", "x", "²"]
     examples = [EX1, EX2, EX3, EX4, EX5, EX6]
+    while True:
+        yield mutate(rng, rng.choice(examples), alphabet)
+
+
+def test_mutated_queries_fail_only_with_typed_errors(engine):
+    from jpq.errors import JpqError
+
     parsed = 0
-    for _ in range(1500):
-        text = mutate(rng, rng.choice(examples), alphabet)
+    for text in itertools.islice(mutated_queries(), 1500):
         try:
             q = parse_query(text)
             parsed += 1

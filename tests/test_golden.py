@@ -6,11 +6,17 @@ CLI prints.  A change meant to keep behaviour (a refactor, a speed-up) must
 leave them byte-identical; a change meant to alter them records the file
 again and says why:
 
-    PYTHONPATH=src python3 tests/test_golden.py
+    PYTHONPATH=src python3 -m tests.test_golden
 
 `tests/golden_rules.json` does the same on `fixtures/univ.json` for a few
 queries outside the benchmark, chosen so that the routes of the two files
 together use every rewrite rule; the same command records it.
+
+`tests/golden_parse.txt` records, one line each, what `parse_query` gives
+for the first seeded mutations of the worked examples
+(`tests/test_engine.py`): the `unparse_query` text of a mutation that
+parses, or the class and message of the error it raises.  It pins
+syntax-error text; the same command records it.
 
 `bench/` is only read: its modules are loaded without writing bytecode.
 """
@@ -18,18 +24,23 @@ together use every rewrite rule; the same command records it.
 from __future__ import annotations
 
 import importlib.util
+import itertools
 import json
 import pathlib
 import random
 import re
 import sys
 
-from jpq import DocRegistry, Engine, parse_document, parse_query, serialize
+from jpq import DocRegistry, Engine, parse_document, parse_query, serialize, unparse_query
+from jpq.errors import JpqError
 from jpq.rewrite import RULES
+
+from .test_engine import mutated_queries
 
 ROOT = pathlib.Path(__file__).parent.parent
 GOLDEN = pathlib.Path(__file__).parent / "golden.json"
 GOLDEN_RULES = pathlib.Path(__file__).parent / "golden_rules.json"
+GOLDEN_PARSE = pathlib.Path(__file__).parent / "golden_parse.txt"
 SEED = 2015
 
 
@@ -127,8 +138,25 @@ def test_every_rewrite_rule_has_golden_coverage():
     assert set().union(*map(_route_rules, texts)) == set(RULES)
 
 
+def record_parses() -> str:
+    """What `parse_query` gives for each of the first 500 mutated queries,
+    one line each."""
+    out = []
+    for text in itertools.islice(mutated_queries(), 500):
+        try:
+            out.append(unparse_query(parse_query(text)))
+        except JpqError as e:
+            out.append(f"{type(e).__name__}: {e}")
+    return "\n".join(out) + "\n"
+
+
+def test_parse_outcomes_are_byte_identical():
+    assert record_parses() == GOLDEN_PARSE.read_text(encoding="utf-8")
+
+
 if __name__ == "__main__":
     GOLDEN.write_text(json.dumps(record(), indent=1, ensure_ascii=False) + "\n", encoding="utf-8")
     GOLDEN_RULES.write_text(
         json.dumps(record_rules(), indent=1, ensure_ascii=False) + "\n", encoding="utf-8"
     )
+    GOLDEN_PARSE.write_text(record_parses(), encoding="utf-8")
