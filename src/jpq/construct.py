@@ -24,7 +24,6 @@ from .matching import (
     MBind,
     MOption,
     MTuple,
-    MUnit,
     chosen,
     succeeded,
 )
@@ -35,7 +34,6 @@ from .terms import (
     OptionT,
     Term,
     TupleT,
-    UNIT,
     components,
     is_unit,
     render,
@@ -52,8 +50,6 @@ from .terms import (
 def _slots(t: Term, r: MatchResult) -> list[tuple[Term, MatchResult]]:
     if not isinstance(t, TupleT):
         return [(t, r)]
-    if not t.items:
-        return []
     if not isinstance(r, MTuple) or len(r.items) != len(t.items):
         raise ConstructionError(f"result does not fit the {len(t.items)}-tuple {render(t)}")
     return list(zip(t.items, r.items))
@@ -86,8 +82,6 @@ class Builder:
         k = len(components(cp.backbone))
         if k == 1 and slots:
             return slots.pop(0)
-        if k == 0:
-            return UNIT, MUnit()
         if len(slots) < k:
             raise ConstructionError("construction pattern is wider than the result")
         taken = slots[:k]
@@ -123,7 +117,7 @@ class Builder:
             if not isinstance(r, MOption):
                 # constants-only option: nothing to select on, first branch wins
                 if is_unit(cp.backbone):
-                    return self.build(cp.branches[0], UNIT, MUnit())
+                    return self.build(cp.branches[0], t, r)
                 raise ConstructionError("expected an option result")
             if not isinstance(t, OptionT) or len(t.branches) != len(cp.branches):
                 raise ConstructionError("option construction does not fit the result")

@@ -29,7 +29,6 @@ from .matching import (
     MFailed,
     MOption,
     MTuple,
-    MUnit,
     _viable,
     branch_token,
     compare_atoms,
@@ -265,7 +264,7 @@ def _outcome(r: MatchResult, source: Term, c: A.Condition) -> Constraint:
 
 
 def _sweep(r: MatchResult, removed: set, emptied: set) -> MatchResult:
-    if isinstance(r, (MBind, MUnit, MFailed)):
+    if isinstance(r, (MBind, MFailed)):
         return r
     if isinstance(r, MTuple):
         items = [_sweep(s, removed, emptied) for s in r.items]
@@ -331,7 +330,7 @@ def resolve_options(r: MatchResult) -> MatchResult:
     """Resolve every option to its first surviving branch in pattern order by
     failing the others, so `chosen` names the branch taken.  No result fails
     here: an option always has a surviving branch."""
-    if isinstance(r, (MBind, MUnit, MFailed)):
+    if isinstance(r, (MBind, MFailed)):
         return r
     if isinstance(r, MOption):
         take = next((i for i, b in enumerate(r.branches) if succeeded(b)), None)

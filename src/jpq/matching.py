@@ -2,7 +2,8 @@
 
 A match produces a MatchResult shaped exactly as the pattern's matching term
 prescribes: bindings for variables, tuples for objects/conjunctions, arrays
-for array and enumeration patterns, options for disjunctions.  Failure is a
+for array and enumeration patterns, options for disjunctions, and the empty
+tuple, as the unit term `()`, for a match that binds nothing.  Failure is a
 value (MFailed), not an error.
 
 Array elements and option nodes carry small integer identities so that later
@@ -18,16 +19,18 @@ from typing import Iterable, Iterator, Optional, Union
 from . import ast as A
 from .errors import ShapeMismatchError
 from .model import Value, key, preorder, serialize
-from .terms import ArrayT, DistinctT, OptionT, Term, TupleT, UNIT, Var, is_unit
+from .terms import ArrayT, DistinctT, OptionT, Term, TupleT, Var, is_unit
 
 
 class MatchResult:
     """A match result node.  The composite nodes (tuples, arrays, options)
     list their sub-results with `parts()` and rebuild over new ones with
     `with_parts(parts)`, which keeps the node's identity: its element id, an
-    array's folding, an option's branch tokens.  A failed result is MFailed,
-    never an option whose branches all failed; an option is resolved when all
-    its branches but one have failed, and `chosen` names that one."""
+    array's folding, an option's branch tokens.  A match that binds nothing
+    is the empty tuple `MTuple([])`, as its term is the unit tuple.  A failed
+    result is MFailed, never an option whose branches all failed; an option
+    is resolved when all its branches but one have failed, and `chosen` names
+    that one."""
 
     __slots__ = ("elem_id",)
 
@@ -113,13 +116,6 @@ class MOption(MatchResult):
         return f"MOption({self.branches!r})"
 
 
-class MUnit(MatchResult):
-    __slots__ = ()
-
-    def __repr__(self):
-        return "MUnit()"
-
-
 class MFailed(MatchResult):
     __slots__ = ()
 
@@ -147,8 +143,9 @@ def chosen(opt: MOption) -> int:
 
 def _combine(parts: list[tuple[Term, MatchResult]]) -> MatchResult:
     """Combine (term, result) slots as a flat tuple — the exact mirror of
-    terms.tuple_of: unit slots dropped, tuple slots spliced, singletons
-    collapsed."""
+    terms.tuple_of: tuple slots spliced, singletons collapsed, and nothing
+    kept the empty tuple.  A slot whose term is unit adds nothing, whatever
+    its result: a `[*]` slot holds the array it walked."""
     kept: list[MatchResult] = []
     for t, r in parts:
         if is_unit(t):
@@ -157,8 +154,6 @@ def _combine(parts: list[tuple[Term, MatchResult]]) -> MatchResult:
             kept.extend(r.items)
         else:
             kept.append(r)
-    if not kept:
-        return MUnit()
     if len(kept) == 1:
         return kept[0]
     return MTuple(kept)
@@ -184,9 +179,9 @@ class Matcher:
         if isinstance(p, A.PVar):
             return MBind(p.name, v)
         if isinstance(p, A.PWild):
-            return MUnit()
+            return MTuple([])
         if isinstance(p, A.PPred):
-            return MUnit() if _pred_holds(p.pred, v) else MFailed()
+            return MTuple([]) if _pred_holds(p.pred, v) else MFailed()
         if isinstance(p, A.PObject):
             if not isinstance(v, dict):
                 return MFailed()
@@ -210,7 +205,7 @@ class Matcher:
                 results.append(r)
             return _slotted(p.items, results)
         if isinstance(p, A.POption):
-            return _viable(MOption([self.match_value(b, v) for b in p.branches], self.fresh_id()))
+            return self._option(p.branches, [self.match_value(b, v) for b in p.branches])
         if isinstance(p, A.PChildren):
             # an object's pairs, document order
             if not isinstance(v, dict):
@@ -232,27 +227,33 @@ class Matcher:
                 items.append(r)
         return MArray(items)
 
+    def _option(self, branches: tuple[A.Pattern, ...], results: list[MatchResult]) -> MatchResult:
+        """An option over the branches' results, or MFailed when all failed.  A
+        branch whose term is unit gives `()` when it matched, whatever it
+        walked: a `[*]` branch walks an array."""
+        results = [MTuple([]) if succeeded(r) and is_unit(b.term) else r
+                   for b, r in zip(branches, results)]
+        return _viable(MOption(results, self.fresh_id()))
+
     # -- key-value patterns --------------------------------------------------
 
     def match_kv_pair(self, kv: A.KeyValuePattern, name: str, value: Value) -> MatchResult:
         """Match one key-value pair (used by enumeration)."""
         if isinstance(kv, A.KVOption):
-            branches = [self.match_kv_pair(b, name, value) for b in kv.branches]
-            return _viable(MOption(branches, self.fresh_id()))
+            return self._option(kv.branches, [self.match_kv_pair(b, name, value) for b in kv.branches])
         if kv.key is not None and not kv.key.matches(name):
             return MFailed()
         vr = self.match_value(kv.value, value)
         if not succeeded(vr):
             return MFailed()
-        key_term = Var(kv.var) if kv.var else UNIT
-        key_result = MBind(kv.var, name) if kv.var else MUnit()
-        return _combine([(key_term, key_result), (kv.value.term, vr)])
+        if not kv.var:
+            return _combine([(kv.value.term, vr)])
+        return _combine([(Var(kv.var), MBind(kv.var, name)), (kv.value.term, vr)])
 
     def _match_kv_in_object(self, kv: A.KeyValuePattern, obj: dict) -> MatchResult:
         """First pair (document order) that satisfies kv; Failed when none does."""
         if isinstance(kv, A.KVOption):
-            branches = [self._match_kv_in_object(b, obj) for b in kv.branches]
-            return _viable(MOption(branches, self.fresh_id()))
+            return self._option(kv.branches, [self._match_kv_in_object(b, obj) for b in kv.branches])
         for name, sub in obj.items():
             r = self.match_kv_pair(kv, name, sub)
             if succeeded(r):
@@ -307,8 +308,6 @@ def instantiates(r: MatchResult, t: Term) -> bool:
     if isinstance(t, Var):
         return isinstance(r, MBind) and r.name == t.name
     if isinstance(t, TupleT):
-        if not t.items:
-            return isinstance(r, MUnit)
         return (
             isinstance(r, MTuple)
             and len(r.items) == len(t.items)
@@ -374,8 +373,6 @@ def render_result(r: MatchResult, max_value: int = 40) -> str:
     """Paper-style notation: ($x↦v, [..;..], a|b)."""
     if isinstance(r, MFailed):
         return "FAIL"
-    if isinstance(r, MUnit):
-        return "()"
     if isinstance(r, MBind):
         text = serialize(r.value)
         if len(text) > max_value:

@@ -146,6 +146,13 @@ class Parser:
         tok = self.peek()
         raise SyntaxError_(message, tok.line, tok.col)
 
+    def many(self, item, sep: str) -> list:
+        """`item (sep item)*`: the items parsed."""
+        items = [item()]
+        while self.accept(sep):
+            items.append(item())
+        return items
+
     # -- literals ----------------------------------------------------------
 
     def at_literal(self) -> bool:
@@ -166,12 +173,8 @@ class Parser:
     # -- extraction patterns ----------------------------------------------
 
     def value_pattern(self) -> A.ValuePattern:
-        branches = [self.value_pattern_atom()]
-        while self.accept("|"):
-            branches.append(self.value_pattern_atom())
-        if len(branches) == 1:
-            return branches[0]
-        return A.POption(tuple(branches))
+        branches = self.many(self.value_pattern_atom, "|")
+        return branches[0] if len(branches) == 1 else A.POption(tuple(branches))
 
     def value_pattern_atom(self) -> A.ValuePattern:
         tok = self.peek()
@@ -188,9 +191,7 @@ class Parser:
             return A.PPred(A.ComparePredicate("=", self.literal()))
         if tok.kind == "{":
             self.next()
-            members = [self.keyvalue_pattern()]
-            while self.accept(","):
-                members.append(self.keyvalue_pattern())
+            members = self.many(self.keyvalue_pattern, ",")
             self.expect("}")
             return A.PObject(tuple(members))
         if tok.kind == "[":
@@ -200,9 +201,7 @@ class Parser:
             return A.PArray(elem)
         if tok.kind == "<":
             self.next()
-            items = [self.value_pattern()]
-            while self.accept(","):
-                items.append(self.value_pattern())
+            items = self.many(self.value_pattern, ",")
             self.expect(">")
             if len(items) < 2:
                 self.error("conjunctive pattern needs at least two components")
@@ -272,9 +271,7 @@ class Parser:
         while self.at("|") and not self._looks_like_key_part(1):
             self.next()
             branches.append(self.value_pattern_atom())
-        if len(branches) == 1:
-            return branches[0]
-        return A.POption(tuple(branches))
+        return branches[0] if len(branches) == 1 else A.POption(tuple(branches))
 
     def _looks_like_key_part(self, ahead: int = 0) -> bool:
         """Whether a key part followed by ':' starts `ahead` tokens on."""
@@ -289,9 +286,7 @@ class Parser:
         while self.at("|") and self._looks_like_key_part(1):
             self.next()
             branches.append(self.keyvalue_single())
-        if len(branches) == 1:
-            return branches[0]
-        return A.KVOption(tuple(branches))
+        return branches[0] if len(branches) == 1 else A.KVOption(tuple(branches))
 
     # -- term expressions (groupby / distinct references) -------------------
 
@@ -314,24 +309,16 @@ class Parser:
             self.expect("]")
             return ArrayT(inner, None)
         if self.accept("("):
-            items = [self.term_expr()]
-            while self.accept(","):
-                items.append(self.term_expr())
+            items = self.many(self.term_expr, ",")
             self.expect(")")
-            if len(items) == 1:
-                return items[0]
-            return TupleT(tuple(items))
+            return items[0] if len(items) == 1 else TupleT(tuple(items))
         self.error(f"expected a term expression, found {self._describe()}")
 
     # -- construction patterns ---------------------------------------------
 
     def construction(self) -> A.ConstructionPattern:
-        branches = [self.construction_atom()]
-        while self.accept("|"):
-            branches.append(self.construction_atom())
-        if len(branches) == 1:
-            return branches[0]
-        return A.COption(tuple(branches))
+        branches = self.many(self.construction_atom, "|")
+        return branches[0] if len(branches) == 1 else A.COption(tuple(branches))
 
     def construction_atom(self) -> A.ConstructionPattern:
         tok = self.peek()
@@ -344,9 +331,7 @@ class Parser:
             return A.CLit(self.literal())
         if tok.kind == "{":
             self.next()
-            members = [self._construction_member()]
-            while self.accept(","):
-                members.append(self._construction_member())
+            members = self.many(self._construction_member, ",")
             self.expect("}")
             return A.CObject(tuple(members))
         if tok.kind == "^":
@@ -373,16 +358,12 @@ class Parser:
         if tok.kind == "IDENT":
             name = self.next().value
             self.expect("(")
-            args = [self.construction()]
-            while self.accept(","):
-                args.append(self.construction())
+            args = self.many(self.construction, ",")
             self.expect(")")
             return A.CFun(name, tuple(args))
         if tok.kind == "(":
             self.next()
-            items = [self.construction()]
-            while self.accept(","):
-                items.append(self.construction())
+            items = self.many(self.construction, ",")
             self.expect(")")
             if len(items) > 1:
                 self.expect("%")
@@ -425,15 +406,11 @@ class Parser:
         return left
 
     def _cond_or(self) -> A.Condition:
-        subs = [self._cond_and()]
-        while self.accept("OR"):
-            subs.append(self._cond_and())
+        subs = self.many(self._cond_and, "OR")
         return subs[0] if len(subs) == 1 else A.CBool("or", tuple(subs))
 
     def _cond_and(self) -> A.Condition:
-        subs = [self._cond_not()]
-        while self.accept("AND"):
-            subs.append(self._cond_not())
+        subs = self.many(self._cond_not, "AND")
         return subs[0] if len(subs) == 1 else A.CBool("and", tuple(subs))
 
     def _cond_not(self) -> A.Condition:
@@ -452,9 +429,7 @@ class Parser:
         if self.at("IDENT") and self.peek().value != "count" and self.peek(1).kind == "(":
             name = self.next().value
             self.expect("(")
-            args = [self.cond_expr()]
-            while self.accept(","):
-                args.append(self.cond_expr())
+            args = self.many(self.cond_expr, ",")
             self.expect(")")
             return A.CCall(name, tuple(args))
         lhs = self.cond_expr()
@@ -534,34 +509,34 @@ class Parser:
         return self.construction()
 
 
+def _parse(text: str, rule, what: str):
+    """Run one parser rule over the whole text; too deep a nesting is a QueryError."""
+    try:
+        parser = Parser(text)
+        result = rule(parser)
+        parser.expect("EOF")
+        return result
+    except RecursionError:
+        raise QueryError(f"{what} nests too deeply to parse") from None
+
+
 def parse_pattern(text: str):
     """Parse an extraction pattern.  Standalone `key : value` text yields a
     KeyValuePattern (matched against pairs), anything else a ValuePattern."""
-    parser = Parser(text)
-    if parser._looks_like_key_part():
-        pattern = parser.keyvalue_pattern()
-    else:
-        pattern = parser.value_pattern()
-    parser.expect("EOF")
-    return pattern
+    return _parse(
+        text,
+        lambda p: p.keyvalue_pattern() if p._looks_like_key_part() else p.value_pattern(),
+        "pattern",
+    )
 
 
 def parse_condition(text: str) -> A.Condition:
-    parser = Parser(text)
-    cond = parser.condition()
-    parser.expect("EOF")
-    return cond
+    return _parse(text, Parser.condition, "condition")
 
 
 def parse_construction(text: str) -> A.ConstructionPattern:
-    parser = Parser(text)
-    cp = parser._construct_top()
-    parser.expect("EOF")
-    return cp
+    return _parse(text, Parser._construct_top, "construction")
 
 
 def parse_query(text: str) -> A.QueryAst:
-    try:
-        return Parser(text).query()  # a QueryAst validates itself
-    except RecursionError:
-        raise QueryError("query nests too deeply to parse") from None
+    return _parse(text, Parser.query, "query")  # a QueryAst validates itself

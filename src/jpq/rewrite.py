@@ -32,7 +32,6 @@ from .matching import (
     MFailed,
     MOption,
     MTuple,
-    MUnit,
     _combine,
     _keep_id,
     _viable,
@@ -783,25 +782,20 @@ def project_result(r: MatchResult, t: Term, keep: set) -> MatchResult:
     if isinstance(r, MFailed):
         return r
     if isinstance(t, Var):
-        return r if t.name in keep else MUnit()
+        return r if t.name in keep else MTuple([])
     if isinstance(t, TupleT):
-        if not t.items:
-            return r
         if not isinstance(r, MTuple) or len(r.items) != len(t.items):
             raise ShapeMismatchError(f"expected a {len(t.items)}-tuple for {render(t)}")
         parts = []
         for st, sr in zip(t.items, r.items):
             parts.append((project(st, keep), project_result(sr, st, keep)))
         return _keep_id(_combine(parts), r)
+    if isinstance(t, (OptionT, ArrayT)) and is_unit(project(t, keep)):
+        return _keep_id(MTuple([]), r)
     if isinstance(t, OptionT):
-        if is_unit(project(t, keep)):
-            return _keep_id(MUnit(), r)
-        if not isinstance(r, MOption):
-            raise ShapeMismatchError(f"expected an option result for {render(t)}")
-        return r.with_parts([project_result(b, bt, keep) for bt, b in zip(t.branches, r.branches)])
+        branches = _as_option(r, t).branches
+        return r.with_parts([project_result(b, bt, keep) for bt, b in zip(t.branches, branches)])
     if isinstance(t, ArrayT):
-        if is_unit(project(t.elem, keep)):
-            return _keep_id(MUnit(), r)
         if not isinstance(r, MArray):
             raise ShapeMismatchError(f"expected an array result for {render(t)}")
         return r.with_parts([project_result(item, t.elem, keep) for item in r.items])
@@ -820,7 +814,5 @@ def _value_key(r: MatchResult):
         return ("a",) + tuple(_value_key(s) for s in r.items)
     if isinstance(r, MOption):
         return ("o",) + tuple((i, _value_key(b)) for i, b in enumerate(r.branches) if succeeded(b))
-    if isinstance(r, MUnit):
-        return ("u",)
     raise ShapeMismatchError("cannot take the value of a failed result")
 

@@ -40,12 +40,21 @@ class OptionT(Term):
     branches: tuple[Term, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ArrayT(Term):
     elem: Term
     index: Optional[Term]  # None only in construction backbones: "infer me"
     flat: bool = False
     folded: bool = False
+
+    def __eq__(self, other) -> bool:
+        """Field by field, but an index that is the element on both sides, as a
+        matched array's is, is compared once, with the element: comparing it
+        again would double the work at each level of nesting."""
+        if type(other) is not ArrayT:
+            return NotImplemented
+        return (self.elem, self.flat, self.folded) == (other.elem, other.flat, other.folded) and (
+            self.index is self.elem and other.index is other.elem or self.index == other.index)
 
 
 @dataclass(frozen=True)
@@ -64,18 +73,15 @@ def is_unit(t: Term) -> bool:
 
 
 def tuple_of(items: list[Term]) -> Term:
-    """Tuple constructor for derivation: drops unit slots, splices nested
-    tuples (conjunctive association is flat), collapses singletons."""
+    """Tuple constructor for derivation: splices nested tuples (conjunctive
+    association is flat), so a unit slot adds nothing; collapses singletons;
+    nothing kept is the unit tuple."""
     kept: list[Term] = []
     for t in items:
-        if is_unit(t):
-            continue
         if isinstance(t, TupleT):
             kept.extend(t.items)
         else:
             kept.append(t)
-    if not kept:
-        return UNIT
     if len(kept) == 1:
         return kept[0]
     return TupleT(tuple(kept))

@@ -11,7 +11,7 @@ import string
 from decimal import Decimal
 
 from jpq import ast as A
-from jpq.matching import MArray, MBind, MFailed, MOption, MTuple, MUnit
+from jpq.matching import MArray, MBind, MFailed, MOption, MTuple
 from jpq.terms import ArrayT, TupleT, Var
 
 KEYS = ["id", "name", "tags", "meta", "size", "note", "kind", "data"]
@@ -158,8 +158,6 @@ class ResultBuilder:
         if isinstance(t, Var):
             return MBind(t.name, gen_atom(self.rng))
         if isinstance(t, TupleT):
-            if not t.items:
-                return MUnit()
             return MTuple([self.build(s, max_items) for s in t.items])
         if isinstance(t, OptionT):
             take = self.rng.randrange(len(t.branches))

@@ -20,7 +20,6 @@ from jpq.matching import (
     MBind,
     MOption,
     MTuple,
-    MUnit,
     instantiates,
     match_value,
     render_result,
@@ -54,8 +53,6 @@ def simplify(r):
         return [simplify(s) for s in r.items]
     if isinstance(r, MOption):
         return simplify(next(b for b in r.branches if succeeded(b)))
-    if isinstance(r, MUnit):
-        return ()
     raise AssertionError(f"unexpected result {r!r}")
 
 

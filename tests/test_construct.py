@@ -4,7 +4,7 @@ import pytest
 
 from jpq.construct import backbone, build, build_empty, value_of
 from jpq.errors import ConstructionError, InvalidConstructionError, ShapeMismatchError, TypeError_
-from jpq.matching import MArray, MBind, MFailed, MOption, MTuple, MUnit
+from jpq.matching import MArray, MBind, MFailed, MOption, MTuple
 from jpq.model import serialize
 from jpq.parser import parse_construction
 from jpq.terms import UNIT, ArrayT, DistinctT, OptionT, TupleT, Var, is_unit

@@ -441,3 +441,20 @@ def test_a_deeply_nested_array_pattern_costs_linear_time():
     pattern = "[" * depth + "$x" + "]" * depth
     q = f'from doc("d") {pattern} construct {{"r":{pattern}}}'
     assert run(Engine(reg), q) == '{"r":' + "[" * depth + "1" + "]" * depth + "}"
+
+
+def test_an_option_branch_binding_nothing_builds_its_constant():
+    reg = DocRegistry()
+    reg.register("d", parse_document('{"l":[[1,2],[3],{"x":7}]}'))
+    q = 'from doc("d") {"l":[([*]|{"x":$x})]} construct {"r":[("array"|{"x":$x})]}'
+    assert run(Engine(reg), q) == '{"r":["array","array",{"x":7}]}'
+
+
+def test_a_deeply_nested_array_query_costs_linear_time_when_run_again():
+    depth = 40  # the route-cache lookup used to double its work at each level
+    reg = DocRegistry()
+    reg.register("d", parse_document("[" * depth + "1" + "]" * depth))
+    pattern = "[" * depth + "$x" + "]" * depth
+    q = f'from doc("d") {pattern} construct {{"r":{pattern}}}'
+    engine = Engine(reg)
+    assert run(engine, q) == run(engine, q) == '{"r":' + "[" * depth + "1" + "]" * depth + "}"

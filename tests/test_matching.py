@@ -4,12 +4,12 @@ from decimal import Decimal
 from jpq import ast as A
 from jpq.ast import derive_matching_term
 from jpq.matching import (
+    _combine,
     MArray,
     MBind,
     MFailed,
     MOption,
     MTuple,
-    MUnit,
     Matcher,
     compare_atoms,
     footprint,
@@ -20,7 +20,8 @@ from jpq.matching import (
 )
 from jpq.model import parse_document, preorder
 from jpq.parser import parse_pattern
-from jpq.terms import ArrayT, OptionT, TupleT, Var
+from jpq.rewrite import project_result
+from jpq.terms import UNIT, ArrayT, OptionT, TupleT, Var, project, tuple_of
 
 from .generators import ResultBuilder, _Vars, _same, gen_document, gen_matching_pattern, gen_term
 
@@ -149,6 +150,38 @@ def test_generated_matches_instantiate_their_terms():
         assert instantiates(r, derive_matching_term(p))
 
 
+def test_a_branch_binding_nothing_matches_as_the_empty_tuple():
+    # the `[*]` and `//*` branches walk the document, yet bind nothing
+    for text in ["([*]|$x)", "(//*|$x)", "((*|[*])|$x)", '{"a":[*]|"b":$x}']:
+        p = parse_pattern(text)
+        r = match_value(p, parse_document('{"a":[1,2],"b":3}' if "{" in text else "[1,2]"))
+        assert instantiates(r, p.term), text
+        assert isinstance(r.branches[0], MTuple) and r.branches[0].items == [], text
+
+
+def test_flat_tuples_of_results_mirror_flat_tuples_of_terms():
+    names = ["a", "b", "c", "d"]
+    for seed in range(400):
+        rng = random.Random(seed)
+        build = ResultBuilder(rng)
+        # a term with unit option branches, from a projection
+        t = project(gen_term(rng, names, depth=4), set(rng.sample(names, 3)))
+        r = build.build(t)
+        keep = set(rng.sample(names, rng.randrange(len(names) + 1)))
+        assert instantiates(project_result(r, t, keep), project(t, keep)), seed
+        slots = []
+        for _ in range(rng.randrange(5)):
+            pick = rng.random()
+            if pick < 0.2:
+                slots.append((UNIT, MTuple([])))
+            elif pick < 0.4:  # a `[*]` slot holds the array it walked
+                slots.append((UNIT, MArray([build.build(UNIT) for _ in range(rng.randrange(3))])))
+            else:
+                st = gen_term(rng, names, depth=3)
+                slots.append((st, build.build(st)))
+        assert instantiates(_combine(slots), tuple_of([st for st, _ in slots])), seed
+
+
 def _options(r):
     """Every option under r, preorder."""
     return [node for node in _composites(r) if isinstance(node, MOption)]
@@ -171,7 +204,7 @@ def test_no_option_result_has_only_failed_branches(univ):
 def test_footprint_collects_element_and_branch_tokens():
     item = MBind("x", "v")
     item.elem_id = 7
-    opt = MOption([MUnit(), MFailed()], option_id=3)
+    opt = MOption([MTuple([]), MFailed()], option_id=3)
     tokens = footprint(MTuple([MArray([item]), opt]))
     assert 7 in tokens
     assert ("b", (3, 0)) in tokens
@@ -210,7 +243,7 @@ def test_with_parts_keeps_a_result_nodes_identity():
             copy = node.with_parts(parts)
             assert _identity(copy) == before
             assert copy.parts() == parts
-            parts.append(MUnit())
+            parts.append(MTuple([]))
             parts[0] = MFailed()
             assert _identity(node) == before and node.parts() == copy.parts()
 

@@ -5,7 +5,7 @@ import pytest
 
 from jpq import ast as A
 from jpq.ast import unparse_pattern, unparse_query
-from jpq.errors import SyntaxError_
+from jpq.errors import QueryError, SyntaxError_
 from jpq.parser import (
     parse_condition,
     parse_construction,
@@ -158,6 +158,21 @@ def test_lexer_errors_carry_text_and_position(text, message):
 def test_parse_rejects_trailing_input():
     with pytest.raises(SyntaxError_):
         parse_pattern("$x $y")
+
+
+DEEP = 3000  # far past Python's recursion limit
+
+
+@pytest.mark.parametrize("parse, text, what", [
+    (parse_pattern, "[" * DEEP + "$x" + "]" * DEEP, "pattern"),
+    (parse_condition, "(" * DEEP + "$x = 1" + ")" * DEEP, "condition"),
+    (parse_construction, "[" * DEEP + "$x" + "]" * DEEP, "construction"),
+    (parse_query, 'from doc("d") ' + "[" * DEEP + "$x" + "]" * DEEP + " construct 1", "query"),
+])
+def test_every_parse_entry_point_reports_deep_nesting_as_a_query_error(parse, text, what):
+    with pytest.raises(QueryError) as e:
+        parse(text)
+    assert str(e.value) == f"{what} nests too deeply to parse"
 
 
 CANONICAL_QUERIES = [

@@ -120,6 +120,17 @@ def test_equal_terms_built_apart_hash_alike():
     assert hash(s) == hash(t)  # again, from the kept values
 
 
+def test_equal_self_indexed_terms_built_apart_compare_in_linear_time():
+    t = A
+    for _ in range(60):  # each level used to double the comparison: 2**60 steps
+        t = arr(t)
+    p = project(t, {"a"})  # new nodes throughout
+    assert p is not t and p == t and t == p
+    # an index equal to the element but not the element itself still compares
+    assert ArrayT(A, A) == ArrayT(A, Var("a")) == ArrayT(Var("a"), A)
+    assert ArrayT(A, A) != ArrayT(A, B) and ArrayT(A, B) != ArrayT(A, A)
+
+
 def test_projecting_a_self_indexed_array_keeps_one_shared_element():
     t = A
     for _ in range(60):
