@@ -325,9 +325,10 @@ def instantiates(r: MatchResult, t: Term) -> bool:
             and succeeded(_viable(r))
         )
     if isinstance(t, ArrayT):
-        if t.flat and not isinstance(r, MArray):
+        if t.flat:
             # a flattened array's elements are spliced into the enclosing
-            # array, so in place of the array one finds a single element
+            # array, so in place of the array one finds a single element,
+            # which may itself be an array
             return instantiates(r, t.elem)
         return (
             isinstance(r, MArray)

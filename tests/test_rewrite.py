@@ -10,7 +10,7 @@ from jpq.errors import (
     ShapeMismatchError,
 )
 from jpq.filtering import resolve_options
-from jpq.matching import MArray, MBind, MTuple, instantiates
+from jpq.matching import MArray, MBind, MTuple, instantiates, succeeded
 from jpq.rewrite import (
     RULES,
     Constraint,
@@ -30,8 +30,10 @@ from jpq.terms import (
     OptionT,
     TupleT,
     Var,
+    children,
     positions,
     render,
+    subterm,
     terms_match,
     var_counts,
     var_set,
@@ -285,6 +287,91 @@ def test_flattening_preserves_total_elements():
         assert instantiates(out, apply_rule("array-flattening", t, (0, 1)))
 
 
+def reach(t, r, path):
+    """The results at `path` under `r`: each element of an array on the way,
+    the spliced element in place of a flat array, none past a failed branch."""
+    if not path:
+        return [r]
+    step, rest = path[0], path[1:]
+    if isinstance(t, (TupleT, OptionT)):
+        sub = r.parts()[step]
+        return reach(children(t)[step], sub, rest) if succeeded(sub) else []
+    if isinstance(t, ArrayT) and not t.flat:
+        return [x for item in r.items for x in reach(t.elem, item, rest)]
+    return reach(children(t)[0], r, rest)
+
+
+def flattening_cases(seeds):
+    """(term, result, path) for every path where flattening applies in seeded
+    `gen_term` terms, and again once an array above it was flattened."""
+    for seed in range(seeds):
+        rng = random.Random(seed)
+        t = gen_term(rng, ["a", "b", "c"], depth=4)
+        for path, _ in positions(t):
+            if path and not isinstance(subterm(t, path), ArrayT):
+                continue
+            try:
+                once = apply_rule("array-flattening", t, path)
+            except RuleInapplicableError:
+                continue
+            builder = ResultBuilder(random.Random(seed * 1000 + len(path)))
+            yield t, builder.build(t), path, builder
+            first = Step("array-flattening", path)
+            for inner, _ in positions(once):
+                if inner[: len(path)] != path or inner == path:
+                    continue
+                try:
+                    apply_rule("array-flattening", once, inner)
+                except RuleInapplicableError:
+                    continue
+                builder = ResultBuilder(random.Random(seed * 1000 + len(inner)))
+                r = Transformer().transform(builder.build(t), (t,), (first,))
+                yield once, r, inner, builder
+
+
+def test_flattening_splices_each_element_along_any_path():
+    """Flattening multiplies each element of the nearest non-flat enclosing
+    array by the size of the array its path reaches (once, through an option
+    whose taken branch lies elsewhere), and the spliced items keep distinct
+    ids, fresh ones where they had none."""
+    cases = crossed_option = under_flat = 0
+    for n, (t, r, path, builder) in enumerate(flattening_cases(1000)):
+        outer = max(i for i in range(len(path))
+                    if isinstance(subterm(t, path[:i]), ArrayT) and not subterm(t, path[:i]).flat)
+        rel = path[outer + 1:]
+        elem_t = subterm(t, path[: outer + 1])
+        expected = []
+        for enclosing in reach(t, r, path[:outer]):
+            sizes = [[len(a.items) for a in reach(elem_t, item, rel)] or [1]
+                     for item in enclosing.items]
+            crossed_option += any(s == [1] for s in sizes)
+            expected.append(sum(s[0] for s in sizes))
+        arrays = reach(t, r, path)
+        if n % 2:  # spliced items without an id get a fresh one
+            for a in arrays:
+                for item in a.items:
+                    item.elem_id = None
+        spliced = sum(len(a.items) for a in arrays)
+        under_flat += any(subterm(t, path[:i]).flat for i in range(outer + 1, len(path))
+                          if isinstance(subterm(t, path[:i]), ArrayT))
+        after = apply_rule("array-flattening", t, path)
+        step = Step("array-flattening", path)
+        out = Transformer(ids=iter(builder.fresh_id, None)).transform(r, (t,), (step,))
+        assert instantiates(out, after), (render(t), path)
+        assert [len(e.items) for e in reach(t, out, path[:outer])] == expected
+        ids = [item.elem_id for item in reach(after, out, path)]
+        assert len(ids) == spliced and None not in ids
+        holder = subterm(t, path[:-1])
+        if isinstance(holder, ArrayT) and holder.flat:
+            # items spliced straight into a flat array's element take that
+            # element's id in place of their own
+            assert ids == [a.elem_id for a in arrays for _ in a.items]
+        else:
+            assert len(set(ids)) == len(ids), (render(t), path)
+        cases += 1
+    assert cases > 300 and crossed_option and under_flat
+
+
 def test_folding_partitions_with_homogeneous_keys():
     t = arr(TupleT((A, B)))
     for seed in range(350):
@@ -366,9 +453,22 @@ def test_association_keeps_results_conforming(rule, t, j):
             assert instantiates(out, after), (seed, r)
 
 
+def bs(n):
+    return MArray([MBind("b", i) for i in range(n)])
+
+
 def test_splice_outside_the_element_term_is_a_shape_mismatch():
-    with pytest.raises(ShapeMismatchError):
-        Transformer()._splice(arr(A), MArray([]), (1,))
+    # apply_rule refuses this step; a route that holds it anyway fails typed
+    step = Step("array-flattening", (1,))
+    for n in (0, 2):
+        with pytest.raises(ShapeMismatchError):
+            Transformer().transform(MTuple([MBind("a", 0), bs(n)]), (TupleT((A, arr(B))),), (step,))
+
+
+def test_flattening_the_root_array_is_a_shape_mismatch():
+    for n in (0, 2):
+        with pytest.raises(ShapeMismatchError):
+            Transformer().transform(bs(n), (arr(B),), (Step("array-flattening", ()),))
 
 
 # -- the rule table agrees with itself ---------------------------------------
