@@ -36,7 +36,6 @@ from .matching import (
     _keep_id,
     _viable,
     branch_token,
-    chosen,
     footprint,
     succeeded,
 )
@@ -98,20 +97,20 @@ class Rule:
     ascending order the parameters whose side conditions, summarised by
     `needs` (a plain array is neither flattened nor folded), hold at that
     node of `t`; `term(node, param)` is the rewritten node; `data(tr, node,
-    r, arg, ctx)` rewrites a result `r` of the node's shape for Transformer
-    `tr`, given the identity tokens `ctx` chosen on the way down.
-    Flattening's data rewrite acts on the nearest enclosing array instead,
-    `arg` being the path from there.  `room`, when set, is a search-only
-    gate: route search offers the rule at a node only while the state lacks
-    what the rule adds.  `numbered` rules show their parameter in explain
-    text."""
+    r, param, ctx)` lists the results that replace a result `r` of the node's
+    shape for Transformer `tr`, given the identity tokens `ctx` chosen on the
+    way down: one result, or for flattening the array's items, which the
+    nearest non-flat enclosing array takes in place of the element that held
+    them.  `room`, when set, is a search-only gate: route search offers the
+    rule at a node only while the state lacks what the rule adds.  `numbered`
+    rules show their parameter in explain text."""
 
     name: str
     on: type
     needs: str
     params: Callable[[Term, Term, Path], Iterable[int]]
     term: Callable[[Term, int], Term]
-    data: Callable[..., MatchResult]
+    data: Callable[..., list[MatchResult]]
     numbered: bool = True
     room: Optional[Callable[[Term, _Room], bool]] = None
 
@@ -164,23 +163,23 @@ def _associate(node: Term, j: int) -> Term:
 
 
 def _commute_tuple_data(tr, t, r, i, ctx):
-    return _as_tuple(r, t).with_parts(_swap(r.items, i))
+    return [_as_tuple(r, t).with_parts(_swap(r.items, i))]
 
 
 def _associate_tuple_data(tr, t, r, j, ctx):
     items = _as_tuple(r, t).items
     if j != -1:
-        return r.with_parts(items[:j] + [MTuple(items[j:])])
+        return [r.with_parts(items[:j] + [MTuple(items[j:])])]
     if not isinstance(items[-1], MTuple):
         raise ShapeMismatchError("no nested tuple result to ungroup")
-    return r.with_parts(items[:-1] + items[-1].items)
+    return [r.with_parts(items[:-1] + items[-1].items)]
 
 
-def _rebranched(opt: MOption, branches: list, branch_ids: list) -> MOption:
-    """`opt` over new branches, given their tokens."""
+def _rebranched(opt: MOption, branches: list, branch_ids: list) -> list[MOption]:
+    """`opt` over new branches, given their tokens, as a rule's data result."""
     out = opt.with_parts(branches)
     out.branch_ids = list(branch_ids)
-    return out
+    return [out]
 
 
 def _commute_option_data(tr, t, r, i, ctx):
@@ -226,6 +225,16 @@ def _flattenable(node: ArrayT, t: Term, path: Path) -> tuple[int, ...]:
     return (0,) if _plain(node) and inside else ()
 
 
+def _flatten_data(tr, t, r, _, ctx):
+    """The array's items, each given an id if it has none."""
+    if not isinstance(r, MArray):
+        raise ShapeMismatchError(f"expected an array result to flatten for {render(t)}")
+    for item in r.items:
+        if item.elem_id is None:
+            item.elem_id = tr.fresh_id()
+    return list(r.items)
+
+
 # -- distribution over the last component of a tuple ---------------------------
 
 
@@ -264,7 +273,7 @@ def _distribute_option_data(tr, t, r, _, ctx):
         _pair(t, tup, bt, br) if succeeded(br) else MFailed()
         for bt, br in zip(opt_t.branches, opt.branches)
     ]
-    return _keep_id(opt.with_parts(branches), r)
+    return [_keep_id(opt.with_parts(branches), r)]
 
 
 def _distribute_array_data(tr, t, r, _, ctx):
@@ -276,7 +285,7 @@ def _distribute_array_data(tr, t, r, _, ctx):
     if tr.constraints:
         items = tr.allowed(ctx | footprint(MTuple(tup.items[:-1])), arr_r)
     elem_t = t.items[-1].elem
-    return _keep_id(arr_r.with_parts([_keep_id(_pair(t, tup, elem_t, i), i) for i in items]), r)
+    return [_keep_id(arr_r.with_parts([_keep_id(_pair(t, tup, elem_t, i), i) for i in items]), r)]
 
 
 # -- folding into classes keyed by one element component ------------------------
@@ -308,7 +317,7 @@ def _fold_data(tr, t, r, k, ctx):
         cls = MTuple([members, key_r])
         cls.elem_id = tr.fresh_id()
         items.append(cls)
-    return _keep_id(MArray(items, folded=True), r)
+    return [_keep_id(MArray(items, folded=True), r)]
 
 
 _TABLE = {
@@ -334,7 +343,7 @@ _TABLE = {
             "tuple-duplication", Term, "#0",
             _anywhere,
             lambda node, _: TupleT((node, node)),
-            lambda tr, t, r, _, ctx: _keep_id(MTuple([r, r]), r),
+            lambda tr, t, r, _, ctx: [_keep_id(MTuple([r, r]), r)],
             numbered=False,
             room=_short_in,
         ),
@@ -343,7 +352,7 @@ _TABLE = {
             "#0 and a plain array inside an enclosing array's element term",
             _flattenable,
             lambda node, _: ArrayT(node.elem, node.index, flat=True),
-            lambda tr, t, r, rel, ctx: tr._splice(t, r, rel),
+            _flatten_data,
             numbered=False,
             room=lambda node, room: room.flat,
         ),
@@ -650,118 +659,60 @@ class Transformer:
     ) -> MatchResult:
         """`terms` are the terms `route` passes through (`replay`)."""
         for t, step in zip(terms, route):
-            r = self._apply(step, t, r)
+            self._summaries.clear()  # a cache for one step: it pins the arrays it holds
+            out = self._descend(step, t, r, step.path)
+            if len(out) != 1:
+                raise ShapeMismatchError(f"{step.describe()} leaves {len(out)} results at the root")
+            r = out[0]
         return r
 
-    # -- navigation ----------------------------------------------------------
-
-    def _apply(self, step: Step, t: Term, r: MatchResult) -> MatchResult:
-        rule, path, arg = _TABLE[step.rule], step.path, step.param
-        self._summaries.clear()  # a cache for one step: it pins the arrays it holds
-        if step.rule == "array-flattening":
-            # a flat ancestor holds spliced singles, not an array result, so
-            # the elements to multiply live in the nearest non-flat array out
-            path = _enclosing_array(t, step.path)
-            while path is not None and subterm(t, path).flat:
-                path = _enclosing_array(t, path)
-            if path is None:
-                raise ShapeMismatchError("flattened array has no enclosing array")
-            arg = step.path[len(path) :]
-        return self._descend(t, r, path, lambda nt, nr, ctx: rule.data(self, nt, nr, arg, ctx))
-
     def _descend(
-        self, t: Term, r: MatchResult, path: Path, op, ctx: frozenset = frozenset()
-    ) -> MatchResult:
-        """Walk `path`, applying `op` at the end.  `ctx` carries the identity
-        tokens chosen along the way (array elements entered, option branches
-        taken, sibling tuple components) so that operations inside one element
-        can be checked against constraints recorded over the whole result."""
+        self, step: Step, t: Term, r: MatchResult, path: Path, ctx: frozenset = frozenset()
+    ) -> list[MatchResult]:
+        """The results that replace `r` once `step` is applied at `path` below
+        it.  A tuple or option on the path is repeated once per result from
+        below (an option whose branch there failed is kept as it is), and a
+        non-flat array takes its items' results as its items.  `ctx` carries
+        the identity tokens chosen along the way (array elements entered,
+        option branches taken, sibling tuple components) so that operations
+        inside one element can be checked against constraints recorded over
+        the whole result."""
         if r.elem_id is not None:
             ctx = ctx | {r.elem_id}
         if not path:
-            return op(t, r, ctx)
-        step = path[0]
+            return _TABLE[step.rule].data(self, t, r, step.param, ctx)
+        i, rest = path[0], path[1:]
         if isinstance(t, TupleT):
             if not isinstance(r, MTuple) or len(r.items) != len(t.items):
                 raise ShapeMismatchError(
                     f"expected a {len(t.items)}-tuple result for {render(t)}"
                 )
-            items = r.parts()
-            for i, sib in enumerate(items):
-                if i != step:
+            for j, sib in enumerate(r.items):
+                if j != i:
                     ctx = ctx | footprint(sib)
-            items[step] = self._descend(t.items[step], items[step], path[1:], op, ctx)
-            return r.with_parts(items)
-        if isinstance(t, OptionT):
-            if not isinstance(r, MOption):
-                raise ShapeMismatchError(f"expected an option result for {render(t)}")
-            branches = r.parts()
-            if succeeded(branches[step]):
-                branch_ctx = ctx | {branch_token(r, step)}
-                branches[step] = self._descend(
-                    t.branches[step], branches[step], path[1:], op, branch_ctx
-                )
-            return r.with_parts(branches)
-        if isinstance(t, ArrayT):
-            if step != 0:
+        elif isinstance(t, OptionT):
+            if not succeeded(_as_option(r, t).branches[i]):
+                return [r]
+            ctx = ctx | {branch_token(r, i)}
+        elif isinstance(t, ArrayT):
+            if i != 0:
                 raise ShapeMismatchError("array terms have a single element position")
             if t.flat:
                 # spliced representation: the position holds the element content
-                return _keep_id(self._descend(t.elem, r, path[1:], op, ctx), r)
+                return [_keep_id(sub, r) for sub in self._descend(step, t.elem, r, rest, ctx)]
             if not isinstance(r, MArray):
                 raise ShapeMismatchError(f"expected an array result for {render(t)}")
-            return r.with_parts([self._descend(t.elem, s, path[1:], op, ctx) for s in r.items])
-        if isinstance(t, DistinctT):
-            return self._descend(t.inner, r, path[1:], op, ctx)
-        raise ShapeMismatchError(f"cannot descend into {render(t)}")
-
-    # -- flattening splice ---------------------------------------------------
-
-    def _splice(self, arr_t: Term, arr_r: MatchResult, rel: Path) -> MatchResult:
-        """`rel` addresses the array being flattened inside the enclosing
-        array's element term; every element whose chosen content reaches it
-        expands into one output element per inner element."""
-        if not isinstance(arr_t, ArrayT) or not isinstance(arr_r, MArray):
-            raise ShapeMismatchError("flattening needs an enclosing array result")
-        if not rel or rel[0] != 0:
-            raise ShapeMismatchError("flattened position lies outside the element term")
-        inner_path = rel[1:]
-        items: list[MatchResult] = []
-        for elem in arr_r.items:
-            items.extend(self._expand(arr_t.elem, elem, inner_path))
-        return arr_r.with_parts(items)
-
-    def _expand(self, t: Term, r: MatchResult, path: Path) -> list[MatchResult]:
-        if not path:
-            if not isinstance(r, MArray):
-                raise ShapeMismatchError("flattened position does not hold an array")
-            for item in r.items:
-                if item.elem_id is None:
-                    item.elem_id = self.fresh_id()
-            return list(r.items)
-        step = path[0]
-        if isinstance(t, (TupleT, OptionT)):
-            tuple_t = isinstance(t, TupleT)
-            if not isinstance(r, MTuple if tuple_t else MOption):
-                kind = "a tuple" if tuple_t else "an option"
-                raise ShapeMismatchError(f"expected {kind} result while flattening")
-            if not tuple_t and chosen(r) != step:
-                return [r]  # an option expands only through the branch it takes
-            parts = r.parts()
-            out = []
-            for sub in self._expand(children(t)[step], parts[step], path[1:]):
-                parts[step] = sub
-                out.append(r.with_parts(parts))
-            return out
-        if isinstance(t, ArrayT) and t.flat:
-            if step != 0:
-                raise ShapeMismatchError("array terms have a single element position")
-            return [_keep_id(sub, r) for sub in self._expand(t.elem, r, path[1:])]
-        if isinstance(t, DistinctT):
-            return self._expand(t.inner, r, path[1:])
-        raise ShapeMismatchError(
-            "flattening may only cross tuples and options inside the element term"
-        )
+            items = [sub for s in r.items for sub in self._descend(step, t.elem, s, rest, ctx)]
+            return [r.with_parts(items)]
+        elif isinstance(t, DistinctT):
+            return self._descend(step, t.inner, r, rest, ctx)
+        else:
+            raise ShapeMismatchError(f"cannot descend into {render(t)}")
+        parts, out = r.parts(), []
+        for sub in self._descend(step, children(t)[i], parts[i], rest, ctx):
+            parts[i] = sub
+            out.append(r.with_parts(parts))
+        return out
 
 
 def _as_tuple(r: MatchResult, t: Term) -> MTuple:
