@@ -124,6 +124,11 @@ class Builder:
             i = chosen(r)
             return self.build(cp.branches[i], t.branches[i], r.branches[i])
         if kind is A.CArray or kind is A.CFlatArray:
+            if is_unit(cp.backbone):
+                # constants only: built once, as written, with nothing to splice
+                if kind is A.CFlatArray:
+                    raise ConstructionError("a ^[...] of constants only has nothing to splice")
+                return [self.build(cp.elem, t, r)]
             if not isinstance(t, ArrayT):
                 raise ConstructionError(f"expected an array result for {render(t)}")
             if not isinstance(r, MArray):

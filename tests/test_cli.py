@@ -550,3 +550,44 @@ def test_grouping_tells_member_order_and_true_from_1(tmp_path):
         '{"k":true,"c":["c"]},{"k":1,"c":["d"]}]}'
     )
     assert run_on(tmp_path, ORDERS, query) == (EXIT_OK, expected + "\n", "")
+
+
+# -- arrays of constants only ----------------------------------------------------------
+
+
+def constant_array_rows():
+    """(construction, expected output) computed from the raw JSON."""
+    with open(UNIV) as f:
+        schools = json.load(f)["schools"]
+    names = [s["name"] for s in schools]
+    ids = sorted({f["ID"] for s in schools for f in s["faculty"]})
+    grouped = [
+        {"ID": i, "k": [1], "ss": [s["name"] for s in schools if i in [f["ID"] for f in s["faculty"]]]}
+        for i in ids
+    ]
+    return {
+        "alone": ('{"k":[1]}', {"k": [1]}),
+        "beside-a-variable-array": ('{"k":[1],"n":[$n]}', {"k": [1], "n": names}),
+        "inside-an-element": ('{"s":[{"n":$n,"k":[{"a":1}]}]}',
+                              {"s": [{"n": n, "k": [{"a": 1}]} for n in names]}),
+        "nested": ('{"k":[[1]]}', {"k": [[1]]}),
+        "beside-a-grouping-key": (
+            '{"f":[{"ID":^[$id]%,"k":[1],"ss":[$n]}] groupby ^[$id]% asc}', {"f": grouped}),
+    }
+
+
+CONSTANT_ARRAYS = constant_array_rows()
+
+
+@pytest.mark.parametrize("construction, expected", CONSTANT_ARRAYS.values(), ids=CONSTANT_ARRAYS.keys())
+def test_an_array_of_constants_is_built_as_written(construction, expected):
+    code, out, err = run(CliConfig(docs=[("univ", UNIV)], query_text=FACULTY + "construct " + construction))
+    assert (code, err) == (EXIT_OK, "")
+    assert json.loads(out) == expected
+
+
+@pytest.mark.parametrize("construction", ['{"k":^[1]}', '{"k":[^[1]]}', '{"s":[{"n":$n,"k":^[1]}]}'])
+def test_a_flattened_array_of_constants_has_nothing_to_splice(construction):
+    code, out, err = run(CliConfig(docs=[("univ", UNIV)], query_text=FACULTY + "construct " + construction))
+    assert (code, out) == (EXIT_QUERY, "")
+    assert err == "error: a ^[...] of constants only has nothing to splice\n"
