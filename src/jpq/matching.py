@@ -352,10 +352,7 @@ def footprint(r: MatchResult) -> frozenset:
 def _collect_footprint(r: MatchResult, tokens: set) -> None:
     if r.elem_id is not None:
         tokens.add(r.elem_id)
-    if isinstance(r, MTuple):
-        for s in r.items:
-            _collect_footprint(s, tokens)
-    elif isinstance(r, MArray):
+    if isinstance(r, (MTuple, MArray)):
         for s in r.items:
             _collect_footprint(s, tokens)
     elif isinstance(r, MOption):
