@@ -10,7 +10,7 @@ from jpq.errors import (
     ShapeMismatchError,
 )
 from jpq.filtering import resolve_options
-from jpq.matching import MArray, MBind, MTuple, instantiates, succeeded
+from jpq.matching import MArray, MBind, MTuple, footprint, instantiates, succeeded
 from jpq.rewrite import (
     RULES,
     Constraint,
@@ -301,73 +301,75 @@ def reach(t, r, path):
     return reach(children(t)[0], r, rest)
 
 
+def flattenable(t):
+    """The paths where apply_rule flattens an array of t."""
+    paths = []
+    for path, _ in positions(t):
+        try:
+            apply_rule("array-flattening", t, path)
+        except RuleInapplicableError:
+            continue
+        paths.append(path)
+    return paths
+
+
 def flattening_cases(seeds):
-    """(term, result, path) for every path where flattening applies in seeded
-    `gen_term` terms, and again once an array above it was flattened."""
+    """(term, result, path, builder) for every path where flattening applies
+    in seeded `gen_term` terms, and again once one array was flattened."""
     for seed in range(seeds):
         rng = random.Random(seed)
         t = gen_term(rng, ["a", "b", "c"], depth=4)
-        for path, _ in positions(t):
-            if path and not isinstance(subterm(t, path), ArrayT):
-                continue
-            try:
-                once = apply_rule("array-flattening", t, path)
-            except RuleInapplicableError:
-                continue
-            builder = ResultBuilder(random.Random(seed * 1000 + len(path)))
+        for path in flattenable(t):
+            builder = ResultBuilder(rng)
             yield t, builder.build(t), path, builder
-            first = Step("array-flattening", path)
-            for inner, _ in positions(once):
-                if inner[: len(path)] != path or inner == path:
-                    continue
-                try:
-                    apply_rule("array-flattening", once, inner)
-                except RuleInapplicableError:
-                    continue
-                builder = ResultBuilder(random.Random(seed * 1000 + len(inner)))
-                r = Transformer().transform(builder.build(t), (t,), (first,))
-                yield once, r, inner, builder
+            once = apply_rule("array-flattening", t, path)
+            for inner in flattenable(once):
+                builder = ResultBuilder(rng)
+                first = Step("array-flattening", path)
+                yield once, Transformer().transform(builder.build(t), (t,), (first,)), inner, builder
 
 
 def test_flattening_splices_each_element_along_any_path():
     """Flattening multiplies each element of the nearest non-flat enclosing
     array by the size of the array its path reaches (once, through an option
-    whose taken branch lies elsewhere), and the spliced items keep distinct
-    ids, fresh ones where they had none."""
+    whose taken branch lies elsewhere); the spliced items keep their ids, and
+    one with none gets a fresh id no other result holds."""
     cases = crossed_option = under_flat = 0
     for n, (t, r, path, builder) in enumerate(flattening_cases(1000)):
-        outer = max(i for i in range(len(path))
-                    if isinstance(subterm(t, path[:i]), ArrayT) and not subterm(t, path[:i]).flat)
-        rel = path[outer + 1:]
-        elem_t = subterm(t, path[: outer + 1])
+        arrays_at = [i for i in range(len(path)) if isinstance(subterm(t, path[:i]), ArrayT)]
+        outer = max(i for i in arrays_at if not subterm(t, path[:i]).flat)
+        under_flat += outer != arrays_at[-1]
+        rel, elem_t = path[outer + 1:], subterm(t, path[: outer + 1])
         expected = []
         for enclosing in reach(t, r, path[:outer]):
             sizes = [[len(a.items) for a in reach(elem_t, item, rel)] or [1]
                      for item in enclosing.items]
-            crossed_option += any(s == [1] for s in sizes)
+            crossed_option += [1] in sizes
             expected.append(sum(s[0] for s in sizes))
         arrays = reach(t, r, path)
         if n % 2:  # spliced items without an id get a fresh one
             for a in arrays:
                 for item in a.items:
                     item.elem_id = None
-        spliced = sum(len(a.items) for a in arrays)
-        under_flat += any(subterm(t, path[:i]).flat for i in range(outer + 1, len(path))
-                          if isinstance(subterm(t, path[:i]), ArrayT))
+        old, taken = [item.elem_id for a in arrays for item in a.items], footprint(r)
         after = apply_rule("array-flattening", t, path)
         step = Step("array-flattening", path)
         out = Transformer(ids=iter(builder.fresh_id, None)).transform(r, (t,), (step,))
         assert instantiates(out, after), (render(t), path)
         assert [len(e.items) for e in reach(t, out, path[:outer])] == expected
-        ids = [item.elem_id for item in reach(after, out, path)]
-        assert len(ids) == spliced and None not in ids
-        holder = subterm(t, path[:-1])
-        if isinstance(holder, ArrayT) and holder.flat:
+        spliced = reach(after, out, path)
+        ids = [item.elem_id for item in spliced]
+        assert len(ids) == len(old)
+        if arrays_at[-1] == len(path) - 1 != outer:
             # items spliced straight into a flat array's element take that
             # element's id in place of their own
             assert ids == [a.elem_id for a in arrays for _ in a.items]
         else:
-            assert len(set(ids)) == len(ids), (render(t), path)
+            assert all(new == was for new, was in zip(ids, old) if was is not None)
+            # an item shared by several elements is numbered once
+            fresh = {id(item): item.elem_id for item, was in zip(spliced, old) if was is None}
+            assert None not in fresh.values() and len(set(fresh.values())) == len(fresh)
+            assert taken.isdisjoint(fresh.values()), (render(t), path)
         cases += 1
     assert cases > 300 and crossed_option and under_flat
 
