@@ -342,10 +342,9 @@ def test_flattening_splices_each_element_along_any_path():
         rel, elem_t = path[outer + 1:], subterm(t, path[: outer + 1])
         expected = []
         for enclosing in reach(t, r, path[:outer]):
-            sizes = [[len(a.items) for a in reach(elem_t, item, rel)] or [1]
-                     for item in enclosing.items]
-            crossed_option += [1] in sizes
-            expected.append(sum(s[0] for s in sizes))
+            reached = [reach(elem_t, item, rel) for item in enclosing.items]
+            crossed_option += [] in reached
+            expected.append(sum(len(a[0].items) if a else 1 for a in reached))
         arrays = reach(t, r, path)
         if n % 2:  # spliced items without an id get a fresh one
             for a in arrays:
