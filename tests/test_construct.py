@@ -190,5 +190,30 @@ def test_value_of_resolved_options_and_bindings():
 
 def test_pattern_wider_than_result_is_rejected():
     cp = parse_construction('{"a":$x,"b":$y}')
-    with pytest.raises(ConstructionError):
+    with pytest.raises(ShapeMismatchError):
         build(cp, X, MBind("x", "1"))
+
+
+GROUPED = '[{"k":$k%,"vs":[$n]}] groupby $k%'
+FOLDED = ArrayT(TupleT((ArrayT(N, N), DistinctT(K))), DistinctT(K), folded=True)
+UNFITTING = {
+    "tuple-for-a-binding": ('{"a":$x,"b":$y}', TupleT((X, Y)), MBind("x", "1")),
+    "tuple-of-another-arity": ('{"a":$x,"b":$y}', TupleT((X, Y)), MTuple([MBind("x", "1")])),
+    "binding-for-a-tuple": ("$x", X, MTuple([MBind("x", "1"), MBind("y", "2")])),
+    "option-for-a-binding": ('($x | {"v":$y})', OptionT((X, Y)), MBind("x", "1")),
+    "option-of-another-arity": (
+        '($x | {"v":$y})', OptionT((X, Y)), MOption([MBind("x", "1"), MFailed(), MFailed()], 0)),
+    "array-for-a-binding": ("[$x]", ArrayT(X, X), MBind("x", "1")),
+    "unfolded-term": (
+        GROUPED, ArrayT(FOLDED.elem, FOLDED.index),
+        marr([MTuple([marr([MBind("n", "a")]), MBind("k", "1")])], folded=True)),
+    "class-of-one-part": (GROUPED, FOLDED, marr([MTuple([marr([MBind("n", "a")])])], folded=True)),
+    "class-members-not-an-array": (
+        GROUPED, FOLDED, marr([MTuple([MBind("n", "a"), MBind("k", "1")])], folded=True)),
+}
+
+
+@pytest.mark.parametrize("construction, t, r", UNFITTING.values(), ids=UNFITTING.keys())
+def test_a_result_that_does_not_fit_its_term_is_a_shape_mismatch(construction, t, r):
+    with pytest.raises(ShapeMismatchError):
+        build(parse_construction(construction), t, r)

@@ -3,13 +3,15 @@ from collections import deque
 
 import pytest
 
+from jpq.ast import condition_scope
 from jpq.errors import (
     InvalidConstructionError,
+    QueryError,
     RuleInapplicableError,
     SearchBoundExceededError,
     ShapeMismatchError,
 )
-from jpq.filtering import resolve_options
+from jpq.filtering import filter_result, resolve_options
 from jpq.matching import MArray, MBind, MTuple, footprint, instantiates, succeeded
 from jpq.rewrite import (
     RULES,
@@ -21,9 +23,11 @@ from jpq.rewrite import (
     _TABLE,
     apply_rule,
     infer_route,
+    project_result,
     projected_source,
     replay,
 )
+from jpq.parser import parse_condition
 from jpq.terms import (
     ArrayT,
     DistinctT,
@@ -33,6 +37,7 @@ from jpq.terms import (
     children,
     positions,
     render,
+    replace,
     subterm,
     terms_match,
     var_counts,
@@ -393,21 +398,27 @@ def test_folding_partitions_with_homogeneous_keys():
         assert instantiates(out, apply_rule("array-tpl-folding", t, (), 1))
 
 
+def _steps_at(t):
+    """Every step apply_rule accepts on t, duplication left out."""
+    steps = []
+    for path, _ in positions(t):
+        for rule in RULES:
+            if rule == "tuple-duplication":
+                continue
+            for param in range(-1, 3):
+                try:
+                    apply_rule(rule, t, path, param)
+                except (RuleInapplicableError, IndexError):
+                    continue
+                steps.append(Step(rule, path, param))
+    return steps
+
+
 def test_random_steps_keep_results_conforming():
     for seed in range(200):
         rng = random.Random(seed)
         t = gen_term(rng, ["a", "b", "c"], depth=3)
-        steps = []
-        for path, _ in positions(t):
-            for rule in RULES:
-                if rule == "tuple-duplication":
-                    continue
-                for param in range(-1, 3):
-                    try:
-                        apply_rule(rule, t, path, param)
-                    except (RuleInapplicableError, IndexError):
-                        continue
-                    steps.append(Step(rule, path, param))
+        steps = _steps_at(t)
         if not steps:
             continue
         step = rng.choice(steps)
@@ -415,6 +426,53 @@ def test_random_steps_keep_results_conforming():
         out = Transformer().transform(r, (t,), (step,))
         after = apply_rule(step.rule, t, step.path, step.param)
         assert instantiates(out, after), (render(t), step)
+
+
+def _wide_term(rng, depth):
+    """A gen_term term with one subterm replaced by a tuple or option of three."""
+    t = gen_term(rng, ["a", "b", "c"], depth)
+    path, _ = rng.choice(positions(t))
+    kind = rng.choice([TupleT, OptionT])
+    return replace(t, path, kind(tuple(gen_term(rng, ["a", "b", "c"], 1) for _ in range(3))))
+
+
+def test_a_result_of_another_term_passes_or_is_a_shape_mismatch():
+    """Every walk after matching reads a result beside its term: handed a
+    result built for another term (the term with one subterm replaced),
+    projection, each route step and the filter succeed or raise
+    ShapeMismatchError, never another exception."""
+    conditions = [parse_condition(c) for c in ("notnull($a)", "$a = $b", "count[$c] > 1")]
+    outcomes = {True: 0, False: 0}
+
+    def attempt(call):
+        try:
+            call()
+        except ShapeMismatchError:
+            outcomes[False] += 1
+        else:
+            outcomes[True] += 1
+
+    for seed in range(1000):
+        rng = random.Random(seed)
+        t = _wide_term(rng, 3)
+        path, _ = rng.choice(positions(t))
+        other = replace(t, path, _wide_term(rng, 2))
+
+        def result():
+            return ResultBuilder(random.Random(seed)).build(other)
+
+        attempt(lambda: project_result(result(), t, {"a", "b"}))
+        for step in _steps_at(t):
+            attempt(lambda: Transformer().transform(result(), (t,), (step,)))
+        for c in conditions:
+            try:
+                condition_scope(c, t)
+            except QueryError:
+                continue
+            if c is conditions[-1] and var_counts(t)["c"] > 1:
+                continue  # which $c the count reads is then not settled
+            attempt(lambda: filter_result(result(), t, c))
+    assert outcomes[True] > 5000 and outcomes[False] > 1000, outcomes
 
 
 def test_distribution_splices_a_nested_tuple_in_the_head():
