@@ -15,7 +15,7 @@ from decimal import Decimal
 
 from . import ast as A
 from .ast import backbone  # noqa: F401  (re-exported)
-from .errors import ConstructionError, TypeError_
+from .errors import ConstructionError, ShapeMismatchError, TypeError_
 from .filtering import eval_builtin
 from .matching import (
     _combine,
@@ -25,19 +25,19 @@ from .matching import (
     MOption,
     MTuple,
     chosen,
+    shaped,
     succeeded,
 )
 from .model import Value
 from .terms import (
     ArrayT,
     DistinctT,
-    OptionT,
     Term,
     TupleT,
+    class_members,
     components,
     is_unit,
     render,
-    strip_component,
     tuple_of,
     var_set,
 )
@@ -50,9 +50,7 @@ from .terms import (
 def _slots(t: Term, r: MatchResult) -> list[tuple[Term, MatchResult]]:
     if not isinstance(t, TupleT):
         return [(t, r)]
-    if not isinstance(r, MTuple) or len(r.items) != len(t.items):
-        raise ConstructionError(f"result does not fit the {len(t.items)}-tuple {render(t)}")
-    return list(zip(t.items, r.items))
+    return list(zip(t.items, shaped(r, t).items))
 
 
 def value_of(r: MatchResult) -> Value:
@@ -83,7 +81,7 @@ class Builder:
         if k == 1 and slots:
             return slots.pop(0)
         if len(slots) < k:
-            raise ConstructionError("construction pattern is wider than the result")
+            raise ShapeMismatchError("construction pattern is wider than the result")
         taken = slots[:k]
         del slots[:k]
         return TupleT(tuple(t for t, _ in taken)), MTuple([r for _, r in taken])
@@ -95,7 +93,7 @@ class Builder:
         if kind is A.CVarRef:
             if isinstance(r, MBind):
                 return r.value
-            raise ConstructionError(f"${cp.name} is not bound to a single value")
+            raise ShapeMismatchError(f"${cp.name} is not bound to a single value")
         if kind is A.CDistinctRef:
             # only a grouped array's classes offer a key here
             return value_of(r)
@@ -114,14 +112,10 @@ class Builder:
                 args.append(self.build(sub, st, sr))
             return self._call(cp.name, args)
         if kind is A.COption:
-            if not isinstance(r, MOption):
+            if is_unit(cp.backbone):
                 # constants-only option: nothing to select on, first branch wins
-                if is_unit(cp.backbone):
-                    return self.build(cp.branches[0], t, r)
-                raise ConstructionError("expected an option result")
-            if not isinstance(t, OptionT) or len(t.branches) != len(cp.branches):
-                raise ConstructionError("option construction does not fit the result")
-            i = chosen(r)
+                return self.build(cp.branches[0], t, r)
+            i = chosen(shaped(r, t))
             return self.build(cp.branches[i], t.branches[i], r.branches[i])
         if kind is A.CArray or kind is A.CFlatArray:
             if is_unit(cp.backbone):
@@ -129,16 +123,15 @@ class Builder:
                 if kind is A.CFlatArray:
                     raise ConstructionError("a ^[...] of constants only has nothing to splice")
                 return [self.build(cp.elem, t, r)]
-            if not isinstance(t, ArrayT):
-                raise ConstructionError(f"expected an array result for {render(t)}")
-            if not isinstance(r, MArray):
-                if kind is A.CFlatArray:
-                    # the flattened array's elements were spliced into the
-                    # enclosing array; here one spliced element remains
-                    return self.build(cp.elem, t.elem, r)
-                raise ConstructionError(f"expected an array result for {render(t)}")
+            if kind is A.CFlatArray and not isinstance(r, MArray):
+                # the flattened array's elements were spliced into the
+                # enclosing array; here one spliced element remains
+                if not isinstance(t, ArrayT):
+                    raise ShapeMismatchError(f"expected an array term, not {render(t)}")
+                return self.build(cp.elem, t.elem, r)
             # a flattened array over an array result is a grouped class's content
             order = cp.order if kind is A.CArray else None
+            r = shaped(r, t)
             if kind is A.CArray and isinstance(cp.groupby, DistinctT):
                 return self._build_folded(cp, t, r)
             values = [self.build(cp.elem, t.elem, item) for item in r.items]
@@ -151,26 +144,25 @@ class Builder:
 
     def _build_folded(self, cp: A.CArray, t: ArrayT, r: MArray) -> Value:
         """Build each class as one element: its key components take the class
-        key, its content component the class members with the key stripped."""
+        key, its content component the class members as `class_members` shows
+        them, with or without the key."""
         if not t.folded:
-            raise ConstructionError("groupby construction needs a folded result")
+            raise ShapeMismatchError("groupby construction needs a folded result")
         class_t, key_t = t.elem.items
-        key_inner = key_t.inner if isinstance(key_t, DistinctT) else key_t
         member_t = class_t.elem
-        kept = [s != key_inner for s in components(member_t)]
-        content_t = ArrayT(strip_component(member_t, key_inner), class_t.index)
+        shown = class_members(member_t, key_t, cp.backbone.elem.items[0].elem)
+        kept = [shown == member_t or s != key_t.inner for s in components(member_t)]
+        content_t = ArrayT(shown, class_t.index)
         is_key = [isinstance(c, DistinctT) for c in components(cp.elem.backbone)]
         elem_t = tuple_of([key_t if k else content_t for k in is_key])
         values = []
         keys = []
         for cls in r.items:
-            if not isinstance(cls, MTuple) or len(cls.items) != 2:
-                raise ConstructionError("malformed class in folded result")
-            class_r, key_r = cls.items
+            class_r, key_r = shaped(cls, t.elem).items
             content_r = MArray(
                 [
                     _combine([s for s, k in zip(_slots(member_t, m), kept) if k])
-                    for m in class_r.items
+                    for m in shaped(class_r, class_t).items
                 ]
             )
             parts = [key_r if k else content_r for k in is_key]

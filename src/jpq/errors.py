@@ -1,7 +1,7 @@
 """Exception hierarchy for the jpq package.
 
 Errors are grouped by which stage of the pipeline raises them; the CLI
-maps them onto exit codes (query errors -> 1, data errors -> 2).
+maps them onto exit codes (query errors -> 1, data errors -> 2, others -> 3).
 """
 
 
@@ -75,7 +75,7 @@ class InvalidCompositionError(QueryError):
 
 
 class ShapeMismatchError(JpqError):
-    """A match result does not instantiate the term a transformation expects."""
+    """A result lacks the shape its plan promised: an internal error, wherever found."""
 
 
 class TypeError_(QueryError):
@@ -84,4 +84,5 @@ class TypeError_(QueryError):
 
 class ConstructionError(QueryError):
     """A construct clause that cannot be built: duplicate output keys or a bad
-    ordering (rejected before any data is read), or failed output assembly."""
+    ordering (rejected before any data is read), or at build time a ^[...] of
+    constants only, an unbound ordering variable or a key that is no single value."""

@@ -32,6 +32,7 @@ from .matching import (
     _viable,
     branch_token,
     compare_atoms,
+    shaped,
     succeeded,
 )
 from .model import MISSING, get_field, key
@@ -81,11 +82,9 @@ class _Enumerator:
                 return [_Assignment({t.name: r.value}, frozenset())]
             return [_Assignment({}, frozenset())]
         if isinstance(t, TupleT):
-            if not isinstance(r, MTuple) or len(r.items) != len(t.items):
-                raise ShapeMismatchError(f"expected a {len(t.items)}-tuple result")
             combos = [_Assignment({}, frozenset())]
             bound: set[str] = set()
-            for i, (st, sr) in enumerate(zip(t.items, r.items)):
+            for i, (st, sr) in enumerate(zip(t.items, shaped(r, t).items)):
                 here = var_set(st)
                 if not here & self.relevant_vars:
                     continue
@@ -94,12 +93,10 @@ class _Enumerator:
                 bound |= here
             return combos
         if isinstance(t, OptionT):
-            if not isinstance(r, MOption):
-                raise ShapeMismatchError("expected an option result")
             covered = set()
             out: list[_Assignment] = []
             any_relevant = False
-            for i, (bt, br) in enumerate(zip(t.branches, r.branches)):
+            for i, (bt, br) in enumerate(zip(t.branches, shaped(r, t).branches)):
                 if not self._relevant(bt):
                     continue
                 any_relevant = True
@@ -115,16 +112,15 @@ class _Enumerator:
             self.options.append((frozenset(covered), all_toks))
             return out
         if isinstance(t, ArrayT):
-            if not isinstance(r, MArray):
-                raise ShapeMismatchError("expected an array result")
+            items = shaped(r, t).items
             if path in self.anchors:
-                env = {("range", v): (t.elem, list(r.items)) for v in self.anchors[path]}
+                env = {("range", v): (t.elem, list(items)) for v in self.anchors[path]}
                 return [_Assignment(env, frozenset())]
             if not self._relevant(t.elem):
                 return [_Assignment({}, frozenset())]
-            self.groups.append(frozenset(item.elem_id for item in r.items))
+            self.groups.append(frozenset(item.elem_id for item in items))
             out = []
-            for item in r.items:
+            for item in items:
                 for a in self.run(t.elem, item, path + (0,)):
                     out.append(_Assignment(a.env, a.tokens | {item.elem_id}))
             return out

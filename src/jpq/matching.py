@@ -19,7 +19,7 @@ from typing import Iterable, Iterator, Optional, Union
 from . import ast as A
 from .errors import ShapeMismatchError
 from .model import Value, key, preorder, serialize
-from .terms import ArrayT, DistinctT, OptionT, Term, TupleT, Var, is_unit
+from .terms import ArrayT, DistinctT, OptionT, Term, TupleT, Var, is_unit, render
 
 
 class MatchResult:
@@ -299,6 +299,21 @@ def compare_atoms(op: str, a: Value, b: Value) -> bool:
 
 # ---------------------------------------------------------------------------
 # shape checking, identity footprints, rendering
+
+
+def shaped(r: MatchResult, t: Term) -> MatchResult:
+    """`r` when it is of `t`'s kind: a tuple or option of the term's arity, or an
+    array for an array term.  Else a ShapeMismatchError, as the plan promised it."""
+    kind = type(t)
+    if kind is TupleT:
+        if type(r) is MTuple and len(r.items) == len(t.items):
+            return r
+    elif kind is OptionT:
+        if type(r) is MOption and len(r.branches) == len(t.branches):
+            return r
+    elif kind is ArrayT and type(r) is MArray:
+        return r
+    raise ShapeMismatchError(f"the result does not have the shape of {render(t)}")
 
 
 def instantiates(r: MatchResult, t: Term) -> bool:

@@ -37,6 +37,7 @@ from .matching import (
     _viable,
     branch_token,
     footprint,
+    shaped,
     succeeded,
 )
 from .model import key
@@ -163,16 +164,14 @@ def _associate(node: Term, j: int) -> Term:
 
 
 def _commute_tuple_data(tr, t, r, i, ctx):
-    return [_as_tuple(r, t).with_parts(_swap(r.items, i))]
+    return [shaped(r, t).with_parts(_swap(r.items, i))]
 
 
 def _associate_tuple_data(tr, t, r, j, ctx):
-    items = _as_tuple(r, t).items
+    items = shaped(r, t).items
     if j != -1:
         return [r.with_parts(items[:j] + [MTuple(items[j:])])]
-    if not isinstance(items[-1], MTuple):
-        raise ShapeMismatchError("no nested tuple result to ungroup")
-    return [r.with_parts(items[:-1] + items[-1].items)]
+    return [r.with_parts(items[:-1] + shaped(items[-1], t.items[-1]).items)]
 
 
 def _rebranched(opt: MOption, branches: list, branch_ids: list) -> list[MOption]:
@@ -183,12 +182,12 @@ def _rebranched(opt: MOption, branches: list, branch_ids: list) -> list[MOption]
 
 
 def _commute_option_data(tr, t, r, i, ctx):
-    opt = _as_option(r, t)
+    opt = shaped(r, t)
     return _rebranched(opt, _swap(opt.branches, i), _swap(opt.branch_ids, i))
 
 
 def _associate_option_data(tr, t, r, j, ctx):
-    opt = _as_option(r, t)
+    opt = shaped(r, t)
     branches, ids = opt.branches, opt.branch_ids
     if j == -1:
         inner = branches[-1]
@@ -197,8 +196,7 @@ def _associate_option_data(tr, t, r, j, ctx):
             width = len(t.branches[-1].branches)
             grouped = [("g", tr.fresh_id()) for _ in range(width)]
             return _rebranched(opt, branches[:-1] + [MFailed()] * width, ids[:-1] + grouped)
-        if not isinstance(inner, MOption):
-            raise ShapeMismatchError("no nested option result to ungroup")
+        inner = shaped(inner, t.branches[-1])
         return _rebranched(opt, branches[:-1] + inner.branches, ids[:-1] + inner.branch_ids)
     # a failed group is a failed branch, as matching makes it
     inner = _viable(MOption(branches[j:], None, ids[j:]))
@@ -227,9 +225,7 @@ def _flattenable(node: ArrayT, t: Term, path: Path) -> tuple[int, ...]:
 
 def _flatten_data(tr, t, r, _, ctx):
     """The array's items, each given an id if it has none."""
-    if not isinstance(r, MArray):
-        raise ShapeMismatchError(f"expected an array result to flatten for {render(t)}")
-    for item in r.items:
+    for item in shaped(r, t).items:
         if item.elem_id is None:
             item.elem_id = tr.fresh_id()
     return list(r.items)
@@ -266,9 +262,9 @@ def _pair(t: TupleT, r: MTuple, last_t: Term, last_r: MatchResult) -> MatchResul
 
 
 def _distribute_option_data(tr, t, r, _, ctx):
-    tup = _as_tuple(r, t)
+    tup = shaped(r, t)
     opt_t = t.items[-1]
-    opt = _as_option(tup.items[-1], opt_t)
+    opt = shaped(tup.items[-1], opt_t)
     branches = [
         _pair(t, tup, bt, br) if succeeded(br) else MFailed()
         for bt, br in zip(opt_t.branches, opt.branches)
@@ -277,10 +273,8 @@ def _distribute_option_data(tr, t, r, _, ctx):
 
 
 def _distribute_array_data(tr, t, r, _, ctx):
-    tup = _as_tuple(r, t)
-    arr_r = tup.items[-1]
-    if not isinstance(arr_r, MArray):
-        raise ShapeMismatchError("expected an array result to distribute over")
+    tup = shaped(r, t)
+    arr_r = shaped(tup.items[-1], t.items[-1])
     items = arr_r.items
     if tr.constraints:
         items = tr.allowed(ctx | footprint(MTuple(tup.items[:-1])), arr_r)
@@ -303,11 +297,9 @@ def _fold(node: ArrayT, k: int) -> Term:
 
 
 def _fold_data(tr, t, r, k, ctx):
-    if not isinstance(r, MArray):
-        raise ShapeMismatchError("expected an array result to fold")
     classes: dict = {}
-    for item in r.items:
-        key_r = _as_tuple(item, t.elem).items[k]
+    for item in shaped(r, t).items:
+        key_r = shaped(item, t.elem).items[k]
         class_key = _value_key(key_r)
         if class_key not in classes:
             classes[class_key] = (MArray([]), key_r)
@@ -683,29 +675,21 @@ class Transformer:
             return _TABLE[step.rule].data(self, t, r, step.param, ctx)
         i, rest = path[0], path[1:]
         if isinstance(t, TupleT):
-            if not isinstance(r, MTuple) or len(r.items) != len(t.items):
-                raise ShapeMismatchError(
-                    f"expected a {len(t.items)}-tuple result for {render(t)}"
-                )
-            for j, sib in enumerate(r.items):
+            for j, sib in enumerate(shaped(r, t).items):
                 if j != i:
                     ctx = ctx | footprint(sib)
         elif isinstance(t, OptionT):
-            if not succeeded(_as_option(r, t).branches[i]):
+            if not succeeded(shaped(r, t).branches[i]):
                 return [r]
             ctx = ctx | {branch_token(r, i)}
-        elif isinstance(t, ArrayT):
-            if i != 0:
-                raise ShapeMismatchError("array terms have a single element position")
-            if t.flat:
-                # spliced representation: the position holds the element content
-                return [_keep_id(sub, r) for sub in self._descend(step, t.elem, r, rest, ctx)]
-            if not isinstance(r, MArray):
-                raise ShapeMismatchError(f"expected an array result for {render(t)}")
-            items = [sub for s in r.items for sub in self._descend(step, t.elem, s, rest, ctx)]
+        elif isinstance(t, ArrayT) and not t.flat:
+            items = shaped(r, t).items
+            items = [sub for s in items for sub in self._descend(step, t.elem, s, rest, ctx)]
             return [r.with_parts(items)]
-        elif isinstance(t, DistinctT):
-            return self._descend(step, t.inner, r, rest, ctx)
+        elif isinstance(t, (ArrayT, DistinctT)):
+            # the only child, of the same result: a flat array's position
+            # holds one spliced element, a distinct term its inner term's result
+            return self._descend(step, children(t)[0], r, rest, ctx)
         else:
             raise ShapeMismatchError(f"cannot descend into {render(t)}")
         parts, out = r.parts(), []
@@ -715,18 +699,6 @@ class Transformer:
         return out
 
 
-def _as_tuple(r: MatchResult, t: Term) -> MTuple:
-    if not isinstance(r, MTuple):
-        raise ShapeMismatchError(f"expected a tuple result for {render(t)}")
-    return r
-
-
-def _as_option(r: MatchResult, t: Term) -> MOption:
-    if not isinstance(r, MOption):
-        raise ShapeMismatchError(f"expected an option result for {render(t)}")
-    return r
-
-
 def project_result(r: MatchResult, t: Term, keep: set) -> MatchResult:
     """Mirror of terms.project on a match result: drop the parts bound to
     variables outside `keep`, collapsing exactly as the term projection does."""
@@ -734,25 +706,20 @@ def project_result(r: MatchResult, t: Term, keep: set) -> MatchResult:
         return r
     if isinstance(t, Var):
         return r if t.name in keep else MTuple([])
-    if isinstance(t, TupleT):
-        if not isinstance(r, MTuple) or len(r.items) != len(t.items):
-            raise ShapeMismatchError(f"expected a {len(t.items)}-tuple for {render(t)}")
-        parts = []
-        for st, sr in zip(t.items, r.items):
-            parts.append((project(st, keep), project_result(sr, st, keep)))
-        return _keep_id(_combine(parts), r)
-    if isinstance(t, (OptionT, ArrayT)) and is_unit(project(t, keep)):
-        return _keep_id(MTuple([]), r)
-    if isinstance(t, OptionT):
-        branches = _as_option(r, t).branches
-        return r.with_parts([project_result(b, bt, keep) for bt, b in zip(t.branches, branches)])
-    if isinstance(t, ArrayT):
-        if not isinstance(r, MArray):
-            raise ShapeMismatchError(f"expected an array result for {render(t)}")
-        return r.with_parts([project_result(item, t.elem, keep) for item in r.items])
     if isinstance(t, DistinctT):
         return project_result(r, t.inner, keep)
-    raise ShapeMismatchError(f"cannot project a result against {render(t)}")
+    if isinstance(t, TupleT):
+        parts = []
+        for st, sr in zip(t.items, shaped(r, t).items):
+            parts.append((project(st, keep), project_result(sr, st, keep)))
+        return _keep_id(_combine(parts), r)
+    if is_unit(project(t, keep)):
+        return _keep_id(MTuple([]), r)
+    if isinstance(t, OptionT):
+        branches = shaped(r, t).branches
+        return r.with_parts([project_result(b, bt, keep) for bt, b in zip(t.branches, branches)])
+    items = shaped(r, t).items
+    return r.with_parts([project_result(item, t.elem, keep) for item in items])
 
 
 def _value_key(r: MatchResult):

@@ -286,8 +286,12 @@ def _folded_elems_match(state_elem: Term, target_elem: Term) -> bool:
         return False
     if g_arr.index is not None and not terms_match(s_arr.index, g_arr.index):
         return False
-    if terms_match(s_arr.elem, g_arr.elem):
-        return True
-    # target may hide the key term inside the class members
-    key_inner = s_key.inner if isinstance(s_key, DistinctT) else s_key
-    return terms_match(strip_component(s_arr.elem, key_inner), g_arr.elem)
+    return terms_match(class_members(s_arr.elem, s_key, g_arr.elem), g_arr.elem)
+
+
+def class_members(member: Term, key: Term, target: Term) -> Term:
+    """The member term a folded class keyed by `key` shows for the member term
+    `target`: `member` when it matches, else `member` without the key."""
+    if terms_match(member, target):
+        return member
+    return strip_component(member, key.inner if isinstance(key, DistinctT) else key)

@@ -552,6 +552,37 @@ def test_grouping_tells_member_order_and_true_from_1(tmp_path):
     assert run_on(tmp_path, ORDERS, query) == (EXIT_OK, expected + "\n", "")
 
 
+# -- grouped arrays whose members name the key ------------------------------------------
+
+MEMBERS_DOC = {"xs": [{"a": 1, "b": 2, "n": "p"}, {"a": 3, "b": 2, "n": "r"}, {"a": 1, "b": 5, "n": "q"}]}
+
+
+def key_member_rows():
+    """(class member, expected output) computed from the raw JSON: classes by
+    $a in order of first appearance, each member holding the named keys."""
+    rows = {"key-inside": ["a", "n"], "another-order": ["n", "a"], "beside-a-third-variable": ["n", "a", "b"]}
+    out = {}
+    for name, keys in rows.items():
+        classes: dict = {}
+        for x in MEMBERS_DOC["xs"]:
+            classes.setdefault(x["a"], []).append({k: x[k] for k in keys})
+        member = "{" + ",".join(f'"{k}":${k}' for k in keys) + "}"
+        out[name] = (member, [{"k": a, "v": v} for a, v in classes.items()])
+    return out
+
+
+KEY_MEMBERS = key_member_rows()
+
+
+@pytest.mark.parametrize("member, expected", KEY_MEMBERS.values(), ids=KEY_MEMBERS.keys())
+def test_grouped_members_may_name_the_key(tmp_path, member, expected):
+    query = ('from doc("d") {"xs":[{"a":$a,"b":$b,"n":$n}]} '
+             f'construct [{{"k":$a%,"v":[{member}]}}] groupby $a%')
+    code, out, err = run_on(tmp_path, json.dumps(MEMBERS_DOC), query)
+    assert (code, err) == (EXIT_OK, "")
+    assert json.loads(out) == expected
+
+
 # -- arrays of constants only ----------------------------------------------------------
 
 

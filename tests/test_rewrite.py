@@ -364,16 +364,11 @@ def test_flattening_splices_each_element_along_any_path():
         spliced = reach(after, out, path)
         ids = [item.elem_id for item in spliced]
         assert len(ids) == len(old)
-        if arrays_at[-1] == len(path) - 1 != outer:
-            # items spliced straight into a flat array's element take that
-            # element's id in place of their own
-            assert ids == [a.elem_id for a in arrays for _ in a.items]
-        else:
-            assert all(new == was for new, was in zip(ids, old) if was is not None)
-            # an item shared by several elements is numbered once
-            fresh = {id(item): item.elem_id for item, was in zip(spliced, old) if was is None}
-            assert None not in fresh.values() and len(set(fresh.values())) == len(fresh)
-            assert taken.isdisjoint(fresh.values()), (render(t), path)
+        assert all(new == was for new, was in zip(ids, old) if was is not None)
+        # an item shared by several elements is numbered once
+        fresh = {id(item): item.elem_id for item, was in zip(spliced, old) if was is None}
+        assert None not in fresh.values() and len(set(fresh.values())) == len(fresh)
+        assert taken.isdisjoint(fresh.values()), (render(t), path)
         cases += 1
     assert cases > 300 and crossed_option and under_flat
 
