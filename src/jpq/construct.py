@@ -123,13 +123,13 @@ class Builder:
                 if kind is A.CFlatArray:
                     raise ConstructionError("a ^[...] of constants only has nothing to splice")
                 return [self.build(cp.elem, t, r)]
-            if kind is A.CFlatArray and not isinstance(r, MArray):
+            if not isinstance(t, ArrayT):
+                raise ShapeMismatchError(f"expected an array term, not {render(t)}")
+            if t.flat:
                 # the flattened array's elements were spliced into the
                 # enclosing array; here one spliced element remains
-                if not isinstance(t, ArrayT):
-                    raise ShapeMismatchError(f"expected an array term, not {render(t)}")
                 return self.build(cp.elem, t.elem, r)
-            # a flattened array over an array result is a grouped class's content
+            # a ^[...] over a plain array term is a grouped class's content
             order = cp.order if kind is A.CArray else None
             r = shaped(r, t)
             if kind is A.CArray and isinstance(cp.groupby, DistinctT):

@@ -583,6 +583,34 @@ def test_grouped_members_may_name_the_key(tmp_path, member, expected):
     assert json.loads(out) == expected
 
 
+# -- a flattened array whose elements are arrays ----------------------------------------
+
+NESTED_DOC = {"xs": [{"ys": [[1, 2], [3]]}, {"ys": [[4]]}]}
+
+
+def spliced_array_rows():
+    """(construction, expected output) computed from the raw JSON: each
+    element of every `ys` is spliced as one array."""
+    ys = [y for x in NESTED_DOC["xs"] for y in x["ys"]]
+    return {
+        "alone": ("[^[[$c]]]", ys),
+        "under-a-key": ('{"r":[^[[$c]]]}', {"r": ys}),
+        "in-an-element": ('[{"x":^[[$c]]}]', [{"x": y} for y in ys]),
+        "inside-an-object": ('[^[{"v":[$c]}]]', [{"v": y} for y in ys]),
+    }
+
+
+SPLICED_ARRAYS = spliced_array_rows()
+
+
+@pytest.mark.parametrize("construction, expected", SPLICED_ARRAYS.values(), ids=SPLICED_ARRAYS.keys())
+def test_a_flattened_array_splices_array_elements_whole(tmp_path, construction, expected):
+    query = 'from doc("d") {"xs":[{"ys":[[$c]]}]} construct ' + construction
+    code, out, err = run_on(tmp_path, json.dumps(NESTED_DOC), query)
+    assert (code, err) == (EXIT_OK, "")
+    assert json.loads(out) == expected
+
+
 # -- arrays of constants only ----------------------------------------------------------
 
 
