@@ -554,33 +554,54 @@ def test_grouping_tells_member_order_and_true_from_1(tmp_path):
 
 # -- grouped arrays whose members name the key ------------------------------------------
 
-MEMBERS_DOC = {"xs": [{"a": 1, "b": 2, "n": "p"}, {"a": 3, "b": 2, "n": "r"}, {"a": 1, "b": 5, "n": "q"}]}
+MEMBERS_DOC = {"xs": [{"a": 1, "b": 2, "n": "p"}, {"a": 3, "b": 2, "n": "r"}, {"a": 1, "b": 2, "n": "q"}]}
+MEMBERS_PATTERN = 'from doc("d") {"xs":[{"a":$a,"b":$b,"n":$n}]} '
+KEY_TERMS = {"a": "$a%", "ab": "($a,$b)%"}
 
 
 def key_member_rows():
-    """(class member, expected output) computed from the raw JSON: classes by
-    $a in order of first appearance, each member holding the named keys."""
-    rows = {"key-inside": ["a", "n"], "another-order": ["n", "a"], "beside-a-third-variable": ["n", "a", "b"]}
+    """(query, expected output) computed from the raw JSON for a grouping key
+    (`$a%` or `($a,$b)%`), the class member's variables (repeats allowed) and
+    whether the element references the key: classes in order of first
+    appearance, a key reference being the key's value, or for a tuple key the
+    list of its values."""
+    named = {"key-inside": ("a", "an", True), "another-order": ("a", "na", True),
+             "beside-a-third-variable": ("a", "nab", True)}
+    cases = dict(named)
+    for by in KEY_TERMS:
+        for members in [*"abn", *(x + y for x in "abn" for y in "abn")]:
+            for ref in (True, False):
+                if (by, members, ref) not in named.values():
+                    cases[f"{by}%-{members}-{'ref' if ref else 'noref'}"] = (by, members, ref)
     out = {}
-    for name, keys in rows.items():
+    for name, (by, members, ref) in cases.items():
         classes: dict = {}
         for x in MEMBERS_DOC["xs"]:
-            classes.setdefault(x["a"], []).append({k: x[k] for k in keys})
-        member = "{" + ",".join(f'"{k}":${k}' for k in keys) + "}"
-        out[name] = (member, [{"k": a, "v": v} for a, v in classes.items()])
+            k = tuple(x[v] for v in by)
+            classes.setdefault(k, []).append({f"{v}{i}": x[v] for i, v in enumerate(members)})
+        member = "{" + ",".join(f'"{v}{i}":${v}' for i, v in enumerate(members)) + "}"
+        elem = f'{{"k":{KEY_TERMS[by]},"v":[{member}]}}' if ref else f'{{"v":[{member}]}}'
+        query = MEMBERS_PATTERN + f"construct [{elem}] groupby {KEY_TERMS[by]}"
+        expected = [({"k": k[0] if len(k) == 1 else list(k)} if ref else {}) | {"v": v}
+                    for k, v in classes.items()]
+        out[name] = (query, expected)
     return out
 
 
 KEY_MEMBERS = key_member_rows()
 
 
-@pytest.mark.parametrize("member, expected", KEY_MEMBERS.values(), ids=KEY_MEMBERS.keys())
-def test_grouped_members_may_name_the_key(tmp_path, member, expected):
-    query = ('from doc("d") {"xs":[{"a":$a,"b":$b,"n":$n}]} '
-             f'construct [{{"k":$a%,"v":[{member}]}}] groupby $a%')
+@pytest.mark.parametrize("query, expected", KEY_MEMBERS.values(), ids=KEY_MEMBERS.keys())
+def test_grouped_members_may_name_the_key(tmp_path, query, expected):
     code, out, err = run_on(tmp_path, json.dumps(MEMBERS_DOC), query)
     assert (code, err) == (EXIT_OK, "")
     assert json.loads(out) == expected
+
+
+def test_ordering_by_a_tuple_key_is_a_type_error(tmp_path):
+    query = MEMBERS_PATTERN + 'construct [{"v":[$n]}] groupby ($a,$b)% asc'
+    code, out, err = run_on(tmp_path, json.dumps(MEMBERS_DOC), query)
+    assert (code, out, err) == (EXIT_QUERY, "", "error: ordering keys must be numbers or strings\n")
 
 
 # -- a flattened array whose elements are arrays ----------------------------------------

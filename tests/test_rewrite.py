@@ -1,5 +1,6 @@
 import random
 from collections import deque
+from decimal import Decimal
 
 import pytest
 
@@ -13,6 +14,7 @@ from jpq.errors import (
 )
 from jpq.filtering import filter_result, resolve_options
 from jpq.matching import MArray, MBind, MTuple, footprint, instantiates, succeeded
+from jpq.model import key
 from jpq.rewrite import (
     RULES,
     Constraint,
@@ -391,6 +393,46 @@ def test_folding_partitions_with_homogeneous_keys():
         assert members == len(r.items)
         assert len(seen_keys) == len({repr(k) for k in seen_keys})
         assert instantiates(out, apply_rule("array-tpl-folding", t, (), 1))
+
+
+def _reference_value_key(r):
+    """A structural grouping key, kept as the reference for the classes that
+    folding forms: a binding by its name and JPQ value (one NaN class), a
+    composite by its kind and parts."""
+    if isinstance(r, MBind):
+        return ("b", r.name, key(r.value, nan_equal=True))
+    if isinstance(r, MTuple):
+        return ("t",) + tuple(_reference_value_key(s) for s in r.items)
+    if isinstance(r, MArray):
+        return ("a",) + tuple(_reference_value_key(s) for s in r.items)
+    raise TypeError(f"no reference key for {r!r}")
+
+
+KEY_VALUES = [Decimal("NaN"), Decimal(1), Decimal("1.0"), True, False, None, "1",
+              {"x": Decimal(1)}, {"x": True}, [Decimal(1)], [Decimal(1), Decimal(2)], [], {}]
+
+
+def _key_result(rng, t):
+    if isinstance(t, Var):
+        return MBind(t.name, rng.choice(KEY_VALUES))
+    if isinstance(t, TupleT):
+        return MTuple([_key_result(rng, s) for s in t.items])
+    return MArray([_key_result(rng, t.elem) for _ in range(rng.randrange(3))])
+
+
+def test_folding_classes_agree_with_the_structural_key():
+    shapes = [A, TupleT((A, B)), arr(A), TupleT((A, arr(B)))]
+    for seed in range(900):
+        rng = random.Random(seed)
+        key_t = shapes[seed % len(shapes)]
+        t = arr(TupleT((C, key_t)))
+        items = [MTuple([MBind("c", i), _key_result(rng, key_t)]) for i in range(rng.randrange(1, 8))]
+        out = Transformer().transform(MArray(items), (t,), (Step("array-tpl-folding", (), 1),))
+        expected: dict = {}
+        for item in items:
+            expected.setdefault(_reference_value_key(item.items[1]), []).append(item.items[0].value)
+        got = [[m.items[0].value for m in cls.items[0].items] for cls in out.items]
+        assert got == list(expected.values()), seed
 
 
 def _steps_at(t):
