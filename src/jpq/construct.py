@@ -27,6 +27,7 @@ from .matching import (
     chosen,
     shaped,
     succeeded,
+    value_of,
 )
 from .model import Value
 from .terms import (
@@ -51,15 +52,6 @@ def _slots(t: Term, r: MatchResult) -> list[tuple[Term, MatchResult]]:
     if not isinstance(t, TupleT):
         return [(t, r)]
     return list(zip(t.items, shaped(r, t).items))
-
-
-def value_of(r: MatchResult) -> Value:
-    """The single value a result stands for; used for grouping keys."""
-    if isinstance(r, MBind):
-        return r.value
-    if isinstance(r, MOption):
-        return value_of(r.branches[chosen(r)])
-    raise ConstructionError("expected a single bound value")
 
 
 def build_empty(cp: A.ConstructionPattern) -> Value:
@@ -145,18 +137,19 @@ class Builder:
     def _build_folded(self, cp: A.CArray, t: ArrayT, r: MArray) -> Value:
         """Build each class as one element: its key components take the class
         key, its content component the class members as `class_members` shows
-        them, with or without the key."""
+        them, with or without a copy of the key."""
         if not t.folded:
             raise ShapeMismatchError("groupby construction needs a folded result")
         class_t, key_t = t.elem.items
         member_t = class_t.elem
-        shown = class_members(member_t, key_t, cp.backbone.elem.items[0].elem)
-        kept = [shown == member_t or s != key_t.inner for s in components(member_t)]
+        kept = class_members(member_t, key_t, cp.backbone.elem.items[0].elem)
+        if kept is None:
+            raise ShapeMismatchError(f"a class of {render(t)} does not show its members as built")
+        shown = tuple_of([s for s, k in zip(components(member_t), kept) if k])
         content_t = ArrayT(shown, class_t.index)
         is_key = [isinstance(c, DistinctT) for c in components(cp.elem.backbone)]
         elem_t = tuple_of([key_t if k else content_t for k in is_key])
         values = []
-        keys = []
         for cls in r.items:
             class_r, key_r = shaped(cls, t.elem).items
             content_r = MArray(
@@ -168,9 +161,8 @@ class Builder:
             parts = [key_r if k else content_r for k in is_key]
             elem_r = parts[0] if len(parts) == 1 else MTuple(parts)
             values.append(self.build(cp.elem, elem_t, elem_r))
-            keys.append(value_of(key_r))
         if cp.order is not None:
-            values = _sorted_by(values, keys, cp.order)
+            values = _sorted_by(values, [value_of(cls.items[1]) for cls in r.items], cp.order)
         return values
 
     def _call(self, name: str, args: list[Value]) -> Value:

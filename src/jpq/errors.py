@@ -85,4 +85,4 @@ class TypeError_(QueryError):
 class ConstructionError(QueryError):
     """A construct clause that cannot be built: duplicate output keys or a bad
     ordering (rejected before any data is read), or at build time a ^[...] of
-    constants only, an unbound ordering variable or a key that is no single value."""
+    constants only or an unbound ordering variable."""

@@ -141,6 +141,19 @@ def chosen(opt: MOption) -> int:
     return alive[0]
 
 
+def value_of(r: MatchResult) -> Value:
+    """The value a grouping key's result stands for: a binding's value, a
+    resolved option's chosen branch's, and for a tuple or an array the list
+    of its parts' values.  A failed result stands for none."""
+    if isinstance(r, MBind):
+        return r.value
+    if isinstance(r, MOption):
+        return value_of(r.branches[chosen(r)])
+    if isinstance(r, (MTuple, MArray)):
+        return [value_of(s) for s in r.items]
+    raise ShapeMismatchError("a failed result has no value")
+
+
 def _combine(parts: list[tuple[Term, MatchResult]]) -> MatchResult:
     """Combine (term, result) slots as a flat tuple — the exact mirror of
     terms.tuple_of: tuple slots spliced, singletons collapsed, and nothing

@@ -28,7 +28,6 @@ from .errors import (
 from .matching import (
     MArray,
     MatchResult,
-    MBind,
     MFailed,
     MOption,
     MTuple,
@@ -39,6 +38,7 @@ from .matching import (
     footprint,
     shaped,
     succeeded,
+    value_of,
 )
 from .model import key
 from .terms import (
@@ -300,7 +300,7 @@ def _fold_data(tr, t, r, k, ctx):
     classes: dict = {}
     for item in shaped(r, t).items:
         key_r = shaped(item, t.elem).items[k]
-        class_key = _value_key(key_r)
+        class_key = key(value_of(key_r), nan_equal=True)
         if class_key not in classes:
             classes[class_key] = (MArray([]), key_r)
         classes[class_key][0].items.append(item)
@@ -398,17 +398,22 @@ def replay(source: Term, route: RewriteRoute) -> tuple[Term, ...]:
 # route inference
 
 
-def _feature_counts(t: Term) -> tuple[int, int]:
-    """(flattened arrays, folded arrays); both are monotone under the rules."""
-    flats = folds = 0
+def _census(t: Term) -> Counter:
+    """Variable occurrences, plus the flattened arrays under "^" and the folded
+    ones under "%", counted in one walk; the array counts are monotone under
+    the rules."""
+    census: Counter = Counter()
     stack = [t]
     while stack:
         node = stack.pop()
-        if isinstance(node, ArrayT):
-            flats += node.flat
-            folds += node.folded
+        kind = type(node)  # term classes are final
+        if kind is Var:
+            census[node.name] += 1
+        elif kind is ArrayT:
+            census["^"] += node.flat
+            census["%"] += node.folded
         stack.extend(children(node))
-    return flats, folds
+    return census
 
 
 def _successors(t: Term, room: _Room):
@@ -426,27 +431,15 @@ def _successors(t: Term, room: _Room):
                 yield Step(rule.name, path, param), apply_rule(rule.name, t, path, param)
 
 
-def _count_budget(target: Term) -> Counter:
-    """Per-variable occurrence ceiling for search states.  A folded class in
-    the target may hide its grouping key inside the member term, so each
-    distinct key contributes one extra allowed occurrence of its variables."""
-    budget = var_counts(target)
+def _budget(target: Term) -> Counter:
+    """The census ceiling for search states: the target's census plus one
+    hidden copy of each distinct key, the copy a folded class may hold
+    inside its members without showing it (`terms.class_members`)."""
+    budget = _census(target)
     for _, node in positions(target):
         if isinstance(node, DistinctT):
-            budget.update(var_counts(node.inner))
+            budget.update(_census(node.inner))
     return budget
-
-
-def _feature_budget(target: Term) -> tuple[int, int]:
-    """Flat/folded array ceilings, widened the same way as `_count_budget`:
-    the hidden key copy inside a folded class may itself be flat or folded."""
-    flats, folds = _feature_counts(target)
-    for _, node in positions(target):
-        if isinstance(node, DistinctT):
-            f, d = _feature_counts(node.inner)
-            flats += f
-            folds += d
-    return flats, folds
 
 
 def _first_difference(source: Term, target: Term) -> str:
@@ -454,11 +447,10 @@ def _first_difference(source: Term, target: Term) -> str:
     if missing:
         name = sorted(missing)[0]
         return f"target variable ${name} is not bound by the source"
-    sc, tc = var_counts(source), var_counts(target)
-    sf, tf = _feature_counts(source), _feature_budget(target)
-    if sf[0] > tf[0]:
+    sc, tc, budget = _census(source), var_counts(target), _budget(target)
+    if sc["^"] > budget["^"]:
         return "source has flattened arrays the target lacks"
-    if sf[1] > tf[1]:
+    if sc["%"] > budget["%"]:
         return "source has folded arrays the target lacks"
     for v in sorted(tc):
         if sc[v] > tc[v]:
@@ -505,16 +497,15 @@ def infer_route(
             "the source cannot produce"
         )
     target_counts = var_counts(target)
-    budget = _count_budget(target)
-    tflats, tfolds = _feature_budget(target)
+    budget = _budget(target)
 
     def room_of(t: Term) -> Optional[_Room]:
         """What t still lacks of the target; None when t is over budget."""
-        counts, (flats, folds) = var_counts(t), _feature_counts(t)
-        if flats > tflats or folds > tfolds or any(n > budget[v] for v, n in counts.items()):
+        census = _census(t)
+        if any(n > budget[v] for v, n in census.items()):
             return None
-        short = frozenset(v for v, n in target_counts.items() if counts[v] < n)
-        return _Room(short, flats < tflats, folds < tfolds)
+        short = frozenset(v for v, n in target_counts.items() if census[v] < n)
+        return _Room(short, census["^"] < budget["^"], census["%"] < budget["%"])
 
     def exceeded(depth: int) -> SearchBoundExceededError:
         return SearchBoundExceededError(
@@ -720,17 +711,3 @@ def project_result(r: MatchResult, t: Term, keep: set) -> MatchResult:
         return r.with_parts([project_result(b, bt, keep) for bt, b in zip(t.branches, branches)])
     items = shaped(r, t).items
     return r.with_parts([project_result(item, t.elem, keep) for item in items])
-
-
-def _value_key(r: MatchResult):
-    """Deep structural key of a result's bound values, used for grouping."""
-    if isinstance(r, MBind):
-        return ("b", r.name, key(r.value, nan_equal=True))
-    if isinstance(r, MTuple):
-        return ("t",) + tuple(_value_key(s) for s in r.items)
-    if isinstance(r, MArray):
-        return ("a",) + tuple(_value_key(s) for s in r.items)
-    if isinstance(r, MOption):
-        return ("o",) + tuple((i, _value_key(b)) for i, b in enumerate(r.branches) if succeeded(b))
-    raise ShapeMismatchError("cannot take the value of a failed result")
-

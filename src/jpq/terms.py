@@ -227,21 +227,10 @@ def project(t: Term, keep: set[str]) -> Term:
     raise ValueError(f"not a term: {t!r}")
 
 
-def strip_component(t: Term, component: Term) -> Term:
-    """Remove direct occurrences of `component` from a tuple term (collapsing).
-    Used to compare folded-class member terms against construction backbones
-    that hide the grouping key inside the classes."""
-    if t == component:
-        return UNIT
-    if isinstance(t, TupleT):
-        return tuple_of([s for s in t.items if s != component])
-    return t
-
-
 def terms_match(state: Term, target: Term) -> bool:
     """Equality modulo target-side conveniences: a None index in the target
-    matches any index, and a folded class in the target may omit the grouping
-    key from its member term."""
+    matches any index, and a folded class in the target may omit one copy of
+    the grouping key from its member term."""
     if isinstance(target, ArrayT):
         if not isinstance(state, ArrayT):
             return False
@@ -286,12 +275,18 @@ def _folded_elems_match(state_elem: Term, target_elem: Term) -> bool:
         return False
     if g_arr.index is not None and not terms_match(s_arr.index, g_arr.index):
         return False
-    return terms_match(class_members(s_arr.elem, s_key, g_arr.elem), g_arr.elem)
+    return class_members(s_arr.elem, s_key, g_arr.elem) is not None
 
 
-def class_members(member: Term, key: Term, target: Term) -> Term:
-    """The member term a folded class keyed by `key` shows for the member term
-    `target`: `member` when it matches, else `member` without the key."""
+def class_members(member: Term, key: DistinctT, target: Term) -> Optional[list[bool]]:
+    """Which components of a folded class's member term the class shows for
+    the member term `target`: all of them when `member` matches it, else all
+    but the first copy of the key, shown as their `tuple_of`; None when
+    neither fits."""
+    comps = components(member)
+    kept = [True] * len(comps)
     if terms_match(member, target):
-        return member
-    return strip_component(member, key.inner if isinstance(key, DistinctT) else key)
+        return kept
+    if key.inner in comps:
+        kept[comps.index(key.inner)] = False
+    return kept if terms_match(tuple_of([c for c, k in zip(comps, kept) if k]), target) else None

@@ -2,9 +2,9 @@ from decimal import Decimal
 
 import pytest
 
-from jpq.construct import backbone, build, build_empty, value_of
+from jpq.construct import backbone, build, build_empty
 from jpq.errors import ConstructionError, InvalidConstructionError, ShapeMismatchError, TypeError_
-from jpq.matching import MArray, MBind, MFailed, MOption, MTuple
+from jpq.matching import MArray, MBind, MFailed, MOption, MTuple, value_of
 from jpq.model import serialize
 from jpq.parser import parse_construction
 from jpq.terms import UNIT, ArrayT, DistinctT, OptionT, TupleT, Var, is_unit
@@ -184,8 +184,9 @@ def test_value_of_resolved_options_and_bindings():
     assert _same(value_of(opt), "w")
     with pytest.raises(ShapeMismatchError):
         value_of(MOption([MBind("y", "v"), MBind("y", "w")], option_id=0))
-    with pytest.raises(ConstructionError):
-        value_of(MTuple([MBind("a", "1"), MBind("b", "2")]))
+    assert _same(value_of(MTuple([MBind("a", "1"), MBind("b", "2")])), ["1", "2"])
+    with pytest.raises(ShapeMismatchError):
+        value_of(MFailed())
 
 
 def test_pattern_wider_than_result_is_rejected():

@@ -24,10 +24,9 @@ from jpq.errors import (
 from jpq.rewrite import (
     RULES,
     Step,
-    _count_budget,
+    _budget,
+    _census,
     _enclosing_array,
-    _feature_budget,
-    _feature_counts,
     apply_rule,
     infer_route,
     projected_source,
@@ -87,7 +86,8 @@ def _preorder(t, path=()):
 
 def _reference_successors(t, target_counts, target_flats, target_folds):
     counts = var_counts(t)
-    flats, folds = _feature_counts(t)
+    census = _census(t)
+    flats, folds = census["^"], census["%"]
     need_dup = any(counts[v] < target_counts[v] for v in target_counts)
     steps = []
     for path, node in _preorder(t):
@@ -140,8 +140,8 @@ def _reference_viable(t, budget: Counter, target_flats, target_folds):
     counts = var_counts(t)
     if any(counts[v] > budget[v] for v in counts):
         return False
-    flats, folds = _feature_counts(t)
-    return flats <= target_flats and folds <= target_folds
+    census = _census(t)
+    return census["^"] <= target_flats and census["%"] <= target_folds
 
 
 def _has_option(t):
@@ -158,8 +158,8 @@ def deepening_route(source, target, max_depth=14, max_states=200_000):
     if _has_option(target) and not _has_option(source):
         raise InvalidConstructionError("option structure")
     target_counts = var_counts(target)
-    budget = _count_budget(target)
-    tflats, tfolds = _feature_budget(target)
+    budget = _budget(target)
+    tflats, tfolds = budget["^"], budget["%"]
     if not _reference_viable(source, budget, tflats, tfolds):
         raise InvalidConstructionError("source not viable")
     states_left = [max_states]

@@ -5,13 +5,13 @@ from jpq.terms import (
     OptionT,
     TupleT,
     Var,
+    class_members,
     is_unit,
     option_of,
     positions,
     project,
     render,
     replace,
-    strip_component,
     subterm,
     terms_match,
     tuple_of,
@@ -80,11 +80,20 @@ def test_project_keeps_option_positions():
     assert project(t, {"a"}) == OptionT((A, UNIT))
 
 
-def test_strip_component_collapses_tuples():
-    t = TupleT((A, B))
-    assert strip_component(t, B) == A
-    assert strip_component(A, A) == UNIT
-    assert strip_component(t, C) == t
+def test_class_members_hides_one_copy_of_the_key():
+    key = DistinctT(A)
+    assert class_members(TupleT((A, B)), key, TupleT((A, B))) == [True, True]
+    assert class_members(TupleT((A, B)), key, B) == [False, True]
+    assert class_members(TupleT((A, B, A)), key, TupleT((B, A))) == [False, True, True]
+    assert class_members(TupleT((A, A)), key, A) == [False, True]
+    # nested tuples among the kept components are spliced
+    assert class_members(TupleT((TupleT((B, C)), A)), key, TupleT((B, C))) == [True, False]
+    assert class_members(TupleT((TupleT((A, A)), B)), key, TupleT((A, A, B))) == [True, True]
+    # a key copy among the components is hidden before the rest is spliced
+    assert class_members(TupleT((A, TupleT((B, B)))), key, TupleT((A, B, B))) is None
+    # neither the member term nor it less one key copy fits
+    assert class_members(TupleT((A, A, B)), key, B) is None
+    assert class_members(TupleT((B, C)), key, B) is None
 
 
 def test_terms_match_ignores_target_index():
