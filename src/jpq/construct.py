@@ -142,10 +142,10 @@ class Builder:
             raise ShapeMismatchError("groupby construction needs a folded result")
         class_t, key_t = t.elem.items
         member_t = class_t.elem
-        kept = class_members(member_t, key_t, cp.backbone.elem.items[0].elem)
-        if kept is None:
+        shows = class_members(member_t, key_t, cp.backbone.elem.items[0].elem)
+        if shows is None:
             raise ShapeMismatchError(f"a class of {render(t)} does not show its members as built")
-        shown = tuple_of([s for s, k in zip(components(member_t), kept) if k])
+        kept, shown = shows
         content_t = ArrayT(shown, class_t.index)
         is_key = [isinstance(c, DistinctT) for c in components(cp.elem.backbone)]
         elem_t = tuple_of([key_t if k else content_t for k in is_key])

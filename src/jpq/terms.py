@@ -278,15 +278,15 @@ def _folded_elems_match(state_elem: Term, target_elem: Term) -> bool:
     return class_members(s_arr.elem, s_key, g_arr.elem) is not None
 
 
-def class_members(member: Term, key: DistinctT, target: Term) -> Optional[list[bool]]:
-    """Which components of a folded class's member term the class shows for
-    the member term `target`: all of them when `member` matches it, else all
-    but the first copy of the key, shown as their `tuple_of`; None when
-    neither fits."""
+def class_members(member: Term, key: DistinctT, target: Term) -> Optional[tuple[list[bool], Term]]:
+    """The mask of a folded class's member components shown for the member
+    term `target`, and their `tuple_of`: all of them when `member` matches it,
+    else all but the first copy of the key; None when neither fits."""
     comps = components(member)
     kept = [True] * len(comps)
     if terms_match(member, target):
-        return kept
+        return kept, tuple_of(comps)
     if key.inner in comps:
         kept[comps.index(key.inner)] = False
-    return kept if terms_match(tuple_of([c for c, k in zip(comps, kept) if k]), target) else None
+    shown = tuple_of([c for c, k in zip(comps, kept) if k])
+    return (kept, shown) if terms_match(shown, target) else None

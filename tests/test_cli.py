@@ -554,7 +554,8 @@ def test_grouping_tells_member_order_and_true_from_1(tmp_path):
 
 # -- grouped arrays whose members name the key ------------------------------------------
 
-MEMBERS_DOC = {"xs": [{"a": 1, "b": 2, "n": "p"}, {"a": 3, "b": 2, "n": "r"}, {"a": 1, "b": 2, "n": "q"}]}
+MEMBERS_DOC = {"xs": [{"a": 1, "b": 2, "n": "p"}, {"a": 3, "b": 2, "n": "r"}, {"a": 1, "b": 5, "n": "q"},
+                      {"a": 1, "b": 2, "n": "s"}]}
 MEMBERS_PATTERN = 'from doc("d") {"xs":[{"a":$a,"b":$b,"n":$n}]} '
 KEY_TERMS = {"a": "$a%", "ab": "($a,$b)%"}
 

@@ -82,13 +82,14 @@ def test_project_keeps_option_positions():
 
 def test_class_members_hides_one_copy_of_the_key():
     key = DistinctT(A)
-    assert class_members(TupleT((A, B)), key, TupleT((A, B))) == [True, True]
-    assert class_members(TupleT((A, B)), key, B) == [False, True]
-    assert class_members(TupleT((A, B, A)), key, TupleT((B, A))) == [False, True, True]
-    assert class_members(TupleT((A, A)), key, A) == [False, True]
+    assert class_members(TupleT((A, B)), key, TupleT((A, B))) == ([True, True], TupleT((A, B)))
+    assert class_members(TupleT((A, B)), key, B) == ([False, True], B)
+    assert class_members(TupleT((A, B, A)), key, TupleT((B, A))) == ([False, True, True], TupleT((B, A)))
+    assert class_members(TupleT((A, A)), key, A) == ([False, True], A)
     # nested tuples among the kept components are spliced
-    assert class_members(TupleT((TupleT((B, C)), A)), key, TupleT((B, C))) == [True, False]
-    assert class_members(TupleT((TupleT((A, A)), B)), key, TupleT((A, A, B))) == [True, True]
+    assert class_members(TupleT((TupleT((B, C)), A)), key, TupleT((B, C))) == ([True, False], TupleT((B, C)))
+    assert class_members(TupleT((TupleT((A, A)), B)), key, TupleT((A, A, B))) == (
+        [True, True], TupleT((A, A, B)))
     # a key copy among the components is hidden before the rest is spliced
     assert class_members(TupleT((A, TupleT((B, B)))), key, TupleT((A, B, B))) is None
     # neither the member term nor it less one key copy fits
