@@ -18,11 +18,18 @@ for the first seeded mutations of the worked examples
 parses, or the class and message of the error it raises.  It pins
 syntax-error text; the same command records it.
 
+`tests/golden_ids.json` records, for the same `<template>@<document set>`
+keys as `tests/golden.json`, a digest of the result tree the transform stage
+hands to the build, element ids and option branch tokens included: ids are
+drawn in one order, whatever the stages before the build skip or compile.
+The same command records it.
+
 `bench/` is only read: its modules are loaded without writing bytecode.
 """
 
 from __future__ import annotations
 
+import hashlib
 import importlib.util
 import itertools
 import json
@@ -33,7 +40,8 @@ import sys
 
 from jpq import DocRegistry, Engine, parse_document, parse_query, serialize, unparse_query
 from jpq.errors import JpqError
-from jpq.rewrite import RULES
+from jpq.matching import MArray, MBind, MOption, MTuple
+from jpq.rewrite import RULES, Transformer
 
 from .test_engine import mutated_queries
 
@@ -41,6 +49,7 @@ ROOT = pathlib.Path(__file__).parent.parent
 GOLDEN = pathlib.Path(__file__).parent / "golden.json"
 GOLDEN_RULES = pathlib.Path(__file__).parent / "golden_rules.json"
 GOLDEN_PARSE = pathlib.Path(__file__).parent / "golden_parse.txt"
+GOLDEN_IDS = pathlib.Path(__file__).parent / "golden_ids.json"
 SEED = 2015
 
 
@@ -86,6 +95,60 @@ def record() -> dict[str, str]:
                 q = parse_query(template.query({d: f"{set_name}/{d}" for d in docs}))
                 out[f"{template.name}@{set_name}"] = f"{engine.explain(q)}\n{serialize(engine.run(q))}\n"
     return out
+
+
+def _tree(r) -> list:
+    """A result tree as nested lists: kind, element id, and what the kind
+    holds; option branch tokens included."""
+    if isinstance(r, MBind):
+        return ["B", r.elem_id, r.name, serialize(r.value)]
+    if isinstance(r, MTuple):
+        return ["T", r.elem_id, [_tree(s) for s in r.items]]
+    if isinstance(r, MArray):
+        return ["A", r.elem_id, r.folded, [_tree(s) for s in r.items]]
+    if isinstance(r, MOption):
+        return ["O", r.elem_id, [list(b) for b in r.branch_ids], [_tree(b) for b in r.branches]]
+    return ["F"]
+
+
+def record_ids() -> dict[str, str]:
+    """`<template>@<document set>` -> a digest of each tree `Transformer.transform`
+    returned during the run, in call order ("" when none was built)."""
+    trees: list = []
+    real = Transformer.transform
+
+    def kept(self, *args, **kwargs):
+        out = real(self, *args, **kwargs)
+        trees.append(_tree(out))
+        return out
+
+    Transformer.transform = kept
+    try:
+        engine = Engine(DocRegistry())
+        sets = document_sets()
+        for set_name, docs in sets.items():
+            for name, text in docs.items():
+                engine.registry.register(f"{set_name}/{name}", parse_document(text))
+        out = {}
+        for template in T.ALL:
+            for set_name, docs in sets.items():
+                if set(docs) == set(template.docs):
+                    q = parse_query(template.query({d: f"{set_name}/{d}" for d in docs}))
+                    trees.clear()
+                    engine.run(q)
+                    text = json.dumps(trees, separators=(",", ":")) if trees else ""
+                    out[f"{template.name}@{set_name}"] = hashlib.sha256(text.encode()).hexdigest()
+        return out
+    finally:
+        Transformer.transform = real
+
+
+def test_transformed_trees_keep_their_element_ids():
+    got = record_ids()
+    want = json.loads(GOLDEN_IDS.read_text(encoding="utf-8"))
+    assert sorted(got) == sorted(json.loads(GOLDEN.read_text(encoding="utf-8")))
+    assert sorted(got) == sorted(want)
+    assert [key for key in want if got[key] != want[key]] == []
 
 
 def test_explain_text_and_output_are_byte_identical():
@@ -160,3 +223,4 @@ if __name__ == "__main__":
         json.dumps(record_rules(), indent=1, ensure_ascii=False) + "\n", encoding="utf-8"
     )
     GOLDEN_PARSE.write_text(record_parses(), encoding="utf-8")
+    GOLDEN_IDS.write_text(json.dumps(record_ids(), indent=1) + "\n", encoding="utf-8")
