@@ -34,6 +34,7 @@ from .terms import (
     Var,
     components,
     is_unit,
+    one_value_paths,
     option_of,
     positions,
     render,
@@ -470,6 +471,8 @@ def _check_construction(cp: ConstructionPattern, bound: set[str]) -> None:
             _check_construction(sub, bound)
     elif isinstance(cp, (CArray, CFlatArray)):
         _check_construction(cp.elem, bound)
+        if isinstance(cp, CFlatArray) and is_unit(cp.backbone):
+            raise ConstructionError("a ^[...] of constants only has nothing to splice")
         if isinstance(cp, CArray) and cp.groupby is not None:
             _check_bound(cp.groupby, bound)
         if isinstance(cp, CArray) and cp.order is not None:
@@ -478,6 +481,11 @@ def _check_construction(cp: ConstructionPattern, bound: set[str]) -> None:
                 raise ConstructionError("asc/desc ordering needs a groupby index term")
             if not isinstance(cp.groupby, DistinctT) and len(var_set(cp.groupby)) != 1:
                 raise ConstructionError("an ordering term needs exactly one variable")
+            if not isinstance(cp.groupby, DistinctT):
+                (name,) = var_set(cp.groupby)
+                if not one_value_paths(cp.elem.backbone, name):
+                    raise ConstructionError(
+                        f"ordering variable ${name} is not one value per array element")
     elif isinstance(cp, COption):
         for b in cp.branches:
             _check_construction(b, bound)

@@ -83,6 +83,6 @@ class TypeError_(QueryError):
 
 
 class ConstructionError(QueryError):
-    """A construct clause that cannot be built: duplicate output keys or a bad
-    ordering (rejected before any data is read), or at build time a ^[...] of
-    constants only or an unbound ordering variable."""
+    """A construct clause that cannot be built: duplicate output keys, a
+    ^[...] of constants only or a bad ordering (rejected before any data is
+    read), or at build time an ordering variable an element leaves unbound."""

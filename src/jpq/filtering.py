@@ -27,7 +27,6 @@ from .matching import (
     MatchResult,
     MBind,
     MFailed,
-    MOption,
     MTuple,
     _viable,
     branch_token,
@@ -37,7 +36,9 @@ from .matching import (
 )
 from .model import MISSING, get_field, key
 from .rewrite import Constraint
-from .terms import ArrayT, DistinctT, OptionT, Path, Term, TupleT, Var, var_counts, var_set
+from .terms import (
+    ArrayT, DistinctT, OptionT, Path, Term, TupleT, Var, children, positions, var_counts, var_set,
+)
 
 # ---------------------------------------------------------------------------
 # assignment enumeration
@@ -322,17 +323,29 @@ def filter_result(
 # option resolution
 
 
-def resolve_options(r: MatchResult) -> MatchResult:
-    """Resolve every option to its first surviving branch in pattern order by
-    failing the others, so `chosen` names the branch taken.  No result fails
-    here: an option always has a surviving branch."""
-    if isinstance(r, (MBind, MFailed)):
+def optioned(t: Term) -> frozenset:
+    """The subterms of t with an option at or below them."""
+    return frozenset(
+        node for _, node in positions(t) if any(isinstance(n, OptionT) for _, n in positions(node))
+    )
+
+
+def resolve_options(r: MatchResult, t: Term, options: frozenset) -> MatchResult:
+    """Resolve every option under `r`, a result of `t`, to its first surviving
+    branch in pattern order by failing the others, so `chosen` names the
+    branch taken.  `options` is `optioned(t)`: a result of any other subterm
+    is returned as it is.  (An option of unit branches, which `option_of`
+    erases from the term, sits in a unit slot, which matching drops or makes `()`.)
+    No result fails here: an option always has a surviving branch."""
+    if t not in options or isinstance(r, MFailed):
         return r
-    if isinstance(r, MOption):
-        take = next((i for i, b in enumerate(r.branches) if succeeded(b)), None)
+    if isinstance(t, DistinctT):
+        return resolve_options(r, t.inner, options)
+    parts = shaped(r, t).parts()
+    kids = [t.elem] * len(parts) if isinstance(t, ArrayT) else children(t)
+    if isinstance(t, OptionT):
+        take = next((i for i, b in enumerate(parts) if succeeded(b)), None)
         if take is None:
             raise ShapeMismatchError("an option with no surviving branch reached resolution")
-        return r.with_parts([
-            resolve_options(b) if i == take else MFailed() for i, b in enumerate(r.branches)
-        ])
-    return r.with_parts([resolve_options(s) for s in r.items])
+        parts = [b if i == take else MFailed() for i, b in enumerate(parts)]
+    return r.with_parts([resolve_options(s, st, options) for s, st in zip(parts, kids)])

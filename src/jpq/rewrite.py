@@ -690,24 +690,39 @@ class Transformer:
         return out
 
 
-def project_result(r: MatchResult, t: Term, keep: set) -> MatchResult:
-    """Mirror of terms.project on a match result: drop the parts bound to
-    variables outside `keep`, collapsing exactly as the term projection does."""
-    if isinstance(r, MFailed):
+def projection(t: Term, keep: set) -> dict[Term, Optional[Term]]:
+    """Each subterm of t mapped to its projection onto `keep`, or to None
+    when the projection keeps it whole: it is not unit and neither it nor
+    anything below it changes."""
+    shown: dict[Term, Optional[Term]] = {}
+    for _, node in reversed(positions(t)):  # children first
+        p = project(node, keep)
+        whole = p == node and not is_unit(node) and all(shown[c] is None for c in children(node))
+        shown[node] = None if whole else p
+    return shown
+
+
+def project_result(r: MatchResult, t: Term, shown: dict[Term, Optional[Term]]) -> MatchResult:
+    """Mirror of terms.project on a match result, given the projection `shown`
+    of t's subterms (`projection`): drop the parts bound to the variables it
+    drops, collapsing exactly as the term projection does.  A result of a
+    subterm kept whole is returned as it is."""
+    p = shown[t]
+    if p is None or isinstance(r, MFailed):
         return r
     if isinstance(t, Var):
-        return r if t.name in keep else MTuple([])
+        return MTuple([])
     if isinstance(t, DistinctT):
-        return project_result(r, t.inner, keep)
+        return project_result(r, t.inner, shown)
     if isinstance(t, TupleT):
         parts = []
         for st, sr in zip(t.items, shaped(r, t).items):
-            parts.append((project(st, keep), project_result(sr, st, keep)))
+            parts.append((shown[st] or st, project_result(sr, st, shown)))
         return _keep_id(_combine(parts), r)
-    if is_unit(project(t, keep)):
+    if is_unit(p):
         return _keep_id(MTuple([]), r)
     if isinstance(t, OptionT):
         branches = shaped(r, t).branches
-        return r.with_parts([project_result(b, bt, keep) for bt, b in zip(t.branches, branches)])
+        return r.with_parts([project_result(b, bt, shown) for bt, b in zip(t.branches, branches)])
     items = shaped(r, t).items
-    return r.with_parts([project_result(item, t.elem, keep) for item in items])
+    return r.with_parts([project_result(item, t.elem, shown) for item in items])

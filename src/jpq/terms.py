@@ -173,6 +173,15 @@ def positions(t: Term) -> list[tuple[Path, Term]]:
     return out
 
 
+def one_value_paths(t: Term, name: str) -> list[list[tuple[Term, int]]]:
+    """For each occurrence of `name` in t outside every non-flattened array,
+    preorder, the (node, child index) steps from t down to it: the places
+    where one result of t binds `name` to one value, if it binds it at all."""
+    walks = [[(subterm(t, p[:j]), i) for j, i in enumerate(p)]
+             for p, n in positions(t) if n == Var(name)]
+    return [w for w in walks if not any(isinstance(a, ArrayT) and not a.flat for a, _ in w)]
+
+
 def components(t: Term) -> tuple[Term, ...]:
     """The slots of a flat tuple: none for unit, a tuple's items, else t alone."""
     return t.items if isinstance(t, TupleT) else (t,)

@@ -120,6 +120,7 @@ def test_03_presidents_array_equals_handwritten_oracle(engine):
     assert got == expected
 
 
+@pytest.mark.slow
 def test_04_inferred_routes_match_worked_routes_and_blind_search(engine):
     merge = [s.describe() for s in engine.plan(parse_query(EX1)).route]
     assert merge == [

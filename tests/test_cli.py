@@ -317,6 +317,8 @@ STATIC_ERRORS = {
     "duplicate-key-top": 'from doc("univ") {"president":{"ID":$i}} construct {"a":$i,"a":$i}',
     "order-without-groupby": SCHOOLS + 'construct {"s":[$n] asc}',
     "order-by-two-variables": SCHOOLS + 'construct {"s":[{"n":$n,"d":$d}] groupby ($n,$d) asc}',
+    "order-by-a-nested-variable": FACULTY + 'construct [{"s":$n,"fs":[$id]}] groupby $id desc',
+    "order-by-a-variable-not-built": FACULTY + 'construct [{"s":$n}] groupby $id desc',
     "unknown-function": SCHOOLS + 'construct {"s":[frob($n)]}',
     "unknown-predicate": SCHOOLS + 'construct {"s":[$n]} where frob($n)',
     "count-arity": SCHOOLS + 'construct {"s":[count($n,$n)]}',
@@ -382,6 +384,27 @@ def test_plain_array_ordered_by_a_member_term(tmp_path):
     got = run_on_shuffled(tmp_path, SCHOOLS + 'construct {"s":[{"n":$n,"d":$d}] groupby $n desc}')
     expected = [{"n": s["name"], "d": s["dean"]["ID"]} for s in SHUFFLED["schools"]]
     assert got == {"s": sorted(expected, key=lambda e: e["n"], reverse=True)}
+
+
+NESTED_IDS = {"schools": [{"name": "A", "faculty": [{"ID": 1}, {"ID": 9}]},
+                          {"name": "B", "faculty": [{"ID": 5}]}]}
+ONE_VALUE_ORDER = {
+    # $id is many values per school: there is no order to follow
+    "nested": ('[{"s":$n,"fs":[$id]}] groupby $id desc', EXIT_QUERY, "",
+               "error: ordering variable $id is not one value per array element\n"),
+    # flattened, each element holds one $id
+    "flattened": ('[^[{"s":$n,"i":$id}]] groupby $id desc', EXIT_OK,
+                  '[{"s":"A","i":9},{"s":"B","i":5},{"s":"A","i":1}]\n', ""),
+}
+
+
+@pytest.mark.parametrize("construction, code, out, err", ONE_VALUE_ORDER.values(),
+                         ids=ONE_VALUE_ORDER.keys())
+def test_an_ordering_variable_is_one_value_per_element(tmp_path, construction, code, out, err):
+    doc = tmp_path / "nested.json"
+    doc.write_text(json.dumps(NESTED_IDS))
+    got = run(CliConfig(docs=[("univ", str(doc))], query_text=FACULTY + "construct " + construction))
+    assert got == (code, out, err)
 
 
 def test_grouped_class_content_ordered_by_a_member_term(tmp_path):
@@ -667,8 +690,14 @@ def test_an_array_of_constants_is_built_as_written(construction, expected):
     assert json.loads(out) == expected
 
 
-@pytest.mark.parametrize("construction", ['{"k":^[1]}', '{"k":[^[1]]}', '{"s":[{"n":$n,"k":^[1]}]}'])
-def test_a_flattened_array_of_constants_has_nothing_to_splice(construction):
-    code, out, err = run(CliConfig(docs=[("univ", UNIV)], query_text=FACULTY + "construct " + construction))
+SPLICE_NOTHING = {c: FACULTY + "construct " + c
+                  for c in ('{"k":^[1]}', '{"k":[^[1]]}', '{"s":[{"n":$n,"k":^[1]}]}')}
+# rejected before any data is read, so a pattern that matches nothing is no exception
+SPLICE_NOTHING["no-match"] = 'from doc("univ") {"provost":$p} construct {"k":^[1],"p":$p}'
+
+
+@pytest.mark.parametrize("query", SPLICE_NOTHING.values(), ids=SPLICE_NOTHING.keys())
+def test_a_flattened_array_of_constants_has_nothing_to_splice(query):
+    code, out, err = run(CliConfig(docs=[("univ", UNIV)], query_text=query))
     assert (code, out) == (EXIT_QUERY, "")
     assert err == "error: a ^[...] of constants only has nothing to splice\n"

@@ -2,7 +2,8 @@ from decimal import Decimal
 
 import pytest
 
-from jpq.construct import backbone, build, build_empty
+from jpq import construct
+from jpq.construct import backbone, build_empty
 from jpq.errors import ConstructionError, InvalidConstructionError, ShapeMismatchError, TypeError_
 from jpq.matching import MArray, MBind, MFailed, MOption, MTuple, value_of
 from jpq.model import serialize
@@ -12,6 +13,10 @@ from jpq.terms import UNIT, ArrayT, DistinctT, OptionT, TupleT, Var, is_unit
 from .generators import _same
 
 X, Y, Z, N, K = Var("x"), Var("y"), Var("z"), Var("n"), Var("k")
+
+
+def build(cp, t, r):
+    return construct.build(cp, construct.compile_construction(cp, t), r)
 
 
 def marr(items, folded=False):

@@ -289,6 +289,50 @@ def test_a_warm_run_applies_no_rule(engine, monkeypatch):
     assert calls == []
 
 
+def test_a_warm_run_rederives_nothing(engine, monkeypatch):
+    # the plan carries the compiled construction and the projection of the
+    # source's subterms; a second run only moves data
+    import jpq.construct
+    import jpq.terms
+
+    queries = [EX1, EX2, EX3, EX4, EX5, EX6]
+    first = [run(engine, text) for text in queries]
+    calls = []
+
+    def counted(real):
+        def call(*args):
+            calls.append(real.__name__)
+            return real(*args)
+        return call
+
+    reals = (jpq.construct.compile_construction, jpq.terms.project)
+    for module in [m for name, m in sys.modules.items() if name.startswith("jpq.")]:
+        for real in reals:
+            for attr, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, attr, counted(real))
+    assert [run(engine, text) for text in queries] == first
+    assert calls == []
+
+
+SHARED_BACKBONES = [
+    ('{"a":[$n]}', '{"b":[$n]}'),
+    ('{"k":1,"v":[$n]}', '{"k":2,"v":[$n]}'),
+]
+
+
+@pytest.mark.parametrize("one, other", SHARED_BACKBONES)
+def test_constructions_sharing_a_backbone_get_their_own_builders(engine, searches, one, other):
+    source = 'from doc("univ") {"schools":[{"name":$n}]} construct '
+    names = json.dumps(["Computer School", "Math School"], separators=(",", ":"))
+    want = {c: c.replace("[$n]", names) for c in (one, other)}
+    for order in ((one, other), (other, one)):
+        fresh = Engine(engine.registry)
+        for c in order * 2:
+            assert run(fresh, source + c) == want[c]
+    assert len(searches) == 2  # one search per engine: the shape is shared
+
+
 def test_a_shape_is_planned_per_projected_source_and_backbone(engine, searches):
     # the second query binds $m too; projected onto the backbone it is EX2's
     with_email = EX2.replace('{"ID":$id}', '{"ID":$id,"email":$m}')

@@ -11,6 +11,7 @@ from jpq.filtering import (
     _Enumerator,
     eval_builtin,
     filter_result,
+    optioned,
     resolve_options,
 )
 from jpq.matching import (
@@ -232,14 +233,15 @@ def test_filter_empties_unsatisfied_option_branch(univ):
     p = '{"president":({"email":$a}|{"ID":$b})}'
     r = filtered(p, '$a = "nope"', univ)
     assert succeeded(r)  # the $b branch is untouched
-    resolved = resolve_options(r)
+    resolved = resolve_options(r, parse_pattern(p).term, optioned(parse_pattern(p).term))
     assert chosen(resolved) == 1
     assert _same(binds(resolved), [("b", "0001")])
 
 
 def test_resolve_options_prefers_the_first_surviving_branch(univ):
     p = '{"president":({"email":$a}|{"ID":$b})}'
-    r = resolve_options(match_value(parse_pattern(p), univ))
+    pattern = parse_pattern(p)
+    r = resolve_options(match_value(pattern, univ), pattern.term, optioned(pattern.term))
     assert chosen(r) == 0
     assert _same(binds(r), [("a", "xxli@123.edu")])
 
@@ -260,7 +262,7 @@ def test_resolved_options_keep_exactly_one_branch():
             r = engine._match(q, itertools.count(1))
             if q.where is not None:
                 r = filter_result(r, q.term, q.where)
-            for opt in _options(resolve_options(r)):
+            for opt in _options(resolve_options(r, q.term, optioned(q.term))):
                 options += 1
                 assert sum(map(succeeded, opt.branches)) == 1, template.name
                 assert succeeded(opt.branches[chosen(opt)])

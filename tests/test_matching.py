@@ -20,7 +20,7 @@ from jpq.matching import (
 )
 from jpq.model import parse_document, preorder
 from jpq.parser import parse_pattern
-from jpq.rewrite import project_result
+from jpq.rewrite import project_result, projection
 from jpq.terms import UNIT, ArrayT, OptionT, TupleT, Var, project, tuple_of
 
 from .generators import ResultBuilder, _Vars, _same, gen_document, gen_matching_pattern, gen_term
@@ -168,7 +168,7 @@ def test_flat_tuples_of_results_mirror_flat_tuples_of_terms():
         t = project(gen_term(rng, names, depth=4), set(rng.sample(names, 3)))
         r = build.build(t)
         keep = set(rng.sample(names, rng.randrange(len(names) + 1)))
-        assert instantiates(project_result(r, t, keep), project(t, keep)), seed
+        assert instantiates(project_result(r, t, projection(t, keep)), project(t, keep)), seed
         slots = []
         for _ in range(rng.randrange(5)):
             pick = rng.random()
