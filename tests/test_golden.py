@@ -80,21 +80,25 @@ def document_sets() -> dict[str, dict[str, str]]:
     }
 
 
-def record() -> dict[str, str]:
-    """`<template>@<document set>` -> what `jpq --explain` prints.  One engine
-    holds every set, each document renamed `<set>/<name>`."""
+def _runs():
+    """(`<template>@<document set>`, engine, query) for every template and
+    document set it fits.  One engine holds every set, each document renamed
+    `<set>/<name>`."""
     engine = Engine(DocRegistry())
     sets = document_sets()
     for set_name, docs in sets.items():
         for name, text in docs.items():
             engine.registry.register(f"{set_name}/{name}", parse_document(text))
-    out = {}
     for template in T.ALL:
         for set_name, docs in sets.items():
             if set(docs) == set(template.docs):
                 q = parse_query(template.query({d: f"{set_name}/{d}" for d in docs}))
-                out[f"{template.name}@{set_name}"] = f"{engine.explain(q)}\n{serialize(engine.run(q))}\n"
-    return out
+                yield f"{template.name}@{set_name}", engine, q
+
+
+def record() -> dict[str, str]:
+    """`<template>@<document set>` -> what `jpq --explain` prints."""
+    return {key: f"{engine.explain(q)}\n{serialize(engine.run(q))}\n" for key, engine, q in _runs()}
 
 
 def _tree(r) -> list:
@@ -112,8 +116,8 @@ def _tree(r) -> list:
 
 
 def record_ids() -> dict[str, str]:
-    """`<template>@<document set>` -> a digest of each tree `Transformer.transform`
-    returned during the run, in call order ("" when none was built)."""
+    """`<template>@<document set>` -> a digest of the trees `Transformer.transform`
+    returned during the run, in call order (of no tree when none was built)."""
     trees: list = []
     real = Transformer.transform
 
@@ -124,20 +128,12 @@ def record_ids() -> dict[str, str]:
 
     Transformer.transform = kept
     try:
-        engine = Engine(DocRegistry())
-        sets = document_sets()
-        for set_name, docs in sets.items():
-            for name, text in docs.items():
-                engine.registry.register(f"{set_name}/{name}", parse_document(text))
         out = {}
-        for template in T.ALL:
-            for set_name, docs in sets.items():
-                if set(docs) == set(template.docs):
-                    q = parse_query(template.query({d: f"{set_name}/{d}" for d in docs}))
-                    trees.clear()
-                    engine.run(q)
-                    text = json.dumps(trees, separators=(",", ":")) if trees else ""
-                    out[f"{template.name}@{set_name}"] = hashlib.sha256(text.encode()).hexdigest()
+        for key, engine, q in _runs():
+            trees.clear()
+            engine.run(q)
+            text = json.dumps(trees, separators=(",", ":")) if trees else ""
+            out[key] = hashlib.sha256(text.encode()).hexdigest()
         return out
     finally:
         Transformer.transform = real
