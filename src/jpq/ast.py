@@ -436,7 +436,9 @@ def validate_query(q: QueryAst) -> None:
         for node in cond_nodes(q.where):
             if isinstance(node, CCall):
                 _check_call(node.name, len(node.args))
-        _check_where(q.where, q.term)
+        for stage in where_stages(q.where):
+            for part in stage:
+                condition_scope(part, q.term)
 
 
 # builtin functions and their arities; a where clause counts with count[$x]
@@ -495,28 +497,20 @@ def _check_construction(cp: ConstructionPattern, bound: set[str]) -> None:
             _check_construction(a, bound)
 
 
-def _check_where(c: Condition, source: Term) -> None:
-    """Decide the composition errors of each `with` side and `par` part."""
+def where_stages(c: Condition) -> Iterator[list[Condition]]:
+    """The `with` stages of c in textual order, each as the conditions its
+    `par` evaluates independently (c alone if no `with` and no `par`).  Lazy:
+    a stage is taken apart only when the stages before it are done."""
     if isinstance(c, CCompound) and c.op == "with":
-        _check_where(c.left, source)
-        _check_where(c.right, source)
+        yield from where_stages(c.left)
+        yield from where_stages(c.right)
+    elif isinstance(c, CCompound):  # `par`: one stage of both sides' parts
+        left, right = (list(where_stages(side)) for side in (c.left, c.right))
+        if len(left) > 1 or len(right) > 1:
+            raise InvalidCompositionError("'with' cannot be nested under 'par'")
+        yield left[0] + right[0]
     else:
-        for part in par_parts(c):
-            for node in cond_nodes(part):
-                if isinstance(node, CCompound):
-                    raise InvalidCompositionError(
-                        f"'{node.op}' cannot be nested under 'and', 'or', 'not' or a quantifier"
-                    )
-            condition_scope(part, source)
-
-
-def par_parts(c: Condition) -> list[Condition]:
-    """The conditions a `par` evaluates independently (c alone if no `par`)."""
-    if isinstance(c, CCompound) and c.op == "par":
-        return par_parts(c.left) + par_parts(c.right)
-    if isinstance(c, CCompound):
-        raise InvalidCompositionError("'with' cannot be nested under 'par'")
-    return [c]
+        yield [c]
 
 
 # ---------------------------------------------------------------------------
@@ -524,12 +518,16 @@ def par_parts(c: Condition) -> list[Condition]:
 
 
 def condition_scope(c: Condition, source: Term) -> tuple[dict[Path, list[str]], set[str]]:
-    """The arrays c's counts and quantifiers range over (anchor path -> range
-    variables) and the variables each support tuple must bind.  Raises the
-    composition errors no document can repair."""
+    """The arrays c, one `par` part of a `with` stage, counts and quantifies
+    over (anchor path -> range variables) and the variables each support
+    tuple must bind.  Raises the composition errors no document can repair."""
     paths = _var_paths(source)
     ranges = set()
     for node in cond_nodes(c):
+        if isinstance(node, CCompound):
+            raise InvalidCompositionError(
+                f"'{node.op}' cannot be nested under 'and', 'or', 'not' or a quantifier"
+            )
         if isinstance(node, CQuant):
             ranges.add(node.var)
         ranges.update(e.var for e in leaf_exprs(node) if isinstance(e, ECount))

@@ -9,7 +9,8 @@ backbone's variables, and the construction compiled against the route's last
 term.  Each engine keeps its plans, keyed by (matching term, construction
 text), so a query is planned and compiled once per engine, whatever
 documents are loaded later; queries of one (projected matching term,
-backbone) shape share one route search.
+backbone) shape share one route search.  The where clause is no part of a
+plan: `filter_result` compiles it against the matching term on each run.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Iterator, Optional
 
 from . import ast as A
 from .construct import Build, build, build_empty, compile_construction
-from .filtering import filter_result, optioned, resolve_options
+from .filtering import filter_result, resolve_options
 from .matching import MatchResult, Matcher, MFailed, _combine, succeeded
 from .model import DocRegistry, Value
 from .rewrite import (
@@ -32,7 +33,7 @@ from .rewrite import (
     projection,
     replay,
 )
-from .terms import Term, render, var_set
+from .terms import Term, optioned, render, var_set
 
 
 @dataclass

@@ -9,13 +9,17 @@ selects it.  The satisfied footprints are also recorded as constraints so a
 later array distribution only couples combinations some support tuple allows
 (joins across sibling arrays).
 
-`par` evaluates its sub-conditions independently against the same result and
-merges survivors branchwise; `with` applies its left condition first and the
-right one on the already-filtered result.
+`par` evaluates its parts independently against the same result and merges
+survivors branchwise; the `with` stages (`ast.where_stages`) apply in turn,
+each on what the stages before it left.  Each part is compiled once per
+filter call into two closures, an enumerator of its support tuples compiled
+against the source term and a predicate over one assignment's environment,
+so a run walks only the result.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from decimal import Decimal
 from typing import Optional
@@ -37,7 +41,7 @@ from .matching import (
 from .model import MISSING, get_field, key
 from .rewrite import Constraint
 from .terms import (
-    ArrayT, DistinctT, OptionT, Path, Term, TupleT, Var, children, positions, var_counts, var_set,
+    ArrayT, DistinctT, OptionT, Path, Term, TupleT, Var, children, subterm, var_counts, var_set,
 )
 
 # ---------------------------------------------------------------------------
@@ -50,94 +54,83 @@ class _Assignment:
     tokens: frozenset
 
 
-class _Enumerator:
-    """Enumerates a result's support tuples, recording the array groups and
-    option universes it walks (see `Constraint`).  `joins` lists `(u, v)`
-    variable pairs whose equality every satisfied assignment needs: where a
-    tuple combines a component binding one with earlier components binding
-    the other, only pairs with equal values are formed (a hash partition)."""
+Enumerate = Callable[[MatchResult], list[_Assignment]]
 
-    def __init__(
-        self,
-        needed: set[str],
-        anchors: dict[Path, list[str]],
-        joins: tuple[tuple[str, str], ...] = (),
-    ):
-        self.needed = needed
-        self.anchors = anchors
-        self.joins = joins
-        self.relevant_vars = needed | {v for vs in anchors.values() for v in vs}
-        self.groups: list[frozenset] = []
-        self.options: list[tuple[frozenset, frozenset]] = []
 
-    def _relevant(self, t: Term) -> bool:
-        return bool(var_set(t) & self.relevant_vars)
+def _enumerator(
+    t: Term,
+    needed: set[str],
+    anchors: dict[Path, list[str]],
+    joins: tuple[tuple[str, str], ...] = (),
+    groups: Optional[list] = None,
+    options: Optional[list] = None,
+) -> Enumerate:
+    """The enumerator of a (not failed) result of `t`'s support tuples, binding
+    the `needed` variables and, at an `anchors` path, each range variable
+    `$v` there as `("range", $v)` to the array's items; the array groups and
+    option universes walked go to `groups` and `options` when given (see
+    `Constraint`).  `joins` lists `(u, v)` variable pairs whose equality every
+    satisfied assignment needs: where a tuple combines a component binding
+    one with earlier components binding the other, only pairs with equal
+    values are formed (a hash partition)."""
+    relevant = needed | {v for vs in anchors.values() for v in vs}
 
-    def run(self, t: Term, r: MatchResult, path: Path) -> list[_Assignment]:
-        if isinstance(r, MFailed):
-            return []
-        if isinstance(t, Var):
-            if t.name in self.needed:
-                if not isinstance(r, MBind):
-                    return []
-                return [_Assignment({t.name: r.value}, frozenset())]
-            return [_Assignment({}, frozenset())]
-        if isinstance(t, TupleT):
-            combos = [_Assignment({}, frozenset())]
-            bound: set[str] = set()
-            for i, (st, sr) in enumerate(zip(t.items, shaped(r, t).items)):
-                here = var_set(st)
-                if not here & self.relevant_vars:
-                    continue
-                subs = self.run(st, sr, path + (i,))
-                combos = _pairs(combos, subs, self._join(bound, here))
-                bound |= here
-            return combos
-        if isinstance(t, OptionT):
-            covered = set()
-            out: list[_Assignment] = []
-            any_relevant = False
-            for i, (bt, br) in enumerate(zip(t.branches, shaped(r, t).branches)):
-                if not self._relevant(bt):
-                    continue
-                any_relevant = True
-                tok = branch_token(r, i)
-                covered.add(tok)
-                if not succeeded(br):
-                    continue
-                for a in self.run(bt, br, path + (i,)):
-                    out.append(_Assignment(a.env, a.tokens | {tok}))
-            if not any_relevant:
-                return [_Assignment({}, frozenset())]
-            all_toks = frozenset(branch_token(r, i) for i in range(len(r.branches)))
-            self.options.append((frozenset(covered), all_toks))
-            return out
-        if isinstance(t, ArrayT):
-            items = shaped(r, t).items
-            if path in self.anchors:
-                env = {("range", v): (t.elem, list(items)) for v in self.anchors[path]}
-                return [_Assignment(env, frozenset())]
-            if not self._relevant(t.elem):
-                return [_Assignment({}, frozenset())]
-            self.groups.append(frozenset(item.elem_id for item in items))
-            out = []
-            for item in items:
-                for a in self.run(t.elem, item, path + (0,)):
-                    out.append(_Assignment(a.env, a.tokens | {item.elem_id}))
-            return out
+    def walk(t: Term, path: Path) -> Enumerate:
+        if path in anchors:
+            keys = [("range", v) for v in anchors[path]]
+            return lambda r: [_Assignment(dict.fromkeys(keys, shaped(r, t).items), frozenset())]
+        if isinstance(t, Var) and t.name in needed:
+            def bind(r: MatchResult, name=t.name) -> list[_Assignment]:
+                return [_Assignment({name: r.value}, frozenset())] if isinstance(r, MBind) else []
+            return bind
+        if isinstance(t, Var) or not var_set(t) & relevant:
+            return lambda r: [_Assignment({}, frozenset())]
         if isinstance(t, DistinctT):
-            return self.run(t.inner, r, path + (0,))
-        return [_Assignment({}, frozenset())]
+            return walk(t.inner, path + (0,))
+        if isinstance(t, TupleT):
+            comps, bound = [], set()
+            for i, st in enumerate(t.items):
+                here = var_set(st)
+                if here & relevant:
+                    # the first join with one side bound earlier and the other here
+                    join = next(((a, b) for u, v in joins for a, b in ((u, v), (v, u))
+                                 if a in bound and b in here), None)
+                    comps.append((i, walk(st, path + (i,)), join))
+                    bound |= here
 
-    def _join(self, bound: set[str], here: set[str]) -> Optional[tuple[str, str]]:
-        """The first join whose one side the earlier components bind and whose
-        other side the new component binds, as (earlier, new)."""
-        for u, v in self.joins:
-            if u in bound and v in here:
-                return u, v
-            if v in bound and u in here:
-                return v, u
-        return None
+            def tuple_(r: MatchResult) -> list[_Assignment]:
+                parts, combos = shaped(r, t).items, [_Assignment({}, frozenset())]
+                for i, sub, join in comps:
+                    combos = _pairs(combos, sub(parts[i]), join)
+                return combos
+            return tuple_
+        if isinstance(t, OptionT):
+            subs = [(i, walk(b, path + (i,)))
+                    for i, b in enumerate(t.branches) if var_set(b) & relevant]
+
+            def option(r: MatchResult) -> list[_Assignment]:
+                branches, covered, out = shaped(r, t).branches, set(), []
+                for i, sub in subs:
+                    tok = branch_token(r, i)
+                    covered.add(tok)  # a failed branch is covered, and yields nothing
+                    if succeeded(branches[i]):
+                        out.extend(_Assignment(a.env, a.tokens | {tok}) for a in sub(branches[i]))
+                if options is not None:
+                    toks = frozenset(branch_token(r, i) for i in range(len(branches)))
+                    options.append((frozenset(covered), toks))
+                return out
+            return option
+        elem = walk(t.elem, path + (0,))  # an array, relevant as its element is
+
+        def array(r: MatchResult) -> list[_Assignment]:
+            items = shaped(r, t).items
+            if groups is not None:
+                groups.append(frozenset(item.elem_id for item in items))
+            return [_Assignment(a.env, a.tokens | {item.elem_id})
+                    for item in items for a in elem(item)]
+        return array
+
+    return walk(t, ())
 
 
 def _pairs(
@@ -162,7 +155,7 @@ def _pairs(
 
 
 # ---------------------------------------------------------------------------
-# condition evaluation over one assignment
+# conditions compiled into predicates over one assignment
 
 
 def eval_builtin(name: str, args: list) -> bool:
@@ -181,52 +174,62 @@ def eval_builtin(name: str, args: list) -> bool:
     raise TypeError_(f"unknown function {name!r}")
 
 
-def _expr(e: A.CondExpr, env: dict):
+def _value(e: A.CondExpr) -> Callable[[dict], object]:
+    """What `e` reads from an assignment's environment."""
     if isinstance(e, A.ELit):
-        return e.value
+        return lambda env, value=e.value: value
     if isinstance(e, A.EVar):
-        return env.get(e.name, MISSING)
+        return lambda env, name=e.name: env.get(name, MISSING)
     if isinstance(e, A.EField):
-        v = env.get(e.var, MISSING)
-        for name in e.keys:
-            v = get_field(v, name)
-        return v
+        def field(env: dict, var=e.var, names=e.keys):
+            v = env.get(var, MISSING)
+            for name in names:
+                v = get_field(v, name)
+            return v
+        return field
     if isinstance(e, A.ECount):
-        rng = env.get(("range", e.var), MISSING)
-        if rng is MISSING:
-            raise TypeError_(f"count[${e.var}] applies to arrays only")
-        return Decimal(len(rng[1]))
+        def count(env: dict, var=e.var) -> Decimal:
+            items = env.get(("range", var), MISSING)
+            if items is MISSING:
+                raise TypeError_(f"count[${var}] applies to arrays only")
+            return Decimal(len(items))
+        return count
     raise TypeError_(f"not a condition expression: {e!r}")
 
 
-def _holds(c: A.Condition, env: dict) -> bool:
+def _predicate(c: A.Condition, elems: dict[str, Term]) -> Callable[[dict], bool]:
+    """`c` as a test of one assignment's environment; `elems` maps each range
+    variable to the element term of the array it ranges over."""
     if isinstance(c, A.CCompare):
-        lhs, rhs = _expr(c.lhs, env), _expr(c.rhs, env)
-        if lhs is MISSING or rhs is MISSING:
-            return False
-        return compare_atoms(c.op, lhs, rhs)
+        lhs, rhs, op = _value(c.lhs), _value(c.rhs), c.op
+
+        def compare(env: dict) -> bool:
+            a, b = lhs(env), rhs(env)
+            return a is not MISSING and b is not MISSING and compare_atoms(op, a, b)
+        return compare
     if isinstance(c, A.CCall):
-        return eval_builtin(c.name, [_expr(a, env) for a in c.args])
+        args = [_value(a) for a in c.args]
+        return lambda env, name=c.name: eval_builtin(name, [a(env) for a in args])
     if isinstance(c, A.CBool):
+        subs = [_predicate(s, elems) for s in c.subs]
         if c.op == "and":
-            return all(_holds(s, env) for s in c.subs)
+            return lambda env: all(s(env) for s in subs)
         if c.op == "or":
-            return any(_holds(s, env) for s in c.subs)
-        return not _holds(c.subs[0], env)
+            return lambda env: any(s(env) for s in subs)
+        return lambda env: not subs[0](env)
     if isinstance(c, A.CQuant):
-        rng = env.get(("range", c.var), MISSING)
-        if rng is MISSING:
-            raise TypeError_(f"{c.kind} ${c.var} needs an array binding for ${c.var}")
-        elem_t, items = rng
-        body_vars = set(A.cond_vars(c.body)) & var_set(elem_t)
-        walker = _Enumerator(body_vars, {})
-        judged = []
-        for item in items:
-            subs = walker.run(elem_t, item, ())
-            judged.append(any(_holds(c.body, {**env, **a.env}) for a in subs))
-        if c.kind == "foreach":
-            return all(judged)
-        return any(judged)
+        elem = elems[c.var]
+        each = _enumerator(elem, set(A.cond_vars(c.body)) & var_set(elem), {})
+        body, kind, var = _predicate(c.body, elems), c.kind, c.var
+
+        def quantifier(env: dict) -> bool:
+            items = env.get(("range", var), MISSING)
+            if items is MISSING:
+                raise TypeError_(f"{kind} ${var} needs an array binding for ${var}")
+            # lazy: the first item that decides ends the walk (a body raises nothing)
+            judged = (any(body({**env, **a.env}) for a in each(item)) for item in items)
+            return all(judged) if kind == "foreach" else any(judged)
+        return quantifier
     raise TypeError_(f"not a condition: {c!r}")
 
 
@@ -255,9 +258,11 @@ def _equi_joins(c: A.Condition, needed: set[str], source: Term) -> tuple[tuple[s
 def _outcome(r: MatchResult, source: Term, c: A.Condition) -> Constraint:
     """Everything one condition's evaluation says about the result."""
     anchors, needed = A.condition_scope(c, source)
-    walker = _Enumerator(needed, anchors, _equi_joins(c, needed, source))
-    footprints = tuple(a.tokens for a in walker.run(source, r, ()) if _holds(c, a.env))
-    return Constraint(footprints, tuple(walker.groups), tuple(walker.options))
+    groups, options = [], []
+    each = _enumerator(source, needed, anchors, _equi_joins(c, needed, source), groups, options)
+    holds = _predicate(c, {v: subterm(source, p).elem for p, vs in anchors.items() for v in vs})
+    footprints = tuple(a.tokens for a in each(r) if holds(a.env))
+    return Constraint(footprints, tuple(groups), tuple(options))
 
 
 def _sweep(r: MatchResult, removed: set, emptied: set) -> MatchResult:
@@ -303,31 +308,18 @@ def filter_result(
     constraints: Optional[list[Constraint]] = None,
 ) -> MatchResult:
     """Filter a match result by a condition, recording join constraints into
-    `constraints` for the transform stage."""
+    `constraints` for the transform stage.  A stage is compiled only once the
+    stages before it have left something to filter."""
     if constraints is None:
         constraints = []
-    if not succeeded(r):
-        return MFailed()
-    if isinstance(c, A.CCompound) and c.op == "with":
-        left = filter_result(r, source, c.left, constraints)
-        if not succeeded(left):
-            return MFailed()
-        return filter_result(left, source, c.right, constraints)
-    if isinstance(c, A.CCompound) and c.op == "par":
-        outcomes = [_outcome(r, source, sub) for sub in A.par_parts(c)]
-        return _apply_outcomes(r, outcomes, constraints)
-    return _apply_outcomes(r, [_outcome(r, source, c)], constraints)
+    stages = A.where_stages(c)
+    while succeeded(r) and (stage := next(stages, None)) is not None:
+        r = _apply_outcomes(r, [_outcome(r, source, part) for part in stage], constraints)
+    return r
 
 
 # ---------------------------------------------------------------------------
 # option resolution
-
-
-def optioned(t: Term) -> frozenset:
-    """The subterms of t with an option at or below them."""
-    return frozenset(
-        node for _, node in positions(t) if any(isinstance(n, OptionT) for _, n in positions(node))
-    )
 
 
 def resolve_options(r: MatchResult, t: Term, options: frozenset) -> MatchResult:

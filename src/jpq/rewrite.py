@@ -51,6 +51,7 @@ from .terms import (
     Var,
     children,
     is_unit,
+    optioned,
     positions,
     project,
     render,
@@ -488,10 +489,7 @@ def infer_route(
     if terms_match(source, target):
         return ()
     # no rule introduces an option into an option-free term
-    def has_option(t: Term) -> bool:
-        return any(isinstance(n, OptionT) for _, n in positions(t))
-
-    if has_option(target) and not has_option(source):
+    if target in optioned(target) and source not in optioned(source):
         raise InvalidConstructionError(
             "invalid construction: the target has option structure "
             "the source cannot produce"

@@ -173,6 +173,15 @@ def positions(t: Term) -> list[tuple[Path, Term]]:
     return out
 
 
+def optioned(t: Term) -> frozenset:
+    """The subterms of t with an option at or below them."""
+    out: set[Term] = set()
+    for _, node in reversed(positions(t)):  # children first
+        if isinstance(node, OptionT) or any(c in out for c in children(node)):
+            out.add(node)
+    return frozenset(out)
+
+
 def one_value_paths(t: Term, name: str) -> list[list[tuple[Term, int]]]:
     """For each occurrence of `name` in t outside every non-flattened array,
     preorder, the (node, child index) steps from t down to it: the places

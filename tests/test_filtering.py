@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import sys
 
 import pytest
 
@@ -8,10 +9,9 @@ from jpq.ast import derive_matching_term
 from jpq.engine import Engine
 from jpq.errors import InvalidCompositionError, ShapeMismatchError, TypeError_
 from jpq.filtering import (
-    _Enumerator,
+    _enumerator,
     eval_builtin,
     filter_result,
-    optioned,
     resolve_options,
 )
 from jpq.matching import (
@@ -26,10 +26,10 @@ from jpq.matching import (
 from jpq.model import DocRegistry, get_field, parse_document, serialize
 from jpq.parser import parse_condition, parse_pattern, parse_query
 from jpq.rewrite import Constraint, Transformer
-from jpq.terms import ArrayT, OptionT, TupleT, Var
+from jpq.terms import ArrayT, OptionT, TupleT, Var, optioned
 
 from .generators import _same
-from .test_golden import T, document_sets
+from .test_golden import T, document_sets, gen
 from .test_matching import _options
 
 SCHOOLS = '{"schools":[{"name":$n,"faculty":[{"ID":$id}]}]}'
@@ -224,6 +224,28 @@ def test_a_range_cannot_also_be_read_elementwise(univ):
     assert _same(school_view(r), [("Math School", ["0001", "0003", "0014"])])
 
 
+OPTION_AND_Z = 'from doc("d") <{"a":($x|$y)}, {"b":$z}> construct {"z":$z} where '
+
+
+@pytest.mark.parametrize(
+    "where,message",
+    [
+        ("($x = 1 or $y = 2) with ($z = 1 par ($z = 2 with $z = 3))",
+         "$x and $y live in different option branches"),
+        ("($z = 1 par ($z = 2 with $z = 3)) with ($x = 1 or $y = 2)",
+         "'with' cannot be nested under 'par'"),
+        ("not ($z = 1 par $z = 2) with ($z = 1 par ($z = 2 with $z = 3))",
+         "'par' cannot be nested under 'and', 'or', 'not' or a quantifier"),
+    ],
+)
+def test_composition_errors_keep_their_stage_order(where, message):
+    # the stages are taken apart one by one: a later stage's error never
+    # hides an earlier stage's
+    with pytest.raises(InvalidCompositionError) as e:
+        parse_query(OPTION_AND_Z + where)
+    assert message in str(e.value)
+
+
 def test_or_within_one_branch_is_fine(univ):
     r = filtered(SCHOOLS, '$id = "0012" or $id = "0013"', univ)
     assert _same(school_view(r), [("Computer School", ["0012", "0013"])])
@@ -296,6 +318,38 @@ def oracle_filter(doc, holds):
     return out
 
 
+def oracle_ranges(doc, holds):
+    """Nested-loop reference for conditions over the ys range: keep each x
+    whose ys satisfy the condition, with its ys whole."""
+    out = []
+    for x in get_field(doc, "xs"):
+        k, ys = get_field(x, "k"), get_field(x, "ys")
+        if holds(k, ys):
+            out.append((k, ys))
+    return out
+
+
+def assert_agrees(cond, oracle):
+    """On 150 seeded nested documents, the filter keeps the (k, ys) pairs
+    `oracle(doc)` keeps."""
+    c = parse_condition(cond)
+    pattern = parse_pattern('{"xs":[{"k":$k,"ys":[$y]}]}')
+    source = derive_matching_term(pattern)
+    for seed in range(150):
+        rng = random.Random(seed)
+        doc = gen_nested_doc(rng)
+        r = filter_result(match_value(pattern, doc), source, c)
+        expected = oracle(doc)
+        if not expected:
+            assert not succeeded(r) or not r.items
+            continue
+        got = [
+            (x.items[0].value, [y.value for y in x.items[1].items])
+            for x in r.items
+        ]
+        assert _same(got, expected), serialize(doc)
+
+
 @pytest.mark.parametrize(
     "cond,holds",
     [
@@ -306,23 +360,52 @@ def oracle_filter(doc, holds):
     ],
 )
 def test_filtering_agrees_with_nested_loop_oracle(cond, holds):
-    p = '{"xs":[{"k":$k,"ys":[$y]}]}'
-    c = parse_condition(cond)
-    pattern = parse_pattern(p)
-    source = derive_matching_term(pattern)
-    for seed in range(150):
-        rng = random.Random(seed)
-        doc = gen_nested_doc(rng)
-        r = filter_result(match_value(pattern, doc), source, c)
-        expected = oracle_filter(doc, holds)
-        if not expected:
-            assert not succeeded(r) or not r.items
-            continue
-        got = [
-            (x.items[0].value, [y.value for y in x.items[1].items])
-            for x in r.items
-        ]
-        assert _same(got, expected), serialize(doc)
+    assert_agrees(cond, lambda doc: oracle_filter(doc, holds))
+
+
+@pytest.mark.parametrize(
+    "cond,holds",
+    [
+        ("count[$y] > 1", lambda k, ys: len(ys) > 1),
+        ("foreach $y; $y = $k", lambda k, ys: all(y == k for y in ys)),
+        ("forsome $y; $y != $k", lambda k, ys: any(y != k for y in ys)),
+        ('count[$y] = 0 or (forsome $y; $y = "a")', lambda k, ys: not ys or "a" in ys),
+    ],
+)
+def test_ranges_agree_with_nested_loop_oracle(cond, holds):
+    assert_agrees(cond, lambda doc: oracle_ranges(doc, holds))
+
+
+@pytest.mark.parametrize("template", ["EX3", "EX4", "EX6"])
+def test_the_filter_does_no_per_result_term_walk(monkeypatch, template):
+    # each where clause is compiled against the matching term once per filter
+    # call, so the term walks of one call do not grow with the document
+    import jpq.engine
+    import jpq.terms
+
+    real, calls, per_run = jpq.terms.var_set, [], []
+
+    def counted(t):
+        calls.append(t)
+        return real(t)
+
+    def spy(r, source, c, constraints):
+        before = len(calls)
+        out = filter_result(r, source, c, constraints)
+        per_run.append(len(calls) - before)
+        return out
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("jpq.")]:
+        for attr, value in list(vars(module).items()):
+            if value is real:
+                monkeypatch.setattr(module, attr, counted)
+    monkeypatch.setattr(jpq.engine, "filter_result", spy)
+    query = parse_query(getattr(T, template).text)
+    for schools, faculty in ((2, 3), (20, 20)):
+        reg = DocRegistry()
+        reg.register("univ", parse_document(gen.dump(gen.univ(random.Random(7), schools, faculty))))
+        Engine(reg).run(query)
+    assert len(per_run) == 2 and per_run[0] == per_run[1] > 0, per_run
 
 
 @pytest.mark.parametrize(
@@ -337,7 +420,7 @@ def test_filtering_agrees_with_nested_loop_oracle(cond, holds):
 def test_enumerator_rejects_a_result_of_the_wrong_shape(term):
     # a checked error, not an assert that python -O would strip
     with pytest.raises(ShapeMismatchError):
-        _Enumerator({"a", "b"}, {}, None).run(term, MBind("a", "x"), ())
+        _enumerator(term, {"a", "b"}, {})(MBind("a", "x"))
 
 
 

@@ -12,7 +12,7 @@ from jpq.errors import (
     SearchBoundExceededError,
     ShapeMismatchError,
 )
-from jpq.filtering import filter_result, optioned, resolve_options
+from jpq.filtering import filter_result, resolve_options
 from jpq.matching import MArray, MBind, MTuple, footprint, instantiates, succeeded
 from jpq.model import key
 from jpq.rewrite import (
@@ -38,6 +38,7 @@ from jpq.terms import (
     TupleT,
     Var,
     children,
+    optioned,
     positions,
     render,
     replace,
