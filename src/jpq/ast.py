@@ -38,6 +38,7 @@ from .terms import (
     option_of,
     positions,
     render,
+    slot_code,
     subterm,
     tuple_of,
     var_set,
@@ -86,6 +87,11 @@ class Pattern:
     def term(self) -> Term:
         """The matching term, derived once per node."""
         return derive_matching_term(self)
+
+    @cached_property
+    def layout(self) -> tuple[int, ...]:
+        """How a match result is made from its parts' results, once per node."""
+        return tuple(slot_code(t) for t in _slots(self))
 
 
 class ValuePattern(Pattern):
@@ -146,6 +152,11 @@ class KVPattern(KeyValuePattern):
     var: Optional[str]
     key: Optional[StringPredicate]  # both None: wildcard key `*`
     value: ValuePattern
+
+    @cached_property
+    def literal(self) -> Optional[str]:
+        """The one key a `?`-free key predicate admits, else None."""
+        return None if self.key is None or "?" in self.key.pattern else self.key.pattern
 
 
 @dataclass(frozen=True)
@@ -355,19 +366,29 @@ def derive_matching_term(p: Pattern) -> Term:
         return Var(p.name)
     if isinstance(p, (PPred, PWild)):
         return UNIT
-    if isinstance(p, PObject):
-        return tuple_of([m.term for m in p.members])
-    if isinstance(p, PConj):
-        return tuple_of([s.term for s in p.items])
+    if isinstance(p, (PObject, PConj, KVPattern)):
+        return tuple_of(_slots(p))
     if isinstance(p, (PArray, PChildren, PDescend)):
         elem = (p.elem if isinstance(p, PArray) else
                 p.member if isinstance(p, PChildren) else p.pattern).term
         return UNIT if is_unit(elem) else ArrayT(elem, elem)
     if isinstance(p, (POption, KVOption)):
-        return option_of([b.term for b in p.branches])
-    if isinstance(p, KVPattern):
-        return tuple_of([Var(p.var) if p.var else UNIT, p.value.term])
+        return option_of(_slots(p))
     raise TypeError(f"not a pattern: {p!r}")
+
+
+def _slots(p: Pattern) -> list[Term]:
+    """The terms of the parts p's match result is made of: members, items,
+    branches, or a key-value pair's key variable (if any) and value."""
+    if isinstance(p, PObject):
+        return [m.term for m in p.members]
+    if isinstance(p, PConj):
+        return [s.term for s in p.items]
+    if isinstance(p, (POption, KVOption)):
+        return [b.term for b in p.branches]
+    if isinstance(p, KVPattern):
+        return [Var(p.var), p.value.term] if p.var else [p.value.term]
+    return []
 
 
 def query_matching_term(q: QueryAst) -> Term:

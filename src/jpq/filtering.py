@@ -98,9 +98,13 @@ def _enumerator(
                     comps.append((i, walk(st, path + (i,)), join))
                     bound |= here
 
+            (first, first_sub, _), *rest = comps
+
             def tuple_(r: MatchResult) -> list[_Assignment]:
-                parts, combos = shaped(r, t).items, [_Assignment({}, frozenset())]
-                for i, sub, join in comps:
+                # the first component's assignments are handed on as they are
+                parts = shaped(r, t).items
+                combos = first_sub(parts[first])
+                for i, sub, join in rest:
                     combos = _pairs(combos, sub(parts[i]), join)
                 return combos
             return tuple_

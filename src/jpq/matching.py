@@ -8,6 +8,11 @@ value (MFailed), not an error.
 
 Array elements and option nodes carry small integer identities so that later
 filtering can talk about which elements and branches survived.
+
+A member whose key has no `?` is looked up in the object (keys are unique);
+a `?` or `*` key scans the pairs in document order.  How a node's result is
+made from its parts' results (drop a unit slot, splice a tuple's items, keep
+anything else) is fixed once per pattern node, as `Pattern.layout`.
 """
 
 from __future__ import annotations
@@ -18,8 +23,8 @@ from typing import Iterable, Iterator, Optional, Union
 
 from . import ast as A
 from .errors import ShapeMismatchError
-from .model import Value, key, preorder, serialize
-from .terms import ArrayT, DistinctT, OptionT, Term, TupleT, Var, is_unit, render
+from .model import Value, key, preorder
+from .terms import DROP, KEEP, SPLICE, ArrayT, OptionT, Term, TupleT, render, slot_code
 
 
 class MatchResult:
@@ -47,7 +52,7 @@ class MBind(MatchResult):
     __slots__ = ("name", "value")
 
     def __init__(self, name: str, value: Value):
-        super().__init__()
+        self.elem_id = None
         self.name = name
         self.value = value
 
@@ -59,7 +64,7 @@ class MTuple(MatchResult):
     __slots__ = ("items",)
 
     def __init__(self, items: list[MatchResult]):
-        super().__init__()
+        self.elem_id = None
         self.items = list(items)
 
     def parts(self) -> list[MatchResult]:
@@ -76,7 +81,7 @@ class MArray(MatchResult):
     __slots__ = ("items", "folded")
 
     def __init__(self, items: list[MatchResult], folded: bool = False):
-        super().__init__()
+        self.elem_id = None
         self.items = list(items)
         self.folded = folded
 
@@ -99,7 +104,7 @@ class MOption(MatchResult):
         option_id: Optional[int],
         branch_ids: Optional[list[int]] = None,
     ):
-        super().__init__()
+        self.elem_id = None
         self.branches = list(branches)
         # stable per-branch tokens; they follow branches through commutation
         if branch_ids is None:
@@ -154,26 +159,22 @@ def value_of(r: MatchResult) -> Value:
     raise ShapeMismatchError("a failed result has no value")
 
 
-def _combine(parts: list[tuple[Term, MatchResult]]) -> MatchResult:
-    """Combine (term, result) slots as a flat tuple — the exact mirror of
-    terms.tuple_of: tuple slots spliced, singletons collapsed, and nothing
-    kept the empty tuple.  A slot whose term is unit adds nothing, whatever
-    its result: a `[*]` slot holds the array it walked."""
+def _flat(layout: tuple[int, ...], results: list[MatchResult]) -> MatchResult:
+    """The slots' results as a flat tuple, each slot as its `slot_code` in
+    `layout` says: the exact mirror of terms.tuple_of.  A unit slot adds
+    nothing, whatever its result: a `[*]` slot holds the array it walked."""
     kept: list[MatchResult] = []
-    for t, r in parts:
-        if is_unit(t):
-            continue
-        if isinstance(t, TupleT) and isinstance(r, MTuple):
+    for code, r in zip(layout, results):
+        if code == SPLICE and type(r) is MTuple:
             kept.extend(r.items)
-        else:
+        elif code != DROP:
             kept.append(r)
-    if len(kept) == 1:
-        return kept[0]
-    return MTuple(kept)
+    return kept[0] if len(kept) == 1 else MTuple(kept)
 
 
-def _slotted(sub_patterns, sub_results) -> MatchResult:
-    return _combine([(p.term, r) for p, r in zip(sub_patterns, sub_results)])
+def _combine(parts: list[tuple[Term, MatchResult]]) -> MatchResult:
+    """(term, result) slots as a flat tuple, the layout read off the terms."""
+    return _flat([slot_code(t) for t, _ in parts], [r for _, r in parts])
 
 
 class Matcher:
@@ -189,45 +190,44 @@ class Matcher:
     # -- value patterns -----------------------------------------------------
 
     def match_value(self, p: A.ValuePattern, v: Value) -> MatchResult:
-        if isinstance(p, A.PVar):
+        kind = type(p)
+        if kind is A.PVar:
             return MBind(p.name, v)
-        if isinstance(p, A.PWild):
-            return MTuple([])
-        if isinstance(p, A.PPred):
-            return MTuple([]) if _pred_holds(p.pred, v) else MFailed()
-        if isinstance(p, A.PObject):
+        if kind is A.PObject:
             if not isinstance(v, dict):
                 return MFailed()
-            results = []
-            for member in p.members:
-                r = self._match_kv_in_object(member, v)
-                if not succeeded(r):
-                    return MFailed()
-                results.append(r)
-            return _slotted(p.members, results)
-        if isinstance(p, A.PArray):
+            return self._all(self._match_kv_in_object, p.members, p.layout, v)
+        if kind is A.PArray:
             if not isinstance(v, list):
                 return MFailed()
             return self._collect(self.match_value(p.elem, x) for x in v)
-        if isinstance(p, A.PConj):
-            results = []
-            for sub in p.items:
-                r = self.match_value(sub, v)
-                if not succeeded(r):
-                    return MFailed()
-                results.append(r)
-            return _slotted(p.items, results)
-        if isinstance(p, A.POption):
-            return self._option(p.branches, [self.match_value(b, v) for b in p.branches])
-        if isinstance(p, A.PChildren):
+        if kind is A.PWild:
+            return MTuple([])
+        if kind is A.PPred:
+            return MTuple([]) if _pred_holds(p.pred, v) else MFailed()
+        if kind is A.PConj:
+            return self._all(self.match_value, p.items, p.layout, v)
+        if kind is A.POption:
+            return self._option(p, [self.match_value(b, v) for b in p.branches])
+        if kind is A.PChildren:
             # an object's pairs, document order
             if not isinstance(v, dict):
                 return MFailed()
             return self._collect(self.match_kv_pair(p.member, k, x) for k, x in v.items())
-        if isinstance(p, A.PDescend):
+        if kind is A.PDescend:
             # v and every nested value, preorder
             return self._collect(self.match_value(p.pattern, d) for d in preorder(v))
         raise TypeError(f"not a value pattern: {p!r}")
+
+    def _all(self, match, subs: tuple, layout: tuple[int, ...], v: Value) -> MatchResult:
+        """The flat tuple of every sub-pattern's match on v, or the first failure."""
+        results = []
+        for sub in subs:
+            r = match(sub, v)
+            if type(r) is MFailed:
+                return r
+            results.append(r)
+        return _flat(layout, results)
 
     def _collect(self, results: Iterable[MatchResult]) -> MArray:
         """The successful results as array elements, each given an id as soon
@@ -235,41 +235,48 @@ class Matcher:
         come before the element's own."""
         items = []
         for r in results:
-            if succeeded(r):
+            if type(r) is not MFailed:
                 r.elem_id = self.fresh_id()
                 items.append(r)
         return MArray(items)
 
-    def _option(self, branches: tuple[A.Pattern, ...], results: list[MatchResult]) -> MatchResult:
+    def _option(self, p: A.Pattern, results: list[MatchResult]) -> MatchResult:
         """An option over the branches' results, or MFailed when all failed.  A
         branch whose term is unit gives `()` when it matched, whatever it
         walked: a `[*]` branch walks an array."""
-        results = [MTuple([]) if succeeded(r) and is_unit(b.term) else r
-                   for b, r in zip(branches, results)]
+        results = [MTuple([]) if code == DROP and type(r) is not MFailed else r
+                   for code, r in zip(p.layout, results)]
         return _viable(MOption(results, self.fresh_id()))
 
     # -- key-value patterns --------------------------------------------------
 
     def match_kv_pair(self, kv: A.KeyValuePattern, name: str, value: Value) -> MatchResult:
         """Match one key-value pair (used by enumeration)."""
-        if isinstance(kv, A.KVOption):
-            return self._option(kv.branches, [self.match_kv_pair(b, name, value) for b in kv.branches])
+        if type(kv) is A.KVOption:
+            return self._option(kv, [self.match_kv_pair(b, name, value) for b in kv.branches])
         if kv.key is not None and not kv.key.matches(name):
             return MFailed()
+        return self._pair(kv, name, value)
+
+    def _pair(self, kv: A.KVPattern, name: str, value: Value) -> MatchResult:
+        """Match a pair whose key kv admits."""
         vr = self.match_value(kv.value, value)
-        if not succeeded(vr):
-            return MFailed()
-        if not kv.var:
-            return _combine([(kv.value.term, vr)])
-        return _combine([(Var(kv.var), MBind(kv.var, name)), (kv.value.term, vr)])
+        if type(vr) is MFailed or kv.layout == (KEEP,):  # the pair is its value
+            return vr
+        return _flat(kv.layout, [MBind(kv.var, name), vr] if kv.var else [vr])
 
     def _match_kv_in_object(self, kv: A.KeyValuePattern, obj: dict) -> MatchResult:
-        """First pair (document order) that satisfies kv; Failed when none does."""
-        if isinstance(kv, A.KVOption):
-            return self._option(kv.branches, [self._match_kv_in_object(b, obj) for b in kv.branches])
+        """The pair a literal key names, else the first pair (document order)
+        that satisfies kv; Failed when none does.  Keys are unique, so the
+        pair a literal names is the only one a scan could find."""
+        if type(kv) is A.KVOption:
+            return self._option(kv, [self._match_kv_in_object(b, obj) for b in kv.branches])
+        name = kv.literal
+        if name is not None:
+            return self._pair(kv, name, obj[name]) if name in obj else MFailed()
         for name, sub in obj.items():
             r = self.match_kv_pair(kv, name, sub)
-            if succeeded(r):
+            if type(r) is not MFailed:
                 return r
         return MFailed()
 
@@ -311,7 +318,7 @@ def compare_atoms(op: str, a: Value, b: Value) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# shape checking, identity footprints, rendering
+# shape checking and identity footprints
 
 
 def shaped(r: MatchResult, t: Term) -> MatchResult:
@@ -327,45 +334,6 @@ def shaped(r: MatchResult, t: Term) -> MatchResult:
     elif kind is ArrayT and type(r) is MArray:
         return r
     raise ShapeMismatchError(f"the result does not have the shape of {render(t)}")
-
-
-def instantiates(r: MatchResult, t: Term) -> bool:
-    """Does the result's shape instantiate the term?  Failed never does."""
-    if isinstance(r, MFailed):
-        return False
-    if isinstance(t, Var):
-        return isinstance(r, MBind) and r.name == t.name
-    if isinstance(t, TupleT):
-        return (
-            isinstance(r, MTuple)
-            and len(r.items) == len(t.items)
-            and all(instantiates(s, st) for s, st in zip(r.items, t.items))
-        )
-    if isinstance(t, OptionT):
-        return (
-            isinstance(r, MOption)
-            and len(r.branches) == len(t.branches)
-            and all(
-                instantiates(b, bt)
-                for b, bt in zip(r.branches, t.branches)
-                if succeeded(b)
-            )
-            and succeeded(_viable(r))
-        )
-    if isinstance(t, ArrayT):
-        if t.flat:
-            # a flattened array's elements are spliced into the enclosing
-            # array, so in place of the array one finds a single element,
-            # which may itself be an array
-            return instantiates(r, t.elem)
-        return (
-            isinstance(r, MArray)
-            and r.folded == t.folded
-            and all(instantiates(item, t.elem) for item in r.items)
-        )
-    if isinstance(t, DistinctT):
-        return instantiates(r, t.inner)
-    raise TypeError(f"cannot check against term {t!r}")
 
 
 def footprint(r: MatchResult) -> frozenset:
@@ -393,23 +361,3 @@ def _collect_footprint(r: MatchResult, tokens: set) -> None:
 def branch_token(opt: MOption, i: int):
     """The footprint token contributed by choosing branch i of this option."""
     return ("b", opt.branch_ids[i])
-
-
-def render_result(r: MatchResult, max_value: int = 40) -> str:
-    """Paper-style notation: ($x↦v, [..;..], a|b)."""
-    if isinstance(r, MFailed):
-        return "FAIL"
-    if isinstance(r, MBind):
-        text = serialize(r.value)
-        if len(text) > max_value:
-            text = text[: max_value - 3] + "..."
-        return f"${r.name} -> {text}"
-    if isinstance(r, MTuple):
-        return "(" + ", ".join(render_result(s, max_value) for s in r.items) + ")"
-    if isinstance(r, MArray):
-        return "[" + "; ".join(render_result(s, max_value) for s in r.items) + "]"
-    if isinstance(r, MOption):
-        alts = [render_result(b, max_value) for b in r.branches if succeeded(b)]
-        return alts[0] if len(alts) == 1 else "(" + " | ".join(alts) + ")"
-    raise TypeError(f"not a result: {r!r}")
-

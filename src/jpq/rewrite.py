@@ -563,11 +563,7 @@ class Constraint:
         for covered, universe in self.option_universe:
             if tokens & (universe - covered):  # a branch the condition never inspected
                 return True
-        required: set = set()
-        for group in self.groups:
-            chosen = tokens & group
-            if len(chosen) == 1:
-                required |= chosen
+        required = {tok for chosen in self._chosen(tokens) if len(chosen) == 1 for tok in chosen}
         return not required or bool(self._holding(required))
 
     def candidates(self, head: frozenset, ids: set, under: set) -> set:
@@ -590,14 +586,35 @@ class Constraint:
         postings = sorted((self._postings.get(tok, frozenset()) for tok in required), key=len)
         return postings[0].intersection(*postings[1:]) if postings else range(len(self.footprints))
 
+    def _chosen(self, tokens: frozenset) -> Iterable:
+        """`tokens & group` for each group, or for only the groups the tokens
+        meet, looked up in `_groups_of`, when the tokens are fewer."""
+        if len(tokens) >= len(self.groups):
+            return [tokens & group for group in self.groups]
+        met: dict = {}
+        for tok in tokens:
+            for g in self._groups_of.get(tok, ()):
+                met.setdefault(g, []).append(tok)
+        return met.values()
+
+    @cached_property
+    def _groups_of(self) -> dict:
+        """Token -> indexes of the groups holding it, built on first use."""
+        return _index(self.groups)
+
     @cached_property
     def _postings(self) -> dict:
         """Token -> indexes of the footprints holding it, built on first use."""
-        postings: dict = {}
-        for i, fp in enumerate(self.footprints):
-            for tok in fp:
-                postings.setdefault(tok, set()).add(i)
-        return postings
+        return _index(self.footprints)
+
+
+def _index(sets: tuple[frozenset, ...]) -> dict:
+    """Token -> indexes of the sets holding it."""
+    index: dict = {}
+    for i, tokens in enumerate(sets):
+        for tok in tokens:
+            index.setdefault(tok, set()).add(i)
+    return index
 
 
 # ---------------------------------------------------------------------------

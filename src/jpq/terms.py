@@ -87,6 +87,15 @@ def tuple_of(items: list[Term]) -> Term:
     return TupleT(tuple(kept))
 
 
+DROP, KEEP, SPLICE = 0, 1, 2
+
+
+def slot_code(t: Term) -> int:
+    """What a flat tuple does with a slot of term t, as tuple_of does: DROP a
+    unit, SPLICE a tuple's items, KEEP anything else."""
+    return DROP if is_unit(t) else SPLICE if isinstance(t, TupleT) else KEEP
+
+
 def option_of(branches: list[Term]) -> Term:
     """Option constructor; positions are preserved, an all-unit option is unit."""
     if all(is_unit(b) for b in branches):

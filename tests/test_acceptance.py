@@ -20,9 +20,7 @@ from jpq.matching import (
     MBind,
     MOption,
     MTuple,
-    instantiates,
     match_value,
-    render_result,
     succeeded,
 )
 from jpq.model import get_field, preorder
@@ -32,6 +30,7 @@ from jpq.terms import ArrayT, TupleT, Var, terms_match, var_set
 
 from .conftest import FIXTURES, load_fixture
 from .generators import ResultBuilder, _Vars, _same, gen_document, gen_matching_pattern
+from .oracles import instantiates, render_result
 from .test_engine import EX1, EX2, EX3, EX5, EX6, run
 from .test_rewrite import bfs_reaches, term_universe
 

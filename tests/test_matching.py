@@ -13,9 +13,7 @@ from jpq.matching import (
     Matcher,
     compare_atoms,
     footprint,
-    instantiates,
     match_value,
-    render_result,
     succeeded,
 )
 from jpq.model import parse_document, preorder
@@ -24,6 +22,7 @@ from jpq.rewrite import project_result, projection
 from jpq.terms import UNIT, ArrayT, OptionT, TupleT, Var, project, tuple_of
 
 from .generators import ResultBuilder, _Vars, _same, gen_document, gen_matching_pattern, gen_term
+from .oracles import instantiates, render_result
 
 
 def bind_values(r):
@@ -272,3 +271,59 @@ def test_an_element_takes_its_id_after_the_ids_drawn_inside_it():
                          ("//[$x]", "[[1],[2,3]]")]:
         ids = drawn(Matcher().match_value(parse_pattern(pattern), parse_document(doc)))
         assert ids == list(range(1, len(ids) + 1)), pattern
+
+
+# -- literal keys are looked up, `?` keys scanned -----------------------------
+
+
+def test_a_literal_key_matches_only_that_key():
+    # regex metacharacters and spaces are literal; a near miss comes first
+    doc = parse_document('{"axb":1,"a.b":2,"aab":3,"a*b":4,"first  name":5,"first name":6}')
+    for key, want in [("a.b", 2), ("a*b", 4), ("first name", 6)]:
+        r = match_value(parse_pattern('{"%s":$v}' % key), doc)
+        assert _same(bind_values(r), [("v", Decimal(want))]), key
+    assert not succeeded(match_value(parse_pattern('{"a.c":$v}'), doc))
+
+
+def test_a_question_mark_key_takes_the_first_fitting_pair_in_document_order():
+    doc = parse_document('{"b":0,"ab":1,"acb":2,"ab2":3,"adb":4}')
+    r = match_value(parse_pattern('{$k "a?b":$v}'), doc)
+    assert _same(bind_values(r), [("k", "ab"), ("v", Decimal(1))])
+    # a pair whose value fails passes the member on to the next fitting pair
+    r = match_value(parse_pattern('{$k "a?b":<$v, (> 1)>}'), doc)
+    assert _same(bind_values(r), [("k", "acb"), ("v", Decimal(2))])
+
+
+def test_a_literal_key_whose_value_fails_fails_the_member(monkeypatch):
+    values = []
+    real = Matcher.match_value
+    monkeypatch.setattr(Matcher, "match_value", lambda m, p, v: values.append(v) or real(m, p, v))
+    doc = parse_document('{"a":"x","b":1,"c":2}')
+    assert not succeeded(match_value(parse_pattern('{"a":(> 0)}'), doc))
+    assert values == [doc, "x"]  # no other pair is tried
+    r = match_value(parse_pattern('{$k "a":$v}'), doc)
+    assert _same(bind_values(r), [("k", "a"), ("v", "x")])
+
+
+def test_a_missing_literal_key_fails_the_object():
+    doc = parse_document('{"a":1,"b":2}')
+    assert succeeded(match_value(parse_pattern('{"a":$x,"b":$y}'), doc))
+    assert not succeeded(match_value(parse_pattern('{"a":$x,"c":$y}'), doc))
+    assert not succeeded(match_value(parse_pattern('{"c":*}'), doc))
+
+
+def test_a_literal_member_tests_no_key_predicate(monkeypatch):
+    calls = []
+    real = A.StringPredicate.matches
+
+    def counted(pred, name):
+        calls.append(name)
+        return real(pred, name)
+
+    monkeypatch.setattr(A.StringPredicate, "matches", counted)
+    doc = parse_document("{%s}" % ",".join(f'"k{i}":{i}' for i in range(50)))
+    r = match_value(parse_pattern('{"k49":$v,"k0":$w}'), doc)
+    assert _same(bind_values(r), [("v", Decimal(49)), ("w", Decimal(0))])
+    assert calls == []
+    match_value(parse_pattern('{"k?9":$v}'), doc)
+    assert calls == [f"k{i}" for i in range(10)]  # a `?` key is still scanned

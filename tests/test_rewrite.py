@@ -13,7 +13,7 @@ from jpq.errors import (
     ShapeMismatchError,
 )
 from jpq.filtering import filter_result, resolve_options
-from jpq.matching import MArray, MBind, MTuple, footprint, instantiates, succeeded
+from jpq.matching import MArray, MBind, MTuple, footprint, succeeded
 from jpq.model import key
 from jpq.rewrite import (
     RULES,
@@ -49,6 +49,7 @@ from jpq.terms import (
 )
 
 from .generators import ResultBuilder, _same, gen_term
+from .oracles import instantiates
 
 A, B, C = Var("a"), Var("b"), Var("c")
 
