@@ -9,22 +9,22 @@ tuple slots are split among its sub-patterns, how a folded array lays out
 its classes, and where an ordering variable sits in an element.  A node that
 does not fit its term compiles to a closure that raises, so the error comes
 only when a result reaches it.
-Each class of a folded array is built by the same closures, as one element
-whose slots hold the class key and the class members.
+A class of a folded array builds the array's element straight from the
+class key's value and the class's member list: the content array reads the
+components it shows from each member, and no tuple is put together.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
 from decimal import Decimal
+from typing import Optional
 
 from . import ast as A
 from .ast import backbone  # noqa: F401  (re-exported)
 from .errors import ConstructionError, ShapeMismatchError, TypeError_
 from .filtering import eval_builtin
 from .matching import (
-    _combine,
-    MArray,
     MatchResult,
     MBind,
     MTuple,
@@ -35,6 +35,7 @@ from .matching import (
 )
 from .model import Value
 from .terms import (
+    UNIT,
     ArrayT,
     DistinctT,
     OptionT,
@@ -45,7 +46,6 @@ from .terms import (
     is_unit,
     one_value_paths,
     render,
-    tuple_of,
     var_set,
 )
 
@@ -89,12 +89,11 @@ def compile_construction(cp: A.ConstructionPattern, t: Term) -> Build:
         return var
     if kind is A.CDistinctRef:
         return value_of  # only a grouped array's classes offer a key here
-    if kind is A.CObject:
-        keys, members = [key for key, _ in cp.members], _parts(t, [sub for _, sub in cp.members])
-        return lambda r: dict(zip(keys, members(r)))
-    if kind is A.CFun:
-        args = _parts(t, cp.args)
-        return lambda r: _call(cp.name, args(r))
+    if kind is A.CObject or kind is A.CFun:
+        made = _whole(_made(cp, [_at(i, c) for i, c in enumerate(components(t))]))
+        if type(t) is TupleT:
+            return lambda r: made(shaped(r, t).items)
+        return lambda r: made((r,))
     if kind is A.COption:
         if is_unit(cp.backbone):
             # constants-only option: nothing to select on, first branch wins
@@ -112,31 +111,64 @@ def compile_construction(cp: A.ConstructionPattern, t: Term) -> Build:
     raise TypeError_(f"not a construction pattern: {cp!r}")
 
 
-def _parts(t: Term, subs) -> Callable[[MatchResult], list]:
-    """The values of `subs` from a result of `t`, in order, each built from
-    its share of t's flat tuple slots: one slot for a sub-pattern of one
-    component, else as many slots as it has components, as one tuple."""
-    slots, takes, i = components(t), [], 0
-    for sub in subs:
+# (i, built): `built` makes a pattern's value from slot result i, or from all
+# the slot results when i is None
+Take = tuple[Optional[int], Callable[..., Value]]
+Slot = Callable[[A.ConstructionPattern], Take]  # the take of the pattern filling a slot
+
+
+def _at(i: int, t: Term) -> Slot:
+    """Slot i, of term t: the pattern filling it is compiled against t."""
+    return lambda sub: (i, compile_construction(sub, t))
+
+
+def _under(i: int, slot: Slot) -> Slot:
+    """`slot` of the tuple that slot result i holds."""
+    def fill(sub: A.ConstructionPattern) -> Take:
+        j, built = slot(sub)
+        return i, lambda r: built(r.items[j])
+    return fill
+
+
+def _whole(take: Take) -> Callable[..., Value]:
+    """The take's builder from all the slot results."""
+    i, built = take
+    return built if i is None else lambda items: built(items[i])
+
+
+def _made(cp: A.ConstructionPattern, slots: list[Slot]) -> Take:
+    """cp's take of the slot results its caller supplies: an object or a
+    call shares `slots` out among its sub-patterns in order, as many to each
+    as its backbone has components; any other pattern fills its one slot,
+    or none when it holds only constants."""
+    kind = type(cp)
+    if kind is not A.CObject and kind is not A.CFun:
+        if slots:
+            return slots[0](cp)
+        built = compile_construction(cp, UNIT)  # constants only
+        return None, lambda items: built(MTuple([]))
+    takes, i = [], 0
+    for sub in [sub for _, sub in cp.members] if kind is A.CObject else cp.args:
         k = len(components(sub.backbone))
-        if k == 1 and i < len(slots):
-            takes.append((i, None, compile_construction(sub, slots[i])))
-        elif len(slots) - i < k:
+        if len(slots) - i < k:
             error = "construction pattern is wider than the result"
-            takes.append((0, 0, _fails(ShapeMismatchError, error)))
+            takes.append((None, _fails(ShapeMismatchError, error)))
             break  # the builds after it are never reached
-        else:
-            takes.append((i, k, compile_construction(sub, TupleT(slots[i:i + k]))))
+        takes.append(_made(sub, slots[i:i + k]))
         i += k
-    is_tuple = isinstance(t, TupleT)
 
-    def parts(r: MatchResult) -> list:
-        items = shaped(r, t).items if is_tuple else (r,)
-        return [built(items[i] if k is None else MTuple(items[i:i + k])) for i, k, built in takes]
-    return parts
+    def parts(items: list[MatchResult]) -> list[Value]:
+        return [built(items) if j is None else built(items[j]) for j, built in takes]
+    if kind is A.CFun:
+        return None, lambda items: _call(cp.name, parts(items))
+    keys = [key for key, _ in cp.members]
+    return None, lambda items: dict(zip(keys, parts(items)))
 
 
-def _array(cp, t: Term) -> Build:
+def _array(cp, t: Term, kept: Optional[list[bool]] = None) -> Build:
+    """cp's builder from an array result of t; with `kept`, t is a folded
+    class's member array and each member shows only the components `kept`
+    marks (`class_members`), read straight from the member."""
     if is_unit(cp.backbone):
         elem = compile_construction(cp.elem, t)  # constants only: built once, as written
         return lambda r: [elem(r)]
@@ -146,20 +178,25 @@ def _array(cp, t: Term) -> Build:
         # the flattened array's elements were spliced into the enclosing
         # array; here one spliced element remains
         return compile_construction(cp.elem, t.elem)
-    # a ^[...] over a plain array term is a grouped class's content
-    order = cp.order if type(cp) is A.CArray else None
     if type(cp) is A.CArray and isinstance(cp.groupby, DistinctT):
         if not t.folded:
             return _fails(ShapeMismatchError, "groupby construction needs a folded result")
-        class_t, key_t = t.elem.items
-        shows = class_members(class_t.elem, key_t, cp.backbone.elem.items[0].elem)
-        if shows is None:
-            error = f"a class of {render(t)} does not show its members as built"
-            return _fails(ShapeMismatchError, error)
-        elem, key = _class(cp, t, *shows), lambda cls: value_of(cls.items[1])
+        return _grouped(cp, t)
+    member = t.elem
+    if kept is None or type(member) is not TupleT:
+        elem = compile_construction(cp.elem, member)
+        kept = None  # the whole member is shown
     else:
-        elem = compile_construction(cp.elem, t.elem)
-        key = order and _reader(*var_set(cp.groupby), t.elem)
+        slots = []
+        for i, (c, k) in enumerate(zip(member.items, kept)):
+            if k and type(c) is TupleT:  # spliced, as tuple_of does
+                slots += [_under(i, _at(j, s)) for j, s in enumerate(c.items)]
+            elif k:
+                slots.append(_at(i, c))
+        made = _whole(_made(cp.elem, slots))
+        elem = lambda m: made(m.items)  # unchecked: folding checked each member's shape
+    order = cp.order if type(cp) is A.CArray else None
+    key = order and _reader(*var_set(cp.groupby), member, kept)
 
     def array(r: MatchResult) -> Value:
         items = shaped(r, t).items
@@ -168,37 +205,38 @@ def _array(cp, t: Term) -> Build:
     return array
 
 
-def _class(cp: A.CArray, t: ArrayT, kept: list[bool], shown: Term) -> Build:
-    """A class of the folded array t built as one element: its key components
-    take the class key, its content component the class members as
-    `class_members` shows them (`kept`, `shown`), with or without a copy of
-    the key."""
+def _grouped(cp: A.CArray, t: ArrayT) -> Build:
+    """The grouped array cp from the folded array t, one element per class:
+    the class's key value, read once, fills the element's key references and
+    orders the classes, and its content array is built from the class's
+    members as `class_members` shows them."""
     class_t, key_t = t.elem.items
-    member_t = class_t.elem
-    is_key = [isinstance(c, DistinctT) for c in components(cp.elem.backbone)]
-    content_t = ArrayT(shown, class_t.index)
-    elem = compile_construction(cp.elem, tuple_of([key_t if k else content_t for k in is_key]))
-    slots = [(i, c) for i, (c, k) in enumerate(zip(components(member_t), kept)) if k]
-    member_is_tuple = isinstance(member_t, TupleT)
+    shows = class_members(class_t.elem, key_t, cp.backbone.elem.items[0].elem)
+    if shows is None:
+        error = f"a class of {render(t)} does not show its members as built"
+        return _fails(ShapeMismatchError, error)
+    key = (1, lambda value: value)
 
-    def content(m: MatchResult) -> MatchResult:
-        items = shaped(m, member_t).items if member_is_tuple else (m,)
-        return _combine([(c, items[i]) for i, c in slots])
+    def content(sub: A.ConstructionPattern) -> Take:  # the array of the class's members
+        return 0, _array(sub, class_t, shows[0])
+    elem = _whole(_made(cp.elem, [(lambda sub: key) if isinstance(c, DistinctT) else content
+                                  for c in components(cp.elem.backbone)]))
 
-    def built(cls: MatchResult) -> Value:
-        class_r, key_r = shaped(cls, t.elem).items
-        content_r = MArray([content(m) for m in shaped(class_r, class_t).items])
-        parts = [key_r if k else content_r for k in is_key]
-        return elem(parts[0] if len(parts) == 1 else MTuple(parts))
-    return built
+    def grouped(r: MatchResult) -> Value:
+        classes = [shaped(cls, t.elem).items for cls in shaped(r, t).items]
+        keys = [value_of(key_r) for _, key_r in classes]
+        values = [elem((members, k)) for (members, _), k in zip(classes, keys)]
+        return values if cp.order is None else _sorted_by(values, keys, cp.order)
+    return grouped
 
 
-def _reader(name: str, t: Term) -> Build:
+def _reader(name: str, t: Term, kept: Optional[list[bool]] = None) -> Build:
     """The value of `name` in a result of the element term `t`, read at the
-    first place outside t's nested arrays (`one_value_paths`) that the
-    result binds: an option's branch not taken binds nothing."""
+    first place outside t's nested arrays (`one_value_paths`), and with
+    `kept` in the tuple components it marks, that the result binds: an
+    option's branch not taken binds nothing."""
     routes = [[i for node, i in walk if isinstance(node, (TupleT, OptionT))]
-              for walk in one_value_paths(t, name)]
+              for walk in one_value_paths(t, name) if kept is None or kept[walk[0][1]]]
 
     def read(r: MatchResult) -> Value:
         for route in routes:

@@ -7,7 +7,7 @@ from __future__ import annotations
 import json
 from decimal import Decimal
 from json.encoder import encode_basestring_ascii
-from typing import Iterator, Union
+from typing import Callable, Iterator, Union
 
 from .errors import DataError, DuplicateKeyError, JsonSyntaxError, UnknownDocumentError
 
@@ -53,29 +53,38 @@ def _first_duplicate(raw, path: str) -> None:
 
 def serialize(v: Value, pretty: bool = False) -> str:
     """Render a Value as standard JSON text; parsing it gives v back."""
+    if type(v) is not dict and type(v) is not list:
+        return serialize([v])[1:-1]  # written as an array's one item
     out: list[str] = []
     try:
-        _write(v, out, "\n" if pretty else "", "  " if pretty else "", ": " if pretty else ":")
+        _write(v, out.append, "\n" if pretty else "", *(("  ", ": ") if pretty else ("", ":")))
     except RecursionError:
         raise DataError("result nests too deeply to serialize") from None
     return "".join(out)
 
 
-def _write(v: Value, out: list[str], nl: str, step: str, colon: str) -> None:
-    """`nl` starts a line at v's depth; `step` indents one level more."""
-    if isinstance(v, (dict, list)):
-        obj = isinstance(v, dict)
-        sep, inner = "{" if obj else "[", nl + step
-        for k, sub in v.items() if obj else enumerate(v):
-            out.append(sep + inner + (encode_basestring_ascii(k) + colon if obj else ""))
-            _write(sub, out, inner, step, colon)
-            sep = ","
-        # an empty one closes right after its opening bracket
-        out.append((nl if v else sep) + ("}" if obj else "]"))
-    elif isinstance(v, (str, Decimal)):
-        out.append(encode_basestring_ascii(v) if isinstance(v, str) else str(v))
-    else:
-        out.append("null" if v is None else "true" if v else "false")
+def _write(v: Value, put: Callable[[str], None], nl: str, step: str, colon: str) -> None:
+    """Write the object or array v; a string, number, boolean or null in it
+    is written in this loop, a container by recursion.  `nl` starts a line
+    at v's depth; `step` indents one level more."""
+    obj, inner = type(v) is dict, nl + step
+    sep, comma = ("{" if obj else "[") + inner, "," + inner
+    for k, sub in v.items() if obj else enumerate(v):
+        if obj:
+            sep += encode_basestring_ascii(k) + colon
+        kind = type(sub)
+        if kind is str:
+            put(sep + encode_basestring_ascii(sub))
+        elif kind is Decimal:
+            put(sep + str(sub))
+        elif kind is dict or kind is list:
+            put(sep)
+            _write(sub, put, inner, step, colon)
+        else:
+            put(sep + ("null" if sub is None else "true" if sub else "false"))
+        sep = comma
+    # an empty one closes right after its opening bracket
+    put((nl if v else sep[0]) + ("}" if obj else "]"))
 
 
 def key(v: Value, nan_equal: bool = False):
@@ -84,19 +93,22 @@ def key(v: Value, nan_equal: bool = False):
     NaN keys as a fresh token, so it and any container holding it equal
     nothing; with `nan_equal` every NaN keys alike, as a grouping key's one
     NaN class."""
-    if isinstance(v, (dict, list)):
+    if type(v) is str:
+        return v
+    if type(v) is dict or type(v) is list:
         return tuple(_token(s, nan_equal) for s in preorder(v))
     return _token(v, nan_equal)
 
 
 def _token(v: Value, nan_equal: bool):
-    if isinstance(v, (dict, list)):  # the shape that the tokens after it fill
-        return (dict, tuple(v)) if isinstance(v, dict) else (list, len(v))
-    if isinstance(v, bool):
-        return (bool, v)
-    if isinstance(v, Decimal) and v.is_nan():
-        return ("NaN",) if nan_equal else object()
-    return v
+    kind = type(v)
+    if kind is str:
+        return v
+    if kind is Decimal:
+        return (("NaN",) if nan_equal else object()) if v.is_nan() else v
+    if kind is dict or kind is list:  # the shape that the tokens after it fill
+        return (dict, tuple(v)) if kind is dict else (list, len(v))
+    return (bool, v) if kind is bool else v
 
 
 def get_field(v: Value, name: str) -> Value:

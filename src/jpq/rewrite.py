@@ -32,6 +32,7 @@ from .matching import (
     MOption,
     MTuple,
     _combine,
+    _flat,
     _keep_id,
     _viable,
     branch_token,
@@ -56,6 +57,7 @@ from .terms import (
     project,
     render,
     replace,
+    slot_code,
     subterm,
     terms_match,
     tuple_of,
@@ -257,17 +259,13 @@ def _distribute_array(node: TupleT, _: int) -> Term:
     return ArrayT(tuple_of(head + [arr.elem]), arr.index)
 
 
-def _pair(t: TupleT, r: MTuple, last_t: Term, last_r: MatchResult) -> MatchResult:
-    """Result of tuple_of(head + [last_t]) for the head of tuple t."""
-    return _combine(list(zip(t.items[:-1], r.items[:-1])) + [(last_t, last_r)])
-
-
 def _distribute_option_data(tr, t, r, _, ctx):
     tup = shaped(r, t)
-    opt_t = t.items[-1]
+    *head_t, opt_t = t.items
     opt = shaped(tup.items[-1], opt_t)
+    head, layout = tup.items[:-1], [slot_code(c) for c in head_t]
     branches = [
-        _pair(t, tup, bt, br) if succeeded(br) else MFailed()
+        _flat(layout + [slot_code(bt)], head + [br]) if succeeded(br) else MFailed()
         for bt, br in zip(opt_t.branches, opt.branches)
     ]
     return [_keep_id(opt.with_parts(branches), r)]
@@ -275,12 +273,13 @@ def _distribute_option_data(tr, t, r, _, ctx):
 
 def _distribute_array_data(tr, t, r, _, ctx):
     tup = shaped(r, t)
-    arr_r = shaped(tup.items[-1], t.items[-1])
-    items = arr_r.items
+    *head_t, arr_t = t.items
+    arr_r = shaped(tup.items[-1], arr_t)
+    head, items = tup.items[:-1], arr_r.items
     if tr.constraints:
-        items = tr.allowed(ctx | footprint(MTuple(tup.items[:-1])), arr_r)
-    elem_t = t.items[-1].elem
-    return [_keep_id(arr_r.with_parts([_keep_id(_pair(t, tup, elem_t, i), i) for i in items]), r)]
+        items = tr.allowed(ctx | footprint(MTuple(head)), arr_r)
+    layout = [slot_code(c) for c in head_t] + [slot_code(arr_t.elem)]  # one per step
+    return [_keep_id(arr_r.with_parts([_keep_id(_flat(layout, head + [i]), i) for i in items]), r)]
 
 
 # -- folding into classes keyed by one element component ------------------------

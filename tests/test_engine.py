@@ -226,6 +226,59 @@ def test_explain_without_restructuring(engine):
     assert "(no restructuring needed)" in text
 
 
+EMAILS = (
+    'from doc("univ") {"schools":[{"name":$n,"faculty":[{"email":$m}]}]} '
+    'construct {"emails":[{"email":^[$m]%,"schools":[{"name":$n}]}] groupby ^[$m]% desc}'
+)
+
+
+@pytest.mark.parametrize(
+    "query, array", [(EX2, "faculty"), (EMAILS, "emails")], ids=["EX2", "emails"]
+)
+def test_a_grouped_build_works_per_class_not_per_member(monkeypatch, query, array):
+    # each class's element is built from its key and member list as they
+    # are: no member is recombined into a flat tuple, and the shape checks
+    # count classes, not members
+    import jpq.engine
+    import jpq.matching
+
+    calls, building = Counter(), []
+
+    def counted(real):
+        def call(*args):
+            calls[real.__name__] += bool(building)
+            return real(*args)
+        return call
+
+    reals = (jpq.matching.shaped, jpq.matching._combine)
+    for module in [m for name, m in sys.modules.items() if name.startswith("jpq.")]:
+        for real in reals:
+            for attr, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, attr, counted(real))
+    real_build = jpq.engine.build
+
+    def build(*args):
+        building.append(True)
+        try:
+            return real_build(*args)
+        finally:
+            building.pop()
+
+    monkeypatch.setattr(jpq.engine, "build", build)
+    seen = []
+    for schools in (3, 12):  # the same 5 classes, of 3 and of 12 members
+        calls.clear()
+        faculty = [{"ID": f"{i:04d}", "email": f"m{i}@s.edu"} for i in range(5)]
+        raw = {"schools": [{"name": f"School {s}", "faculty": faculty} for s in range(schools)]}
+        registry = DocRegistry()
+        registry.register("univ", parse_document(json.dumps(raw)))
+        classes = json.loads(run(Engine(registry), query))[array]
+        assert [len(c["schools"]) for c in classes] == [schools] * 5
+        seen.append(calls.copy())
+    assert seen[0] == seen[1] and not seen[0]["_combine"] and seen[0]["shaped"] <= 3 * 5
+
+
 # -- plan cache -----------------------------------------------------------------
 
 

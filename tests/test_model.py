@@ -1,4 +1,6 @@
+import json
 import random
+from collections import Counter
 from decimal import Decimal
 
 import pytest
@@ -113,6 +115,43 @@ def test_generated_documents_round_trip():
         assert _same(parse_document(serialize(doc, pretty=True)), doc)
 
 
+# characters json escapes (quote, backslash, controls), non-ASCII and astral
+ESCAPED = ['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "/", "é", "€", "\u2028",
+           "\U0001F600", "a", " "]
+ORACLE_CASES = 400
+
+
+def oracle_value(rng: random.Random, depth: int = 3):
+    """A value, and the same value as json.dumps takes it (integral numbers
+    as int): strings of escaped characters, null, booleans, empty and
+    nested containers."""
+    pick = rng.randrange(6 if depth else 3)
+    if pick == 0:
+        text = "".join(rng.choice(ESCAPED) for _ in range(rng.randrange(5)))
+        return text, text
+    if pick == 1:
+        n = rng.randint(-10**12, 10**12)
+        return Decimal(n), n
+    if pick == 2:
+        atom = rng.choice([True, False, None])
+        return atom, atom
+    items = [oracle_value(rng, depth - 1) for _ in range(rng.choice([0, 1, 3]))]
+    if pick == 3:
+        return [v for v, _ in items], [o for _, o in items]
+    keys = ["".join(rng.choice(ESCAPED) for _ in range(3)) + str(i) for i in range(len(items))]
+    return {k: v for k, (v, _) in zip(keys, items)}, {k: o for k, (_, o) in zip(keys, items)}
+
+
+def test_serialize_agrees_with_json_dumps_byte_for_byte():
+    tops = Counter()
+    for seed in range(ORACLE_CASES):
+        v, plain = oracle_value(random.Random(seed))
+        assert serialize(v) == json.dumps(plain, separators=(",", ":")), seed
+        assert serialize(v, pretty=True) == json.dumps(plain, indent=2), seed
+        tops["empty" if isinstance(v, (dict, list)) and not v else type(v)] += 1
+    assert min(tops[kind] for kind in (str, Decimal, bool, type(None), list, dict, "empty")) > 10
+
+
 def test_key_is_jpq_equality():
     one, one_point_0 = Decimal(1), Decimal("1.0")
     assert key(one) == key(one_point_0) and key(True) != key(one) and key(None) != key(False)
@@ -123,3 +162,11 @@ def test_key_is_jpq_equality():
     assert len({key([one, {"a": None}]), key([one_point_0, {"a": None}])}) == 1
     nan = Decimal("NaN")
     assert key(nan) != key(nan) and key(nan, nan_equal=True) == key(Decimal("NaN"), nan_equal=True)
+    # booleans are not numbers, in a container too; strings are not numbers
+    assert key(True) != key(Decimal(1)) and key(False) != key(Decimal(0))
+    assert key([True]) != key([one]) and key({"a": False}) != key({"a": Decimal(0)})
+    assert key("1") != key(one) and key("true") != key(True) and key("null") != key(None)
+    # with nan_equal a NaN anywhere keys alike, and like nothing else
+    assert key([nan, one], nan_equal=True) == key([Decimal("NaN"), one_point_0], nan_equal=True)
+    assert key(nan, nan_equal=True) not in {key("NaN"), key(None), key(Decimal(0))}
+    assert key([nan]) != key([nan])
