@@ -87,8 +87,6 @@ def compile_construction(cp: A.ConstructionPattern, t: Term) -> Build:
                 return r.value
             raise ShapeMismatchError(f"${name} is not bound to a single value")
         return var
-    if kind is A.CDistinctRef:
-        return value_of  # only a grouped array's classes offer a key here
     if kind is A.CObject or kind is A.CFun:
         made = _whole(_made(cp, [_at(i, c) for i, c in enumerate(components(t))]))
         if type(t) is TupleT:
@@ -122,10 +120,10 @@ def _at(i: int, t: Term) -> Slot:
     return lambda sub: (i, compile_construction(sub, t))
 
 
-def _under(i: int, slot: Slot) -> Slot:
-    """`slot` of the tuple that slot result i holds."""
+def _under(i: int, j: int, t: Term) -> Slot:
+    """Slot j, of term t, of the tuple that slot result i holds."""
     def fill(sub: A.ConstructionPattern) -> Take:
-        j, built = slot(sub)
+        built = compile_construction(sub, t)
         return i, lambda r: built(r.items[j])
     return fill
 
@@ -190,7 +188,7 @@ def _array(cp, t: Term, kept: Optional[list[bool]] = None) -> Build:
         slots = []
         for i, (c, k) in enumerate(zip(member.items, kept)):
             if k and type(c) is TupleT:  # spliced, as tuple_of does
-                slots += [_under(i, _at(j, s)) for j, s in enumerate(c.items)]
+                slots += [_under(i, j, s) for j, s in enumerate(c.items)]
             elif k:
                 slots.append(_at(i, c))
         made = _whole(_made(cp.elem, slots))
