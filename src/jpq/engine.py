@@ -2,15 +2,15 @@
 
 The engine owns a document registry; `run` takes a parsed query and returns
 the constructed Value, `explain` describes the plan (matching term, backbone,
-inferred route).  A plan depends on the query's matching term and
-construction alone: it holds the route, the terms the route passes through,
-the source subterms option resolution enters and their projections onto the
-backbone's variables, and the construction compiled against the route's last
+inferred route).  A plan depends on the query's matching term,
+construction and where clause alone: it holds the route, the terms the route
+passes through, the source subterms option resolution enters and their
+projections onto the backbone's variables, the where clause compiled against
+the matching term, and the construction compiled against the route's last
 term.  Each engine keeps its plans, keyed by (matching term, construction
-text), so a query is planned and compiled once per engine, whatever
-documents are loaded later; queries of one (projected matching term,
-backbone) shape share one route search.  The where clause is no part of a
-plan: `filter_result` compiles it against the matching term on each run.
+text, where text), so a query is planned and compiled once per engine,
+whatever documents are loaded later; queries of one (projected matching
+term, backbone) shape share one route search.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import Iterator, Optional
 
 from . import ast as A
 from .construct import Build, build, build_empty, compile_construction
-from .filtering import filter_result, resolve_options
+from .filtering import Where, compile_where, filter_result, resolve_options
 from .matching import MatchResult, Matcher, MFailed, _combine, succeeded
 from .model import DocRegistry, Value
 from .rewrite import (
@@ -46,6 +46,7 @@ class Plan:
     terms: tuple[Term, ...]
     options: frozenset  # `optioned(source_term)`
     shown: dict[Term, Optional[Term]]  # `projection(source_term, backbone variables)`
+    where: Optional[Where]  # the where clause, compiled against source_term
     build: Build  # the construction, compiled against terms[-1]
 
     def describe(self) -> str:
@@ -69,12 +70,14 @@ ROUTE_CACHE_SIZE = 128
 class Engine:
     def __init__(self, registry: Optional[DocRegistry] = None):
         self.registry = registry or DocRegistry()
-        self._routes: dict[tuple[Term, str], Plan] = {}
+        self._routes: dict[tuple[Term, str, Optional[str]], Plan] = {}
 
     def plan(self, q: A.QueryAst) -> Plan:
         """The query's plan; a failed search is not kept.  A new plan takes
         its route from a kept plan of the same shape, if there is one."""
-        key = (q.term, A.unparse_construction(q.construct))
+        # text, not the Condition: dataclass equality takes `1` for `true`
+        where = None if q.where is None else A.unparse_condition(q.where)
+        key = (q.term, A.unparse_construction(q.construct), where)
         plan = self._routes.pop(key, None)  # re-inserted last: LRU order
         if plan is None:
             source, target = q.term, q.construct.backbone
@@ -84,6 +87,7 @@ class Engine:
             route = same[0].route if same else infer_route(source, target)
             terms = same[0].terms if same else replay(shape[0], route)
             plan = Plan(source, target, route, terms, optioned(source), shown,
+                        None if q.where is None else compile_where(q.where, source),
                         compile_construction(q.construct, terms[-1]))
             if len(self._routes) >= ROUTE_CACHE_SIZE:
                 del self._routes[next(iter(self._routes))]
@@ -106,8 +110,8 @@ class Engine:
         ids = itertools.count(1)  # one identity space for the whole run
         result = self._match(q, ids)
         constraints: list[Constraint] = []
-        if q.where is not None:
-            result = filter_result(result, source, q.where, constraints)
+        if plan.where is not None:
+            result = filter_result(result, source, plan.where, constraints)
         result = resolve_options(result, source, plan.options)
         if not succeeded(result):
             return build_empty(q.construct)

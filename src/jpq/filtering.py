@@ -11,10 +11,10 @@ later array distribution only couples combinations some support tuple allows
 
 `par` evaluates its parts independently against the same result and merges
 survivors branchwise; the `with` stages (`ast.where_stages`) apply in turn,
-each on what the stages before it left.  Each part is compiled once per
-filter call into two closures, an enumerator of its support tuples compiled
-against the source term and a predicate over one assignment's environment,
-so a run walks only the result.
+each on what the stages before it left.  `compile_where` compiles a clause
+once per plan: each part becomes an enumerator of its support tuples,
+compiled against the matching term, and a predicate over one assignment's
+environment.  A run walks only the result, and records into lists of its own.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ class _Assignment:
     tokens: frozenset
 
 
-Enumerate = Callable[[MatchResult], list[_Assignment]]
+Enumerate = Callable[[MatchResult, Optional[list], Optional[list]], list[_Assignment]]
 
 
 def _enumerator(
@@ -62,29 +62,27 @@ def _enumerator(
     needed: set[str],
     anchors: dict[Path, list[str]],
     joins: tuple[tuple[str, str], ...] = (),
-    groups: Optional[list] = None,
-    options: Optional[list] = None,
 ) -> Enumerate:
     """The enumerator of a (not failed) result of `t`'s support tuples, binding
     the `needed` variables and, at an `anchors` path, each range variable
     `$v` there as `("range", $v)` to the array's items; the array groups and
-    option universes walked go to `groups` and `options` when given (see
-    `Constraint`).  `joins` lists `(u, v)` variable pairs whose equality every
-    satisfied assignment needs: where a tuple combines a component binding
-    one with earlier components binding the other, only pairs with equal
-    values are formed (a hash partition)."""
+    option universes walked go to the two lists it is run with, unless `None`
+    (see `Constraint`).  `joins` lists `(u, v)` variable pairs whose equality
+    every satisfied assignment needs: where a tuple combines a component
+    binding one with earlier components binding the other, only pairs with
+    equal values are formed (a hash partition)."""
     relevant = needed | {v for vs in anchors.values() for v in vs}
 
     def walk(t: Term, path: Path) -> Enumerate:
         if path in anchors:
             keys = [("range", v) for v in anchors[path]]
-            return lambda r: [_Assignment(dict.fromkeys(keys, shaped(r, t).items), frozenset())]
+            return lambda r, *_: [_Assignment(dict.fromkeys(keys, shaped(r, t).items), frozenset())]
         if isinstance(t, Var) and t.name in needed:
-            def bind(r: MatchResult, name=t.name) -> list[_Assignment]:
+            def bind(r: MatchResult, *_, name=t.name) -> list[_Assignment]:
                 return [_Assignment({name: r.value}, frozenset())] if isinstance(r, MBind) else []
             return bind
         if isinstance(t, Var) or not var_set(t) & relevant:
-            return lambda r: [_Assignment({}, frozenset())]
+            return lambda r, *_: [_Assignment({}, frozenset())]
         if isinstance(t, DistinctT):
             return walk(t.inner, path + (0,))
         if isinstance(t, TupleT):
@@ -100,25 +98,26 @@ def _enumerator(
 
             (first, first_sub, _), *rest = comps
 
-            def tuple_(r: MatchResult) -> list[_Assignment]:
+            def tuple_(r: MatchResult, groups, options) -> list[_Assignment]:
                 # the first component's assignments are handed on as they are
                 parts = shaped(r, t).items
-                combos = first_sub(parts[first])
+                combos = first_sub(parts[first], groups, options)
                 for i, sub, join in rest:
-                    combos = _pairs(combos, sub(parts[i]), join)
+                    combos = _pairs(combos, sub(parts[i], groups, options), join)
                 return combos
             return tuple_
         if isinstance(t, OptionT):
             subs = [(i, walk(b, path + (i,)))
                     for i, b in enumerate(t.branches) if var_set(b) & relevant]
 
-            def option(r: MatchResult) -> list[_Assignment]:
+            def option(r: MatchResult, groups, options) -> list[_Assignment]:
                 branches, covered, out = shaped(r, t).branches, set(), []
                 for i, sub in subs:
                     tok = branch_token(r, i)
                     covered.add(tok)  # a failed branch is covered, and yields nothing
                     if succeeded(branches[i]):
-                        out.extend(_Assignment(a.env, a.tokens | {tok}) for a in sub(branches[i]))
+                        out.extend(_Assignment(a.env, a.tokens | {tok})
+                                   for a in sub(branches[i], groups, options))
                 if options is not None:
                     toks = frozenset(branch_token(r, i) for i in range(len(branches)))
                     options.append((frozenset(covered), toks))
@@ -126,12 +125,12 @@ def _enumerator(
             return option
         elem = walk(t.elem, path + (0,))  # an array, relevant as its element is
 
-        def array(r: MatchResult) -> list[_Assignment]:
+        def array(r: MatchResult, groups, options) -> list[_Assignment]:
             items = shaped(r, t).items
             if groups is not None:
                 groups.append(frozenset(item.elem_id for item in items))
             return [_Assignment(a.env, a.tokens | {item.elem_id})
-                    for item in items for a in elem(item)]
+                    for item in items for a in elem(item, groups, options)]
         return array
 
     return walk(t, ())
@@ -231,7 +230,7 @@ def _predicate(c: A.Condition, elems: dict[str, Term]) -> Callable[[dict], bool]
             if items is MISSING:
                 raise TypeError_(f"{kind} ${var} needs an array binding for ${var}")
             # lazy: the first item that decides ends the walk (a body raises nothing)
-            judged = (any(body({**env, **a.env}) for a in each(item)) for item in items)
+            judged = (any(body({**env, **a.env}) for a in each(item, None, None)) for item in items)
             return all(judged) if kind == "foreach" else any(judged)
         return quantifier
     raise TypeError_(f"not a condition: {c!r}")
@@ -259,16 +258,6 @@ def _equi_joins(c: A.Condition, needed: set[str], source: Term) -> tuple[tuple[s
     )
 
 
-def _outcome(r: MatchResult, source: Term, c: A.Condition) -> Constraint:
-    """Everything one condition's evaluation says about the result."""
-    anchors, needed = A.condition_scope(c, source)
-    groups, options = [], []
-    each = _enumerator(source, needed, anchors, _equi_joins(c, needed, source), groups, options)
-    holds = _predicate(c, {v: subterm(source, p).elem for p, vs in anchors.items() for v in vs})
-    footprints = tuple(a.tokens for a in each(r) if holds(a.env))
-    return Constraint(footprints, tuple(groups), tuple(options))
-
-
 def _sweep(r: MatchResult, removed: set, emptied: set) -> MatchResult:
     if isinstance(r, (MBind, MFailed)):
         return r
@@ -284,41 +273,47 @@ def _sweep(r: MatchResult, removed: set, emptied: set) -> MatchResult:
     ]))
 
 
-def _apply_outcomes(
-    r: MatchResult, outcomes: list[Constraint], constraints: list[Constraint]
-) -> MatchResult:
-    satisfied: set = set()
-    grouped: set = set()
-    covered: set = set()
-    for o in outcomes:
-        for fp in o.footprints:
-            satisfied |= fp
-        for g in o.groups:
-            grouped |= g
-        for cov, _all in o.option_universe:
-            covered |= cov
-        constraints.append(o)
-        if not o.footprints and not o.groups and not o.option_universe:
-            return MFailed()
-    removed = grouped - satisfied
-    emptied = covered - satisfied
-    return _sweep(r, removed, emptied)
+# a compiled where clause: per `with` stage, per `par` part, a result's `Constraint`
+Where = tuple[tuple[Callable[[MatchResult], Constraint], ...], ...]
+
+
+def compile_where(c: A.Condition, source: Term) -> Where:
+    """`c` compiled against the matching term `source`."""
+    return tuple(tuple(_part(part, source) for part in stage) for stage in A.where_stages(c))
+
+
+def _part(c: A.Condition, source: Term) -> Callable[[MatchResult], Constraint]:
+    anchors, needed = A.condition_scope(c, source)
+    each = _enumerator(source, needed, anchors, _equi_joins(c, needed, source))
+    holds = _predicate(c, {v: subterm(source, p).elem for p, vs in anchors.items() for v in vs})
+
+    def outcome(r: MatchResult) -> Constraint:
+        groups, options = [], []
+        footprints = tuple(a.tokens for a in each(r, groups, options) if holds(a.env))
+        return Constraint(footprints, tuple(groups), tuple(options))
+    return outcome
 
 
 def filter_result(
-    r: MatchResult,
-    source: Term,
-    c: A.Condition,
-    constraints: Optional[list[Constraint]] = None,
+    r: MatchResult, source: Term, where: Where, constraints: Optional[list[Constraint]] = None
 ) -> MatchResult:
-    """Filter a match result by a condition, recording join constraints into
-    `constraints` for the transform stage.  A stage is compiled only once the
-    stages before it have left something to filter."""
-    if constraints is None:
-        constraints = []
-    stages = A.where_stages(c)
-    while succeeded(r) and (stage := next(stages, None)) is not None:
-        r = _apply_outcomes(r, [_outcome(r, source, part) for part in stage], constraints)
+    """Filter a match result of `source` by a where clause compiled against it,
+    recording join constraints into `constraints` for the transform stage.
+    (`source` is not read: it keeps `constraints` the fourth argument, which
+    `bench/tracing.py` reads.)"""
+    constraints = [] if constraints is None else constraints
+    for stage in where:
+        if not succeeded(r):
+            break
+        satisfied, grouped, covered = set(), set(), set()
+        for o in [part(r) for part in stage]:
+            constraints.append(o)
+            if not (o.footprints or o.groups or o.option_universe):
+                return MFailed()
+            satisfied.update(*o.footprints)
+            grouped.update(*o.groups)
+            covered.update(*(cov for cov, _all in o.option_universe))
+        r = _sweep(r, grouped - satisfied, covered - satisfied)
     return r
 
 

@@ -16,6 +16,8 @@ from jpq.errors import (
     UnknownDocumentError,
 )
 
+from .generators import _same
+
 EX1 = (
     'from doc("univ") /$r"?president?":(<$po,{"ID":*}>|[$pa]) '
     'construct {"presidents":[{"role":$r,"info":$po}|^[{"role":$r,"info":$pa}]]}'
@@ -366,6 +368,55 @@ def test_a_warm_run_rederives_nothing(engine, monkeypatch):
                     monkeypatch.setattr(module, attr, counted(real))
     assert [run(engine, text) for text in queries] == first
     assert calls == []
+
+
+def test_a_warm_run_compiles_no_where_clause(engine, monkeypatch):
+    # the plan carries the compiled where clause; a second run only evaluates it
+    import jpq.ast
+    import jpq.engine
+    import jpq.filtering
+
+    queries = [EX3, EX4, EX5, EX6]
+    first = [run(engine, text) for text in queries]
+    calls = []
+
+    def counted(real):
+        def call(*args):
+            calls.append(real.__name__)
+            return real(*args)
+        return call
+
+    monkeypatch.setattr(jpq.ast, "condition_scope", counted(jpq.ast.condition_scope))
+    for name in ("compile_where", "_part", "_equi_joins", "_enumerator", "_predicate"):
+        monkeypatch.setattr(jpq.filtering, name, counted(getattr(jpq.filtering, name)))
+    monkeypatch.setattr(jpq.engine, "compile_where", jpq.filtering.compile_where)
+    queries = [parse_query(text) for text in queries]  # validated before counting
+    calls.clear()
+    assert [serialize(engine.run(q)) for q in queries] == first
+    assert calls == []
+
+
+# right-hand literals whose conditions compare equal as dataclasses (`1`, `1.0`
+# and `true`: `Decimal(1) == True`), and two more; on ITEMS each selects other
+# items, but `1` and `1.0` the same
+LITERALS = ["1", "1.0", "true", '"1"', "null"]
+ITEMS = [{"n": "a", "v": 1}, {"n": "b", "v": 1.0}, {"n": "c", "v": True},
+         {"n": "d", "v": "1"}, {"n": "e", "v": None}, {"n": "f", "v": 0}, {"n": "g"}]
+
+
+def test_plans_differing_only_in_the_where_clause_are_kept_apart():
+    reg = DocRegistry()
+    reg.register("d", parse_document(json.dumps({"xs": ITEMS})))
+    query = 'from doc("d") {"xs":[{"n":$n,"v":$v}]} construct {"r":[$n]} where $v = '
+    engine, outputs = Engine(reg), []
+    for literal in LITERALS * 2:
+        got = run(engine, query + literal)
+        assert got == run(Engine(reg), query + literal)
+        oracle = [x["n"] for x in ITEMS if "v" in x and _same(x["v"], json.loads(literal))]
+        assert json.loads(got) == {"r": oracle}, literal
+        outputs.append(got)
+    assert len(set(outputs)) == len(LITERALS) - 1
+    assert len(engine._routes) == len(LITERALS)
 
 
 SHARED_BACKBONES = [

@@ -1,7 +1,9 @@
+import io
 import itertools
 import json
 import random
 import sys
+from collections import Counter
 
 import pytest
 
@@ -10,6 +12,7 @@ from jpq.engine import Engine
 from jpq.errors import InvalidCompositionError, ShapeMismatchError, TypeError_
 from jpq.filtering import (
     _enumerator,
+    compile_where,
     eval_builtin,
     filter_result,
     resolve_options,
@@ -39,7 +42,7 @@ def filtered(pattern, cond, doc, constraints=None):
     p = parse_pattern(pattern)
     source = derive_matching_term(p)
     r = match_value(p, doc)
-    return filter_result(r, source, parse_condition(cond), constraints)
+    return filter_result(r, source, compile_where(parse_condition(cond), source), constraints)
 
 
 def binds(r):
@@ -283,7 +286,7 @@ def test_resolved_options_keep_exactly_one_branch():
             q = parse_query(template.query({d: f"{set_name}/{d}" for d in docs}))
             r = engine._match(q, itertools.count(1))
             if q.where is not None:
-                r = filter_result(r, q.term, q.where)
+                r = filter_result(r, q.term, compile_where(q.where, q.term))
             for opt in _options(resolve_options(r, q.term, optioned(q.term))):
                 options += 1
                 assert sum(map(succeeded, opt.branches)) == 1, template.name
@@ -332,9 +335,9 @@ def oracle_ranges(doc, holds):
 def assert_agrees(cond, oracle):
     """On 150 seeded nested documents, the filter keeps the (k, ys) pairs
     `oracle(doc)` keeps."""
-    c = parse_condition(cond)
     pattern = parse_pattern('{"xs":[{"k":$k,"ys":[$y]}]}')
     source = derive_matching_term(pattern)
+    c = compile_where(parse_condition(cond), source)
     for seed in range(150):
         rng = random.Random(seed)
         doc = gen_nested_doc(rng)
@@ -378,8 +381,8 @@ def test_ranges_agree_with_nested_loop_oracle(cond, holds):
 
 @pytest.mark.parametrize("template", ["EX3", "EX4", "EX6"])
 def test_the_filter_does_no_per_result_term_walk(monkeypatch, template):
-    # each where clause is compiled against the matching term once per filter
-    # call, so the term walks of one call do not grow with the document
+    # the where clause is compiled against the matching term once per plan,
+    # so no run of the plan, the first or a warm one, walks a term in the filter
     import jpq.engine
     import jpq.terms
 
@@ -389,9 +392,9 @@ def test_the_filter_does_no_per_result_term_walk(monkeypatch, template):
         calls.append(t)
         return real(t)
 
-    def spy(r, source, c, constraints):
+    def spy(r, source, where, constraints):
         before = len(calls)
-        out = filter_result(r, source, c, constraints)
+        out = filter_result(r, source, where, constraints)
         per_run.append(len(calls) - before)
         return out
 
@@ -401,11 +404,36 @@ def test_the_filter_does_no_per_result_term_walk(monkeypatch, template):
                 monkeypatch.setattr(module, attr, counted)
     monkeypatch.setattr(jpq.engine, "filter_result", spy)
     query = parse_query(getattr(T, template).text)
-    for schools, faculty in ((2, 3), (20, 20)):
-        reg = DocRegistry()
-        reg.register("univ", parse_document(gen.dump(gen.univ(random.Random(7), schools, faculty))))
-        Engine(reg).run(query)
-    assert len(per_run) == 2 and per_run[0] == per_run[1] > 0, per_run
+    reg = DocRegistry()
+    reg.register("univ", parse_document(gen.dump(gen.univ(random.Random(7), 20, 20))))
+    engine = Engine(reg)
+    engine.run(query)
+    engine.run(query)
+    assert per_run == [0, 0], per_run
+
+
+def test_a_kept_plan_scopes_each_par_part_once(monkeypatch, tmp_path):
+    # `:explain` and two runs of EX5 in one session: parsing validates each
+    # command's where clause, and planning compiles it once more, no run does
+    import jpq.ast
+    from jpq.cli import repl
+
+    real, callers = jpq.ast.condition_scope, Counter()
+
+    def counted(c, source):
+        callers[sys._getframe(1).f_code.co_name] += 1
+        return real(c, source)
+
+    (tmp_path / "univ.json").write_text(gen.dump(gen.univ(random.Random(7), 4, 5)))
+    text = T.EX5.query({"univ": "univ"})
+    session = f":load univ {tmp_path / 'univ.json'}\n:explain {text}\n:run {text}\n:run {text}\n"
+    parts = sum(len(stage) for stage in jpq.ast.where_stages(parse_query(text).where))
+    assert parts == 2
+    out, err = io.StringIO(), io.StringIO()
+    monkeypatch.setattr(jpq.ast, "condition_scope", counted)
+    assert repl(io.StringIO(session), out, err) == 0
+    assert err.getvalue() == "" and out.getvalue().count('{"results":') == 2
+    assert callers == {"validate_query": 3 * parts, "_part": parts}, callers
 
 
 @pytest.mark.parametrize(
@@ -420,7 +448,7 @@ def test_the_filter_does_no_per_result_term_walk(monkeypatch, template):
 def test_enumerator_rejects_a_result_of_the_wrong_shape(term):
     # a checked error, not an assert that python -O would strip
     with pytest.raises(ShapeMismatchError):
-        _enumerator(term, {"a", "b"}, {})(MBind("a", "x"))
+        _enumerator(term, {"a", "b"}, {})(MBind("a", "x"), None, None)
 
 
 
@@ -447,9 +475,41 @@ def _recorded(monkeypatch, reg, query, partition):
     with monkeypatch.context() as m:
         m.setattr(jpq.engine, "filter_result", spy)
         if not partition:
+            # a compile helper: patched before the plan is made, as the plan
+            # holds the where clause compiled
             m.setattr(jpq.filtering, "_equi_joins", lambda c, needed, source: ())
         out = serialize(Engine(reg).run(parse_query(query)))
     return out, seen
+
+
+@pytest.mark.parametrize("template", ["EX3", "EX6"])
+def test_a_compiled_where_clause_keeps_nothing_between_runs(monkeypatch, template):
+    # one plan run on A, B, then A again records what a fresh engine records
+    import jpq.engine
+
+    registries = {}
+    for size in ((3, 4), (6, 5)):
+        doc = parse_document(gen.dump(gen.univ(random.Random(3), *size)))
+        registries[size] = DocRegistry()
+        registries[size].register("univ", doc)
+    query = parse_query(getattr(T, template).text)
+    seen = []
+
+    def spy(r, source, where, constraints):
+        out = filter_result(r, source, where, constraints)
+        seen.append(list(constraints))
+        return out
+
+    monkeypatch.setattr(jpq.engine, "filter_result", spy)
+    engine = Engine()
+    for size in [(3, 4), (6, 5), (3, 4)]:
+        engine.registry = registries[size]
+        kept = serialize(engine.run(query)), seen.pop()
+        fresh = serialize(Engine(registries[size]).run(query)), seen.pop()
+        assert kept == fresh
+        assert len(kept[1]) == {"EX3": 1, "EX6": 2}[template]  # a join; two `with` stages
+        assert all(c.footprints and c.groups for c in kept[1]), size
+    assert len(engine._routes) == 1
 
 
 XS = [{"n": f"x{i}", "k": k} for i, k in enumerate(EDGE_KEYS)]

@@ -12,7 +12,7 @@ from jpq.errors import (
     SearchBoundExceededError,
     ShapeMismatchError,
 )
-from jpq.filtering import filter_result, resolve_options
+from jpq.filtering import compile_where, filter_result, resolve_options
 from jpq.matching import MArray, MBind, MTuple, footprint, succeeded
 from jpq.model import key
 from jpq.rewrite import (
@@ -512,7 +512,7 @@ def test_a_result_of_another_term_passes_or_is_a_shape_mismatch():
                 continue
             if c is conditions[-1] and var_counts(t)["c"] > 1:
                 continue  # which $c the count reads is then not settled
-            attempt(lambda: filter_result(result(), t, c))
+            attempt(lambda: filter_result(result(), t, compile_where(c, t)))
     assert outcomes[True] > 5000 and outcomes[False] > 1000, outcomes
 
 
