@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 from decimal import Decimal
-from typing import Iterable, Iterator, Optional, Union
+from typing import Callable, Iterable, Iterator, Optional, Union
 
 from . import ast as A
 from .errors import ShapeMismatchError
@@ -35,12 +35,10 @@ class MatchResult:
     is the empty tuple `MTuple([])`, as its term is the unit tuple.  A failed
     result is MFailed, never an option whose branches all failed; an option
     is resolved when all its branches but one have failed, and `chosen` names
-    that one."""
+    that one.  A node keeps the list it is made from; `parts()` and
+    `with_parts` copy, as their callers write to the lists they get and give."""
 
     __slots__ = ("elem_id",)
-
-    def __init__(self):
-        self.elem_id: Optional[int] = None
 
 
 def _keep_id(new: MatchResult, old: MatchResult) -> MatchResult:
@@ -65,13 +63,13 @@ class MTuple(MatchResult):
 
     def __init__(self, items: list[MatchResult]):
         self.elem_id = None
-        self.items = list(items)
+        self.items = items
 
     def parts(self) -> list[MatchResult]:
         return list(self.items)
 
     def with_parts(self, parts: list[MatchResult]) -> MTuple:
-        return _keep_id(MTuple(parts), self)
+        return _keep_id(MTuple(list(parts)), self)
 
     def __repr__(self):
         return f"MTuple({self.items!r})"
@@ -82,14 +80,14 @@ class MArray(MatchResult):
 
     def __init__(self, items: list[MatchResult], folded: bool = False):
         self.elem_id = None
-        self.items = list(items)
+        self.items = items
         self.folded = folded
 
     def parts(self) -> list[MatchResult]:
         return list(self.items)
 
     def with_parts(self, parts: list[MatchResult]) -> MArray:
-        return _keep_id(MArray(parts, self.folded), self)
+        return _keep_id(MArray(list(parts), self.folded), self)
 
     def __repr__(self):
         return f"MArray({self.items!r})"
@@ -105,27 +103,35 @@ class MOption(MatchResult):
         branch_ids: Optional[list[int]] = None,
     ):
         self.elem_id = None
-        self.branches = list(branches)
+        self.branches = branches
         # stable per-branch tokens; they follow branches through commutation
         if branch_ids is None:
             branch_ids = [(option_id, i) for i in range(len(branches))]
-        self.branch_ids = list(branch_ids)
+        self.branch_ids = branch_ids
 
     def parts(self) -> list[MatchResult]:
         return list(self.branches)
 
     def with_parts(self, parts: list[MatchResult]) -> MOption:
-        return _keep_id(MOption(parts, None, self.branch_ids), self)
+        return _keep_id(MOption(list(parts), None, self.branch_ids), self)
 
     def __repr__(self):
         return f"MOption({self.branches!r})"
 
 
 class MFailed(MatchResult):
+    """The one failed match, which `MFailed()` returns; it has no element id."""
     __slots__ = ()
+    elem_id = None  # shadows the slot, so assigning an id raises AttributeError
+
+    def __new__(cls):
+        return FAILED
 
     def __repr__(self):
         return "MFailed()"
+
+
+FAILED = object.__new__(MFailed)
 
 
 def succeeded(r: MatchResult) -> bool:
@@ -135,7 +141,7 @@ def succeeded(r: MatchResult) -> bool:
 def _viable(opt: MOption) -> MatchResult:
     """The option, or MFailed when none of its branches survived: the mirror
     of terms.option_of, as _combine is of tuple_of."""
-    return opt if any(succeeded(b) for b in opt.branches) else MFailed()
+    return opt if any(succeeded(b) for b in opt.branches) else FAILED
 
 
 def chosen(opt: MOption) -> int:
@@ -163,6 +169,8 @@ def _flat(layout: tuple[int, ...], results: list[MatchResult]) -> MatchResult:
     """The slots' results as a flat tuple, each slot as its `slot_code` in
     `layout` says: the exact mirror of terms.tuple_of.  A unit slot adds
     nothing, whatever its result: a `[*]` slot holds the array it walked."""
+    if DROP not in layout and SPLICE not in layout:
+        return results[0] if len(results) == 1 else MTuple(results)
     kept: list[MatchResult] = []
     for code, r in zip(layout, results):
         if code == SPLICE and type(r) is MTuple:
@@ -195,47 +203,54 @@ class Matcher:
             return MBind(p.name, v)
         if kind is A.PObject:
             if not isinstance(v, dict):
-                return MFailed()
-            return self._all(self._match_kv_in_object, p.members, p.layout, v)
+                return FAILED
+            results = []
+            for kv in p.members:
+                name = kv.literal if type(kv) is A.KVPattern else None
+                if name is None:
+                    r = self._match_kv_in_object(kv, v)
+                else:  # keys are unique: the only pair a scan could find
+                    r = self._pair(kv, name, v[name]) if name in v else FAILED
+                if r is FAILED:
+                    return r
+                results.append(r)
+            return _flat(p.layout, results)
         if kind is A.PArray:
             if not isinstance(v, list):
-                return MFailed()
-            return self._collect(self.match_value(p.elem, x) for x in v)
+                return FAILED
+            return self._collect(self.match_value, p.elem, v)
         if kind is A.PWild:
             return MTuple([])
         if kind is A.PPred:
-            return MTuple([]) if _pred_holds(p.pred, v) else MFailed()
+            return MTuple([]) if _pred_holds(p.pred, v) else FAILED
         if kind is A.PConj:
-            return self._all(self.match_value, p.items, p.layout, v)
+            results = []
+            for sub in p.items:
+                r = self.match_value(sub, v)
+                if r is FAILED:
+                    return r
+                results.append(r)
+            return _flat(p.layout, results)
         if kind is A.POption:
             return self._option(p, [self.match_value(b, v) for b in p.branches])
         if kind is A.PChildren:
             # an object's pairs, document order
             if not isinstance(v, dict):
-                return MFailed()
-            return self._collect(self.match_kv_pair(p.member, k, x) for k, x in v.items())
+                return FAILED
+            return self._collect(lambda kv, k: self.match_kv_pair(kv, k, v[k]), p.member, v)
         if kind is A.PDescend:
             # v and every nested value, preorder
-            return self._collect(self.match_value(p.pattern, d) for d in preorder(v))
+            return self._collect(self.match_value, p.pattern, preorder(v))
         raise TypeError(f"not a value pattern: {p!r}")
 
-    def _all(self, match, subs: tuple, layout: tuple[int, ...], v: Value) -> MatchResult:
-        """The flat tuple of every sub-pattern's match on v, or the first failure."""
-        results = []
-        for sub in subs:
-            r = match(sub, v)
-            if type(r) is MFailed:
-                return r
-            results.append(r)
-        return _flat(layout, results)
-
-    def _collect(self, results: Iterable[MatchResult]) -> MArray:
-        """The successful results as array elements, each given an id as soon
-        as it is matched: `results` is lazy, so ids drawn inside an element
-        come before the element's own."""
+    def _collect(self, match: Callable, sub: A.Pattern, xs: Iterable) -> MArray:
+        """`match(sub, x)` for each of xs, the successes as array elements:
+        each is given an id as soon as it is matched, so ids drawn inside an
+        element come before the element's own."""
         items = []
-        for r in results:
-            if type(r) is not MFailed:
+        for x in xs:
+            r = match(sub, x)
+            if r is not FAILED:
                 r.elem_id = self.fresh_id()
                 items.append(r)
         return MArray(items)
@@ -244,7 +259,7 @@ class Matcher:
         """An option over the branches' results, or MFailed when all failed.  A
         branch whose term is unit gives `()` when it matched, whatever it
         walked: a `[*]` branch walks an array."""
-        results = [MTuple([]) if code == DROP and type(r) is not MFailed else r
+        results = [MTuple([]) if code == DROP and r is not FAILED else r
                    for code, r in zip(p.layout, results)]
         return _viable(MOption(results, self.fresh_id()))
 
@@ -255,30 +270,28 @@ class Matcher:
         if type(kv) is A.KVOption:
             return self._option(kv, [self.match_kv_pair(b, name, value) for b in kv.branches])
         if kv.key is not None and not kv.key.matches(name):
-            return MFailed()
+            return FAILED
         return self._pair(kv, name, value)
 
     def _pair(self, kv: A.KVPattern, name: str, value: Value) -> MatchResult:
         """Match a pair whose key kv admits."""
         vr = self.match_value(kv.value, value)
-        if type(vr) is MFailed or kv.layout == (KEEP,):  # the pair is its value
+        if vr is FAILED or kv.layout == (KEEP,):  # the pair is its value
             return vr
         return _flat(kv.layout, [MBind(kv.var, name), vr] if kv.var else [vr])
 
     def _match_kv_in_object(self, kv: A.KeyValuePattern, obj: dict) -> MatchResult:
-        """The pair a literal key names, else the first pair (document order)
-        that satisfies kv; Failed when none does.  Keys are unique, so the
-        pair a literal names is the only one a scan could find."""
+        """The pair kv's literal key names, else the first that satisfies kv; MFailed if none."""
         if type(kv) is A.KVOption:
             return self._option(kv, [self._match_kv_in_object(b, obj) for b in kv.branches])
         name = kv.literal
         if name is not None:
-            return self._pair(kv, name, obj[name]) if name in obj else MFailed()
+            return self._pair(kv, name, obj[name]) if name in obj else FAILED
         for name, sub in obj.items():
             r = self.match_kv_pair(kv, name, sub)
-            if type(r) is not MFailed:
+            if r is not FAILED:
                 return r
-        return MFailed()
+        return FAILED
 
 
 def match_value(p: A.ValuePattern, v: Value) -> MatchResult:

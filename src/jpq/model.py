@@ -57,34 +57,51 @@ def serialize(v: Value, pretty: bool = False) -> str:
         return serialize([v])[1:-1]  # written as an array's one item
     out: list[str] = []
     try:
-        _write(v, out.append, "\n" if pretty else "", *(("  ", ": ") if pretty else ("", ":")))
+        _write(v, out.append, "\n" if pretty else "", *(("  ", ": ") if pretty else ("", ":")), {})
     except RecursionError:
         raise DataError("result nests too deeply to serialize") from None
     return "".join(out)
 
 
-def _write(v: Value, put: Callable[[str], None], nl: str, step: str, colon: str) -> None:
+def _write(v: Value, put: Callable[[str], None], nl: str, step: str, colon: str,
+           keys: dict[str, str]) -> None:
     """Write the object or array v; a string, number, boolean or null in it
     is written in this loop, a container by recursion.  `nl` starts a line
-    at v's depth; `step` indents one level more."""
-    obj, inner = type(v) is dict, nl + step
-    sep, comma = ("{" if obj else "[") + inner, "," + inner
-    for k, sub in v.items() if obj else enumerate(v):
-        if obj:
-            sep += encode_basestring_ascii(k) + colon
-        kind = type(sub)
-        if kind is str:
-            put(sep + encode_basestring_ascii(sub))
-        elif kind is Decimal:
-            put(sep + str(sub))
-        elif kind is dict or kind is list:
-            put(sep)
-            _write(sub, put, inner, step, colon)
-        else:
-            put(sep + ("null" if sub is None else "true" if sub else "false"))
-        sep = comma
+    at v's depth; `step` indents one level more.  `keys` holds each key
+    met in this `serialize` call, encoded once, with its colon."""
+    inner = nl + step
+    comma = "," + inner
+    if type(v) is dict:
+        sep, close = "{" + inner, "}"
+        for k, sub in v.items():
+            head = keys.get(k) or keys.setdefault(k, encode_basestring_ascii(k) + colon)
+            kind = type(sub)
+            if kind is str:
+                put(sep + head + encode_basestring_ascii(sub))
+            elif kind is Decimal:
+                put(sep + head + str(sub))
+            elif kind is dict or kind is list:
+                put(sep + head)
+                _write(sub, put, inner, step, colon, keys)
+            else:
+                put(sep + head + ("null" if sub is None else "true" if sub else "false"))
+            sep = comma
+    else:
+        sep, close = "[" + inner, "]"
+        for sub in v:
+            kind = type(sub)
+            if kind is str:
+                put(sep + encode_basestring_ascii(sub))
+            elif kind is Decimal:
+                put(sep + str(sub))
+            elif kind is dict or kind is list:
+                put(sep)
+                _write(sub, put, inner, step, colon, keys)
+            else:
+                put(sep + ("null" if sub is None else "true" if sub else "false"))
+            sep = comma
     # an empty one closes right after its opening bracket
-    put((nl if v else sep[0]) + ("}" if obj else "]"))
+    put((nl if v else sep[0]) + close)
 
 
 def key(v: Value, nan_equal: bool = False):

@@ -12,6 +12,14 @@ def load_fixture(name: str):
     return parse_document((FIXTURES / name).read_text(encoding="utf-8"))
 
 
+def pytest_collection_modifyitems(items):
+    # a file or socket a test leaves open fails it: its warning, and the
+    # unraisable one a finalizer's warning becomes, are errors
+    for item in items:
+        item.add_marker(pytest.mark.filterwarnings("error::ResourceWarning"))
+        item.add_marker(pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning"))
+
+
 @pytest.fixture
 def univ():
     return load_fixture("univ.json")

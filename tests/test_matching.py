@@ -1,6 +1,8 @@
 import random
 from decimal import Decimal
 
+import pytest
+
 from jpq import ast as A
 from jpq.ast import derive_matching_term
 from jpq.matching import (
@@ -17,12 +19,13 @@ from jpq.matching import (
     succeeded,
 )
 from jpq.model import parse_document, preorder
-from jpq.parser import parse_pattern
+from jpq.parser import parse_pattern, parse_query
 from jpq.rewrite import project_result, projection
 from jpq.terms import UNIT, ArrayT, OptionT, TupleT, Var, project, tuple_of
 
 from .generators import ResultBuilder, _Vars, _same, gen_document, gen_matching_pattern, gen_term
 from .oracles import instantiates, render_result
+from .test_golden import T, gen
 
 
 def bind_values(r):
@@ -324,6 +327,37 @@ def test_a_literal_member_tests_no_key_predicate(monkeypatch):
     doc = parse_document("{%s}" % ",".join(f'"k{i}":{i}' for i in range(50)))
     r = match_value(parse_pattern('{"k49":$v,"k0":$w}'), doc)
     assert _same(bind_values(r), [("v", Decimal(49)), ("w", Decimal(0))])
+    r = match_value(parse_pattern('{"k48":$v|"k7":$w}'), doc)  # an option's branches too
+    assert _same(bind_values(r), [("v", Decimal(48)), ("w", Decimal(7))])
     assert calls == []
     match_value(parse_pattern('{"k?9":$v}'), doc)
     assert calls == [f"k{i}" for i in range(10)]  # a `?` key is still scanned
+
+
+# -- the shared failure and the counter the benchmark reads -----------------------
+
+
+def test_every_failure_is_one_shared_result_without_an_id():
+    assert MFailed() is MFailed()
+    assert MFailed().elem_id is None
+    with pytest.raises(AttributeError):
+        MFailed().elem_id = 1
+    assert match_value(parse_pattern('{"a":$x}'), parse_document("[]")) is MFailed()
+
+
+def test_match_value_calls_per_template_are_pinned(monkeypatch):
+    # `matching.match_value.calls` on a seed-3 150x40 university: matching
+    # may get cheaper per call, but not make more or fewer calls
+    doc = parse_document(gen.dump(gen.univ(random.Random(3), 150, 40)))
+    pinned = {T.EX1: 20, T.EX2: 12_452, T.EMAILS_DESC: 11_852, T.ROSTER: 18_452,
+              T.DESCENDANTS: 41_882, T.EX4: 6_602, T.EX6: 11_852, T.EX3: 24_904}
+    calls = []
+    real = Matcher.match_value
+    monkeypatch.setattr(Matcher, "match_value", lambda m, p, v: calls.append(None) or real(m, p, v))
+    counts = {}
+    for template in pinned:
+        calls.clear()
+        for _, pattern in parse_query(template.query({"univ": "univ"})).sources:
+            Matcher().match_value(pattern, doc)
+        counts[template] = len(calls)
+    assert counts == pinned
