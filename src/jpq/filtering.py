@@ -20,7 +20,6 @@ environment.  A run walks only the result, and records into lists of its own.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
 from decimal import Decimal
 from typing import Optional
 
@@ -48,13 +47,8 @@ from .terms import (
 # assignment enumeration
 
 
-@dataclass
-class _Assignment:
-    env: dict
-    tokens: frozenset
-
-
-Enumerate = Callable[[MatchResult, Optional[list], Optional[list]], list[_Assignment]]
+Assignment = tuple[dict, tuple]  # an environment, and the identity tokens it stands on
+Enumerate = Callable[[MatchResult, Optional[list], Optional[list]], list[Assignment]]
 
 
 def _enumerator(
@@ -62,6 +56,7 @@ def _enumerator(
     needed: set[str],
     anchors: dict[Path, list[str]],
     joins: tuple[tuple[str, str], ...] = (),
+    partitioned: Optional[set] = None,
 ) -> Enumerate:
     """The enumerator of a (not failed) result of `t`'s support tuples, binding
     the `needed` variables and, at an `anchors` path, each range variable
@@ -70,21 +65,23 @@ def _enumerator(
     (see `Constraint`).  `joins` lists `(u, v)` variable pairs whose equality
     every satisfied assignment needs: where a tuple combines a component
     binding one with earlier components binding the other, only pairs with
-    equal values are formed (a hash partition)."""
+    equal values are formed (a hash partition).  A join partitioned on the
+    way to every assignment, under no option, goes into the set `partitioned`
+    (given with `joins`), both ways round: it holds on every assignment."""
     relevant = needed | {v for vs in anchors.values() for v in vs}
 
-    def walk(t: Term, path: Path) -> Enumerate:
+    def walk(t: Term, path: Path, always: bool) -> Enumerate:
         if path in anchors:
             keys = [("range", v) for v in anchors[path]]
-            return lambda r, *_: [_Assignment(dict.fromkeys(keys, shaped(r, t).items), frozenset())]
+            return lambda r, *_: [(dict.fromkeys(keys, shaped(r, t).items), ())]
         if isinstance(t, Var) and t.name in needed:
-            def bind(r: MatchResult, *_, name=t.name) -> list[_Assignment]:
-                return [_Assignment({name: r.value}, frozenset())] if isinstance(r, MBind) else []
+            def bind(r: MatchResult, *_, name=t.name) -> list[Assignment]:
+                return [({name: r.value}, ())] if isinstance(r, MBind) else []
             return bind
         if isinstance(t, Var) or not var_set(t) & relevant:
-            return lambda r, *_: [_Assignment({}, frozenset())]
+            return lambda r, *_: [({}, ())]
         if isinstance(t, DistinctT):
-            return walk(t.inner, path + (0,))
+            return walk(t.inner, path + (0,), always)
         if isinstance(t, TupleT):
             comps, bound = [], set()
             for i, st in enumerate(t.items):
@@ -93,12 +90,14 @@ def _enumerator(
                     # the first join with one side bound earlier and the other here
                     join = next(((a, b) for u, v in joins for a, b in ((u, v), (v, u))
                                  if a in bound and b in here), None)
-                    comps.append((i, walk(st, path + (i,)), join))
+                    if join and always:
+                        partitioned.update((join, join[::-1]))
+                    comps.append((i, walk(st, path + (i,), always), join))
                     bound |= here
 
             (first, first_sub, _), *rest = comps
 
-            def tuple_(r: MatchResult, groups, options) -> list[_Assignment]:
+            def tuple_(r: MatchResult, groups, options) -> list[Assignment]:
                 # the first component's assignments are handed on as they are
                 parts = shaped(r, t).items
                 combos = first_sub(parts[first], groups, options)
@@ -107,54 +106,54 @@ def _enumerator(
                 return combos
             return tuple_
         if isinstance(t, OptionT):
-            subs = [(i, walk(b, path + (i,)))
+            subs = [(i, walk(b, path + (i,), False))
                     for i, b in enumerate(t.branches) if var_set(b) & relevant]
 
-            def option(r: MatchResult, groups, options) -> list[_Assignment]:
+            def option(r: MatchResult, groups, options) -> list[Assignment]:
                 branches, covered, out = shaped(r, t).branches, set(), []
                 for i, sub in subs:
                     tok = branch_token(r, i)
                     covered.add(tok)  # a failed branch is covered, and yields nothing
                     if succeeded(branches[i]):
-                        out.extend(_Assignment(a.env, a.tokens | {tok})
-                                   for a in sub(branches[i], groups, options))
+                        out.extend((env, toks + (tok,))
+                                   for env, toks in sub(branches[i], groups, options))
                 if options is not None:
                     toks = frozenset(branch_token(r, i) for i in range(len(branches)))
                     options.append((frozenset(covered), toks))
                 return out
             return option
-        elem = walk(t.elem, path + (0,))  # an array, relevant as its element is
+        elem = walk(t.elem, path + (0,), always)  # an array, relevant as its element is
 
-        def array(r: MatchResult, groups, options) -> list[_Assignment]:
+        def array(r: MatchResult, groups, options) -> list[Assignment]:
             items = shaped(r, t).items
             if groups is not None:
                 groups.append(frozenset(item.elem_id for item in items))
-            return [_Assignment(a.env, a.tokens | {item.elem_id})
-                    for item in items for a in elem(item, groups, options)]
+            return [(env, toks + (item.elem_id,))
+                    for item in items for env, toks in elem(item, groups, options)]
         return array
 
-    return walk(t, ())
+    return walk(t, (), True)
 
 
 def _pairs(
-    combos: list[_Assignment], subs: list[_Assignment], join: Optional[tuple[str, str]]
-) -> list[_Assignment]:
+    combos: list[Assignment], subs: list[Assignment], join: Optional[tuple[str, str]]
+) -> list[Assignment]:
     """The merged (earlier, new) assignment pairs, outer in `combos` order and
     inner in `subs` order.  With a join `(u, v)`, each earlier assignment meets
     only the new ones whose `v` has the same `key` as its `u`, the pairs on
-    which `u = v` holds; the condition is still evaluated on every pair
-    formed.  An assignment lacking its join variable pairs with nothing: `=`
-    on a missing operand is false."""
+    which `u = v` holds, so the condition need not test it again.  An
+    assignment lacking its join variable pairs with nothing: `=` on a missing
+    operand is false."""
     if join is None:
         pairs = ((a, b) for a in combos for b in subs)
     else:
         u, v = join
         buckets: dict = {}
         for b in subs:
-            if v in b.env:
-                buckets.setdefault(key(b.env[v]), []).append(b)
-        pairs = ((a, b) for a in combos if u in a.env for b in buckets.get(key(a.env[u]), ()))
-    return [_Assignment({**a.env, **b.env}, a.tokens | b.tokens) for a, b in pairs]
+            if v in b[0]:
+                buckets.setdefault(key(b[0][v]), []).append(b)
+        pairs = ((a, b) for a in combos if u in a[0] for b in buckets.get(key(a[0][u]), ()))
+    return [({**ea, **eb}, ta + tb) for (ea, ta), (eb, tb) in pairs]
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +229,7 @@ def _predicate(c: A.Condition, elems: dict[str, Term]) -> Callable[[dict], bool]
             if items is MISSING:
                 raise TypeError_(f"{kind} ${var} needs an array binding for ${var}")
             # lazy: the first item that decides ends the walk (a body raises nothing)
-            judged = (any(body({**env, **a.env}) for a in each(item, None, None)) for item in items)
+            judged = (any(body({**env, **e}) for e, _ in each(item, None, None)) for item in items)
             return all(judged) if kind == "foreach" else any(judged)
         return quantifier
     raise TypeError_(f"not a condition: {c!r}")
@@ -240,22 +239,22 @@ def _predicate(c: A.Condition, elems: dict[str, Term]) -> Callable[[dict], bool]
 # the filter itself
 
 
+def _conjuncts(c: A.Condition) -> list[tuple[A.Condition, Optional[tuple[str, str]]]]:
+    """`c`'s `and` conjuncts in textual order, a parenthesised `and`'s taken
+    apart, each with `(u, v)` when it is `$u = $v` (`c` alone if no `and`)."""
+    if isinstance(c, A.CBool) and c.op == "and":
+        return [s for sub in c.subs for s in _conjuncts(sub)]
+    if isinstance(c, A.CCompare) and c.op == "=" and type(c.lhs) is type(c.rhs) is A.EVar:
+        return [(c, (c.lhs.name, c.rhs.name))]
+    return [(c, None)]
+
+
 def _equi_joins(c: A.Condition, needed: set[str], source: Term) -> tuple[tuple[str, str], ...]:
     """The `$u = $v` conditions every satisfied assignment meets (the condition
-    itself or a top-level `and` conjunct) over needed variables the source
-    binds once, so an assignment's value of each is the one its component
-    bound."""
-    conjuncts = c.subs if isinstance(c, A.CBool) and c.op == "and" else (c,)
+    itself or an `and` conjunct) over needed variables the source binds once,
+    so an assignment's value of each is the one its component bound."""
     once = {v for v, n in var_counts(source).items() if n == 1} & needed
-    return tuple(
-        (s.lhs.name, s.rhs.name)
-        for s in conjuncts
-        if isinstance(s, A.CCompare)
-        and s.op == "="
-        and isinstance(s.lhs, A.EVar)
-        and isinstance(s.rhs, A.EVar)
-        and {s.lhs.name, s.rhs.name} <= once
-    )
+    return tuple(p for _, p in _conjuncts(c) if p and set(p) <= once)
 
 
 def _sweep(r: MatchResult, removed: set, emptied: set) -> MatchResult:
@@ -284,12 +283,15 @@ def compile_where(c: A.Condition, source: Term) -> Where:
 
 def _part(c: A.Condition, source: Term) -> Callable[[MatchResult], Constraint]:
     anchors, needed = A.condition_scope(c, source)
-    each = _enumerator(source, needed, anchors, _equi_joins(c, needed, source))
-    holds = _predicate(c, {v: subterm(source, p).elem for p, vs in anchors.items() for v in vs})
+    partitioned: set = set()
+    each = _enumerator(source, needed, anchors, _equi_joins(c, needed, source), partitioned)
+    rest = tuple(s for s, pair in _conjuncts(c) if pair not in partitioned)  # left to test
+    elems = {v: subterm(source, p).elem for p, vs in anchors.items() for v in vs}
+    holds = _predicate(rest[0] if len(rest) == 1 else A.CBool("and", rest), elems)
 
     def outcome(r: MatchResult) -> Constraint:
         groups, options = [], []
-        footprints = tuple(a.tokens for a in each(r, groups, options) if holds(a.env))
+        footprints = tuple(frozenset(toks) for env, toks in each(r, groups, options) if holds(env))
         return Constraint(footprints, tuple(groups), tuple(options))
     return outcome
 

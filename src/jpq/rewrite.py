@@ -637,16 +637,18 @@ class Transformer:
 
     def allowed(self, head: frozenset, arr: MArray) -> list[MatchResult]:
         """`arr`'s items every constraint allows beside the tokens `head`; only the
-        candidates all constraints name are checked.  Item data is kept for the step."""
+        candidates all constraints name are visited, looked up by id and checked
+        in array order.  Item data is kept for the step."""
         cs, items = self.constraints, arr.items
         if arr not in self._summaries:  # keyed by identity
             fps = [footprint(item) for item in items]
             under = set().union(*(fp - {item.elem_id} for item, fp in zip(items, fps)))
-            self._summaries[arr] = fps, {item.elem_id for item in items}, under
-        fps, ids, under = self._summaries[arr]
+            index = {item.elem_id: i for i, item in enumerate(items)}
+            self._summaries[arr] = fps, index, set(index), under
+        fps, index, ids, under = self._summaries[arr]
         named = ids.intersection(*(c.candidates(head, ids, under) for c in cs))
-        return [item for item, fp in zip(items, fps)
-                if item.elem_id in named and all(c.allows(head | fp) for c in cs)]
+        return [items[i] for i in sorted(index[e] for e in named)
+                if all(c.allows(head | fps[i]) for c in cs)]
 
     def fresh_id(self) -> int:
         return next(self._ids)

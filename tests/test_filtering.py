@@ -539,8 +539,24 @@ SELF_JOIN = (
             YS,
             lambda a, b: True,
         ),
+        ({"d": {"xs": XS}}, SELF_JOIN + "$k1 = $k2 and $k2 = $k1", XS, XS, lambda a, b: True),
+        (
+            {"d": {"xs": XS}},
+            SELF_JOIN + "$k1 = $k2 and not ($n1 = $n2) and $n1 < $n2",
+            XS,
+            XS,
+            lambda a, b: a < b,
+        ),
+        (
+            {"d": {"xs": XS}},
+            SELF_JOIN + "(not ($n1 = $n2) and $k2 = $k1) and notnull($n1)",
+            XS,
+            XS,
+            lambda a, b: a != b,
+        ),
     ],
-    ids=["self-join", "self-join-with-residual", "two-documents"],
+    ids=["self-join", "self-join-with-residual", "two-documents", "repeated-join",
+         "residual-after-the-join", "parenthesised"],
 )
 def test_partitioned_join_records_what_the_nested_loop_records(
     monkeypatch, docs, query, left, right, residual
@@ -559,6 +575,73 @@ def test_partitioned_join_records_what_the_nested_loop_records(
         if _same(a["k"], b["k"]) and residual(a["n"], b["n"])
     )
     assert not any("5" in a + b for a, b in got)  # NaN pairs with nothing
+
+
+def _filtered(monkeypatch, reg, query):
+    """The output, the constraints recorded, the assignment pairs a hash
+    partition forms and the `compare_atoms` calls made while filtering: the
+    where clause's comparisons are its only callers in `jpq.filtering`."""
+    import jpq.filtering
+
+    pairs, compares = [], []
+    real_pairs, real_compare = jpq.filtering._pairs, jpq.filtering.compare_atoms
+
+    def counted_pairs(combos, subs, join):
+        out = real_pairs(combos, subs, join)
+        pairs.append(len(out) if join else 0)
+        return out
+
+    with monkeypatch.context() as m:
+        m.setattr(jpq.filtering, "_pairs", counted_pairs)
+        m.setattr(jpq.filtering, "compare_atoms", lambda *a: compares.append(a) or real_compare(*a))
+        out, constraints = _recorded(monkeypatch, reg, query, partition=True)
+    return out, constraints, sum(pairs), len(compares)
+
+
+def test_a_parenthesised_and_is_partitioned_like_a_flat_one(monkeypatch):
+    # `(a and b) and c` parses as a nested `and`: its join is found all the same
+    reg = DocRegistry()
+    reg.register("univ", parse_document(gen.dump(gen.univ(random.Random(3), 8, 6))))
+    flat, nested = (
+        T.EX3.text.replace("not ($n1 = $n2) and $id1 = $id2", where)
+        for where in ("not ($n1 = $n2) and $id1 = $id2 and notnull($n1)",
+                      "(not ($n1 = $n2) and $id1 = $id2) and notnull($n1)")
+    )
+    assert T.EX3.text != flat != nested
+    got = _filtered(monkeypatch, reg, nested)
+    assert got == _filtered(monkeypatch, reg, flat)
+    out, _, pairs, _ = got
+    assert json.loads(out)["result"] and 0 < pairs < (8 * 6) ** 2
+
+
+def test_the_partitioned_conjunct_is_not_tested_again(monkeypatch):
+    reg = DocRegistry()
+    reg.register("d", parse_document(json.dumps({"xs": XS})))
+    reg.register("people", parse_document(json.dumps({"ps": PEOPLE})))
+    reg.register("jobs", parse_document(json.dumps({"js": JOBS})))
+    # `$i = $p` is people-jobs' whole condition: nothing is left to compare
+    _, _, pairs, compares = _filtered(monkeypatch, reg, T.PEOPLE_JOBS.text)
+    assert (pairs, compares) == (5, 0)
+    # only `$n1 = $n2`, once per pair formed
+    _, _, pairs, compares = _filtered(monkeypatch, reg, SELF_JOIN + "not ($n1 = $n2) and $k2 = $k1")
+    assert 0 < pairs < len(XS) ** 2 and compares == pairs
+
+
+def test_satisfied_footprints_per_template_are_pinned(monkeypatch):
+    # `filtering.footprints` on the seed-3 150x40 university of
+    # `test_match_value_calls_per_template_are_pinned` and a seed-3 200 x 200
+    # people/jobs pair: filtering may get cheaper, not keep more or fewer tuples
+    reg = DocRegistry()
+    reg.register("univ", parse_document(gen.dump(gen.univ(random.Random(3), 150, 40))))
+    people, jobs = gen.people_jobs(random.Random(3), 200)
+    reg.register("people", parse_document(gen.dump(people)))
+    reg.register("jobs", parse_document(gen.dump(jobs)))
+    pinned = {T.EX3: [6000], T.EX5: [4, 4], T.EX6: [4200, 150], T.PEOPLE_JOBS: [180]}
+    counts = {}
+    for template in pinned:
+        _, constraints = _recorded(monkeypatch, reg, template.text, partition=True)
+        counts[template] = [len(c.footprints) for c in constraints]
+    assert counts == pinned
 
 
 # -- key-directed array distribution -------------------------------------------
