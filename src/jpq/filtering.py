@@ -56,8 +56,7 @@ def _enumerator(
     needed: set[str],
     anchors: dict[Path, list[str]],
     joins: tuple[tuple[str, str], ...] = (),
-    partitioned: Optional[set] = None,
-) -> Enumerate:
+) -> tuple[Enumerate, frozenset]:
     """The enumerator of a (not failed) result of `t`'s support tuples, binding
     the `needed` variables and, at an `anchors` path, each range variable
     `$v` there as `("range", $v)` to the array's items; the array groups and
@@ -65,10 +64,11 @@ def _enumerator(
     (see `Constraint`).  `joins` lists `(u, v)` variable pairs whose equality
     every satisfied assignment needs: where a tuple combines a component
     binding one with earlier components binding the other, only pairs with
-    equal values are formed (a hash partition).  A join partitioned on the
-    way to every assignment, under no option, goes into the set `partitioned`
-    (given with `joins`), both ways round: it holds on every assignment."""
+    equal values are formed (a hash partition).  Returned beside the
+    enumerator: the joins partitioned on the way to every assignment, under
+    no option, both ways round; they hold on every assignment."""
     relevant = needed | {v for vs in anchors.values() for v in vs}
+    partitioned: set = set()
 
     def walk(t: Term, path: Path, always: bool) -> Enumerate:
         if path in anchors:
@@ -132,7 +132,8 @@ def _enumerator(
                     for item in items for env, toks in elem(item, groups, options)]
         return array
 
-    return walk(t, (), True)
+    each = walk(t, (), True)
+    return each, frozenset(partitioned)
 
 
 def _pairs(
@@ -221,7 +222,7 @@ def _predicate(c: A.Condition, elems: dict[str, Term]) -> Callable[[dict], bool]
         return lambda env: not subs[0](env)
     if isinstance(c, A.CQuant):
         elem = elems[c.var]
-        each = _enumerator(elem, set(A.cond_vars(c.body)) & var_set(elem), {})
+        each, _ = _enumerator(elem, set(A.cond_vars(c.body)) & var_set(elem), {})
         body, kind, var = _predicate(c.body, elems), c.kind, c.var
 
         def quantifier(env: dict) -> bool:
@@ -283,8 +284,7 @@ def compile_where(c: A.Condition, source: Term) -> Where:
 
 def _part(c: A.Condition, source: Term) -> Callable[[MatchResult], Constraint]:
     anchors, needed = A.condition_scope(c, source)
-    partitioned: set = set()
-    each = _enumerator(source, needed, anchors, _equi_joins(c, needed, source), partitioned)
+    each, partitioned = _enumerator(source, needed, anchors, _equi_joins(c, needed, source))
     rest = tuple(s for s, pair in _conjuncts(c) if pair not in partitioned)  # left to test
     elems = {v: subterm(source, p).elem for p, vs in anchors.items() for v in vs}
     holds = _predicate(rest[0] if len(rest) == 1 else A.CBool("and", rest), elems)

@@ -17,7 +17,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Optional
+from typing import AbstractSet, Callable, Iterable, Iterator, Optional
 
 from .errors import (
     InvalidConstructionError,
@@ -565,7 +565,7 @@ class Constraint:
         required = {tok for chosen in self._chosen(tokens) if len(chosen) == 1 for tok in chosen}
         return not required or bool(self._holding(required))
 
-    def candidates(self, head: frozenset, ids: set, under: set) -> set:
+    def candidates(self, head: frozenset, ids: AbstractSet, under: set) -> AbstractSet:
         """A superset of the ids in `ids` whose item `allows` beside `head`, given
         the tokens `under` the items but their own ids.  All of `ids` unless no
         option is covered and the items lie in one group alone, which neither
@@ -637,17 +637,22 @@ class Transformer:
 
     def allowed(self, head: frozenset, arr: MArray) -> list[MatchResult]:
         """`arr`'s items every constraint allows beside the tokens `head`; only the
-        candidates all constraints name are visited, looked up by id and checked
-        in array order.  Item data is kept for the step."""
+        candidates all constraints name are visited, looked up by id (a flattened
+        array repeats its enclosing tuple, id and all, per spliced item) and
+        checked in array order.  Item data is kept for the step."""
         cs, items = self.constraints, arr.items
         if arr not in self._summaries:  # keyed by identity
             fps = [footprint(item) for item in items]
             under = set().union(*(fp - {item.elem_id} for item, fp in zip(items, fps)))
-            index = {item.elem_id: i for i, item in enumerate(items)}
-            self._summaries[arr] = fps, index, set(index), under
-        fps, index, ids, under = self._summaries[arr]
-        named = ids.intersection(*(c.candidates(head, ids, under) for c in cs))
-        return [items[i] for i in sorted(index[e] for e in named)
+            index: dict = {}  # element id -> the positions of its items
+            for i, item in enumerate(items):
+                index.setdefault(item.elem_id, []).append(i)
+            self._summaries[arr] = fps, index, under
+        fps, index, under = self._summaries[arr]
+        ids = named = index.keys()
+        for c in cs:
+            named = named & c.candidates(head, ids, under)
+        return [items[i] for i in sorted(i for e in named for i in index[e])
                 if all(c.allows(head | fps[i]) for c in cs)]
 
     def fresh_id(self) -> int:

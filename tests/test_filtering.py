@@ -23,12 +23,14 @@ from jpq.matching import (
     MOption,
     MTuple,
     chosen,
+    footprint,
     match_value,
+    shaped,
     succeeded,
 )
 from jpq.model import DocRegistry, get_field, parse_document, serialize
 from jpq.parser import parse_condition, parse_pattern, parse_query
-from jpq.rewrite import Constraint, Transformer
+from jpq.rewrite import Constraint, Step, Transformer, replay
 from jpq.terms import ArrayT, OptionT, TupleT, Var, optioned
 
 from .generators import _same
@@ -448,7 +450,7 @@ def test_a_kept_plan_scopes_each_par_part_once(monkeypatch, tmp_path):
 def test_enumerator_rejects_a_result_of_the_wrong_shape(term):
     # a checked error, not an assert that python -O would strip
     with pytest.raises(ShapeMismatchError):
-        _enumerator(term, {"a", "b"}, {})(MBind("a", "x"), None, None)
+        _enumerator(term, {"a", "b"}, {})[0](MBind("a", "x"), None, None)
 
 
 
@@ -725,3 +727,56 @@ def test_key_directed_distribution_records_what_the_full_scan_records(monkeypatc
              if p["id"] == j["pid"]),
             key=str,
         )
+
+
+def _full_scan(self, head, arr):
+    """`Transformer.allowed` as a scan of the whole array: every item whose
+    element id some candidate set names is checked, in array order."""
+    cs, items = self.constraints, arr.items
+    fps = [footprint(item) for item in items]
+    ids = {item.elem_id for item in items}
+    under = set().union(*(fp - {item.elem_id} for item, fp in zip(items, fps)))
+    named = ids.intersection(*(c.candidates(head, ids, under) for c in cs))
+    return [item for item, fp in zip(items, fps)
+            if item.elem_id in named and all(c.allows(head | fp) for c in cs)]
+
+
+@pytest.mark.parametrize("cond", ["$h = $b", "not ($a = $b)", "$a = $b and $h = $a"])
+def test_distribution_over_a_flattened_array_visits_every_spliced_item(monkeypatch, cond):
+    # flattening the inner array repeats its enclosing tuple once per spliced
+    # item, each under the tuple's element id; distributing the head over the
+    # enclosing array then sees several items with one id
+    pattern = parse_pattern('{"h":$h,"as":[{"a":$a,"bs":[$b]}]}')
+    source = derive_matching_term(pattern)
+    doc = parse_document(json.dumps({"h": "x", "as": [
+        {"a": "x", "bs": ["x", "y", "x", "z"]}, {"a": "y", "bs": ["y", "x", "z"]}, {"a": "z", "bs": []},
+    ]}))
+    route = (Step("array-flattening", (1, 0, 1)), Step("array-tuple-distribution", ()))
+    where = compile_where(parse_condition(cond), source)
+
+    def run(allowed):
+        constraints, calls, seen = [], [], []
+        r = filter_result(match_value(pattern, doc), source, where, constraints)
+        allows, descend = Constraint.allows, Transformer._descend
+
+        def spy_allows(self, tokens):
+            calls.append(tokens)
+            return allows(self, tokens)
+
+        def spy_descend(self, step, t, r, path, ctx=frozenset()):
+            out = descend(self, step, t, r, path, ctx)
+            if step.rule == "array-tuple-distribution" and not path:
+                seen.extend(item.elem_id for item in shaped(r, t).items[-1].items)
+            return out
+
+        with monkeypatch.context() as m:
+            m.setattr(Transformer, "allowed", allowed)
+            m.setattr(Transformer, "_descend", spy_descend)
+            m.setattr(Constraint, "allows", spy_allows)
+            out = Transformer(constraints).transform(r, replay(source, route), route)
+        return _with_ids(out), calls, seen
+
+    got, want = run(Transformer.allowed), run(_full_scan)
+    assert got == want
+    out, calls, seen = got
+    assert calls and len(set(seen)) < len(seen)  # constraints checked, ids repeated
