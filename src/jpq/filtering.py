@@ -40,7 +40,7 @@ from .matching import (
 from .model import MISSING, get_field, key
 from .rewrite import Constraint
 from .terms import (
-    ArrayT, DistinctT, OptionT, Path, Term, TupleT, Var, children, subterm, var_counts, var_set,
+    ArrayT, OptionT, Path, Term, TupleT, Var, children, subterm, var_counts, var_set,
 )
 
 # ---------------------------------------------------------------------------
@@ -57,16 +57,16 @@ def _enumerator(
     anchors: dict[Path, list[str]],
     joins: tuple[tuple[str, str], ...] = (),
 ) -> tuple[Enumerate, frozenset]:
-    """The enumerator of a (not failed) result of `t`'s support tuples, binding
-    the `needed` variables and, at an `anchors` path, each range variable
-    `$v` there as `("range", $v)` to the array's items; the array groups and
-    option universes walked go to the two lists it is run with, unless `None`
-    (see `Constraint`).  `joins` lists `(u, v)` variable pairs whose equality
-    every satisfied assignment needs: where a tuple combines a component
-    binding one with earlier components binding the other, only pairs with
-    equal values are formed (a hash partition).  Returned beside the
-    enumerator: the joins partitioned on the way to every assignment, under
-    no option, both ways round; they hold on every assignment."""
+    """The enumerator of a (not failed) result of the matching term `t`'s
+    support tuples, binding the `needed` variables and, at an `anchors` path,
+    each range variable `$v` there as `("range", $v)` to the array's items; the
+    array groups and option universes walked go to the two lists it is run with,
+    unless `None` (see `Constraint`).  `joins` lists `(u, v)` variable pairs
+    whose equality every satisfied assignment needs: where a tuple combines a
+    component binding one with earlier components binding the other, only pairs
+    with equal values are formed (a hash partition).  Returned beside the
+    enumerator: the joins partitioned on the way to every assignment, under no
+    option, both ways round; they hold on every assignment."""
     relevant = needed | {v for vs in anchors.values() for v in vs}
     partitioned: set = set()
 
@@ -80,8 +80,6 @@ def _enumerator(
             return bind
         if isinstance(t, Var) or not var_set(t) & relevant:
             return lambda r, *_: [({}, ())]
-        if isinstance(t, DistinctT):
-            return walk(t.inner, path + (0,), always)
         if isinstance(t, TupleT):
             comps, bound = [], set()
             for i, st in enumerate(t.items):
@@ -324,16 +322,14 @@ def filter_result(
 
 
 def resolve_options(r: MatchResult, t: Term, options: frozenset) -> MatchResult:
-    """Resolve every option under `r`, a result of `t`, to its first surviving
-    branch in pattern order by failing the others, so `chosen` names the
-    branch taken.  `options` is `optioned(t)`: a result of any other subterm
-    is returned as it is.  (An option of unit branches, which `option_of`
-    erases from the term, sits in a unit slot, which matching drops or makes `()`.)
-    No result fails here: an option always has a surviving branch."""
+    """Resolve every option under `r`, a result of the matching term `t`, to its
+    first surviving branch in pattern order by failing the others, so `chosen` names
+    the branch taken.  `options` is `optioned(t)`: a result of any other subterm is
+    returned as it is.  (An option of unit branches, which `option_of` erases from
+    the term, sits in a unit slot, which matching drops or makes `()`.)  No result
+    fails here: an option always has a surviving branch."""
     if t not in options or isinstance(r, MFailed):
         return r
-    if isinstance(t, DistinctT):
-        return resolve_options(r, t.inner, options)
     parts = shaped(r, t).parts()
     kids = [t.elem] * len(parts) if isinstance(t, ArrayT) else children(t)
     if isinstance(t, OptionT):

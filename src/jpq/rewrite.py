@@ -17,7 +17,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import AbstractSet, Callable, Iterable, Iterator, Optional
+from typing import AbstractSet, Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .errors import (
     InvalidConstructionError,
@@ -544,6 +544,14 @@ def infer_route(
 # constraints recorded by filtering, consumed by array distribution
 
 
+class Picks(NamedTuple):
+    """What a head's tokens pick, read once per head (`Constraint.picks`)."""
+
+    open: bool  # they stand on an option branch the condition never inspected
+    groups: dict  # group index -> the tokens picked from it, for each group they meet
+    held: Optional[AbstractSet]  # the footprints holding each token picked alone; None: no token is
+
+
 @dataclass(frozen=True)
 class Constraint:
     """Satisfied support-tuple footprints of one filter condition.
@@ -552,49 +560,77 @@ class Constraint:
     per array instance or option involved, the tokens one assignment picks
     from; `option_universe` pairs, per option involved, the branch tokens the
     condition covered with all that option's branch tokens, so a combination
-    standing on a branch the condition never inspected is left alone."""
+    standing on a branch the condition never inspected is left alone.
+    Array distribution reads `candidates` once per array, `picks` once per
+    head, and `allows` once per item visited, on that item's own tokens."""
 
     footprints: tuple[frozenset, ...]
     groups: tuple[frozenset, ...]
     option_universe: tuple[tuple[frozenset, frozenset], ...] = ()
 
-    def allows(self, tokens: frozenset) -> bool:
-        for covered, universe in self.option_universe:
-            if tokens & (universe - covered):  # a branch the condition never inspected
-                return True
-        required = {tok for chosen in self._chosen(tokens) if len(chosen) == 1 for tok in chosen}
-        return not required or bool(self._holding(required))
+    def picks(self, head: frozenset) -> Picks:
+        """Read once per head: what it picks from each group, and what that decides."""
+        groups = self._picks(head)
+        return Picks(not self._uncovered.isdisjoint(head), groups, self._holding(groups))
 
-    def candidates(self, head: frozenset, ids: AbstractSet, under: set) -> AbstractSet:
-        """A superset of the ids in `ids` whose item `allows` beside `head`, given
-        the tokens `under` the items but their own ids.  All of `ids` unless no
-        option is covered and the items lie in one group alone, which neither
-        `head` nor `under` meets, nor `under` a group `head` holds one token of."""
-        meets = [g for g in self.groups if not g.isdisjoint(ids)]
-        group = meets[0] if len(meets) == 1 else frozenset()
-        sources = [g for g in self.groups if len(head & g) == 1]
-        if self.option_universe or not ids <= group or not head.isdisjoint(group) or any(
-            not under.isdisjoint(g) for g in [group, *sources]
-        ):
-            return ids
-        required = set().union(*(head & g for g in sources))
-        return {tok for i in self._holding(required) for tok in self.footprints[i] & group}
+    def allows(self, head: Picks, tokens: frozenset) -> bool:
+        """Whether an item of `tokens` may go beside the head of `picks` `head`:
+        the pair stands on an uncovered branch, or some footprint holds every
+        token the pair picks alone from its group.  Of the head, only its picks
+        from the groups the item meets are read."""
+        if head.open or not self._uncovered.isdisjoint(tokens):
+            return True
+        mine, theirs = self._picks(tokens), head.groups
+        if any(len(theirs.get(g, ())) == 1 and not m <= theirs[g] for g, m in mine.items()):
+            # the item picks another token where the head picks one alone: read both whole
+            pair = {**theirs, **{g: m | theirs.get(g, set()) for g, m in mine.items()}}
+            held = self._holding(pair)
+        else:
+            own = {g: m for g, m in mine.items() if g not in theirs}  # groups the head misses
+            held = self._holding(own, head.held)
+        return held is None or bool(held)
 
-    def _holding(self, required: set):
-        """Indexes of the footprints holding every required token, all for none."""
-        postings = sorted((self._postings.get(tok, frozenset()) for tok in required), key=len)
-        return postings[0].intersection(*postings[1:]) if postings else range(len(self.footprints))
+    def candidates(self, ids: AbstractSet, under: set) -> Callable[[Picks], AbstractSet]:
+        """Read once per array, given its items' ids and the tokens `under` them
+        but their own ids: a head's `picks` -> a superset of the ids whose item
+        `allows` beside the head.  All of `ids` unless no option is covered, the
+        ids lie in one group alone, and neither `under` nor the head meets it nor
+        `under` a group the head picks one token from; then the ids of that group
+        the footprints holding the tokens the head picks alone name."""
+        meets, beneath = self._picks(ids).keys(), self._picks(under).keys()
+        in_one_group = len(meets) == 1 and ids <= self._groups_of.keys()
+        if self.option_universe or not in_one_group or meets & beneath:
+            return lambda head: ids
+        (g,) = meets
 
-    def _chosen(self, tokens: frozenset) -> Iterable:
-        """`tokens & group` for each group, or for only the groups the tokens
-        meet, looked up in `_groups_of`, when the tokens are fewer."""
-        if len(tokens) >= len(self.groups):
-            return [tokens & group for group in self.groups]
-        met: dict = {}
+        def named(head: Picks) -> AbstractSet:
+            lone = (h for h, chosen in head.groups.items() if len(chosen) == 1)
+            if g in head.groups or not beneath.isdisjoint(lone):
+                return ids
+            held = range(len(self.footprints)) if head.held is None else head.held
+            return {tok for i in held for tok in self.footprints[i] & self.groups[g]}
+        return named
+
+    def _picks(self, tokens: AbstractSet) -> dict:
+        """Group index -> the tokens picked from it, for each group they meet."""
+        picks: dict = {}
         for tok in tokens:
             for g in self._groups_of.get(tok, ()):
-                met.setdefault(g, []).append(tok)
-        return met.values()
+                picks.setdefault(g, set()).add(tok)
+        return picks
+
+    def _holding(self, groups: dict, among=None) -> Optional[AbstractSet]:
+        """Indexes of the footprints, of `among` if given, holding each token picked
+        alone from its group in `groups`; None, for all, when nothing restricts them."""
+        postings = [self._postings.get(tok, frozenset())
+                    for chosen in groups.values() if len(chosen) == 1 for tok in chosen]
+        postings += [] if among is None else [among]
+        return min(postings, key=len).intersection(*postings) if postings else None
+
+    @cached_property
+    def _uncovered(self) -> frozenset:
+        """The branch tokens of the options involved the condition never inspected."""
+        return frozenset().union(*(every - covered for covered, every in self.option_universe))
 
     @cached_property
     def _groups_of(self) -> dict:
@@ -636,10 +672,11 @@ class Transformer:
         self._summaries: dict = {}
 
     def allowed(self, head: frozenset, arr: MArray) -> list[MatchResult]:
-        """`arr`'s items every constraint allows beside the tokens `head`; only the
-        candidates all constraints name are visited, looked up by id (a flattened
+        """`arr`'s items every constraint allows beside the tokens `head`.  Read
+        once per step: each item's footprint, each id's positions (a flattened
         array repeats its enclosing tuple, id and all, per spliced item) and
-        checked in array order.  Item data is kept for the step."""
+        each constraint's `candidates`; once per call: each one's `picks`.  Only
+        the items all candidate sets name are visited, in array order."""
         cs, items = self.constraints, arr.items
         if arr not in self._summaries:  # keyed by identity
             fps = [footprint(item) for item in items]
@@ -647,13 +684,14 @@ class Transformer:
             index: dict = {}  # element id -> the positions of its items
             for i, item in enumerate(items):
                 index.setdefault(item.elem_id, []).append(i)
-            self._summaries[arr] = fps, index, under
-        fps, index, under = self._summaries[arr]
-        ids = named = index.keys()
-        for c in cs:
-            named = named & c.candidates(head, ids, under)
+            self._summaries[arr] = fps, index, [c.candidates(index.keys(), under) for c in cs]
+        fps, index, candidates = self._summaries[arr]
+        picks = [c.picks(head) for c in cs]
+        named = index.keys()  # a view: `&` with a smaller set reads only that set
+        for named_by, p in zip(candidates, picks):
+            named = named & named_by(p)
         return [items[i] for i in sorted(i for e in named for i in index[e])
-                if all(c.allows(head | fps[i]) for c in cs)]
+                if all(c.allows(p, fps[i]) for c, p in zip(cs, picks))]
 
     def fresh_id(self) -> int:
         return next(self._ids)
@@ -724,17 +762,15 @@ def projection(t: Term, keep: set) -> dict[Term, Optional[Term]]:
 
 
 def project_result(r: MatchResult, t: Term, shown: dict[Term, Optional[Term]]) -> MatchResult:
-    """Mirror of terms.project on a match result, given the projection `shown`
-    of t's subterms (`projection`): drop the parts bound to the variables it
-    drops, collapsing exactly as the term projection does.  A result of a
-    subterm kept whole is returned as it is."""
+    """Mirror of terms.project on a match result of the matching term `t`,
+    given the projection `shown` of t's subterms (`projection`): drop the parts
+    bound to the variables it drops, collapsing exactly as the term projection
+    does.  A result of a subterm kept whole is returned as it is."""
     p = shown[t]
     if p is None or isinstance(r, MFailed):
         return r
     if isinstance(t, Var):
         return MTuple([])
-    if isinstance(t, DistinctT):
-        return project_result(r, t.inner, shown)
     if isinstance(t, TupleT):
         parts = []
         for st, sr in zip(t.items, shaped(r, t).items):

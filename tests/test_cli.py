@@ -326,6 +326,9 @@ STATIC_ERRORS = {
     "or-across-option-branches": 'from doc("univ") {"president":({"ID":$a}|{"email":$b})} '
     'construct {"p":($a|$b)} where $a = "0001" or $b = "x"',
     "count-over-a-scalar": QUERY + ' where count[$i] > 0',
+    "count-over-a-key": 'from doc("univ") {$k "president":{"ID":$i}} construct {"id":$i} '
+    'where count[$k] > 0',
+    "quantifier-range-of-another-variable": QUERY + ' where foreach $i in [$j]; $i = "x"',
     "quantifier-over-a-scalar": QUERY + ' where foreach $i; $i = "x"',
     "with-under-par": SCHOOLS + 'construct {"s":[$n]} where ($n = "x" with $d = "y") par $n = "z"',
     "range-and-elementwise": FACULTY + 'construct {"s":[$n]} where count[$id] > 1 and $id = "0001"',
@@ -522,8 +525,14 @@ UNGROUPED = (
             "option-association @ 0/1 #-1",
             '{"r":[{"k":"p","v":"1"},{"k":"r","v":"n"}]}',
         ),
+        (
+            # constant branches both stand: the first in pattern order is built
+            'from doc("d") {"p":{"ID":$a}} construct {"r":("x"|"y")}',
+            "(no restructuring needed)",
+            '{"r":"x"}',
+        ),
     ],
-    ids=["ungrouping", "commutation", "filtered-ungrouping"],
+    ids=["ungrouping", "commutation", "filtered-ungrouping", "constant-branches"],
 )
 def test_option_alternatives_survive_rewriting(tmp_path, query, route, expected):
     doc = tmp_path / "d.json"
@@ -613,6 +622,12 @@ def key_member_rows():
 
 
 KEY_MEMBERS = key_member_rows()
+# and the key patterns themselves, on the same document
+KEY_MEMBERS.update({
+    "parenthesised-key-binding": ('from doc("d") {"xs":[{($x "a"):*}]} construct [$x]', ["a"] * 4),
+    "key-predicate-matching-no-key": ('from doc("d") {"z?":$z} construct {"r":$z}', {"r": None}),
+    "builtin-on-a-key": ('from doc("d") {$k:*} construct {"r":contains($k,"x")}', {"r": True}),
+})
 
 
 @pytest.mark.parametrize("query, expected", KEY_MEMBERS.values(), ids=KEY_MEMBERS.keys())

@@ -33,6 +33,7 @@ from jpq.parser import parse_condition, parse_pattern, parse_query
 from jpq.rewrite import Constraint, Step, Transformer, replay
 from jpq.terms import ArrayT, OptionT, TupleT, Var, optioned
 
+from . import stages
 from .generators import _same
 from .test_golden import T, document_sets, gen
 from .test_matching import _options
@@ -632,18 +633,30 @@ def test_the_partitioned_conjunct_is_not_tested_again(monkeypatch):
 def test_satisfied_footprints_per_template_are_pinned(monkeypatch):
     # `filtering.footprints` on the seed-3 150x40 university of
     # `test_match_value_calls_per_template_are_pinned` and a seed-3 200 x 200
-    # people/jobs pair: filtering may get cheaper, not keep more or fewer tuples
+    # people/jobs pair: filtering may get cheaper, not keep more or fewer
+    # tuples; and `rewrite.Constraint.allows.calls`: distribution visits the
+    # same items, however it finds them
     reg = DocRegistry()
     reg.register("univ", parse_document(gen.dump(gen.univ(random.Random(3), 150, 40))))
     people, jobs = gen.people_jobs(random.Random(3), 200)
     reg.register("people", parse_document(gen.dump(people)))
     reg.register("jobs", parse_document(gen.dump(jobs)))
     pinned = {T.EX3: [6000], T.EX5: [4, 4], T.EX6: [4200, 150], T.PEOPLE_JOBS: [180]}
-    counts = {}
-    for template in pinned:
+    visits = {T.EX3: 5452, T.EX5: 62, T.EX5_DEAN: 4, T.ARRAY_BRANCH: 7, T.PEOPLE_JOBS: 300}
+    counts, calls = {}, Counter()
+    allows = Constraint.allows
+
+    def spy_allows(self, *args):
+        calls[template] += 1
+        return allows(self, *args)
+
+    monkeypatch.setattr(Constraint, "allows", spy_allows)
+    for template in {**pinned, **visits}:
         _, constraints = _recorded(monkeypatch, reg, template.text, partition=True)
-        counts[template] = [len(c.footprints) for c in constraints]
+        if template in pinned:
+            counts[template] = [len(c.footprints) for c in constraints]
     assert counts == pinned
+    assert calls == visits
 
 
 # -- key-directed array distribution -------------------------------------------
@@ -667,15 +680,15 @@ def _distributed(monkeypatch, reg, query, pruning):
         transformed.append(_with_ids(out))
         return out
 
-    def spy_allows(self, tokens):
+    def spy_allows(self, head, tokens):
         calls.append(tokens)
-        return allows(self, tokens)
+        return allows(self, head, tokens)
 
     with monkeypatch.context() as m:
         m.setattr(Transformer, "transform", spy_transform)
         m.setattr(Constraint, "allows", spy_allows)
         if not pruning:
-            m.setattr(Constraint, "candidates", lambda self, head, ids, under: ids)
+            m.setattr(Constraint, "candidates", lambda self, ids, under: lambda head: ids)
         out, constraints = _recorded(monkeypatch, reg, query, partition=True)
     return out, constraints, transformed, len(calls)
 
@@ -736,9 +749,10 @@ def _full_scan(self, head, arr):
     fps = [footprint(item) for item in items]
     ids = {item.elem_id for item in items}
     under = set().union(*(fp - {item.elem_id} for item, fp in zip(items, fps)))
-    named = ids.intersection(*(c.candidates(head, ids, under) for c in cs))
+    picks = [c.picks(head) for c in cs]
+    named = ids.intersection(*(c.candidates(ids, under)(p) for c, p in zip(cs, picks)))
     return [item for item, fp in zip(items, fps)
-            if item.elem_id in named and all(c.allows(head | fp) for c in cs)]
+            if item.elem_id in named and all(c.allows(p, fp) for c, p in zip(cs, picks))]
 
 
 @pytest.mark.parametrize("cond", ["$h = $b", "not ($a = $b)", "$a = $b and $h = $a"])
@@ -759,9 +773,9 @@ def test_distribution_over_a_flattened_array_visits_every_spliced_item(monkeypat
         r = filter_result(match_value(pattern, doc), source, where, constraints)
         allows, descend = Constraint.allows, Transformer._descend
 
-        def spy_allows(self, tokens):
+        def spy_allows(self, head, tokens):
             calls.append(tokens)
-            return allows(self, tokens)
+            return allows(self, head, tokens)
 
         def spy_descend(self, step, t, r, path, ctx=frozenset()):
             out = descend(self, step, t, r, path, ctx)
@@ -780,3 +794,15 @@ def test_distribution_over_a_flattened_array_visits_every_spliced_item(monkeypat
     assert got == want
     out, calls, seen = got
     assert calls and len(set(seen)) < len(seen)  # constraints checked, ids repeated
+
+
+def test_people_jobs_transform_grows_linearly():
+    # CPU of the transform stage on n and 4n people x jobs, in turn, best of
+    # 5: linear work reads about 4x, and a term that reads the whole people
+    # array once per job about 10x
+    runs = {n: (Engine(stages.registry(T.PEOPLE_JOBS, str(n))), T.PEOPLE_JOBS.text)
+            for n in (800, 3200)}
+    engine, text = runs[800]
+    assert stages.stage_times(engine, text)[1] == serialize(engine.run(parse_query(text)))
+    best = stages.best_times(runs, repeat=5)
+    assert best[3200]["transform"] < 6.5 * best[800]["transform"], best

@@ -620,7 +620,7 @@ def linear_allows(c: Constraint, tokens: frozenset) -> bool:
 
 
 def test_indexed_allows_agrees_with_a_linear_footprint_scan():
-    rng = random.Random(4)
+    rng, split = random.Random(4), random.Random(6)
     for _ in range(300):
         elems = list(range(rng.randint(1, 12)))
         branches = [("b", (99, i)) for i in range(rng.randint(0, 3))]
@@ -636,7 +636,10 @@ def test_indexed_allows_agrees_with_a_linear_footprint_scan():
         c = Constraint(tuple(some(universe, 4) for _ in range(rng.randint(0, 8))), groups, options)
         for _ in range(20):
             tokens = some(universe + [1000], 6)  # 1000 lies in no footprint
-            assert c.allows(tokens) == linear_allows(c, tokens), (c, tokens)
+            # the tokens split into a head and an item, which at times share one
+            head = frozenset(t for t in tokens if split.random() < 0.5)
+            item = (tokens - head) | {t for t in head if split.random() < 0.2}
+            assert c.allows(c.picks(head), item) == linear_allows(c, tokens), (c, head, item)
         assert c == Constraint(c.footprints, c.groups, c.option_universe)
 
 
@@ -668,9 +671,10 @@ def test_candidates_hold_every_item_allows_beside_the_head():
         head = frozenset(rng.sample(tokens + branches + [101], rng.randint(0, 3)))
         ids = {x for x, _ in items}
         under = set().union(*(fp - {x} for x, fp in items))
-        named = c.candidates(head, ids, under)
+        picks = c.picks(head)
+        named = c.candidates(ids, under)(picks)
         for x, fp in items:
-            if c.allows(head | fp):
+            if c.allows(picks, fp):
                 assert x in named, (c, head, items)
         pruned += named < ids
     assert pruned > 30  # not every draw falls back to the full scan
