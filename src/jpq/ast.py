@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from .errors import (
     ConstructionError,
@@ -22,7 +22,7 @@ from .errors import (
     TypeError_,
     UnboundVariableError,
 )
-from .model import Value, serialize
+from .model import BUILTINS, COMPARISONS, Value, serialize
 from .terms import (
     ArrayT,
     DistinctT,
@@ -58,6 +58,10 @@ class StringPredicate:
     def matches(self, s: str) -> bool:
         return self._regex.fullmatch(s) is not None
 
+    def holds(self, v: Value) -> bool:
+        """The test of a value: only a string can pass."""
+        return type(v) is str and self.matches(v)
+
     @cached_property
     def _regex(self) -> re.Pattern:
         parts = self.pattern.split("?")
@@ -70,6 +74,13 @@ class ComparePredicate:
 
     op: str
     literal: Value
+
+    @cached_property
+    def holds(self) -> Callable[[Value], bool]:
+        """The test of a value, its comparison bound once per node; an array
+        or object passes none, as a predicate tests atoms."""
+        compare, literal = COMPARISONS[self.op], self.literal
+        return lambda v: type(v) is not dict and type(v) is not list and compare(v, literal)
 
 
 # `|`, not typing.Union, whose process-wide cache would pin this module on reload
@@ -462,15 +473,12 @@ def validate_query(q: QueryAst) -> None:
                 condition_scope(part, q.term)
 
 
-# builtin functions and their arities; a where clause counts with count[$x]
-BUILTINS = {"count": 1, "notnull": 1, "endWith": 2, "startWith": 2, "contains": 2}
-
-
 def _check_call(name: str, arity: int) -> None:
     if name not in BUILTINS:
         raise TypeError_(f"unknown function {name!r}")
-    if arity != BUILTINS[name]:
-        raise TypeError_(f"{name} takes {BUILTINS[name]} argument(s), got {arity}")
+    wanted, _ = BUILTINS[name]
+    if arity != wanted:
+        raise TypeError_(f"{name} takes {wanted} argument(s), got {arity}")
 
 
 def _check_bound(t: Term, bound: set[str]) -> None:

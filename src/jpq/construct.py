@@ -23,7 +23,6 @@ from typing import Optional
 from . import ast as A
 from .ast import backbone  # noqa: F401  (re-exported)
 from .errors import ConstructionError, ShapeMismatchError, TypeError_
-from .filtering import eval_builtin
 from .matching import (
     MatchResult,
     MBind,
@@ -33,7 +32,7 @@ from .matching import (
     succeeded,
     value_of,
 )
-from .model import Value
+from .model import BUILTINS, Value, orderable
 from .terms import (
     UNIT,
     ArrayT,
@@ -158,7 +157,8 @@ def _made(cp: A.ConstructionPattern, slots: list[Slot]) -> Take:
     def parts(items: list[MatchResult]) -> list[Value]:
         return [built(items) if j is None else built(items[j]) for j, built in takes]
     if kind is A.CFun:
-        return None, lambda items: _call(cp.name, parts(items))
+        _, call = BUILTINS[cp.name]
+        return None, lambda items: call(*parts(items))
     keys = [key for key, _ in cp.members]
     return None, lambda items: dict(zip(keys, parts(items)))
 
@@ -247,26 +247,14 @@ def _reader(name: str, t: Term, kept: Optional[list[bool]] = None) -> Build:
     return read
 
 
-def _call(name: str, args: list[Value]) -> Value:
-    if name == "count":
-        (x,) = args
-        if not isinstance(x, list):
-            raise TypeError_("count applies to arrays only")
-        return Decimal(len(x))
-    return bool(eval_builtin(name, args))
-
-
 def _sorted_by(values: list[Value], keys: list[Value], order: str) -> list[Value]:
     kinds = set()
     for k in keys:
-        if isinstance(k, str):
-            kinds.add("str")
-        elif isinstance(k, Decimal) and not k.is_nan():
-            kinds.add("num")
-        elif isinstance(k, Decimal):
-            raise TypeError_("ordering keys must not be NaN")
-        else:
-            raise TypeError_("ordering keys must be numbers or strings")
+        kind = orderable(k)
+        if kind is None:
+            raise TypeError_("ordering keys must not be NaN" if type(k) is Decimal
+                             else "ordering keys must be numbers or strings")
+        kinds.add(kind)
     if len(kinds) > 1:
         raise TypeError_("cannot order a mix of numbers and strings")
     paired = sorted(zip(keys, values), key=lambda pair: pair[0], reverse=(order == "desc"))

@@ -33,11 +33,10 @@ from .matching import (
     MTuple,
     _viable,
     branch_token,
-    compare_atoms,
     shaped,
     succeeded,
 )
-from .model import MISSING, get_field, key
+from .model import BUILTINS, COMPARISONS, MISSING, get_field, key
 from .rewrite import Constraint
 from .terms import (
     ArrayT, OptionT, Path, Term, TupleT, Var, children, subterm, var_counts, var_set,
@@ -159,22 +158,6 @@ def _pairs(
 # conditions compiled into predicates over one assignment
 
 
-def eval_builtin(name: str, args: list) -> bool:
-    if name == "notnull":
-        (x,) = args
-        return x is not MISSING and x is not None
-    if name in ("endWith", "startWith", "contains"):
-        a, b = args
-        if not (isinstance(a, str) and isinstance(b, str)):
-            return False
-        if name == "endWith":
-            return a.endswith(b)
-        if name == "startWith":
-            return a.startswith(b)
-        return b in a
-    raise TypeError_(f"unknown function {name!r}")
-
-
 def _value(e: A.CondExpr) -> Callable[[dict], object]:
     """What `e` reads from an assignment's environment."""
     if isinstance(e, A.ELit):
@@ -202,15 +185,16 @@ def _predicate(c: A.Condition, elems: dict[str, Term]) -> Callable[[dict], bool]
     """`c` as a test of one assignment's environment; `elems` maps each range
     variable to the element term of the array it ranges over."""
     if isinstance(c, A.CCompare):
-        lhs, rhs, op = _value(c.lhs), _value(c.rhs), c.op
+        lhs, rhs, holds = _value(c.lhs), _value(c.rhs), COMPARISONS[c.op]
 
         def compare(env: dict) -> bool:
             a, b = lhs(env), rhs(env)
-            return a is not MISSING and b is not MISSING and compare_atoms(op, a, b)
+            return a is not MISSING and b is not MISSING and holds(a, b)
         return compare
     if isinstance(c, A.CCall):
+        _, call = BUILTINS[c.name]
         args = [_value(a) for a in c.args]
-        return lambda env, name=c.name: eval_builtin(name, [a(env) for a in args])
+        return lambda env: call(*[a(env) for a in args])
     if isinstance(c, A.CBool):
         subs = [_predicate(s, elems) for s in c.subs]
         if c.op == "and":

@@ -18,12 +18,11 @@ anything else) is fixed once per pattern node, as `Pattern.layout`.
 from __future__ import annotations
 
 import itertools
-from decimal import Decimal
-from typing import Callable, Iterable, Iterator, Optional, Union
+from typing import Callable, Iterable, Iterator, Optional
 
 from . import ast as A
 from .errors import ShapeMismatchError
-from .model import Value, key, preorder
+from .model import Value, preorder
 from .terms import DROP, KEEP, SPLICE, ArrayT, OptionT, Term, TupleT, render, slot_code
 
 
@@ -222,7 +221,7 @@ class Matcher:
         if kind is A.PWild:
             return MTuple([])
         if kind is A.PPred:
-            return MTuple([]) if _pred_holds(p.pred, v) else FAILED
+            return MTuple([]) if p.pred.holds(v) else FAILED
         if kind is A.PConj:
             results = []
             for sub in p.items:
@@ -296,38 +295,6 @@ class Matcher:
 
 def match_value(p: A.ValuePattern, v: Value) -> MatchResult:
     return Matcher().match_value(p, v)
-
-
-def _pred_holds(pred: Union[A.StringPredicate, A.ComparePredicate], v: Value) -> bool:
-    if isinstance(v, (dict, list)):
-        return False
-    if isinstance(pred, A.StringPredicate):
-        return isinstance(v, str) and pred.matches(v)
-    return compare_atoms(pred.op, v, pred.literal)
-
-
-def compare_atoms(op: str, a: Value, b: Value) -> bool:
-    """JPQ equality (`model.key`) on any values; ordering numeric on numbers,
-    code-point on strings; booleans, null, arrays and objects support only
-    (in)equality; mismatched kinds never compare equal, and NaN, which equals
-    nothing, is neither smaller nor larger than anything."""
-    if op == "=":
-        return key(a) == key(b)
-    if op == "!=":
-        return not (key(a) == key(b))
-    strings = isinstance(a, str) and isinstance(b, str)
-    numbers = isinstance(a, Decimal) and isinstance(b, Decimal)
-    if not (strings or (numbers and not (a.is_nan() or b.is_nan()))):
-        return False
-    if op == "<":
-        return a < b
-    if op == "<=":
-        return a <= b
-    if op == ">":
-        return a > b
-    if op == ">=":
-        return a >= b
-    raise ValueError(f"unknown comparison {op!r}")
 
 
 # ---------------------------------------------------------------------------

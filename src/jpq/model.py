@@ -1,15 +1,20 @@
 """The JHM value model as plain Python values: `dict` (an object, members in
 document order), `list`, `str`, `Decimal`, `bool` and `None` (`null`), never
-mutated once built.  JPQ equality compares `key`s; `==` is not it."""
+mutated once built.  JPQ equality compares `key`s; `==` is not it.  The
+comparison operators and the builtin functions on values are defined here
+once, as the tables `COMPARISONS` and `BUILTINS`."""
 
 from __future__ import annotations
 
 import json
+import operator
 from decimal import Decimal
 from json.encoder import encode_basestring_ascii
-from typing import Callable, Iterator, Union
+from typing import Callable, Iterator, Optional, Union
 
-from .errors import DataError, DuplicateKeyError, JsonSyntaxError, UnknownDocumentError
+from .errors import (
+    DataError, DuplicateKeyError, JsonSyntaxError, TypeError_, UnknownDocumentError,
+)
 
 Value = Union[dict, list, str, Decimal, bool, None]
 MISSING = object()  # what get_field finds where an object has no such member
@@ -126,6 +131,56 @@ def _token(v: Value, nan_equal: bool):
     if kind is dict or kind is list:  # the shape that the tokens after it fill
         return (dict, tuple(v)) if kind is dict else (list, len(v))
     return (bool, v) if kind is bool else v
+
+
+def orderable(v: Value) -> Optional[type]:
+    """The kind under which v is ordered, `str` for a string and `Decimal`
+    for a number other than NaN, code-point and numeric order; else None:
+    booleans, null, arrays, objects and NaN have no order."""
+    kind = type(v)
+    return kind if kind is str or kind is Decimal and not v.is_nan() else None
+
+
+def _ordering(op: Callable[[Value, Value], bool]) -> Callable[[Value, Value], bool]:
+    """`op` where both operands are orderable and of one kind, else false."""
+    def compare(a: Value, b: Value) -> bool:
+        kind = orderable(a)
+        return kind is not None and kind is orderable(b) and op(a, b)
+    return compare
+
+
+# the comparison operators, on any values: JPQ equality (`key`), so values of
+# different kinds are unequal, and the order of `orderable` values
+COMPARISONS: dict[str, Callable[[Value, Value], bool]] = {
+    "=": lambda a, b: key(a) == key(b),
+    "!=": lambda a, b: key(a) != key(b),
+    "<": _ordering(operator.lt),
+    "<=": _ordering(operator.le),
+    ">": _ordering(operator.gt),
+    ">=": _ordering(operator.ge),
+}
+
+
+def _count(x: Value) -> Decimal:
+    if type(x) is not list:
+        raise TypeError_("count applies to arrays only")
+    return Decimal(len(x))
+
+
+def _on_strings(test: Callable[[str, str], bool]) -> Callable[[Value, Value], bool]:
+    """`test` where both arguments are strings, else false."""
+    return lambda a, b: type(a) is str and type(b) is str and test(a, b)
+
+
+# the builtin functions: name -> (arity, function of the argument values); a
+# where clause calls the tests, and counts with count[$x]
+BUILTINS: dict[str, tuple[int, Callable[..., Value]]] = {
+    "count": (1, _count),
+    "notnull": (1, lambda x: x is not MISSING and x is not None),
+    "endWith": (2, _on_strings(str.endswith)),
+    "startWith": (2, _on_strings(str.startswith)),
+    "contains": (2, _on_strings(str.__contains__)),
+}
 
 
 def get_field(v: Value, name: str) -> Value:

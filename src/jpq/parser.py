@@ -23,7 +23,7 @@ from typing import NoReturn, Optional
 
 from . import ast as A
 from .errors import QueryError, SyntaxError_
-from .model import Value
+from .model import COMPARISONS, Value
 from .terms import ArrayT, DistinctT, Term, TupleT, Var
 
 _KEYWORDS = {
@@ -106,7 +106,7 @@ def tokenize(text: str) -> list[Token]:
     return tokens
 
 
-_COMPARE_OPS = {"=", "!=", "<", "<=", ">", ">="}
+_LITERALS = ("STRING", "NUMBER", "TRUE", "FALSE", "NULL")  # the token kinds of a literal
 
 
 class Parser:
@@ -156,7 +156,7 @@ class Parser:
     # -- literals ----------------------------------------------------------
 
     def at_literal(self) -> bool:
-        return self.at("STRING", "NUMBER", "TRUE", "FALSE", "NULL")
+        return self.at(*_LITERALS)
 
     def literal(self) -> Value:
         tok = self.next()
@@ -213,17 +213,12 @@ class Parser:
             self.next()
             return A.PChildren(self.keyvalue_pattern())
         if tok.kind == "(":
-            mark = self.pos
             self.next()
-            if self.peek().kind in _COMPARE_OPS and (
-                self.peek(1).kind in ("STRING", "NUMBER", "TRUE", "FALSE", "NULL")
-            ):
+            if self.peek().kind in COMPARISONS and self.peek(1).kind in _LITERALS:
                 op = self.next().kind
                 lit = self.literal()
                 self.expect(")")
                 return A.PPred(A.ComparePredicate(op, lit))
-            self.pos = mark
-            self.next()
             inner = self.value_pattern()
             self.expect(")")
             return inner
@@ -433,7 +428,7 @@ class Parser:
             self.expect(")")
             return A.CCall(name, tuple(args))
         lhs = self.cond_expr()
-        if self.peek().kind in _COMPARE_OPS:
+        if self.peek().kind in COMPARISONS:
             op = self.next().kind
             rhs = self.cond_expr()
             return A.CCompare(op, lhs, rhs)

@@ -6,6 +6,7 @@ property suites iterate with numbered seeds.
 
 from __future__ import annotations
 
+import copy
 import random
 import string
 from decimal import Decimal
@@ -62,6 +63,71 @@ def _same(a, b) -> bool:
     if isinstance(a, (list, tuple)) and type(a) is type(b):
         return len(a) == len(b) and all(_same(x, y) for x, y in zip(a, b))
     return type(a) is type(b) and a == b
+
+
+# -- edge-shaped university directories --------------------------------------
+
+EDGE_IDS = [Decimal(1), Decimal("1.0"), True, "1", None, Decimal("NaN")]
+
+
+def mutate_univ(rng: random.Random, doc: dict) -> tuple[dict, list[str]]:
+    """A copy of the university directory `doc` (in `bench/gen.py`'s shape)
+    with one to three edge-shape edits drawn by rng, and the edits' labels:
+    a school's `faculty` emptied, an item of `schools` or of a `faculty`
+    that is no object, emails removed, two IDs set to `EDGE_IDS`, and the
+    president made an array of one, or removed."""
+    doc = copy.deepcopy(doc)
+    return doc, [label for _ in range(rng.randint(1, 3))
+                 for label in rng.choice(_EDITS)(rng, doc)]
+
+
+def _schools(doc: dict) -> list[dict]:
+    return [s for s in doc["schools"] if isinstance(s, dict)]
+
+
+def _people(v) -> list[dict]:
+    """Every object under v with an "ID" member, preorder."""
+    if isinstance(v, list):
+        return [p for x in v for p in _people(x)]
+    if isinstance(v, dict):
+        return ([v] if "ID" in v else []) + [p for x in v.values() for p in _people(x)]
+    return []
+
+
+def _empty_faculty(rng: random.Random, doc: dict) -> list[str]:
+    rng.choice(_schools(doc))["faculty"] = []
+    return ["empty faculty"]
+
+
+def _non_object(rng: random.Random, doc: dict) -> list[str]:
+    items = rng.choice([doc["schools"]] + [s["faculty"] for s in _schools(doc) if s["faculty"]])
+    items[rng.randrange(len(items))] = rng.choice(["0001", Decimal(7), None, []])
+    return ["non-object item"]
+
+
+def _drop_emails(rng: random.Random, doc: dict) -> list[str]:
+    for p in _people(doc):
+        if "email" in p and rng.random() < 0.5:
+            del p["email"]
+    return ["missing emails"]
+
+
+def _edge_ids(rng: random.Random, doc: dict) -> list[str]:
+    ids = [rng.choice(EDGE_IDS) for _ in range(2)]
+    for edge in ids:
+        rng.choice(_people(doc))["ID"] = edge
+    return [f"ID {edge!r}" for edge in ids]
+
+
+def _president(rng: random.Random, doc: dict) -> list[str]:
+    if isinstance(doc.get("president"), dict) and rng.random() < 0.5:
+        doc["president"] = [doc["president"]]
+        return ["president array"]
+    doc.pop("president", None)
+    return ["no president"]
+
+
+_EDITS = [_empty_faculty, _non_object, _drop_emails, _edge_ids, _president]
 
 
 # -- patterns guaranteed to match a given value -------------------------------

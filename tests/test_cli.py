@@ -433,6 +433,31 @@ def run_on(tmp_path, text, query):
     return run(CliConfig(docs=[("d", str(doc))], query_text=query))
 
 
+BUILTIN_XS = '{"xs":[{"n":"a","k":1},{"n":"b","k":"s"}]}'
+
+
+@pytest.mark.parametrize(
+    "query, message",
+    [
+        ('from doc("d") {"xs":[{"n":$n}]} construct {"r":frob($n)}',
+         "unknown function 'frob'"),
+        ('from doc("d") {"xs":[{"n":$n}]} construct {"r":[$n]} where frob($n)',
+         "unknown function 'frob'"),
+        ('from doc("d") {"xs":[{"n":$n}]} construct {"r":endWith($n)}',
+         "endWith takes 2 argument(s), got 1"),
+        ('from doc("d") {"xs":[{"n":$n}]} construct {"r":[$n]} where notnull($n, $n)',
+         "notnull takes 1 argument(s), got 2"),
+        ('from doc("d") {"xs":[{"n":$n}]} construct {"r":[count($n)]}',
+         "count applies to arrays only"),
+        ('from doc("d") {"xs":[{"n":$n,"k":$k}]} construct {"r":[{"n":$n,"k":$k}] groupby $k asc}',
+         "cannot order a mix of numbers and strings"),
+    ],
+    ids=["call", "condition", "arity", "condition-arity", "count", "mixed-keys"],
+)
+def test_builtin_and_ordering_errors_are_type_errors(tmp_path, query, message):
+    assert run_on(tmp_path, BUILTIN_XS, query) == (EXIT_QUERY, "", f"error: {message}\n")
+
+
 NAN_XS = '{"xs":[{"v":NaN},{"v":2}]}'
 
 

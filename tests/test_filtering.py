@@ -13,7 +13,6 @@ from jpq.errors import InvalidCompositionError, ShapeMismatchError, TypeError_
 from jpq.filtering import (
     _enumerator,
     compile_where,
-    eval_builtin,
     filter_result,
     resolve_options,
 )
@@ -28,7 +27,7 @@ from jpq.matching import (
     shaped,
     succeeded,
 )
-from jpq.model import DocRegistry, get_field, parse_document, serialize
+from jpq.model import BUILTINS, COMPARISONS, DocRegistry, get_field, parse_document, serialize
 from jpq.parser import parse_condition, parse_pattern, parse_query
 from jpq.rewrite import Constraint, Step, Transformer, replay
 from jpq.terms import ArrayT, OptionT, TupleT, Var, optioned
@@ -104,13 +103,14 @@ def test_field_access_reaches_into_bound_objects(univ):
 
 def test_string_builtins():
     a, b = "xxli@123.edu", "123.edu"
-    assert eval_builtin("endWith", [a, b])
-    assert not eval_builtin("startWith", [a, b])
-    assert eval_builtin("contains", [a, "@"])
-    assert eval_builtin("notnull", [a])
-    assert not eval_builtin("notnull", [None])
-    with pytest.raises(TypeError_):
-        eval_builtin("frobnicate", [a])
+    call = {name: fn for name, (_, fn) in BUILTINS.items()}
+    assert call["endWith"](a, b)
+    assert not call["startWith"](a, b)
+    assert call["contains"](a, "@")
+    assert call["notnull"](a)
+    assert not call["notnull"](None)
+    with pytest.raises(TypeError_, match="unknown function 'frobnicate'"):
+        parse_query('from doc("d") {"e":$e} construct {"e":$e} where frobnicate($e)')
 
 
 def test_builtin_condition_filters_elements(univ):
@@ -582,12 +582,16 @@ def test_partitioned_join_records_what_the_nested_loop_records(
 
 def _filtered(monkeypatch, reg, query):
     """The output, the constraints recorded, the assignment pairs a hash
-    partition forms and the `compare_atoms` calls made while filtering: the
-    where clause's comparisons are its only callers in `jpq.filtering`."""
+    partition forms and the comparisons made while filtering: each where-clause
+    comparison binds its `COMPARISONS` entry as `jpq.filtering` compiles it,
+    so the spy table is patched before the plan is made."""
     import jpq.filtering
 
     pairs, compares = [], []
-    real_pairs, real_compare = jpq.filtering._pairs, jpq.filtering.compare_atoms
+    real_pairs = jpq.filtering._pairs
+
+    def counted(compare):
+        return lambda *a: compares.append(a) or compare(*a)
 
     def counted_pairs(combos, subs, join):
         out = real_pairs(combos, subs, join)
@@ -596,7 +600,7 @@ def _filtered(monkeypatch, reg, query):
 
     with monkeypatch.context() as m:
         m.setattr(jpq.filtering, "_pairs", counted_pairs)
-        m.setattr(jpq.filtering, "compare_atoms", lambda *a: compares.append(a) or real_compare(*a))
+        m.setattr(jpq.filtering, "COMPARISONS", {op: counted(f) for op, f in COMPARISONS.items()})
         out, constraints = _recorded(monkeypatch, reg, query, partition=True)
     return out, constraints, sum(pairs), len(compares)
 
@@ -806,3 +810,21 @@ def test_people_jobs_transform_grows_linearly():
     assert stages.stage_times(engine, text)[1] == serialize(engine.run(parse_query(text)))
     best = stages.best_times(runs, repeat=5)
     assert best[3200]["transform"] < 6.5 * best[800]["transform"], best
+
+
+@pytest.mark.parametrize("template", [T.EX3, T.EX5], ids=lambda t: t.name)
+def test_join_filter_and_transform_grow_linearly(template):
+    # CPU of the filter and transform stages on 40x40 and 160x40 universities,
+    # in turn, best of 5, where each faculty ID sits in two schools, so the
+    # joined pairs grow as the faculty do.  Linear work reads 3.5-6x here;
+    # work quadratic in the faculty reads 16x, and EX3's transform read 19x
+    # when distribution scanned a dict view for every group
+    # one engine, each size's document under its own name: the query plans once
+    engine = Engine(DocRegistry())
+    runs = {}
+    for size in ("40x40", "160x40"):
+        engine.registry.register(size, stages.registry(template, size).lookup("univ"))
+        runs[size] = (engine, template.text.replace('doc("univ")', f'doc("{size}")'))
+    best = stages.best_times(runs, repeat=5)
+    for stage in ("filter", "transform"):
+        assert best["160x40"][stage] < 10 * best["40x40"][stage], (stage, best)

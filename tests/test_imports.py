@@ -3,6 +3,9 @@
 - Unused imports: every name a `src/jpq/*.py` module (the package
   `__init__` aside) imports is referenced in it.  An import line marked
   `# noqa: F401` (a deliberate re-export) is exempt.
+- Layers: the modules of `src/jpq` stand in one order, `LAYERS`, and each
+  imports from the package only modules before it; `construct` builds with
+  the builtins of `model` and imports nothing from `filtering`.
 - Dead definitions: every function, method and class defined in `src/jpq`
   (dunders aside) is referenced, by name, attribute or import, somewhere
   in `src/` or `bench/` outside its own body.  Tests do not count: code
@@ -89,3 +92,31 @@ def test_guard_flags_a_definition_only_its_own_body_uses():
         "def g():\n    return K().m()\n"
     )
     assert dead_definitions([source], ["from x import g\n"]) == ["f (line 6)"]
+
+
+LAYERS = ["errors", "terms", "model", "ast", "parser", "matching", "rewrite", "filtering",
+          "construct", "engine", "cli"]
+UNRELATED = {("construct", "filtering")}  # (importer, imported) pairs kept apart
+
+
+def package_imports(source: str) -> set[str]:
+    """The sibling modules a module's source imports (`from . import x`,
+    `from .x import y`)."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            names.update([node.module] if node.module else [a.name for a in node.names])
+    return names
+
+
+def test_each_module_imports_only_the_layers_before_it():
+    assert sorted(f"{m}.py" for m in LAYERS) == MODULES  # every module has its place
+    for i, module in enumerate(LAYERS):
+        imported = package_imports((SRC / f"{module}.py").read_text())
+        assert imported <= set(LAYERS[:i]), (module, imported - set(LAYERS[:i]))
+        assert not {(module, m) for m in imported} & UNRELATED, module
+
+
+def test_layer_guard_reads_both_relative_import_forms():
+    source = "import os\nfrom . import ast as A\nfrom .model import key\nfrom json import dumps\n"
+    assert package_imports(source) == {"ast", "model"}

@@ -13,12 +13,11 @@ from jpq.matching import (
     MOption,
     MTuple,
     Matcher,
-    compare_atoms,
     footprint,
     match_value,
     succeeded,
 )
-from jpq.model import parse_document, preorder
+from jpq.model import COMPARISONS, parse_document, preorder
 from jpq.parser import parse_pattern, parse_query
 from jpq.rewrite import project_result, projection
 from jpq.terms import UNIT, ArrayT, OptionT, TupleT, Var, project, tuple_of
@@ -107,10 +106,10 @@ def test_comparison_predicates_on_numbers():
 
 
 def test_compare_atoms_orders_numbers_and_strings():
-    assert compare_atoms("<", Decimal(2), Decimal(10))
-    assert compare_atoms("<", "abc", "abd")
-    assert compare_atoms("!=", True, False)
-    assert not compare_atoms("=", "1", Decimal(1))
+    assert COMPARISONS["<"](Decimal(2), Decimal(10))
+    assert COMPARISONS["<"]("abc", "abd")
+    assert COMPARISONS["!="](True, False)
+    assert not COMPARISONS["="]("1", Decimal(1))
 
 
 def test_descendant_matching_follows_preorder():
