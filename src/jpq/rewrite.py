@@ -557,12 +557,13 @@ class Constraint:
     """Satisfied support-tuple footprints of one filter condition.
 
     `footprints` are token sets of the satisfied assignments; `groups` lists,
-    per array instance or option involved, the tokens one assignment picks
-    from; `option_universe` pairs, per option involved, the branch tokens the
+    per array instance involved, the element ids one assignment picks from;
+    `option_universe` pairs, per option involved, the branch tokens the
     condition covered with all that option's branch tokens, so a combination
     standing on a branch the condition never inspected is left alone.
     Array distribution reads `candidates` once per array, `picks` once per
-    head, and `allows` once per item visited, on that item's own tokens."""
+    head, and `allows` once per item visited, on that item's own tokens,
+    unless the head's candidate set holds exactly the items it admits."""
 
     footprints: tuple[frozenset, ...]
     groups: tuple[frozenset, ...]
@@ -590,25 +591,28 @@ class Constraint:
             held = self._holding(own, head.held)
         return held is None or bool(held)
 
-    def candidates(self, ids: AbstractSet, under: set) -> Callable[[Picks], AbstractSet]:
+    def candidates(self, ids: AbstractSet, under: set) -> Callable[[Picks], tuple]:
         """Read once per array, given its items' ids and the tokens `under` them
-        but their own ids: a head's `picks` -> a superset of the ids whose item
-        `allows` beside the head.  All of `ids` unless no option is covered, the
-        ids lie in one group alone, and neither `under` nor the head meets it nor
-        `under` a group the head picks one token from; then the ids of that group
-        the footprints holding the tokens the head picks alone name."""
+        but their own ids: a head's `picks` -> (a superset of the ids whose item
+        `allows` beside the head, whether it is exactly those ids).  All of `ids`,
+        exact for a head on an uncovered branch, unless the ids lie in one group
+        alone and neither they nor `under` meet an uncovered branch, and neither
+        `under` nor the head meets that group nor `under` a group the head picks
+        one token from; then the ids of that group the footprints holding the
+        tokens the head picks alone name, exact when no group lies `under`."""
         meets, beneath = self._picks(ids).keys(), self._picks(under).keys()
         in_one_group = len(meets) == 1 and ids <= self._groups_of.keys()
-        if self.option_universe or not in_one_group or meets & beneath:
-            return lambda head: ids
+        covered = self._uncovered.isdisjoint(under) and self._uncovered.isdisjoint(ids)
+        if not (in_one_group and covered) or meets & beneath:
+            return lambda head: (ids, head.open)
         (g,) = meets
 
-        def named(head: Picks) -> AbstractSet:
+        def named(head: Picks) -> tuple:
             lone = (h for h, chosen in head.groups.items() if len(chosen) == 1)
-            if g in head.groups or not beneath.isdisjoint(lone):
-                return ids
+            if head.open or g in head.groups or not beneath.isdisjoint(lone):
+                return ids, head.open
             held = range(len(self.footprints)) if head.held is None else head.held
-            return {tok for i in held for tok in self.footprints[i] & self.groups[g]}
+            return {tok for i in held for tok in self.footprints[i] & self.groups[g]}, not beneath
         return named
 
     def _picks(self, tokens: AbstractSet) -> dict:
@@ -676,7 +680,8 @@ class Transformer:
         once per step: each item's footprint, each id's positions (a flattened
         array repeats its enclosing tuple, id and all, per spliced item) and
         each constraint's `candidates`; once per call: each one's `picks`.  Only
-        the items all candidate sets name are visited, in array order."""
+        the items all candidate sets name are visited, in array order, and
+        checked with `allows` only by the constraints whose set is not exact."""
         cs, items = self.constraints, arr.items
         if arr not in self._summaries:  # keyed by identity
             fps = [footprint(item) for item in items]
@@ -687,11 +692,14 @@ class Transformer:
             self._summaries[arr] = fps, index, [c.candidates(index.keys(), under) for c in cs]
         fps, index, candidates = self._summaries[arr]
         picks = [c.picks(head) for c in cs]
-        named = index.keys()  # a view: `&` with a smaller set reads only that set
-        for named_by, p in zip(candidates, picks):
-            named = named & named_by(p)
+        named, checks = index.keys(), []  # a view: `&` with a smaller set reads only that set
+        for c, named_by, p in zip(cs, candidates, picks):
+            ids, exact = named_by(p)
+            named = named & ids
+            if not exact:
+                checks.append((c, p))
         return [items[i] for i in sorted(i for e in named for i in index[e])
-                if all(c.allows(p, fps[i]) for c, p in zip(cs, picks))]
+                if all(c.allows(p, fps[i]) for c, p in checks)]
 
     def fresh_id(self) -> int:
         return next(self._ids)

@@ -645,7 +645,7 @@ def test_indexed_allows_agrees_with_a_linear_footprint_scan():
 
 def test_candidates_hold_every_item_allows_beside_the_head():
     rng = random.Random(5)
-    pruned = 0
+    pruned = exacts = 0
     for _ in range(400):
         tokens = list(range(24))
         rng.shuffle(tokens)
@@ -672,9 +672,13 @@ def test_candidates_hold_every_item_allows_beside_the_head():
         ids = {x for x, _ in items}
         under = set().union(*(fp - {x} for x, fp in items))
         picks = c.picks(head)
-        named = c.candidates(ids, under)(picks)
+        named, exact = c.candidates(ids, under)(picks)
         for x, fp in items:
             if c.allows(picks, fp):
                 assert x in named, (c, head, items)
+            elif exact:  # then `allows` is not asked: it must admit every item named
+                assert x not in named, (c, head, items)
         pruned += named < ids
+        exacts += exact
     assert pruned > 30  # not every draw falls back to the full scan
+    assert exacts > 100  # nor does every draw need `allows`
