@@ -545,11 +545,11 @@ def infer_route(
 
 
 class Picks(NamedTuple):
-    """What a head's tokens pick, read once per head (`Constraint.picks`)."""
+    """What one token set picks, a head's or an item's (`Constraint.picks`)."""
 
-    open: bool  # they stand on an option branch the condition never inspected
-    groups: dict  # group index -> the tokens picked from it, for each group they meet
-    held: Optional[AbstractSet]  # the footprints holding each token picked alone; None: no token is
+    open: bool  # it stands on an option branch the condition never inspected
+    groups: dict  # group index -> the tokens picked from it, for each group the set meets
+    held: Optional[AbstractSet]  # the footprints holding each of its lone picks; None: it has none
 
 
 @dataclass(frozen=True)
@@ -560,76 +560,43 @@ class Constraint:
     per array instance involved, the element ids one assignment picks from;
     `option_universe` pairs, per option involved, the branch tokens the
     condition covered with all that option's branch tokens, so a combination
-    standing on a branch the condition never inspected is left alone.
-    Array distribution reads `candidates` once per array, `picks` once per
-    head, and `allows` once per item visited, on that item's own tokens,
-    unless the head's candidate set holds exactly the items it admits."""
+    standing on a branch the condition never inspected is left alone.  A
+    token set's lone pick is the only token it holds from a group; heads and
+    items are read alike, with `picks`, and paired by `allows`."""
 
     footprints: tuple[frozenset, ...]
     groups: tuple[frozenset, ...]
     option_universe: tuple[tuple[frozenset, frozenset], ...] = ()
 
-    def picks(self, head: frozenset) -> Picks:
-        """Read once per head: what it picks from each group, and what that decides."""
-        groups = self._picks(head)
-        return Picks(not self._uncovered.isdisjoint(head), groups, self._holding(groups))
-
-    def allows(self, head: Picks, tokens: frozenset) -> bool:
-        """Whether an item of `tokens` may go beside the head of `picks` `head`:
-        the pair stands on an uncovered branch, or some footprint holds every
-        token the pair picks alone from its group.  Of the head, only its picks
-        from the groups the item meets are read."""
-        if head.open or not self._uncovered.isdisjoint(tokens):
-            return True
-        mine, theirs = self._picks(tokens), head.groups
-        if any(len(theirs.get(g, ())) == 1 and not m <= theirs[g] for g, m in mine.items()):
-            # the item picks another token where the head picks one alone: read both whole
-            pair = {**theirs, **{g: m | theirs.get(g, set()) for g, m in mine.items()}}
-            held = self._holding(pair)
-        else:
-            own = {g: m for g, m in mine.items() if g not in theirs}  # groups the head misses
-            held = self._holding(own, head.held)
-        return held is None or bool(held)
-
-    def candidates(self, ids: AbstractSet, under: set) -> Callable[[Picks], tuple]:
-        """Read once per array, given its items' ids and the tokens `under` them
-        but their own ids: a head's `picks` -> (a superset of the ids whose item
-        `allows` beside the head, whether it is exactly those ids).  All of `ids`,
-        exact for a head on an uncovered branch, unless the ids lie in one group
-        alone and neither they nor `under` meet an uncovered branch, and neither
-        `under` nor the head meets that group nor `under` a group the head picks
-        one token from; then the ids of that group the footprints holding the
-        tokens the head picks alone name, exact when no group lies `under`."""
-        meets, beneath = self._picks(ids).keys(), self._picks(under).keys()
-        in_one_group = len(meets) == 1 and ids <= self._groups_of.keys()
-        covered = self._uncovered.isdisjoint(under) and self._uncovered.isdisjoint(ids)
-        if not (in_one_group and covered) or meets & beneath:
-            return lambda head: (ids, head.open)
-        (g,) = meets
-
-        def named(head: Picks) -> tuple:
-            lone = (h for h, chosen in head.groups.items() if len(chosen) == 1)
-            if head.open or g in head.groups or not beneath.isdisjoint(lone):
-                return ids, head.open
-            held = range(len(self.footprints)) if head.held is None else head.held
-            return {tok for i in held for tok in self.footprints[i] & self.groups[g]}, not beneath
-        return named
-
-    def _picks(self, tokens: AbstractSet) -> dict:
-        """Group index -> the tokens picked from it, for each group they meet."""
-        picks: dict = {}
+    def picks(self, tokens: AbstractSet) -> Picks:
+        """What `tokens` pick from each group, and the footprints holding each lone pick."""
+        groups: dict = {}
         for tok in tokens:
             for g in self._groups_of.get(tok, ()):
-                picks.setdefault(g, set()).add(tok)
-        return picks
+                groups.setdefault(g, set()).add(tok)
+        return Picks(not self._uncovered.isdisjoint(tokens), groups, self._holding(groups))
 
-    def _holding(self, groups: dict, among=None) -> Optional[AbstractSet]:
-        """Indexes of the footprints, of `among` if given, holding each token picked
-        alone from its group in `groups`; None, for all, when nothing restricts them."""
+    def allows(self, head: Picks, item: Picks) -> bool:
+        """Whether the item may go beside the head: the pair stands on an
+        uncovered branch, or some footprint holds each of the pair's lone picks.
+        Where the two pick alike from every group they share, this is whether
+        the head's footprints meet the item's (`held`, None for all)."""
+        if head.open or item.open:
+            return True
+        pair = {g: head.groups.get(g, set()) | item.groups.get(g, set())
+                for g in head.groups.keys() | item.groups.keys()}
+        held = self._holding(pair)
+        return held is None or bool(held)
+
+    def _holding(self, groups: dict) -> Optional[AbstractSet]:
+        """Indexes of the footprints holding each token picked alone from its
+        group in `groups`; None, for all, when nothing restricts them.  One
+        token's postings are returned as they are: no caller writes to them."""
         postings = [self._postings.get(tok, frozenset())
                     for chosen in groups.values() if len(chosen) == 1 for tok in chosen]
-        postings += [] if among is None else [among]
-        return min(postings, key=len).intersection(*postings) if postings else None
+        if len(postings) < 2:
+            return postings[0] if postings else None
+        return min(postings, key=len).intersection(*postings)
 
     @cached_property
     def _uncovered(self) -> frozenset:
@@ -660,6 +627,24 @@ def _index(sets: tuple[frozenset, ...]) -> dict:
 # transformation of match results
 
 
+def _reading(c: Constraint, fps: list) -> tuple:
+    """One constraint's reading of an array's items, given their footprints:
+    their picks; the groups they meet; the positions of the items that are
+    open, of the others that pick nothing alone, and of all that some head may
+    keep; and footprint index -> the positions of the items whose lone picks
+    it holds."""
+    picks = [c.picks(fp) for fp in fps]
+    met, opened, unheld, index = set(), set(), set(), {}
+    for i, p in enumerate(picks):
+        met.update(p.groups)
+        if p.open or p.held is None:
+            (opened if p.open else unheld).add(i)
+        else:
+            for f in p.held:
+                index.setdefault(f, []).append(i)
+    return picks, met, opened, unheld, opened.union(unheld, *index.values()), index
+
+
 class Transformer:
     """Applies a route's steps to a match result, step for step.
 
@@ -673,33 +658,33 @@ class Transformer:
     ):
         self.constraints = tuple(constraints)
         self._ids = itertools.count(1) if ids is None else ids
-        self._summaries: dict = {}
+        self._readings: dict = {}
 
     def allowed(self, head: frozenset, arr: MArray) -> list[MatchResult]:
-        """`arr`'s items every constraint allows beside the tokens `head`.  Read
-        once per step: each item's footprint, each id's positions (a flattened
-        array repeats its enclosing tuple, id and all, per spliced item) and
-        each constraint's `candidates`; once per call: each one's `picks`.  Only
-        the items all candidate sets name are visited, in array order, and
-        checked with `allows` only by the constraints whose set is not exact."""
-        cs, items = self.constraints, arr.items
-        if arr not in self._summaries:  # keyed by identity
+        """`arr`'s items every constraint allows beside the tokens `head`, in
+        array order.  Each constraint's `_reading` of the items is made once
+        per step, the head's `picks` once per call.  A head that picks from a
+        group the items pick from asks `allows` of each item; any other takes
+        the items whose footprints meet its own, through the reading's index."""
+        items = arr.items
+        if arr not in self._readings:  # keyed by identity
             fps = [footprint(item) for item in items]
-            under = set().union(*(fp - {item.elem_id} for item, fp in zip(items, fps)))
-            index: dict = {}  # element id -> the positions of its items
-            for i, item in enumerate(items):
-                index.setdefault(item.elem_id, []).append(i)
-            self._summaries[arr] = fps, index, [c.candidates(index.keys(), under) for c in cs]
-        fps, index, candidates = self._summaries[arr]
-        picks = [c.picks(head) for c in cs]
-        named, checks = index.keys(), []  # a view: `&` with a smaller set reads only that set
-        for c, named_by, p in zip(cs, candidates, picks):
-            ids, exact = named_by(p)
-            named = named & ids
-            if not exact:
-                checks.append((c, p))
-        return [items[i] for i in sorted(i for e in named for i in index[e])
-                if all(c.allows(p, fps[i]) for c, p in checks)]
+            self._readings[arr] = [_reading(c, fps) for c in self.constraints]
+        named, checks = None, []
+        readings = zip(self.constraints, self._readings[arr])
+        for c, (picks, met, opened, unheld, live, index) in readings:
+            mine = c.picks(head)
+            if mine.open:
+                continue
+            if not met.isdisjoint(mine.groups):
+                checks.append((c, mine, picks))
+                continue
+            # held None: the head restricts nothing; empty: only open items go beside it
+            hits = (index.get(f, ()) for f in mine.held or ())
+            kept = live if mine.held is None else opened.union(unheld if mine.held else (), *hits)
+            named = kept if named is None else named & kept
+        at = range(len(items)) if named is None else sorted(named)
+        return [items[i] for i in at if all(c.allows(h, ps[i]) for c, h, ps in checks)]
 
     def fresh_id(self) -> int:
         return next(self._ids)
@@ -709,7 +694,7 @@ class Transformer:
     ) -> MatchResult:
         """`terms` are the terms `route` passes through (`replay`)."""
         for t, step in zip(terms, route):
-            self._summaries.clear()  # a cache for one step: it pins the arrays it holds
+            self._readings.clear()  # a cache for one step: it pins the arrays it holds
             out = self._descend(step, t, r, step.path)
             if len(out) != 1:
                 raise ShapeMismatchError(f"{step.describe()} leaves {len(out)} results at the root")

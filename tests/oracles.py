@@ -1,9 +1,10 @@
 """Oracles over match results: a result's shape checked against a term, and
-a result printed in the paper's notation.  No code path of the program needs
-either; tests use them as independent checks."""
+a result printed in the paper's notation; and oracles over raw JSON for the
+benchmark templates on edge-shaped documents.  No code path of the program
+needs any of them; tests use them as independent checks."""
 
 from jpq.matching import MArray, MatchResult, MBind, MFailed, MOption, MTuple, _viable, succeeded
-from jpq.model import serialize
+from jpq.model import key, serialize
 from jpq.terms import ArrayT, DistinctT, OptionT, Term, TupleT, Var
 
 
@@ -62,3 +63,21 @@ def render_result(r: MatchResult, max_value: int = 40) -> str:
         alts = [render_result(b, max_value) for b in r.branches if succeeded(b)]
         return alts[0] if len(alts) == 1 else "(" + " | ".join(alts) + ")"
     raise TypeError(f"not a result: {r!r}")
+
+
+# -- template oracles over raw JSON ---------------------------------------------
+
+
+def ex3_school_pairs(u: dict) -> list[dict]:
+    """EX3's result list on the university `u`: one pair per two schools of
+    different names whose faculty share an ID, both in JPQ equality
+    (`jpq.model.key`: NaN equals nothing, `true` is not `1`).  A school that
+    is no object with a `name` and a `faculty` array, or a faculty item that
+    is no object with an `ID`, is not matched by the pattern, so it is skipped."""
+    schools = [s for s in u["schools"]
+               if isinstance(s, dict) and "name" in s and isinstance(s.get("faculty"), list)]
+    ids = [{key(f["ID"]) for f in s["faculty"] if isinstance(f, dict) and "ID" in f}
+           for s in schools]
+    return [{"school1": a["name"], "school2": b["name"]}
+            for a, ids_a in zip(schools, ids) for b, ids_b in zip(schools, ids)
+            if key(a["name"]) != key(b["name"]) and not ids_a.isdisjoint(ids_b)]

@@ -741,3 +741,28 @@ def test_a_flattened_array_of_constants_has_nothing_to_splice(query):
     code, out, err = run(CliConfig(docs=[("univ", UNIV)], query_text=query))
     assert (code, out) == (EXIT_QUERY, "")
     assert err == "error: a ^[...] of constants only has nothing to splice\n"
+
+
+# -- a construction that repeats its variables ------------------------------------------
+
+DUPLICATED = {"xs": [{"a": "p", "bs": ["u"]}, {"a": "q", "bs": ["v", "w"]}, {"a": "r", "bs": ["u", "v"]}]}
+REPEATED = ('from doc("d") {"xs":[{"a":$a,"bs":[$b]}]} '
+            'construct {"p":[^[{"a":$a,"b":$b}]],"q":[{"a":$a,"bs":[$b]}]} where ')
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "the copy that tuple duplication distributes carries the other copy's tokens, so "
+    "the head requires lone picks from two items' arrays that no one satisfied "
+    "assignment holds together, and every pair of `p` is dropped"))
+@pytest.mark.parametrize("where, holds", [('$b != "w"', lambda a, b: b != "w"),
+                                          ('$b = "u"', lambda a, b: b == "u")],
+                         ids=["b-not-w", "b-is-u"])
+def test_a_construction_repeating_its_variables_keeps_every_admitted_pair(tmp_path, where, holds):
+    # the oracle, over the raw JSON: each x keeps the bs an assignment satisfies,
+    # and an x left with none is dropped; `p` pairs each kept b with its x's a
+    kept = [(x["a"], [b for b in x["bs"] if holds(x["a"], b)]) for x in DUPLICATED["xs"]]
+    kept = [(a, bs) for a, bs in kept if bs]
+    code, out, err = run_on(tmp_path, json.dumps(DUPLICATED), REPEATED + where)
+    assert (code, err) == (EXIT_OK, "")
+    assert json.loads(out) == {"p": [{"a": a, "b": b} for a, bs in kept for b in bs],
+                               "q": [{"a": a, "bs": bs} for a, bs in kept]}

@@ -34,6 +34,7 @@ from jpq.terms import ArrayT, OptionT, TupleT, Var, optioned
 
 from . import stages
 from .generators import _same
+from .test_cli import DUPLICATED
 from .test_golden import T, document_sets, gen
 from .test_matching import _options
 
@@ -640,7 +641,7 @@ def test_satisfied_footprints_per_template_are_pinned(monkeypatch):
     # people/jobs pair: filtering may get cheaper, not keep more or fewer
     # tuples; the items `Transformer.allowed` keeps: distribution keeps the
     # same items, however it finds them; and `rewrite.Constraint.allows.calls`:
-    # none where the postings name exactly the items kept
+    # none where no head picks from a group its items pick from
     reg = DocRegistry()
     reg.register("univ", parse_document(gen.dump(gen.univ(random.Random(3), 150, 40))))
     people, jobs = gen.people_jobs(random.Random(3), 200)
@@ -648,7 +649,7 @@ def test_satisfied_footprints_per_template_are_pinned(monkeypatch):
     reg.register("jobs", parse_document(gen.dump(jobs)))
     pinned = {T.EX3: [6000], T.EX5: [4, 4], T.EX6: [4200, 150], T.PEOPLE_JOBS: [180]}
     kept = {T.EX3: 5452, T.EX5: 13, T.EX5_DEAN: 2, T.ARRAY_BRANCH: 7, T.PEOPLE_JOBS: 300}
-    checks = {T.EX3: 0, T.EX5: 6, T.EX5_DEAN: 1, T.ARRAY_BRANCH: 1, T.PEOPLE_JOBS: 0}
+    checks = dict.fromkeys(kept, 0)
     counts, items, calls = {}, Counter(), Counter()
     allowed, allows = Transformer.allowed, Constraint.allows
 
@@ -683,8 +684,8 @@ def _with_ids(r):
 
 def _distributed(monkeypatch, reg, query, pruning):
     """The output, the constraints recorded, the transformed result with its
-    ids, and the `allows` calls made, with each distributed head paired only
-    with the candidates the constraints name, or with every item checked."""
+    ids, and the `allows` calls made, with each distributed head paired with
+    the items `Transformer.allowed` finds, or with every item checked."""
     transformed, calls = [], []
     transform, allows = Transformer.transform, Constraint.allows
 
@@ -693,15 +694,15 @@ def _distributed(monkeypatch, reg, query, pruning):
         transformed.append(_with_ids(out))
         return out
 
-    def spy_allows(self, head, tokens):
-        calls.append(tokens)
-        return allows(self, head, tokens)
+    def spy_allows(self, head, item):
+        calls.append(item)
+        return allows(self, head, item)
 
     with monkeypatch.context() as m:
         m.setattr(Transformer, "transform", spy_transform)
         m.setattr(Constraint, "allows", spy_allows)
         if not pruning:
-            m.setattr(Constraint, "candidates", lambda self, ids, under: lambda head: (ids, False))
+            m.setattr(Transformer, "allowed", _full_scan)
         out, constraints = _recorded(monkeypatch, reg, query, partition=True)
     return out, constraints, transformed, len(calls)
 
@@ -711,6 +712,10 @@ PEOPLE = [{"id": "p0", "name": "A"}, {"id": "p1", "name": "B"}, {"id": "p2", "na
           {"id": "p1", "name": "D"}]
 JOBS = [{"pid": "p1", "title": "dean"}, {"pid": "x9", "title": "chair"},
         {"pid": "p1", "title": "clerk"}, {"pid": "p0", "title": "head"}, {"pid": "p7", "title": "x"}]
+# a construction that repeats its variables: the copy distributed is a head that
+# picks from the group its items pick from, so each item is checked with `allows`
+DUPLICATION = ('from doc("dup") {"xs":[{"a":$a,"bs":[$b]}]} '
+               'construct {"p":[^[{"a":$a,"b":$b}]],"q":[{"a":$a,"bs":[$b]}]} where ')
 
 
 @pytest.mark.parametrize(
@@ -727,13 +732,14 @@ JOBS = [{"pid": "p1", "title": "dean"}, {"pid": "x9", "title": "chair"},
         (T.EX5.text, "univ-6x5"),
         (T.PEOPLE_JOBS.text, None),
         (T.PEOPLE_JOBS.text, "people-jobs-30"),
+        (DUPLICATION + 'not ($a = "q") and $b != "u"', None),
     ],
     ids=["self-join", "self-join-with-residual", "two-documents", "with", "EX3", "EX3-6x5",
-         "EX5-par", "EX5-par-6x5", "people-jobs", "people-jobs-30"],
+         "EX5-par", "EX5-par-6x5", "people-jobs", "people-jobs-30", "duplication"],
 )
 def test_key_directed_distribution_records_what_the_full_scan_records(monkeypatch, query, docset):
     docs = {"d": {"xs": XS}, "p": {"xs": XS}, "q": {"ys": YS}, "people": {"ps": PEOPLE},
-            "jobs": {"js": JOBS}}
+            "jobs": {"js": JOBS}, "dup": DUPLICATED}
     texts = {name: json.dumps(doc) for name, doc in docs.items()}
     texts.update(document_sets()[docset] if docset else {})
     reg = DocRegistry()
@@ -743,7 +749,12 @@ def test_key_directed_distribution_records_what_the_full_scan_records(monkeypatc
     # outputs, element ids and constraints equal, in the same order
     full = _distributed(monkeypatch, reg, query, pruning=False)
     assert (out, constraints, transformed) == full[:3]
-    assert calls < full[3]
+    if query.startswith(DUPLICATION):  # the per-item path: every item is checked
+        assert calls == full[3] > 0
+        assert json.loads(out)["p"] == [{"a": "r", "b": "v"}]
+        assert json.loads(out)["q"] == [{"a": "r", "bs": ["v"]}]
+    else:
+        assert calls < full[3]
     if docset is None and query == T.PEOPLE_JOBS.text:
         assert sorted(json.loads(out)["staff"], key=str) == sorted(
             ({"name": p["name"], "title": j["title"]} for p in PEOPLE for j in JOBS
@@ -753,16 +764,11 @@ def test_key_directed_distribution_records_what_the_full_scan_records(monkeypatc
 
 
 def _full_scan(self, head, arr):
-    """`Transformer.allowed` as a scan of the whole array: every item whose
-    element id some candidate set names is checked, in array order."""
-    cs, items = self.constraints, arr.items
-    fps = [footprint(item) for item in items]
-    ids = {item.elem_id for item in items}
-    under = set().union(*(fp - {item.elem_id} for item, fp in zip(items, fps)))
-    picks = [c.picks(head) for c in cs]
-    named = ids.intersection(*(c.candidates(ids, under)(p)[0] for c, p in zip(cs, picks)))
-    return [item for item, fp in zip(items, fps)
-            if item.elem_id in named and all(c.allows(p, fp) for c, p in zip(cs, picks))]
+    """`Transformer.allowed` as a scan of the whole array: every item is
+    checked with `allows`, in array order."""
+    heads = [c.picks(head) for c in self.constraints]
+    return [item for item in arr.items
+            if all(c.allows(h, c.picks(footprint(item))) for c, h in zip(self.constraints, heads))]
 
 
 @pytest.mark.parametrize("cond", ["$h = $b", "not ($a = $b)", "$a = $b and $h = $a"])
@@ -783,9 +789,9 @@ def test_distribution_over_a_flattened_array_visits_every_spliced_item(monkeypat
         r = filter_result(match_value(pattern, doc), source, where, constraints)
         allows, descend = Constraint.allows, Transformer._descend
 
-        def spy_allows(self, head, tokens):
-            calls.append(tokens)
-            return allows(self, head, tokens)
+        def spy_allows(self, head, item):
+            calls.append(item)
+            return allows(self, head, item)
 
         def spy_descend(self, step, t, r, path, ctx=frozenset()):
             out = descend(self, step, t, r, path, ctx)
@@ -801,8 +807,8 @@ def test_distribution_over_a_flattened_array_visits_every_spliced_item(monkeypat
         return _with_ids(out), calls, seen
 
     got, want = run(Transformer.allowed), run(_full_scan)
-    assert got == want
-    out, calls, seen = got
+    assert got[0] == want[0] and got[2] == want[2]  # output and ids
+    _, calls, seen = want
     assert calls and len(set(seen)) < len(seen)  # constraints checked, ids repeated
 
 

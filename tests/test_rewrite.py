@@ -1,5 +1,5 @@
 import random
-from collections import deque
+from collections import Counter, deque
 from decimal import Decimal
 
 import pytest
@@ -13,7 +13,7 @@ from jpq.errors import (
     ShapeMismatchError,
 )
 from jpq.filtering import compile_where, filter_result, resolve_options
-from jpq.matching import MArray, MBind, MTuple, footprint, succeeded
+from jpq.matching import MArray, MBind, MOption, MTuple, footprint, succeeded
 from jpq.model import key
 from jpq.rewrite import (
     RULES,
@@ -639,13 +639,27 @@ def test_indexed_allows_agrees_with_a_linear_footprint_scan():
             # the tokens split into a head and an item, which at times share one
             head = frozenset(t for t in tokens if split.random() < 0.5)
             item = (tokens - head) | {t for t in head if split.random() < 0.2}
-            assert c.allows(c.picks(head), item) == linear_allows(c, tokens), (c, head, item)
+            assert c.allows(c.picks(head), c.picks(item)) == linear_allows(c, tokens), (c, head, item)
         assert c == Constraint(c.footprints, c.groups, c.option_universe)
 
 
-def test_candidates_hold_every_item_allows_beside_the_head():
+def _item(x, inner) -> MTuple:
+    """An item of element id `x` holding the element ids and branch tokens `inner`."""
+    parts = []
+    for tok in inner:
+        if isinstance(tok, tuple):  # ("b", branch id): the only branch, taken
+            parts.append(MOption([MTuple([])], None, [tok[1]]))
+        else:
+            parts.append(MTuple([]))
+            parts[-1].elem_id = tok
+    item = MTuple(parts)
+    item.elem_id = x
+    return item
+
+
+def test_candidates_hold_every_item_allows_beside_the_head(monkeypatch):
     rng = random.Random(5)
-    pruned = exacts = 0
+    paths, allows = Counter(), Constraint.allows
     for _ in range(400):
         tokens = list(range(24))
         rng.shuffle(tokens)
@@ -667,18 +681,16 @@ def test_candidates_hold_every_item_allows_beside_the_head():
         for _ in range(rng.randint(1, 6)):
             inner = rng.sample(tokens + branches, rng.randint(0, 2)) if rng.random() < 0.2 else []
             x = rng.choice(pool)
-            items.append((x, frozenset([x, *inner])))
+            items.append(_item(x, inner))
+            assert footprint(items[-1]) == {x, *inner}
         head = frozenset(rng.sample(tokens + branches + [101], rng.randint(0, 3)))
-        ids = {x for x, _ in items}
-        under = set().union(*(fp - {x} for x, fp in items))
-        picks = c.picks(head)
-        named, exact = c.candidates(ids, under)(picks)
-        for x, fp in items:
-            if c.allows(picks, fp):
-                assert x in named, (c, head, items)
-            elif exact:  # then `allows` is not asked: it must admit every item named
-                assert x not in named, (c, head, items)
-        pruned += named < ids
-        exacts += exact
-    assert pruned > 30  # not every draw falls back to the full scan
-    assert exacts > 100  # nor does every draw need `allows`
+        calls = []
+        with monkeypatch.context() as m:
+            m.setattr(Constraint, "allows", lambda self, *a: calls.append(a) or allows(self, *a))
+            kept = Transformer([c]).allowed(head, MArray(items))
+        # the items kept, by position: spliced items may share an id
+        want = [item for item in items if linear_allows(c, head | footprint(item))]
+        assert [id(item) for item in kept] == [id(item) for item in want], (c, head, items)
+        paths["per item" if calls else "open" if c.picks(head).open else "index"] += 1
+    assert paths["index"] > 200  # most heads take their items from the index
+    assert paths["per item"] > 100  # and a head picking from the items' groups checks each
