@@ -317,9 +317,9 @@ def shaped(r: MatchResult, t: Term) -> MatchResult:
 
 
 def footprint(r: MatchResult) -> frozenset:
-    """Identity tokens under r: element ids, plus a branch token for each
-    surviving option branch, which is the branch taken once options are
-    resolved."""
+    """Identity tokens of what r chose: element ids and a branch token for each
+    surviving (once resolved, taken) option branch.  It stops at arrays: an
+    array gives its own id, never its items', which distribution pairs."""
     tokens: set = set()
     _collect_footprint(r, tokens)
     return frozenset(tokens)
@@ -328,7 +328,7 @@ def footprint(r: MatchResult) -> frozenset:
 def _collect_footprint(r: MatchResult, tokens: set) -> None:
     if r.elem_id is not None:
         tokens.add(r.elem_id)
-    if isinstance(r, (MTuple, MArray)):
+    if isinstance(r, MTuple):
         for s in r.items:
             _collect_footprint(s, tokens)
     elif isinstance(r, MOption):

@@ -468,20 +468,19 @@ def projected_source(source: Term, target: Term) -> Term:
     return project(source, var_set(target))
 
 
-def infer_route(
-    source: Term,
-    target: Term,
-    max_depth: int = 14,
-    max_states: int = 200_000,
-) -> RewriteRoute:
+MAX_DEPTH = 14  # the steps of a route the search may find
+MAX_STATES = 200_000  # the states one search may admit
+
+
+def infer_route(source: Term, target: Term) -> RewriteRoute:
     """A route whose replay from the (projected) source yields a term matching
     the target.  Breadth-first, one level per route length, each level in the
     order its states were found and each state's steps in canonical order, so
     the first route found is the shallowest, rule-order-least one and explain
     output is deterministic.  Raises InvalidConstructionError when a level
     admits no new state (the space is exhausted without a hit), and
-    SearchBoundExceededError when a route would need more than `max_depth`
-    steps or the whole search more than `max_states` admitted states."""
+    SearchBoundExceededError when a route would need more than `MAX_DEPTH`
+    steps or the whole search more than `MAX_STATES` admitted states."""
     if var_set(target) - var_set(source):
         raise _invalid(source, target)
     source = projected_source(source, target)
@@ -508,7 +507,7 @@ def infer_route(
         return SearchBoundExceededError(
             f"route search exhausted its budget transforming {render(source)} "
             f"into {render(target)}: {admitted} states admitted "
-            f"(max_states {max_states}), depth {depth} reached (max_depth {max_depth})"
+            f"(max_states {MAX_STATES}), depth {depth} reached (max_depth {MAX_DEPTH})"
         )
 
     room = room_of(source)
@@ -518,7 +517,7 @@ def infer_route(
     seen = {source}
     level = [(source, (), room)]
     admitted = 0
-    for depth in range(1, max_depth + 1):
+    for depth in range(1, MAX_DEPTH + 1):
         following = []
         for t, route, room in level:
             for step, succ in _successors(t, room):
@@ -530,14 +529,14 @@ def infer_route(
                 succ_room = room_of(succ)
                 if succ_room is None:
                     continue
-                if admitted == max_states:
+                if admitted == MAX_STATES:
                     raise exceeded(depth)
                 admitted += 1
                 following.append((succ, route + (step,), succ_room))
         if not following:
             raise _invalid(source, target)
         level = following
-    raise exceeded(max_depth)
+    raise exceeded(MAX_DEPTH)
 
 
 # ---------------------------------------------------------------------------
@@ -545,7 +544,7 @@ def infer_route(
 
 
 class Picks(NamedTuple):
-    """What one token set picks, a head's or an item's (`Constraint.picks`)."""
+    """What a head's or an item's footprint picks (`Constraint.picks`)."""
 
     open: bool  # it stands on an option branch the condition never inspected
     groups: dict  # group index -> the tokens picked from it, for each group the set meets
@@ -561,8 +560,9 @@ class Constraint:
     `option_universe` pairs, per option involved, the branch tokens the
     condition covered with all that option's branch tokens, so a combination
     standing on a branch the condition never inspected is left alone.  A
-    token set's lone pick is the only token it holds from a group; heads and
-    items are read alike, with `picks`, and paired by `allows`."""
+    token set's lone pick is the only token it holds from a group (as
+    footprints stop at arrays, no query now holds two); heads and items are
+    read alike, with `picks`, and paired by `allows`."""
 
     footprints: tuple[frozenset, ...]
     groups: tuple[frozenset, ...]
@@ -579,8 +579,8 @@ class Constraint:
     def allows(self, head: Picks, item: Picks) -> bool:
         """Whether the item may go beside the head: the pair stands on an
         uncovered branch, or some footprint holds each of the pair's lone picks.
-        Where the two pick alike from every group they share, this is whether
-        the head's footprints meet the item's (`held`, None for all)."""
+        Asked only of a head that picks from its items' groups, which no
+        query now makes."""
         if head.open or item.open:
             return True
         pair = {g: head.groups.get(g, set()) | item.groups.get(g, set())
@@ -663,9 +663,9 @@ class Transformer:
     def allowed(self, head: frozenset, arr: MArray) -> list[MatchResult]:
         """`arr`'s items every constraint allows beside the tokens `head`, in
         array order.  Each constraint's `_reading` of the items is made once
-        per step, the head's `picks` once per call.  A head that picks from a
-        group the items pick from asks `allows` of each item; any other takes
-        the items whose footprints meet its own, through the reading's index."""
+        per step, the head's `picks` once per call.  A head takes the items
+        whose footprints meet its own, through the reading's index; one that
+        picks from their groups (no query now) asks `allows` of each item."""
         items = arr.items
         if arr not in self._readings:  # keyed by identity
             fps = [footprint(item) for item in items]
@@ -708,10 +708,9 @@ class Transformer:
         it.  A tuple or option on the path is repeated once per result from
         below (an option whose branch there failed is kept as it is), and a
         non-flat array takes its items' results as its items.  `ctx` carries
-        the identity tokens chosen along the way (array elements entered,
-        option branches taken, sibling tuple components) so that operations
-        inside one element can be checked against constraints recorded over
-        the whole result."""
+        what was chosen on the way (array elements entered, option branches
+        taken, sibling tuple components' footprints) so that operations inside
+        one element are checked against constraints over the whole result."""
         if r.elem_id is not None:
             ctx = ctx | {r.elem_id}
         if not path:

@@ -32,7 +32,7 @@ from .conftest import FIXTURES, load_fixture
 from .generators import ResultBuilder, _Vars, _same, gen_document, gen_matching_pattern
 from .oracles import instantiates, render_result
 from .test_engine import EX1, EX2, EX3, EX5, EX6, run
-from .test_rewrite import bfs_reaches, term_universe
+from .test_rewrite import bfs_reaches, small_search_bounds, term_universe
 
 # the worked extraction joining president roles with school rosters
 ROLES_AND_SCHOOLS = (
@@ -120,7 +120,7 @@ def test_03_presidents_array_equals_handwritten_oracle(engine):
 
 
 @pytest.mark.slow
-def test_04_inferred_routes_match_worked_routes_and_blind_search(engine):
+def test_04_inferred_routes_match_worked_routes_and_blind_search(engine, monkeypatch):
     merge = [s.describe() for s in engine.plan(parse_query(EX1)).route]
     assert merge == [
         "option-tuple-distribution @ 0",
@@ -135,6 +135,7 @@ def test_04_inferred_routes_match_worked_routes_and_blind_search(engine):
     from jpq.errors import InvalidConstructionError, SearchBoundExceededError
     from jpq.rewrite import infer_route
 
+    small_search_bounds(monkeypatch)
     disagreements = []
     for source in term_universe():
         for target in term_universe():
@@ -142,7 +143,7 @@ def test_04_inferred_routes_match_worked_routes_and_blind_search(engine):
                 continue
             reachable = bfs_reaches(projected_source(source, target), target, depth=3)
             try:
-                route = infer_route(source, target, max_depth=6, max_states=50_000)
+                route = infer_route(source, target)
             except (InvalidConstructionError, SearchBoundExceededError):
                 if reachable:
                     disagreements.append((source, target))

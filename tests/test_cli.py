@@ -750,14 +750,20 @@ REPEATED = ('from doc("d") {"xs":[{"a":$a,"bs":[$b]}]} '
             'construct {"p":[^[{"a":$a,"b":$b}]],"q":[{"a":$a,"bs":[$b]}]} where ')
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "the copy that tuple duplication distributes carries the other copy's tokens, so "
-    "the head requires lone picks from two items' arrays that no one satisfied "
-    "assignment holds together, and every pair of `p` is dropped"))
-@pytest.mark.parametrize("where, holds", [('$b != "w"', lambda a, b: b != "w"),
-                                          ('$b = "u"', lambda a, b: b == "u")],
-                         ids=["b-not-w", "b-is-u"])
-def test_a_construction_repeating_its_variables_keeps_every_admitted_pair(tmp_path, where, holds):
+# where clause -> what it asks of one (a, b) pair of the raw JSON
+REPEATED_WHERES = {
+    '$b != "w"': lambda a, b: b != "w",
+    '$b = "u"': lambda a, b: b == "u",
+    '$b = "v"': lambda a, b: b == "v",
+    '$a = "r"': lambda a, b: a == "r",
+    'not ($a = "q") and $b != "u"': lambda a, b: a != "q" and b != "u",
+}
+
+
+@pytest.mark.parametrize("where", REPEATED_WHERES,
+                         ids=["b-not-w", "b-is-u", "b-is-v", "a-is-r", "not-q-and-b-not-u"])
+def test_a_construction_repeating_its_variables_keeps_every_admitted_pair(tmp_path, where):
+    holds = REPEATED_WHERES[where]
     # the oracle, over the raw JSON: each x keeps the bs an assignment satisfies,
     # and an x left with none is dropped; `p` pairs each kept b with its x's a
     kept = [(x["a"], [b for b in x["bs"] if holds(x["a"], b)]) for x in DUPLICATED["xs"]]
@@ -766,3 +772,27 @@ def test_a_construction_repeating_its_variables_keeps_every_admitted_pair(tmp_pa
     assert (code, err) == (EXIT_OK, "")
     assert json.loads(out) == {"p": [{"a": a, "b": b} for a, bs in kept for b in bs],
                                "q": [{"a": a, "bs": bs} for a, bs in kept]}
+
+
+# -- a sibling option restricts distribution ---------------------------------------------
+
+SIBLING_OPTION = ('from doc("d") {"president":(<$p1,{"ID":$id1}>|[<$p2,{"ID":$id2}>]),'
+                  '"schools":[{"name":$n,"faculty":[{"ID":$id3}]}]} '
+                  'construct {"p":($p1|[$p2]),"pairs":[^[{"n":$n,"id":$id3}]]} '
+                  'where $id1 = $id3 par $id2 = $id3')
+_SCHOOLS = [{"name": "S", "faculty": [{"ID": "1"}, {"ID": "2"}]}, {"name": "T", "faculty": [{"ID": "3"}]}]
+# one document per branch of the president option
+SIBLING_DOCS = {"one": {"president": {"ID": "1"}, "schools": _SCHOOLS},
+                "array": {"president": [{"ID": "2"}, {"ID": "3"}], "schools": _SCHOOLS}}
+
+
+@pytest.mark.parametrize("doc", SIBLING_DOCS.values(), ids=SIBLING_DOCS.keys())
+def test_a_sibling_option_restricts_distribution_to_its_taken_branch(tmp_path, doc):
+    # the option beside the distributed schools takes one branch per document;
+    # the faculty kept are those whose ID the taken branch names, in document order
+    president = doc["president"]
+    ids = {p["ID"] for p in president} if isinstance(president, list) else {president["ID"]}
+    code, out, err = run_on(tmp_path, json.dumps(doc), SIBLING_OPTION)
+    assert (code, err) == (EXIT_OK, "")
+    assert json.loads(out) == {"p": president, "pairs": [
+        {"n": s["name"], "id": f["ID"]} for s in doc["schools"] for f in s["faculty"] if f["ID"] in ids]}

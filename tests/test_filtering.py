@@ -34,7 +34,7 @@ from jpq.terms import ArrayT, OptionT, TupleT, Var, optioned
 
 from . import stages
 from .generators import _same
-from .test_cli import DUPLICATED
+from .test_cli import DUPLICATED, REPEATED, REPEATED_WHERES
 from .test_golden import T, document_sets, gen
 from .test_matching import _options
 
@@ -712,8 +712,8 @@ PEOPLE = [{"id": "p0", "name": "A"}, {"id": "p1", "name": "B"}, {"id": "p2", "na
           {"id": "p1", "name": "D"}]
 JOBS = [{"pid": "p1", "title": "dean"}, {"pid": "x9", "title": "chair"},
         {"pid": "p1", "title": "clerk"}, {"pid": "p0", "title": "head"}, {"pid": "p7", "title": "x"}]
-# a construction that repeats its variables: the copy distributed is a head that
-# picks from the group its items pick from, so each item is checked with `allows`
+# a construction that repeats its variables: the copy beside the distributed head
+# stands for its element only, so the head picks nothing from its items' group
 DUPLICATION = ('from doc("dup") {"xs":[{"a":$a,"bs":[$b]}]} '
                'construct {"p":[^[{"a":$a,"b":$b}]],"q":[{"a":$a,"bs":[$b]}]} where ')
 
@@ -749,18 +749,43 @@ def test_key_directed_distribution_records_what_the_full_scan_records(monkeypatc
     # outputs, element ids and constraints equal, in the same order
     full = _distributed(monkeypatch, reg, query, pruning=False)
     assert (out, constraints, transformed) == full[:3]
-    if query.startswith(DUPLICATION):  # the per-item path: every item is checked
-        assert calls == full[3] > 0
+    assert calls < full[3]
+    if query.startswith(DUPLICATION):
         assert json.loads(out)["p"] == [{"a": "r", "b": "v"}]
         assert json.loads(out)["q"] == [{"a": "r", "bs": ["v"]}]
-    else:
-        assert calls < full[3]
     if docset is None and query == T.PEOPLE_JOBS.text:
         assert sorted(json.loads(out)["staff"], key=str) == sorted(
             ({"name": p["name"], "title": j["title"]} for p in PEOPLE for j in JOBS
              if p["id"] == j["pid"]),
             key=str,
         )
+
+
+def test_no_token_set_distribution_reads_picks_two_tokens_from_one_group(monkeypatch):
+    # a footprint stops at arrays, so a head, an item or the context beside
+    # them picks at most one token from each group, and no pair needs `allows`
+    engine = Engine(DocRegistry())  # one engine: a query is planned once for every set
+    engine.registry.register("d", parse_document(json.dumps(DUPLICATED)))
+    for s, docs in document_sets().items():
+        for name, text in docs.items():
+            engine.registry.register(f"{s}/{name}", parse_document(text))
+    queries = [t.query({d: f"{s}/{d}" for d in t.docs}) for t in (T.EX3, T.EX5, T.EX5_DEAN, T.ARRAY_BRANCH)
+               for s in ("fixture", "univ-6x5")]
+    queries += [T.PEOPLE_JOBS.query({d: f"people-jobs-30/{d}" for d in T.PEOPLE_JOBS.docs})]
+    queries += [REPEATED + where for where in REPEATED_WHERES]
+    picks, read, twice, allowed = Constraint.picks, [], [], []
+
+    def spy_picks(self, tokens):
+        p = picks(self, tokens)
+        read.append(p)
+        twice.extend(chosen for chosen in p.groups.values() if len(chosen) > 1)
+        return p
+
+    monkeypatch.setattr(Constraint, "picks", spy_picks)
+    monkeypatch.setattr(Constraint, "allows", lambda self, *a: allowed.append(a))
+    for query in queries:
+        engine.run(parse_query(query))
+    assert read and twice == [] and allowed == []
 
 
 def _full_scan(self, head, arr):

@@ -203,12 +203,15 @@ def test_no_option_result_has_only_failed_branches(univ):
 
 
 def test_footprint_collects_element_and_branch_tokens():
-    item = MBind("x", "v")
-    item.elem_id = 7
-    opt = MOption([MTuple([]), MFailed()], option_id=3)
-    tokens = footprint(MTuple([MArray([item]), opt]))
-    assert 7 in tokens
-    assert ("b", (3, 0)) in tokens
+    # a footprint holds the ids and taken branches outside the arrays under a
+    # result: an array stands for its own element, not for its items
+    item, arr = MBind("x", "v"), MArray([])
+    item.elem_id, arr.elem_id = 7, 5
+    arr.items.append(item)
+    taken = MTuple([MBind("y", "w")])
+    taken.elem_id = 9
+    opt = MOption([taken, MFailed()], option_id=3)
+    assert footprint(MTuple([arr, opt])) == {5, ("b", (3, 0)), 9}
 
 
 def _composites(r):

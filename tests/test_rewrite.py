@@ -4,6 +4,7 @@ from decimal import Decimal
 
 import pytest
 
+import jpq.rewrite as rewrite
 from jpq.ast import condition_scope
 from jpq.errors import (
     InvalidConstructionError,
@@ -206,6 +207,12 @@ def blind_successors(t):
                     continue
 
 
+def small_search_bounds(monkeypatch):
+    """Bound `infer_route` to routes of 6 steps and 50,000 admitted states."""
+    monkeypatch.setattr(rewrite, "MAX_DEPTH", 6)
+    monkeypatch.setattr(rewrite, "MAX_STATES", 50_000)
+
+
 def bfs_reaches(source, target, depth, size_cap=24):
     def size(t):
         return len(positions(t))
@@ -248,7 +255,8 @@ def term_universe():
 
 
 @pytest.mark.slow
-def test_route_search_agrees_with_blind_search():
+def test_route_search_agrees_with_blind_search(monkeypatch):
+    small_search_bounds(monkeypatch)
     terms = term_universe()
     checked = 0
     for source in terms:
@@ -258,7 +266,7 @@ def test_route_search_agrees_with_blind_search():
             checked += 1
             reachable = bfs_reaches(projected_source(source, target), target, depth=3)
             try:
-                route = infer_route(source, target, max_depth=6, max_states=50_000)
+                route = infer_route(source, target)
             except (InvalidConstructionError, SearchBoundExceededError):
                 assert not reachable, (render(source), render(target))
                 continue

@@ -44,7 +44,7 @@ from jpq.terms import (
 )
 
 from .test_engine import EX1, EX2, EX3, EX4, EX5, EX6
-from .test_rewrite import bfs_reaches, term_universe
+from .test_rewrite import bfs_reaches, small_search_bounds, term_universe
 
 _PRESIDENTS = '/"?president?":(<$p1,{"ID":$id1}>|[<$p2,{"ID":$id2}>])'
 EX5_DEAN = (
@@ -228,8 +228,8 @@ def test_query_routes_equal_the_deepening_routes(text):
     assert infer_route(source, target) == expected
 
 
-def test_universe_routes_equal_the_deepening_routes_or_are_proved_unreachable():
-    bounds = {"max_depth": 6, "max_states": 50_000}
+def test_universe_routes_equal_the_deepening_routes_or_are_proved_unreachable(monkeypatch):
+    small_search_bounds(monkeypatch)
     terms = term_universe()
     routed = proved = 0
     for source in terms:
@@ -237,8 +237,8 @@ def test_universe_routes_equal_the_deepening_routes_or_are_proved_unreachable():
             if var_set(target) - var_set(source):
                 continue
             pair = (render(source), render(target))
-            expected = outcome(deepening_route, source, target, **bounds)
-            got = outcome(infer_route, source, target, **bounds)
+            expected = outcome(deepening_route, source, target, max_depth=6, max_states=50_000)
+            got = outcome(infer_route, source, target)
             if expected is SearchBoundExceededError and got is InvalidConstructionError:
                 assert not bfs_reaches(projected_source(source, target), target, depth=4), pair
                 proved += 1
@@ -263,11 +263,15 @@ def test_doubly_flattened_groupby_gets_a_verdict_within_20000_rule_applications(
     assert 0 < calls["apply_rule"] < 20_000
 
 
-def test_budget_message_reports_states_admitted_and_depth_reached():
+def test_budget_message_reports_states_admitted_and_depth_reached(monkeypatch):
     source, target = shape(EX5)
-    with pytest.raises(SearchBoundExceededError) as e:
-        infer_route(source, target, max_states=10)
+    with monkeypatch.context() as m:
+        m.setattr(rewrite, "MAX_STATES", 10)
+        with pytest.raises(SearchBoundExceededError) as e:
+            infer_route(source, target)
     assert "10 states admitted (max_states 10), depth 2 reached" in str(e.value)
-    with pytest.raises(SearchBoundExceededError) as e:
-        infer_route(source, target, max_depth=3)
+    with monkeypatch.context() as m:
+        m.setattr(rewrite, "MAX_DEPTH", 3)
+        with pytest.raises(SearchBoundExceededError) as e:
+            infer_route(source, target)
     assert "depth 3 reached (max_depth 3)" in str(e.value)
