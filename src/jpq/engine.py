@@ -1,16 +1,16 @@
 """Query execution: match, filter, resolve, restructure, build.
 
-The engine owns a document registry; `run` takes a parsed query and returns
-the constructed Value, `explain` describes the plan (matching term, backbone,
-inferred route).  A plan depends on the query's matching term,
-construction and where clause alone: it holds the route, the terms the route
-passes through, the source subterms option resolution enters and their
-projections onto the backbone's variables, the where clause compiled against
-the matching term, and the construction compiled against the route's last
-term.  Each engine keeps its plans, keyed by (matching term, construction
-text, where text), so a query is planned and compiled once per engine,
-whatever documents are loaded later; queries of one (projected matching
-term, backbone) shape share one route search.
+The engine owns a document registry; `stages` yields a run's stage results,
+`run` drains them for the constructed Value, and `explain` describes the
+plan (matching term, backbone, inferred route).  A plan depends on the
+query's matching term, construction and where clause alone: it holds the
+route, the terms the route passes through, the source subterms option
+resolution enters and their projections onto the backbone's variables, the
+where clause compiled against the matching term, and the construction
+compiled against the route's last term.  Each engine keeps its plans, keyed
+by (matching term, construction text, where text), so a query is planned and
+compiled once per engine, whatever documents are loaded later; queries of
+one (projected matching term, backbone) shape share one route search.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import Iterator, Optional
 from . import ast as A
 from .construct import Build, build, build_empty, compile_construction
 from .filtering import Where, compile_where, filter_result, resolve_options
-from .matching import MatchResult, Matcher, MFailed, _combine, succeeded
+from .matching import Matcher, MFailed, _combine, succeeded
 from .model import DocRegistry, Value
 from .rewrite import (
     Constraint,
@@ -94,31 +94,36 @@ class Engine:
         self._routes[key] = plan
         return plan
 
-    def _match(self, q: A.QueryAst, ids: Iterator[int]) -> MatchResult:
-        matcher = Matcher(ids)
-        parts = []
-        for name, pattern in q.sources:
-            doc = self.registry.lookup(name)
-            parts.append((pattern.term, matcher.match_value(pattern, doc)))
-        if any(not succeeded(r) for _, r in parts):
-            return MFailed()
-        return _combine(parts)
-
-    def run(self, q: A.QueryAst) -> Value:
+    def stages(self, q: A.QueryAst) -> Iterator[tuple[str, object]]:
+        """The run of q, one stage at a time: yields (stage name, its result)
+        after each of match, filter, project (option resolution and the
+        projection onto the backbone's variables), transform and build.  A
+        failed match, or one the filter fails, goes straight to build."""
         plan = self.plan(q)
-        source = plan.source_term
         ids = itertools.count(1)  # one identity space for the whole run
-        result = self._match(q, ids)
+        matcher = Matcher(ids)
+        parts = [(p.term, matcher.match_value(p, self.registry.lookup(d))) for d, p in q.sources]
+        result = _combine(parts) if all(succeeded(r) for _, r in parts) else MFailed()
+        del parts  # holds the match's trees, which the filter may replace
+        yield "match", result
         constraints: list[Constraint] = []
         if plan.where is not None:
-            result = filter_result(result, source, plan.where, constraints)
-        result = resolve_options(result, source, plan.options)
+            result = filter_result(result, plan.source_term, plan.where, constraints)
+        yield "filter", result
+        result = resolve_options(result, plan.source_term, plan.options)
         if not succeeded(result):
-            return build_empty(q.construct)
-        projected = project_result(result, source, plan.shown)
-        transformer = Transformer(constraints, ids)
-        transformed = transformer.transform(projected, plan.terms, plan.route)
-        return build(q.construct, plan.build, transformed)
+            yield "build", build_empty(q.construct)
+            return
+        result = project_result(result, plan.source_term, plan.shown)
+        yield "project", result
+        result = Transformer(constraints, ids).transform(result, plan.terms, plan.route)
+        yield "transform", result
+        yield "build", build(q.construct, plan.build, result)
+
+    def run(self, q: A.QueryAst) -> Value:
+        for _, value in self.stages(q):
+            pass
+        return value
 
     def explain(self, q: A.QueryAst) -> str:
         return self.plan(q).describe()

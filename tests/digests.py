@@ -1,5 +1,5 @@
-"""A digest of each of a fixed set of query runs, to show which runs a
-change to the engine alters.
+"""A digest of each of a fixed set of query runs, checked against the
+committed `tests/digests.txt` to show which runs a change alters.
 
 A run's digest is the SHA-1 of its `--explain` text and serialized output,
 or of its error's type and message.  The runs are:
@@ -11,12 +11,16 @@ or of its error's type and message.  The runs are:
 - the queries `tests/test_cli.py` checks against raw-JSON oracles over a
   construction that repeats its variables and over a sibling option.
 
-From the repository root:
+`tests/digests.txt` holds the digests of the current engine, and
+`tests/test_digests.py` fails, naming the runs that differ, when a change
+alters one.  From the repository root,
 
-    PYTHONPATH=src python3 -m tests.digests > digests.txt
+    PYTHONPATH=src python3 -m tests.digests | diff tests/digests.txt -
 
-prints one `label<TAB>sha1` line per run, sorted by label; `diff` the
-files made before and after a change to list the runs it alters.
+prints one `label<TAB>sha1` line per run, sorted by label, and lists the
+runs that differ from the file.  A change meant to alter outputs writes
+the file anew (`> tests/digests.txt`), so that its diff shows exactly
+which runs moved.
 """
 
 from __future__ import annotations

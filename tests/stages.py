@@ -1,9 +1,9 @@
 """CPU time per pipeline stage of one query, in process.
 
-`stage_times` runs a query as `Engine.run` does, stage by stage, and times
-each stage with `time.process_time`; `best_times` keeps each stage's best
-over repeated runs with the garbage collector off, the sizes taken in turn
-so that a slow spell of the machine falls on all of them alike.  The
+`stage_times` reads `time.process_time` at each stage `Engine.stages`
+yields and after serializing; `best_times` keeps each stage's best over
+repeated runs with the garbage collector off, the sizes taken in turn so
+that a slow spell of the machine falls on all of them alike.  The
 documents are `bench/gen.py`'s seeded ones.  From the repository root:
 
     PYTHONPATH=src python3 -m tests.stages EX3-self-join 16x16 50x40 150x40
@@ -16,17 +16,12 @@ from __future__ import annotations
 
 import argparse
 import gc
-import itertools
 import random
 import time
 
-from jpq.construct import build, build_empty
 from jpq.engine import Engine
-from jpq.filtering import filter_result, resolve_options
-from jpq.matching import succeeded
 from jpq.model import DocRegistry, parse_document, serialize
 from jpq.parser import parse_query
-from jpq.rewrite import Transformer, project_result
 
 from .test_golden import T, gen
 
@@ -49,37 +44,16 @@ def registry(template, size: str, seed: int = 3) -> DocRegistry:
 
 
 def stage_times(engine: Engine, text: str) -> tuple[dict[str, float], str]:
-    """Seconds of CPU per stage of one run of the query, and its output."""
+    """Seconds of CPU per stage of one run of the query, and its output.  A
+    stage the run skips (after a failed match or filter) reads 0."""
     q = parse_query(text)
-    plan = engine.plan(q)
-    times, clock = {}, time.process_time
-    start = clock()
-
-    def lap(stage: str) -> None:
-        nonlocal start
-        now = clock()
+    engine.plan(q)  # planned before the clock starts
+    times, start = dict.fromkeys(STAGES, 0.0), time.process_time()
+    for stage, value in engine.stages(q):
+        now = time.process_time()
         times[stage], start = now - start, now
-
-    ids = itertools.count(1)
-    r = engine._match(q, ids)
-    lap("match")
-    constraints: list = []
-    if plan.where is not None:
-        r = filter_result(r, plan.source_term, plan.where, constraints)
-    lap("filter")
-    r = resolve_options(r, plan.source_term, plan.options)
-    if succeeded(r):
-        r = project_result(r, plan.source_term, plan.shown)
-        lap("project")
-        r = Transformer(constraints, ids).transform(r, plan.terms, plan.route)
-        lap("transform")
-        value = build(q.construct, plan.build, r)
-    else:
-        times.update(project=0.0, transform=0.0)
-        value = build_empty(q.construct)
-    lap("build")
     out = serialize(value)
-    lap("serialize")
+    times["serialize"] = time.process_time() - start
     return times, out
 
 

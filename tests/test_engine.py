@@ -10,6 +10,7 @@ from collections import Counter
 import pytest
 
 from jpq import Engine, DocRegistry, parse_document, parse_query, serialize
+from jpq.construct import build_empty
 from jpq.errors import (
     InvalidCompositionError,
     InvalidConstructionError,
@@ -55,6 +56,17 @@ def run(engine, text):
     return serialize(engine.run(parse_query(text)))
 
 
+EVERY_STAGE = ("match", "filter", "project", "transform", "build")
+
+
+def staged(engine, q):
+    """The stage names `Engine.stages` yields for q, and the last value,
+    which `run` returns."""
+    names, values = zip(*engine.stages(q))
+    assert serialize(engine.run(q)) == serialize(values[-1])
+    return names, values[-1]
+
+
 def test_roles_merge_objects_and_array_members_into_one_array(engine):
     assert run(engine, EX1) == (
         '{"presidents":['
@@ -65,6 +77,7 @@ def test_roles_merge_objects_and_array_members_into_one_array(engine):
         '{"role":"vice-presidents","info":{"ID":"0003","surname":"Zhou",'
         '"givenname":"CB","email":"cbzhou@123.edu"}}]}'
     )
+    assert staged(engine, parse_query(EX1))[0] == EVERY_STAGE  # no where clause
 
 
 def test_grouping_faculty_by_id_ascending(engine):
@@ -140,6 +153,7 @@ def test_or_across_option_branches_is_rejected_with_par_hint(engine):
 
 def test_sequential_filtering_counts_only_surviving_members(engine):
     assert run(engine, EX6) == '{"result":[{"school":"Math School"}]}'
+    assert staged(engine, parse_query(EX6))[0] == EVERY_STAGE
 
 
 def test_filtered_out_everything_builds_the_empty_shape(engine):
@@ -148,11 +162,18 @@ def test_filtered_out_everything_builds_the_empty_shape(engine):
         'construct {"result":[{"school":$n}],"tag":"x"} where $n = "nope"'
     )
     assert serialize(engine.run(q)) == '{"result":[],"tag":"x"}'
+    assert staged(engine, q)[0] == EVERY_STAGE  # the array is left empty, not failed
+    # a filter that fails the whole match leaves nothing to project or transform
+    q = parse_query('from doc("univ") {"president":{"ID":$i}} construct {"who":$i} where $i = "nope"')
+    names, value = staged(engine, q)
+    assert names == ("match", "filter", "build")
+    assert serialize(value) == serialize(build_empty(q.construct)) == '{"who":null}'
 
 
 def test_unmatched_pattern_builds_the_empty_shape(engine):
     q = parse_query('from doc("univ") {"provost":$p} construct {"who":$p}')
     assert serialize(engine.run(q)) == '{"who":null}'
+    assert staged(engine, q)[0] == ("match", "filter", "build")
 
 
 GROUPED = 'from doc("univ") {"schools":[{"name":$n,"faculty":[{"ID":$id}]}]} construct '

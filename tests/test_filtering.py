@@ -1,5 +1,4 @@
 import io
-import itertools
 import json
 import random
 import sys
@@ -288,9 +287,7 @@ def test_resolved_options_keep_exactly_one_branch():
             if set(docs) != set(template.docs):
                 continue
             q = parse_query(template.query({d: f"{set_name}/{d}" for d in docs}))
-            r = engine._match(q, itertools.count(1))
-            if q.where is not None:
-                r = filter_result(r, q.term, compile_where(q.where, q.term))
+            r = next(r for stage, r in engine.stages(q) if stage == "filter")
             for opt in _options(resolve_options(r, q.term, optioned(q.term))):
                 options += 1
                 assert sum(map(succeeded, opt.branches)) == 1, template.name
