@@ -315,6 +315,12 @@ class QueryAst:
         """The matching term of all sources, derived once per query."""
         return query_matching_term(self)
 
+    @cached_property
+    def texts(self) -> tuple[str, Optional[str]]:
+        """The construction and the where clause as text, unparsed once per query."""
+        where = None if self.where is None else unparse_condition(self.where)
+        return unparse_construction(self.construct), where
+
 
 # ---------------------------------------------------------------------------
 # variable inventory

@@ -8,8 +8,9 @@ route, the terms the route passes through, the source subterms option
 resolution enters and their projections onto the backbone's variables, the
 where clause compiled against the matching term, and the construction
 compiled against the route's last term.  Each engine keeps its plans, keyed
-by (matching term, construction text, where text), so a query is planned and
-compiled once per engine, whatever documents are loaded later; queries of
+by (matching term, construction text, where text), all three derived once
+per query, so a query is planned and compiled once per engine, whatever
+documents are loaded later, and a warm lookup unparses nothing; queries of
 one (projected matching term, backbone) shape share one route search.
 """
 
@@ -76,8 +77,7 @@ class Engine:
         """The query's plan; a failed search is not kept.  A new plan takes
         its route from a kept plan of the same shape, if there is one."""
         # text, not the Condition: dataclass equality takes `1` for `true`
-        where = None if q.where is None else A.unparse_condition(q.where)
-        key = (q.term, A.unparse_construction(q.construct), where)
+        key = (q.term, *q.texts)
         plan = self._routes.pop(key, None)  # re-inserted last: LRU order
         if plan is None:
             source, target = q.term, q.construct.backbone

@@ -13,12 +13,18 @@ Concrete syntax notes (the abstract syntax leaves these open):
     parentheses override.  After `|`, a branch that looks like `key : ...`
     continues a key-value option, anything else a value option.
   - `#` starts a line comment.
+
+`parse_query` keeps the queries of the last PARSE_CACHE_SIZE texts it parsed,
+per process: a QueryAst is immutable and depends on its text alone, so a
+repeated text returns the same object, tokenized, parsed and validated once.
+A text that fails is never kept; it raises its QueryError on every call.
 """
 
 from __future__ import annotations
 
 import re
 from decimal import Decimal, InvalidOperation
+from functools import lru_cache
 from typing import NoReturn, Optional
 
 from . import ast as A
@@ -533,5 +539,10 @@ def parse_construction(text: str) -> A.ConstructionPattern:
     return _parse(text, Parser._construct_top, "construction")
 
 
+# query texts whose parse is kept; beyond this many, the least recently used is dropped
+PARSE_CACHE_SIZE = 128
+
+
+@lru_cache(maxsize=PARSE_CACHE_SIZE)
 def parse_query(text: str) -> A.QueryAst:
     return _parse(text, Parser.query, "query")  # a QueryAst validates itself

@@ -555,13 +555,18 @@ def test_restructuring_never_mints_a_matched_id(engine, monkeypatch):
 def test_a_query_is_validated_once_however_often_it_is_planned(engine, monkeypatch):
     from jpq import ast as A
 
-    calls = []
-    validate = A.validate_query
+    calls, unparsed = [], []
+    validate, unparse = A.validate_query, A.unparse_construction
     monkeypatch.setattr(A, "validate_query", lambda q: calls.append(q) or validate(q))
+    parse_query.cache_clear()  # an earlier test may have parsed EX2
     q = parse_query(EX2)
+    assert parse_query(EX2) is q  # a repeated text is parsed once
     engine.explain(q)
+    monkeypatch.setattr(A, "unparse_construction", lambda c: unparsed.append(c) or unparse(c))
+    engine.plan(q)  # a warm plan lookup reads the texts the query keeps
     engine.run(q)
     assert calls == [q]
+    assert unparsed == []
 
 
 def mutate(rng, text, alphabet):
@@ -589,18 +594,47 @@ def mutated_queries():
 
 
 def test_mutated_queries_fail_only_with_typed_errors(engine):
+    from jpq.ast import QueryAst
     from jpq.errors import JpqError
+
+    def outcome(text):
+        try:
+            return parse_query(text)
+        except JpqError as e:
+            return type(e), str(e)
 
     parsed = 0
     for text in itertools.islice(mutated_queries(), 1500):
-        try:
-            q = parse_query(text)
+        first = outcome(text)
+        again = outcome(text)  # a kept parse is the same object; an error is raised anew
+        assert again is first if isinstance(first, QueryAst) else again == first, text
+        if isinstance(first, QueryAst):
             parsed += 1
-            engine.explain(q)
-            engine.run(q)
-        except JpqError:
-            pass
+            try:
+                engine.explain(first)
+                engine.run(first)
+            except JpqError:
+                pass
     assert parsed > 100  # the edits reach planning and running, not only the lexer
+
+
+def test_the_parse_cache_keeps_only_the_most_recent_texts(monkeypatch):
+    from jpq import ast as A
+    from jpq.parser import PARSE_CACHE_SIZE
+
+    calls = []
+    validate = A.validate_query
+    monkeypatch.setattr(A, "validate_query", lambda q: calls.append(q) or validate(q))
+    parse_query.cache_clear()
+    texts = [f'from doc("d") $x construct {{"r{i}":$x}}' for i in range(PARSE_CACHE_SIZE + 1)]
+    for text in texts:
+        parse_query(text)
+    assert len(calls) == PARSE_CACHE_SIZE + 1
+    parse_query(texts[-1])  # kept: nothing is validated
+    assert len(calls) == PARSE_CACHE_SIZE + 1
+    again = parse_query(texts[0])  # the least recently used text was dropped: parsed anew
+    assert len(calls) == PARSE_CACHE_SIZE + 2 and calls[-1] is again
+    assert again == calls[0] and again is not calls[0]
 
 
 def test_a_deeply_nested_array_pattern_costs_linear_time():

@@ -170,9 +170,10 @@ DEEP = 3000  # far past Python's recursion limit
     (parse_query, 'from doc("d") ' + "[" * DEEP + "$x" + "]" * DEEP + " construct 1", "query"),
 ])
 def test_every_parse_entry_point_reports_deep_nesting_as_a_query_error(parse, text, what):
-    with pytest.raises(QueryError) as e:
-        parse(text)
-    assert str(e.value) == f"{what} nests too deeply to parse"
+    for _ in range(2):  # a failed parse is not kept: it fails alike every time
+        with pytest.raises(QueryError) as e:
+            parse(text)
+        assert str(e.value) == f"{what} nests too deeply to parse"
 
 
 CANONICAL_QUERIES = [
