@@ -607,8 +607,6 @@ def _var_paths(t: Term) -> dict[str, Path]:
 def _anchor_path(source: Term, paths: dict[str, Path], var: str) -> Path:
     """Path of the innermost array on the way to `var`: the array a count or
     quantifier over that variable ranges over."""
-    if var not in paths:
-        raise TypeError_(f"${var} is not bound by the extraction pattern")
     p = paths[var]
     anchor = None
     for cut in range(len(p)):

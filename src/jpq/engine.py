@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from . import ast as A
-from .construct import Build, build, build_empty, compile_construction
+from .construct import Build, build, compile_construction
 from .filtering import Where, compile_where, filter_result, resolve_options
 from .matching import Matcher, MFailed, _combine, succeeded
 from .model import DocRegistry, Value
@@ -31,10 +31,9 @@ from .rewrite import (
     Transformer,
     infer_route,
     project_result,
-    projection,
     replay,
 )
-from .terms import Term, optioned, render, var_set
+from .terms import Term, optioned, projection, render, var_set
 
 
 @dataclass
@@ -111,13 +110,11 @@ class Engine:
             result = filter_result(result, plan.source_term, plan.where, constraints)
         yield "filter", result
         result = resolve_options(result, plan.source_term, plan.options)
-        if not succeeded(result):
-            yield "build", build_empty(q.construct)
-            return
-        result = project_result(result, plan.source_term, plan.shown)
-        yield "project", result
-        result = Transformer(constraints, ids).transform(result, plan.terms, plan.route)
-        yield "transform", result
+        if succeeded(result):
+            result = project_result(result, plan.source_term, plan.shown)
+            yield "project", result
+            result = Transformer(constraints, ids).transform(result, plan.terms, plan.route)
+            yield "transform", result
         yield "build", build(q.construct, plan.build, result)
 
     def run(self, q: A.QueryAst) -> Value:

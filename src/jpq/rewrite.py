@@ -54,7 +54,7 @@ from .terms import (
     is_unit,
     optioned,
     positions,
-    project,
+    projection,
     render,
     replace,
     slot_code,
@@ -465,7 +465,7 @@ def _invalid(source: Term, target: Term) -> InvalidConstructionError:
 
 
 def projected_source(source: Term, target: Term) -> Term:
-    return project(source, var_set(target))
+    return projection(source, var_set(target))[source] or source
 
 
 MAX_DEPTH = 14  # the steps of a route the search may find
@@ -741,22 +741,10 @@ class Transformer:
         return out
 
 
-def projection(t: Term, keep: set) -> dict[Term, Optional[Term]]:
-    """Each subterm of t mapped to its projection onto `keep`, or to None
-    when the projection keeps it whole: it is not unit and neither it nor
-    anything below it changes."""
-    shown: dict[Term, Optional[Term]] = {}
-    for _, node in reversed(positions(t)):  # children first
-        p = project(node, keep)
-        whole = p == node and not is_unit(node) and all(shown[c] is None for c in children(node))
-        shown[node] = None if whole else p
-    return shown
-
-
 def project_result(r: MatchResult, t: Term, shown: dict[Term, Optional[Term]]) -> MatchResult:
-    """Mirror of terms.project on a match result of the matching term `t`,
-    given the projection `shown` of t's subterms (`projection`): drop the parts
-    bound to the variables it drops, collapsing exactly as the term projection
+    """Mirror of terms.projection on a match result of the matching term
+    `t`, given the projection `shown` of t's subterms: drop the parts bound
+    to the variables it drops, collapsing exactly as the term projection
     does.  A result of a subterm kept whole is returned as it is."""
     p = shown[t]
     if p is None or isinstance(r, MFailed):

@@ -56,6 +56,11 @@ class ArrayT(Term):
         return (self.elem, self.flat, self.folded) == (other.elem, other.flat, other.folded) and (
             self.index is self.elem and other.index is other.elem or self.index == other.index)
 
+    def __repr__(self) -> str:
+        """A self-index printed once, as `render` does, not once per level."""
+        index = "elem" if self.index == self.elem else repr(self.index)
+        return f"ArrayT(elem={self.elem!r}, index={index}, flat={self.flat}, folded={self.folded})"
+
 
 @dataclass(frozen=True)
 class DistinctT(Term):
@@ -107,23 +112,14 @@ def option_of(branches: list[Term]) -> Term:
 
 def var_counts(t: Term) -> Counter:
     c: Counter = Counter()
-    _count(t, c)
+    stack = [t]
+    while stack:
+        node = stack.pop()
+        if type(node) is Var:  # term classes are final
+            c[node.name] += 1
+        else:
+            stack.extend(children(node))
     return c
-
-
-def _count(t: Term, c: Counter) -> None:
-    if isinstance(t, Var):
-        c[t.name] += 1
-    elif isinstance(t, TupleT):
-        for s in t.items:
-            _count(s, c)
-    elif isinstance(t, OptionT):
-        for s in t.branches:
-            _count(s, c)
-    elif isinstance(t, ArrayT):
-        _count(t.elem, c)
-    elif isinstance(t, DistinctT):
-        _count(t.inner, c)
 
 
 def var_set(t: Term) -> set[str]:
@@ -226,32 +222,29 @@ def render(t: Term) -> str:
     raise ValueError(f"not a term: {t!r}")
 
 
-def project(t: Term, keep: set[str]) -> Term:
-    """Drop subterms binding none of `keep`; tuples collapse, arrays with a
-    variable-free element disappear.  Used to align an extraction term with a
-    construction backbone that does not mention every extracted variable."""
-    if isinstance(t, Var):
-        return t if t.name in keep else UNIT
-    if isinstance(t, TupleT):
-        return tuple_of([project(s, keep) for s in t.items])
-    if isinstance(t, OptionT):
-        projected = [project(b, keep) for b in t.branches]
-        if all(is_unit(b) for b in projected):
-            return UNIT
-        return OptionT(tuple(projected))
-    if isinstance(t, ArrayT):
-        elem = project(t.elem, keep)
-        if is_unit(elem):
-            return UNIT
-        # a self-indexed array stays one, its element projected once
-        index = elem if t.index is t.elem else t.index and project(t.index, keep)
-        if index is not None and is_unit(index):
-            index = elem
-        return ArrayT(elem, index, t.flat, t.folded)
-    if isinstance(t, DistinctT):
-        inner = project(t.inner, keep)
-        return UNIT if is_unit(inner) else DistinctT(inner)
-    raise ValueError(f"not a term: {t!r}")
+def projection(t: Term, keep: set) -> dict[Term, Optional[Term]]:
+    """Each subterm of t mapped to its projection onto `keep`, or to None
+    when the projection keeps it whole: it is not unit and neither it nor
+    anything below it changes.  The projection, which aligns an extraction
+    term with a backbone lacking some of its variables, drops what binds
+    none of `keep`: tuples collapse, an option keeps its positions, an array
+    whose element binds none disappears, and any other array is indexed by
+    its projected element, as every matching term's array is."""
+    shown: dict[Term, Optional[Term]] = {}
+    for _, node in reversed(positions(t)):  # children first
+        kids = [shown[c] or c for c in children(node)]
+        kind = type(node)
+        if kind is Var:
+            p = node if node.name in keep else UNIT
+        elif kind is TupleT:
+            p = tuple_of(kids)
+        elif kind is OptionT:
+            p = UNIT if all(map(is_unit, kids)) else OptionT(tuple(kids))
+        else:
+            p = UNIT if is_unit(kids[0]) else ArrayT(kids[0], kids[0], node.flat, node.folded)
+        whole = p == node and not is_unit(node) and all(shown[c] is None for c in children(node))
+        shown[node] = None if whole else p
+    return shown
 
 
 def terms_match(state: Term, target: Term) -> bool:
@@ -268,20 +261,10 @@ def terms_match(state: Term, target: Term) -> bool:
         if state.folded:
             return _folded_elems_match(state.elem, target.elem)
         return terms_match(state.elem, target.elem)
-    if isinstance(target, TupleT):
-        return (
-            isinstance(state, TupleT)
-            and len(state.items) == len(target.items)
-            and all(terms_match(s, g) for s, g in zip(state.items, target.items))
-        )
-    if isinstance(target, OptionT):
-        return (
-            isinstance(state, OptionT)
-            and len(state.branches) == len(target.branches)
-            and all(terms_match(s, g) for s, g in zip(state.branches, target.branches))
-        )
-    if isinstance(target, DistinctT):
-        return isinstance(state, DistinctT) and terms_match(state.inner, target.inner)
+    if type(target) in (TupleT, OptionT, DistinctT):
+        kids = children(target)
+        return (type(state) is type(target) and len(children(state)) == len(kids)
+                and all(map(terms_match, children(state), kids)))
     return state == target
 
 

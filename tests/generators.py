@@ -13,7 +13,7 @@ from decimal import Decimal
 
 from jpq import ast as A
 from jpq.matching import MArray, MBind, MFailed, MOption, MTuple
-from jpq.terms import ArrayT, TupleT, Var
+from jpq.terms import ArrayT, TupleT, Var, projection
 
 KEYS = ["id", "name", "tags", "meta", "size", "note", "kind", "data"]
 WORDS = ["alpha", "beta", "gamma", "delta", "x", "", "edu", "a b", 'q"t', "\\n"]
@@ -191,6 +191,11 @@ def gen_matching_pattern(rng: random.Random, value, vars_: _Vars | None = None, 
 
 
 # -- terms and conforming results --------------------------------------------
+
+
+def projected(t, keep: set):
+    """The projection of t onto `keep`: t itself when it is kept whole."""
+    return projection(t, keep)[t] or t
 
 
 def gen_term(rng: random.Random, names: list[str], depth: int = 3):

@@ -176,6 +176,25 @@ def test_unmatched_pattern_builds_the_empty_shape(engine):
     assert staged(engine, q)[0] == ("match", "filter", "build")
 
 
+def engine_on(**docs):
+    reg = DocRegistry()
+    for name, text in docs.items():
+        reg.register(name, parse_document(text))
+    return Engine(reg)
+
+
+def test_enumeration_over_a_key_value_option_binds_each_branch():
+    engine = engine_on(d='{"a":1,"b":2,"c":3}')
+    assert run(engine, 'from doc("d") /"a":$x|"b":$y construct [$x|$y]') == "[1,2]"
+
+
+def test_a_where_clause_that_reads_no_variable_keeps_or_fails_the_whole_match():
+    engine = engine_on(d='{"x":1}')
+    base = 'from doc("d") {"x":$x} construct {"x":$x} where '
+    assert run(engine, base + "1 = 1") == '{"x":1}'
+    assert run(engine, base + "1 = 2") == '{"x":null}'
+
+
 GROUPED = 'from doc("univ") {"schools":[{"name":$n,"faculty":[{"ID":$id}]}]} construct '
 GROUPED_ELEMENTS = {
     "flat-class-content": (
@@ -381,7 +400,7 @@ def test_a_warm_run_rederives_nothing(engine, monkeypatch):
             return real(*args)
         return call
 
-    reals = (jpq.construct.compile_construction, jpq.terms.project)
+    reals = (jpq.construct.compile_construction, jpq.terms.projection)
     for module in [m for name, m in sys.modules.items() if name.startswith("jpq.")]:
         for real in reals:
             for attr, value in list(vars(module).items()):

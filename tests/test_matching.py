@@ -19,10 +19,12 @@ from jpq.matching import (
 )
 from jpq.model import COMPARISONS, parse_document, preorder
 from jpq.parser import parse_pattern, parse_query
-from jpq.rewrite import project_result, projection
-from jpq.terms import UNIT, ArrayT, OptionT, TupleT, Var, project, tuple_of
+from jpq.rewrite import project_result
+from jpq.terms import UNIT, ArrayT, OptionT, TupleT, Var, projection, tuple_of
 
-from .generators import ResultBuilder, _Vars, _same, gen_document, gen_matching_pattern, gen_term
+from .generators import (
+    ResultBuilder, _Vars, _same, gen_document, gen_matching_pattern, gen_term, projected,
+)
 from .oracles import instantiates, render_result
 from .test_golden import T, gen
 
@@ -166,10 +168,10 @@ def test_flat_tuples_of_results_mirror_flat_tuples_of_terms():
         rng = random.Random(seed)
         build = ResultBuilder(rng)
         # a term with unit option branches, from a projection
-        t = project(gen_term(rng, names, depth=4), set(rng.sample(names, 3)))
+        t = projected(gen_term(rng, names, depth=4), set(rng.sample(names, 3)))
         r = build.build(t)
         keep = set(rng.sample(names, rng.randrange(len(names) + 1)))
-        assert instantiates(project_result(r, t, projection(t, keep)), project(t, keep)), seed
+        assert instantiates(project_result(r, t, projection(t, keep)), projected(t, keep)), seed
         slots = []
         for _ in range(rng.randrange(5)):
             pick = rng.random()

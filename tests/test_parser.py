@@ -91,6 +91,15 @@ def test_construction_distinct_reference():
     assert cp == A.CDistinctRef(DistinctT(ArrayT(Var("id"), None, flat=True)))
 
 
+def test_distinct_references_read_as_the_groupby_terms():
+    for text in ["($a)%", "[[$a]]%"]:
+        groupby = parse_construction(f"[$a] groupby {text}").groupby
+        assert parse_construction(text) == A.CDistinctRef(groupby), text
+    with pytest.raises(SyntaxError_) as e:
+        parse_construction('[{"a":$x}]%')
+    assert "a distinct reference must be built from variables, arrays and tuples" in str(e.value)
+
+
 def test_construction_groupby_with_order():
     cp = parse_construction('{"faculty":[{"ID":^[$id]%}] groupby ^[$id]% asc}')
     arr = cp.members[0][1]

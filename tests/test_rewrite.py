@@ -27,7 +27,6 @@ from jpq.rewrite import (
     apply_rule,
     infer_route,
     project_result,
-    projection,
     projected_source,
     replay,
 )
@@ -41,6 +40,7 @@ from jpq.terms import (
     children,
     optioned,
     positions,
+    projection,
     render,
     replace,
     subterm,

@@ -9,7 +9,6 @@ from jpq.terms import (
     is_unit,
     option_of,
     positions,
-    project,
     render,
     replace,
     subterm,
@@ -17,6 +16,8 @@ from jpq.terms import (
     tuple_of,
     var_counts,
 )
+
+from .generators import projected
 
 A, B, C = Var("a"), Var("b"), Var("c")
 
@@ -65,9 +66,9 @@ def test_subterm_and_replace_are_inverse():
 
 def test_project_drops_unused_structure():
     t = TupleT((A, arr(TupleT((B, C)))))
-    assert project(t, {"a"}) == A
-    assert project(t, {"b"}) == arr_with_self(B)
-    assert is_unit(project(t, set()))
+    assert projected(t, {"a"}) == A
+    assert projected(t, {"b"}) == arr_with_self(B)
+    assert is_unit(projected(t, set()))
 
 
 def arr_with_self(elem):
@@ -77,7 +78,7 @@ def arr_with_self(elem):
 
 def test_project_keeps_option_positions():
     t = OptionT((A, B))
-    assert project(t, {"a"}) == OptionT((A, UNIT))
+    assert projected(t, {"a"}) == OptionT((A, UNIT))
 
 
 def test_class_members_hides_one_copy_of_the_key():
@@ -131,23 +132,32 @@ def test_equal_terms_built_apart_hash_alike():
 
 
 def test_equal_self_indexed_terms_built_apart_compare_in_linear_time():
-    t = A
+    t, u = A, Var("a")
     for _ in range(60):  # each level used to double the comparison: 2**60 steps
-        t = arr(t)
-    p = project(t, {"a"})  # new nodes throughout
-    assert p is not t and p == t and t == p
+        t, u = arr(t), arr(u)  # new nodes throughout
+    assert u is not t and u == t and t == u
     # an index equal to the element but not the element itself still compares
     assert ArrayT(A, A) == ArrayT(A, Var("a")) == ArrayT(Var("a"), A)
     assert ArrayT(A, A) != ArrayT(A, B) and ArrayT(A, B) != ArrayT(A, A)
 
 
 def test_projecting_a_self_indexed_array_keeps_one_shared_element():
-    t = A
-    for _ in range(60):
-        t = arr(t)
-    p = project(t, {"a"})
-    assert render(p) == render(t)
+    t, kept = A, A
+    for _ in range(60):  # each level loses $b, so each is rebuilt
+        t, kept = arr(TupleT((t, B))), arr(kept)
+    p = projected(t, {"a"})
+    assert p == kept and render(p) == render(kept)
     for _ in range(60):
         assert p.index is p.elem
         p = p.elem
     assert p == A
+
+
+def test_the_repr_of_a_self_indexed_nest_grows_linearly():
+    assert repr(arr(A)) == "ArrayT(elem=Var(name='a'), index=elem, flat=False, folded=False)"
+    assert repr(ArrayT(A, B, flat=True)) == (
+        "ArrayT(elem=Var(name='a'), index=Var(name='b'), flat=True, folded=False)")
+    t = A
+    for _ in range(60):  # index and element printed apart: 2**60 characters
+        t = arr(t)
+    assert len(repr(t)) < 60 * len(repr(arr(A)))
