@@ -10,7 +10,6 @@ cached on its node), and the static checks every query passes on creation.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterator, Optional
 
@@ -28,6 +27,7 @@ from .terms import (
     DistinctT,
     OptionT,
     Path,
+    Record,
     Term,
     TupleT,
     UNIT,
@@ -48,8 +48,7 @@ from .terms import (
 # predicates
 
 
-@dataclass(frozen=True)
-class StringPredicate:
+class StringPredicate(Record):
     """A string test where `?` matches any (possibly empty) character run;
     everything else is literal.  Anchored at both ends, case-sensitive."""
 
@@ -68,8 +67,7 @@ class StringPredicate:
         return re.compile(".*".join(re.escape(p) for p in parts), re.DOTALL)
 
 
-@dataclass(frozen=True)
-class ComparePredicate:
+class ComparePredicate(Record):
     """Comparison against a literal atom: =, !=, <, <=, >, >=."""
 
     op: str
@@ -91,9 +89,7 @@ ValuePredicate = StringPredicate | ComparePredicate
 # extraction patterns
 
 
-class Pattern:
-    __slots__ = ()
-
+class Pattern(Record):
     @cached_property
     def term(self) -> Term:
         """The matching term, derived once per node."""
@@ -106,59 +102,49 @@ class Pattern:
 
 
 class ValuePattern(Pattern):
-    __slots__ = ()
+    pass
 
 
 class KeyValuePattern(Pattern):
-    __slots__ = ()
+    pass
 
 
-@dataclass(frozen=True)
 class PVar(ValuePattern):
     name: str
 
 
-@dataclass(frozen=True)
 class PPred(ValuePattern):
     pred: ValuePredicate
 
 
-@dataclass(frozen=True)
 class PWild(ValuePattern):
     pass
 
 
-@dataclass(frozen=True)
 class PObject(ValuePattern):
     members: tuple[KeyValuePattern, ...]
 
 
-@dataclass(frozen=True)
 class PArray(ValuePattern):
     elem: ValuePattern
 
 
-@dataclass(frozen=True)
 class PConj(ValuePattern):
     items: tuple[ValuePattern, ...]
 
 
-@dataclass(frozen=True)
 class POption(ValuePattern):
     branches: tuple[ValuePattern, ...]
 
 
-@dataclass(frozen=True)
 class PChildren(ValuePattern):
     member: KeyValuePattern
 
 
-@dataclass(frozen=True)
 class PDescend(ValuePattern):
     pattern: ValuePattern
 
 
-@dataclass(frozen=True)
 class KVPattern(KeyValuePattern):
     var: Optional[str]
     key: Optional[StringPredicate]  # both None: wildcard key `*`
@@ -170,7 +156,6 @@ class KVPattern(KeyValuePattern):
         return None if self.key is None or "?" in self.key.pattern else self.key.pattern
 
 
-@dataclass(frozen=True)
 class KVOption(KeyValuePattern):
     branches: tuple[KeyValuePattern, ...]
 
@@ -179,64 +164,55 @@ class KVOption(KeyValuePattern):
 # conditions
 
 
-class CondExpr:
-    __slots__ = ()
+class CondExpr(Record):
+    pass
 
 
-@dataclass(frozen=True)
 class EVar(CondExpr):
     name: str
 
 
-@dataclass(frozen=True)
 class EField(CondExpr):
     var: str
     keys: tuple[str, ...]
 
 
-@dataclass(frozen=True)
 class ELit(CondExpr):
     value: Value
 
 
-@dataclass(frozen=True)
 class ECount(CondExpr):
     """count[$v]: the length of the array the variable ranges over."""
 
     var: str
 
 
-class Condition:
-    __slots__ = ()
+class Condition(Record):
+    pass
 
 
-@dataclass(frozen=True)
 class CCompare(Condition):
     op: str
     lhs: CondExpr
     rhs: CondExpr
 
 
-@dataclass(frozen=True)
 class CCall(Condition):
     name: str
     args: tuple[CondExpr, ...]
 
 
-@dataclass(frozen=True)
 class CQuant(Condition):
     kind: str  # "foreach" | "forsome"
     var: str
     body: Condition
 
 
-@dataclass(frozen=True)
 class CBool(Condition):
     op: str  # "and" | "or" | "not"
     subs: tuple[Condition, ...]
 
 
-@dataclass(frozen=True)
 class CCompound(Condition):
     op: str  # "par" | "with"
     left: Condition
@@ -247,62 +223,51 @@ class CCompound(Condition):
 # construction patterns
 
 
-class ConstructionPattern:
-    __slots__ = ()
-
+class ConstructionPattern(Record):
     @cached_property
     def backbone(self) -> Term:
         """The backbone, derived once per node."""
         return backbone(self)
 
 
-@dataclass(frozen=True)
 class CLit(ConstructionPattern):
     value: Value
 
 
-@dataclass(frozen=True)
 class CVarRef(ConstructionPattern):
     name: str
 
 
-@dataclass(frozen=True)
 class CObject(ConstructionPattern):
     members: tuple[tuple[str, ConstructionPattern], ...]
 
 
-@dataclass(frozen=True)
 class CArray(ConstructionPattern):
     elem: ConstructionPattern
     groupby: Optional[Term] = None
     order: Optional[str] = None  # "asc" | "desc"
 
 
-@dataclass(frozen=True)
 class CFlatArray(ConstructionPattern):
     elem: ConstructionPattern
 
 
-@dataclass(frozen=True)
 class COption(ConstructionPattern):
     branches: tuple[ConstructionPattern, ...]
 
 
-@dataclass(frozen=True)
 class CFun(ConstructionPattern):
     name: str
     args: tuple[ConstructionPattern, ...]
 
 
-@dataclass(frozen=True)
 class CDistinctRef(ConstructionPattern):
     """Reference to a folded array's grouping key, written e.g. `^[$id]%`."""
 
     term: Term
 
 
-@dataclass(frozen=True)
-class QueryAst:
+class QueryAst(Record):
     sources: tuple[tuple[str, ValuePattern], ...]  # (doc name, pattern)
     construct: ConstructionPattern
     where: Optional[Condition]

@@ -9,13 +9,13 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, field
 from typing import Optional, TextIO
 
 from .engine import Engine
 from .errors import DataError, JpqError, QueryError
 from .model import parse_document, serialize
 from .parser import parse_query
+from .terms import Record
 
 EXIT_OK = 0
 EXIT_QUERY = 1
@@ -23,9 +23,8 @@ EXIT_DATA = 2
 EXIT_INTERNAL = 3
 
 
-@dataclass
-class CliConfig:
-    docs: list[tuple[str, str]] = field(default_factory=list)
+class CliConfig(Record):
+    docs: tuple[tuple[str, str], ...] = ()
     query_path: Optional[str] = None
     query_text: Optional[str] = None
     explain: bool = False

@@ -17,7 +17,6 @@ one (projected matching term, backbone) shape share one route search.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from . import ast as A
@@ -33,11 +32,10 @@ from .rewrite import (
     project_result,
     replay,
 )
-from .terms import Term, optioned, projection, render, var_set
+from .terms import Record, Term, optioned, projection, render, var_set
 
 
-@dataclass
-class Plan:
+class Plan(Record):
     source_term: Term
     target_term: Term
     route: RewriteRoute
@@ -75,7 +73,7 @@ class Engine:
     def plan(self, q: A.QueryAst) -> Plan:
         """The query's plan; a failed search is not kept.  A new plan takes
         its route from a kept plan of the same shape, if there is one."""
-        # text, not the Condition: dataclass equality takes `1` for `true`
+        # text, not the Condition: record equality takes `1` for `true`
         key = (q.term, *q.texts)
         plan = self._routes.pop(key, None)  # re-inserted last: LRU order
         if plan is None:

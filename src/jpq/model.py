@@ -57,7 +57,7 @@ def _first_duplicate(raw, path: str) -> None:
 
 
 def serialize(v: Value, pretty: bool = False) -> str:
-    """Render a Value as standard JSON text; parsing it gives v back."""
+    """Render a Value as JSON text, NaN and Infinity bare as `json` writes them; it parses back."""
     if type(v) is not dict and type(v) is not list:
         return serialize([v])[1:-1]  # written as an array's one item
     out: list[str] = []

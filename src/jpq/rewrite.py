@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
 from typing import AbstractSet, Callable, Iterable, Iterator, NamedTuple, Optional
 
@@ -47,6 +46,7 @@ from .terms import (
     DistinctT,
     OptionT,
     Path,
+    Record,
     Term,
     TupleT,
     Var,
@@ -70,11 +70,13 @@ def _loc(path: Path) -> str:
     return "/".join(str(p) for p in path) or "root"
 
 
-@dataclass(frozen=True)
-class Step:
+class Step(Record):
     rule: str
     path: Path
     param: int = 0
+
+    def __init__(self, rule: str, path: Path, param: int = 0) -> None:
+        self.__dict__.update(rule=rule, path=path, param=param)
 
     def describe(self) -> str:
         extra = f" #{self.param}" if _TABLE[self.rule].numbered else ""
@@ -84,8 +86,7 @@ class Step:
 RewriteRoute = tuple[Step, ...]
 
 
-@dataclass(frozen=True)
-class _Room:
+class _Room(Record):
     """What a search state still lacks of the target."""
 
     short: frozenset  # variables occurring fewer times than in the target
@@ -93,8 +94,7 @@ class _Room:
     fold: bool  # another array may be folded
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(Record):
     """One restructuring rule, stated once.
 
     The rule rewrites nodes of type `on`.  `params(node, t, path)` lists in
@@ -551,8 +551,7 @@ class Picks(NamedTuple):
     held: Optional[AbstractSet]  # the footprints holding each of its lone picks; None: it has none
 
 
-@dataclass(frozen=True)
-class Constraint:
+class Constraint(Record):
     """Satisfied support-tuple footprints of one filter condition.
 
     `footprints` are token sets of the satisfied assignments; `groups` lists,

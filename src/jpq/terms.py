@@ -9,15 +9,56 @@ memoizes on them directly.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from operator import attrgetter
 from typing import Optional
 
 Path = tuple[int, ...]
 
 
-class Term:
-    __slots__ = ()
+class Record:
+    """An immutable value.  Its fields are its class annotations, after its
+    bases', defaulting to the class attribute of their name; it equals only a
+    record of its class with equal fields, and keeps a `__dict__` for
+    `cached_property`.  Node classes use it as it compiles no code at import;
+    terms and `Step`s, which route search builds for every candidate step,
+    write out their `__init__`."""
 
+    _fields: tuple[str, ...] = ()
+    _defaults: dict = {}
+
+    def __init_subclass__(cls) -> None:
+        own = cls.__dict__.get("__annotations__", {})
+        cls._fields += tuple(own)
+        cls._key = attrgetter(*cls._fields) if cls._fields else type  # what equality compares
+        cls._defaults = {**cls._defaults, **{n: cls.__dict__[n] for n in own if n in cls.__dict__}}
+
+    def __init__(self, *args, **kwargs) -> None:
+        if kwargs or len(args) != len(self._fields):
+            given = {**self._defaults, **dict(zip(self._fields, args), **kwargs)}
+            if len(args) > len(self._fields) or given.keys() != set(self._fields):
+                raise TypeError(f"{type(self).__name__}() takes fields {', '.join(self._fields)}")
+            args = [given[n] for n in self._fields]
+        self.__dict__.update(dict(zip(self._fields, args)))  # from a dict, reads stay fast
+        if hasattr(self, "__post_init__"):
+            self.__post_init__()
+
+    def __eq__(self, other) -> bool:
+        return self._key(self) == other._key(other) if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(map(self.__dict__.__getitem__, self._fields)))
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{n}={self.__dict__[n]!r}" for n in self._fields)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name: str, value=None) -> None:
+        raise AttributeError(f"cannot set or delete field {name!r} of an immutable record")
+
+    __delattr__ = __setattr__
+
+
+class Term(Record):
     def __hash__(self) -> int:
         """Kept once computed; from kind and fields, so equal terms hash alike."""
         if "_hash" not in self.__dict__:
@@ -25,27 +66,36 @@ class Term:
         return self.__dict__["_hash"]
 
 
-@dataclass(frozen=True)
 class Var(Term):
     name: str
 
+    def __init__(self, name: str) -> None:
+        self.__dict__.update(name=name)
 
-@dataclass(frozen=True)
+
 class TupleT(Term):
     items: tuple[Term, ...]
 
+    def __init__(self, items: tuple[Term, ...]) -> None:
+        self.__dict__.update(items=items)
 
-@dataclass(frozen=True)
+
 class OptionT(Term):
     branches: tuple[Term, ...]
 
+    def __init__(self, branches: tuple[Term, ...]) -> None:
+        self.__dict__.update(branches=branches)
 
-@dataclass(frozen=True, eq=False)
+
 class ArrayT(Term):
     elem: Term
     index: Optional[Term]  # None only in construction backbones: "infer me"
     flat: bool = False
     folded: bool = False
+    __hash__ = Term.__hash__  # which defining `__eq__` would hide
+
+    def __init__(self, elem: Term, index: Optional[Term], flat=False, folded=False) -> None:
+        self.__dict__.update(elem=elem, index=index, flat=flat, folded=folded)
 
     def __eq__(self, other) -> bool:
         """Field by field, but an index that is the element on both sides, as a
@@ -62,13 +112,12 @@ class ArrayT(Term):
         return f"ArrayT(elem={self.elem!r}, index={index}, flat={self.flat}, folded={self.folded})"
 
 
-@dataclass(frozen=True)
 class DistinctT(Term):
     inner: Term
 
+    def __init__(self, inner: Term) -> None:
+        self.__dict__.update(inner=inner)
 
-for _kind in (Var, TupleT, OptionT, ArrayT, DistinctT):
-    _kind.__hash__ = Term.__hash__  # not the dataclass one, which rehashes every field
 
 UNIT = TupleT(())
 

@@ -11,9 +11,12 @@
   in `src/` or `bench/` outside its own body.  Tests do not count: code
   only tests use belongs in `tests/`.  The package `__init__`'s imports
   count, so the public names it re-exports (`jpq.__all__`) are exempt.
+- Start-up: importing `jpq.cli` loads neither `dataclasses` nor `inspect`.
 """
 
 import ast
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -120,3 +123,13 @@ def test_each_module_imports_only_the_layers_before_it():
 def test_layer_guard_reads_both_relative_import_forms():
     source = "import os\nfrom . import ast as A\nfrom .model import key\nfrom json import dumps\n"
     assert package_imports(source) == {"ast", "model"}
+
+
+def test_importing_jpq_loads_neither_dataclasses_nor_inspect():
+    """Importing them, and generating methods with them, once took about a
+    third of jpq's start-up; `-S` keeps site hooks from loading them first."""
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import jpq.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-S", "-c", code, str(REPO / "src")],
+                          capture_output=True, text=True, check=True, timeout=60)
+    assert done.stdout.strip() == "[]"

@@ -26,6 +26,8 @@ def test_atoms_parse_to_typed_values():
         ("2.5e-3", "0.0025"),
         ("1e5", "1E+5"),
         ("0.0000001", "1E-7"),
+        ("Infinity", "Infinity"),
+        ("-Infinity", "-Infinity"),
     ],
 )
 def test_numbers_keep_exact_decimal_text(text, printed):
