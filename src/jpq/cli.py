@@ -172,7 +172,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     if args.query is None and args.expr is None:
         return repl(pretty=args.pretty)
     config = CliConfig(
-        docs=args.doc,
+        docs=tuple(args.doc),
         query_path=args.query,
         query_text=args.expr,
         explain=args.explain,

@@ -75,9 +75,6 @@ class Step(Record):
     path: Path
     param: int = 0
 
-    def __init__(self, rule: str, path: Path, param: int = 0) -> None:
-        self.__dict__.update(rule=rule, path=path, param=param)
-
     def describe(self) -> str:
         extra = f" #{self.param}" if _TABLE[self.rule].numbered else ""
         return f"{self.rule} @ {_loc(self.path)}{extra}"

@@ -19,9 +19,8 @@ class Record:
     """An immutable value.  Its fields are its class annotations, after its
     bases', defaulting to the class attribute of their name; it equals only a
     record of its class with equal fields, and keeps a `__dict__` for
-    `cached_property`.  Node classes use it as it compiles no code at import;
-    terms and `Step`s, which route search builds for every candidate step,
-    write out their `__init__`."""
+    `cached_property`.  Value classes use it as it compiles no code at
+    import."""
 
     _fields: tuple[str, ...] = ()
     _defaults: dict = {}
@@ -33,12 +32,13 @@ class Record:
         cls._defaults = {**cls._defaults, **{n: cls.__dict__[n] for n in own if n in cls.__dict__}}
 
     def __init__(self, *args, **kwargs) -> None:
-        if kwargs or len(args) != len(self._fields):
-            given = {**self._defaults, **dict(zip(self._fields, args), **kwargs)}
-            if len(args) > len(self._fields) or given.keys() != set(self._fields):
-                raise TypeError(f"{type(self).__name__}() takes fields {', '.join(self._fields)}")
-            args = [given[n] for n in self._fields]
-        self.__dict__.update(dict(zip(self._fields, args)))  # from a dict, reads stay fast
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            rest = fields[len(args):]  # to be given by keyword or by default
+            if len(args) > len(fields) or not kwargs.keys() <= set(rest) <= {*kwargs, *self._defaults}:
+                raise TypeError(f"{type(self).__name__}() takes fields {', '.join(fields)}")
+            args += tuple([kwargs[n] if n in kwargs else self._defaults[n] for n in rest])
+        self.__dict__.update(dict(zip(fields, args)))  # from a dict, reads stay fast
         if hasattr(self, "__post_init__"):
             self.__post_init__()
 
@@ -69,22 +69,13 @@ class Term(Record):
 class Var(Term):
     name: str
 
-    def __init__(self, name: str) -> None:
-        self.__dict__.update(name=name)
-
 
 class TupleT(Term):
     items: tuple[Term, ...]
 
-    def __init__(self, items: tuple[Term, ...]) -> None:
-        self.__dict__.update(items=items)
-
 
 class OptionT(Term):
     branches: tuple[Term, ...]
-
-    def __init__(self, branches: tuple[Term, ...]) -> None:
-        self.__dict__.update(branches=branches)
 
 
 class ArrayT(Term):
@@ -93,9 +84,6 @@ class ArrayT(Term):
     flat: bool = False
     folded: bool = False
     __hash__ = Term.__hash__  # which defining `__eq__` would hide
-
-    def __init__(self, elem: Term, index: Optional[Term], flat=False, folded=False) -> None:
-        self.__dict__.update(elem=elem, index=index, flat=flat, folded=folded)
 
     def __eq__(self, other) -> bool:
         """Field by field, but an index that is the element on both sides, as a
@@ -114,9 +102,6 @@ class ArrayT(Term):
 
 class DistinctT(Term):
     inner: Term
-
-    def __init__(self, inner: Term) -> None:
-        self.__dict__.update(inner=inner)
 
 
 UNIT = TupleT(())

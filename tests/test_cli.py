@@ -116,6 +116,14 @@ def test_main_runs_batch(capfd):
     assert capfd.readouterr().out == '{"id":"0001"}\n'
 
 
+def test_main_builds_an_immutable_config(monkeypatch):
+    seen = []
+    monkeypatch.setattr("jpq.cli.run_query", lambda config: seen.append(config) or EXIT_OK)
+    assert main(["--doc", "univ=" + UNIV, "-e", QUERY]) == EXIT_OK
+    assert seen[0].docs == (("univ", UNIV),)
+    assert hash(seen[0]) == hash(CliConfig(docs=(("univ", UNIV),), query_text=QUERY))
+
+
 def repl_session(script):
     stdin = io.StringIO(script)
     out, err = io.StringIO(), io.StringIO()

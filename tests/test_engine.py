@@ -436,7 +436,7 @@ def test_a_warm_run_compiles_no_where_clause(engine, monkeypatch):
     assert calls == []
 
 
-# right-hand literals whose conditions compare equal as dataclasses (`1`, `1.0`
+# right-hand literals whose conditions compare equal as records (`1`, `1.0`
 # and `true`: `Decimal(1) == True`), and two more; on ITEMS each selects other
 # items, but `1` and `1.0` the same
 LITERALS = ["1", "1.0", "true", '"1"', "null"]

@@ -75,7 +75,8 @@ def test_records_of_different_classes_with_equal_fields_differ():
     assert PArray(p) == PArray(PVar("x"))
 
 
-@pytest.mark.parametrize("call", [lambda: PVar(), lambda: PVar("x", "y"), lambda: PVar(nom="x")])
-def test_record_rejects_missing_extra_and_unknown_fields(call):
+@pytest.mark.parametrize("call", [lambda: PVar(), lambda: PVar("x", "y"), lambda: PVar(nom="x"),
+                                  lambda: PVar("x", name="y")])
+def test_record_rejects_missing_extra_unknown_and_repeated_fields(call):
     with pytest.raises(TypeError):
         call()
