@@ -469,18 +469,19 @@ MAX_DEPTH = 14  # the steps of a route the search may find
 MAX_STATES = 200_000  # the states one search may admit
 
 
-def infer_route(source: Term, target: Term) -> RewriteRoute:
-    """A route whose replay from the (projected) source yields a term matching
-    the target.  Breadth-first, one level per route length, each level in the
-    order its states were found and each state's steps in canonical order, so
-    the first route found is the shallowest, rule-order-least one and explain
-    output is deterministic.  Raises InvalidConstructionError when a level
+def infer_route(source: Term, target: Term, projected: Optional[Term] = None) -> RewriteRoute:
+    """A route whose replay from the projected source (`projected`, when the
+    caller has it) yields a term matching the target.  Breadth-first, one
+    level per route length, each level in the order its states were found
+    and each state's steps in canonical order, so the first route found is
+    the shallowest, rule-order-least one and explain output is
+    deterministic.  Raises InvalidConstructionError when a level
     admits no new state (the space is exhausted without a hit), and
     SearchBoundExceededError when a route would need more than `MAX_DEPTH`
     steps or the whole search more than `MAX_STATES` admitted states."""
     if var_set(target) - var_set(source):
         raise _invalid(source, target)
-    source = projected_source(source, target)
+    source = projected_source(source, target) if projected is None else projected
     if terms_match(source, target):
         return ()
     # no rule introduces an option into an option-free term
@@ -558,11 +559,22 @@ class Constraint(Record):
     standing on a branch the condition never inspected is left alone.  A
     token set's lone pick is the only token it holds from a group (as
     footprints stop at arrays, no query now holds two); heads and items are
-    read alike, with `picks`, and paired by `allows`."""
+    read alike, with `picks`, and paired by `allows`.
+
+    Array distribution (`Transformer.allowed`) alone reads the postings, token
+    -> the footprints holding it, and the groups of each token.  The filter
+    builds the postings as it records the footprints when the plan's route
+    distributes an array (`indexed`); else they, like the groups, are built on
+    first use."""
 
     footprints: tuple[frozenset, ...]
     groups: tuple[frozenset, ...]
     option_universe: tuple[tuple[frozenset, frozenset], ...] = ()
+
+    def indexed(self, postings: dict) -> Constraint:
+        """This constraint, with `postings` (`_index(footprints)`) as its `_postings`."""
+        self.__dict__["_postings"] = postings  # where `cached_property` keeps them
+        return self
 
     def picks(self, tokens: AbstractSet) -> Picks:
         """What `tokens` pick from each group, and the footprints holding each lone pick."""
@@ -610,7 +622,7 @@ class Constraint(Record):
         return _index(self.footprints)
 
 
-def _index(sets: tuple[frozenset, ...]) -> dict:
+def _index(sets: Iterable[Iterable]) -> dict:
     """Token -> indexes of the sets holding it."""
     index: dict = {}
     for i, tokens in enumerate(sets):

@@ -36,9 +36,9 @@ from jpq.model import parse_document, serialize
 from jpq.parser import parse_query
 
 from . import stages
-from .test_cli import DUPLICATED, REPEATED, REPEATED_WHERES, SIBLING_DOCS, SIBLING_OPTION
-from .test_edge_shapes import MUTATIONS, ONE_DOC, mutations
-from .test_golden import T
+from .support import (
+    DUPLICATED, MUTATIONS, ONE_DOC, REPEATED, REPEATED_WHERES, SIBLING_DOCS, SIBLING_OPTION, T, mutations,
+)
 
 SEEDS = (1, 3, 7)
 SIZES = {("univ",): ("6x5", "20x12", "50x40"), ("people", "jobs"): ("24", "80", "200")}

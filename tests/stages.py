@@ -23,7 +23,7 @@ from jpq.engine import Engine
 from jpq.model import DocRegistry, parse_document, serialize
 from jpq.parser import parse_query
 
-from .test_golden import T, gen
+from .support import T, gen
 
 STAGES = ("match", "filter", "project", "transform", "build", "serialize")
 TEMPLATES = {t.name: t for t in T.ALL}

@@ -19,6 +19,7 @@ from jpq.engine import Engine
 from jpq.errors import ShapeMismatchError
 
 from .conftest import FIXTURES
+from .support import DUPLICATED, REPEATED, REPEATED_WHERES, SIBLING_DOCS, SIBLING_OPTION
 
 UNIV = str(FIXTURES / "univ.json")
 QUERY = 'from doc("univ") {"president":{"ID":$i}} construct {"id":$i}'
@@ -753,21 +754,7 @@ def test_a_flattened_array_of_constants_has_nothing_to_splice(query):
 
 # -- a construction that repeats its variables ------------------------------------------
 
-DUPLICATED = {"xs": [{"a": "p", "bs": ["u"]}, {"a": "q", "bs": ["v", "w"]}, {"a": "r", "bs": ["u", "v"]}]}
-REPEATED = ('from doc("d") {"xs":[{"a":$a,"bs":[$b]}]} '
-            'construct {"p":[^[{"a":$a,"b":$b}]],"q":[{"a":$a,"bs":[$b]}]} where ')
-
-
-# where clause -> what it asks of one (a, b) pair of the raw JSON
-REPEATED_WHERES = {
-    '$b != "w"': lambda a, b: b != "w",
-    '$b = "u"': lambda a, b: b == "u",
-    '$b = "v"': lambda a, b: b == "v",
-    '$a = "r"': lambda a, b: a == "r",
-    'not ($a = "q") and $b != "u"': lambda a, b: a != "q" and b != "u",
-}
-
-
+# (the query and the document are in `tests/support.py`, which `tests.digests` shares)
 @pytest.mark.parametrize("where", REPEATED_WHERES,
                          ids=["b-not-w", "b-is-u", "b-is-v", "a-is-r", "not-q-and-b-not-u"])
 def test_a_construction_repeating_its_variables_keeps_every_admitted_pair(tmp_path, where):
@@ -784,16 +771,7 @@ def test_a_construction_repeating_its_variables_keeps_every_admitted_pair(tmp_pa
 
 # -- a sibling option restricts distribution ---------------------------------------------
 
-SIBLING_OPTION = ('from doc("d") {"president":(<$p1,{"ID":$id1}>|[<$p2,{"ID":$id2}>]),'
-                  '"schools":[{"name":$n,"faculty":[{"ID":$id3}]}]} '
-                  'construct {"p":($p1|[$p2]),"pairs":[^[{"n":$n,"id":$id3}]]} '
-                  'where $id1 = $id3 par $id2 = $id3')
-_SCHOOLS = [{"name": "S", "faculty": [{"ID": "1"}, {"ID": "2"}]}, {"name": "T", "faculty": [{"ID": "3"}]}]
-# one document per branch of the president option
-SIBLING_DOCS = {"one": {"president": {"ID": "1"}, "schools": _SCHOOLS},
-                "array": {"president": [{"ID": "2"}, {"ID": "3"}], "schools": _SCHOOLS}}
-
-
+# (the query and the documents are in `tests/support.py`)
 @pytest.mark.parametrize("doc", SIBLING_DOCS.values(), ids=SIBLING_DOCS.keys())
 def test_a_sibling_option_restricts_distribution_to_its_taken_branch(tmp_path, doc):
     # the option beside the distributed schools takes one branch per document;

@@ -5,31 +5,14 @@ error) or an exception that is no `JpqError`.  Where a template has an
 oracle over the raw JSON (`tests/oracles.py`), its result equals the
 oracle's."""
 
-import random
 from collections import Counter
 
-from jpq import DocRegistry, Engine, parse_document, parse_query, serialize
+from jpq import parse_query, serialize
 from jpq.errors import DataError, QueryError
 
-from .generators import EDGE_IDS, mutate_univ
+from .generators import EDGE_IDS
 from .oracles import ex3_school_pairs
-from .test_golden import T, gen
-
-MUTATIONS = 40
-ONE_DOC = [t for t in T.ALL if t.docs == ("univ",)]
-
-
-def mutations() -> tuple[list[dict], set[str], Engine]:
-    """The edge-shaped universities, the labels of their edits, and one engine
-    holding each as `m<i>`, so that a template plans once."""
-    base, rng = gen.univ(random.Random(3), 6, 5), random.Random(5)
-    docs, edits, engine = [], set(), Engine(DocRegistry())
-    for i in range(MUTATIONS):
-        doc, labels = mutate_univ(rng, base)
-        engine.registry.register(f"m{i}", parse_document(serialize(doc)))
-        docs.append(doc)
-        edits.update(labels)
-    return docs, edits, engine
+from .support import MUTATIONS, ONE_DOC, T, mutations
 
 
 def on(t, i: int):

@@ -332,9 +332,9 @@ def searches(monkeypatch):
     calls = []
     real = jpq.engine.infer_route
 
-    def counted(source, target):
+    def counted(source, target, *projected):
         calls.append((source, target))
-        return real(source, target)
+        return real(source, target, *projected)
 
     monkeypatch.setattr(jpq.engine, "infer_route", counted)
     return calls
@@ -485,6 +485,27 @@ def test_a_shape_is_planned_per_projected_source_and_backbone(engine, searches):
     assert "matching term: [($n,[$id])]" in plain
     assert "matching term: [($n,[($id,$m)])]" in wider
     assert plain.split("\n")[1:] == wider.split("\n")[1:]
+
+
+@pytest.mark.parametrize("query", [EX1, EX3, EX5, EX6], ids=["EX1", "EX3", "EX5", "EX6"])
+def test_a_cold_plan_projects_its_source_once(monkeypatch, query):
+    # the plan's projection onto the backbone's variables is the one the
+    # route search starts from: `infer_route` is handed it, not rebuilding it
+    import jpq.terms
+
+    real, calls = jpq.terms.projection, []
+
+    def counted(t, keep):
+        calls.append(t)
+        return real(t, keep)
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("jpq.")]:
+        for attr, value in list(vars(module).items()):
+            if value is real:
+                monkeypatch.setattr(module, attr, counted)
+    q = parse_query(query)
+    Engine().plan(q)
+    assert calls == [q.term]
 
 
 def test_a_failing_construction_fails_alike_every_time(engine, searches):

@@ -11,6 +11,7 @@ from jpq.engine import Engine
 from jpq.errors import InvalidCompositionError, ShapeMismatchError, TypeError_
 from jpq.filtering import (
     _enumerator,
+    _predicate,
     compile_where,
     filter_result,
     resolve_options,
@@ -28,13 +29,13 @@ from jpq.matching import (
 )
 from jpq.model import BUILTINS, COMPARISONS, DocRegistry, get_field, parse_document, serialize
 from jpq.parser import parse_condition, parse_pattern, parse_query
-from jpq.rewrite import Constraint, Step, Transformer, replay
+from jpq.rewrite import Constraint, Step, Transformer, _index, replay
 from jpq.terms import ArrayT, OptionT, TupleT, Var, optioned
 
 from . import stages
 from .generators import _same
-from .test_cli import DUPLICATED, REPEATED, REPEATED_WHERES
-from .test_golden import T, document_sets, gen
+from .support import DUPLICATED, REPEATED, REPEATED_WHERES, T, gen
+from .test_golden import document_sets
 from .test_matching import _options
 
 SCHOOLS = '{"schools":[{"name":$n,"faculty":[{"ID":$id}]}]}'
@@ -594,7 +595,7 @@ def _filtered(monkeypatch, reg, query):
         return lambda *a: compares.append(a) or compare(*a)
 
     def counted_pairs(combos, subs, join):
-        out = real_pairs(combos, subs, join)
+        out = list(real_pairs(combos, subs, join))  # the pairs formed, before any test
         pairs.append(len(out) if join else 0)
         return out
 
@@ -632,6 +633,122 @@ def test_the_partitioned_conjunct_is_not_tested_again(monkeypatch):
     # only `$n1 = $n2`, once per pair formed
     _, _, pairs, compares = _filtered(monkeypatch, reg, SELF_JOIN + "not ($n1 = $n2) and $k2 = $k1")
     assert 0 < pairs < len(XS) ** 2 and compares == pairs
+
+
+WHERE_TEMPLATES = [t for t in T.ALL if " where " in t.text]
+
+
+@pytest.mark.parametrize("template", WHERE_TEMPLATES, ids=lambda t: t.name)
+def test_the_filter_hands_the_transform_the_postings_it_would_build(monkeypatch, template):
+    # a plan whose route distributes an array gets each constraint with its
+    # postings built by the filter; a plan with no distribution reads none,
+    # so none are built.  Either way a constraint built from its fields alone
+    # reads the same
+    reg = DocRegistry()
+    for name, text in {**document_sets()["univ-6x5"], **document_sets()["people-jobs-30"]}.items():
+        reg.register(name, parse_document(text))
+    route = Engine(reg).plan(parse_query(template.text)).route
+    distributes = any(step.rule == "array-tuple-distribution" for step in route)
+    _, constraints = _recorded(monkeypatch, reg, template.text, partition=True)
+    assert constraints
+    for c in constraints:
+        assert ("_postings" in vars(c)) == distributes  # before the reads below build them
+        fresh = Constraint(c.footprints, c.groups, c.option_universe)
+        assert c == fresh
+        assert c._postings == fresh._postings == _index(c.footprints)
+        assert c._groups_of == fresh._groups_of == _index(c.groups)
+        tokens = sorted(set().union(*c.footprints, *c.groups), key=str)
+        for head in [frozenset(tokens[i:i + 3]) for i in range(0, len(tokens), 2)]:
+            assert c.picks(head) == fresh.picks(head)
+
+
+def test_a_where_clause_that_removes_nothing_leaves_the_match_as_it_was(monkeypatch, univ):
+    # EX3 on a generated university removes nothing: each faculty ID sits in
+    # two schools, so the filter hands on the match result itself
+    import jpq.engine
+
+    seen = []
+
+    def spy(r, source, where, constraints):
+        before = _with_ids(r)
+        out = filter_result(r, source, where, constraints)
+        seen.append((out is r, _with_ids(out) == before))
+        return out
+
+    monkeypatch.setattr(jpq.engine, "filter_result", spy)
+    reg = DocRegistry()
+    reg.register("univ", parse_document(document_sets()["univ-6x5"]["univ"]))
+    Engine(reg).run(parse_query(T.EX3.text))
+    assert seen == [(True, True)]
+    # one that removes items still sweeps them, and shares what it keeps whole
+    p = parse_pattern(SCHOOLS)
+    source = derive_matching_term(p)
+    r = match_value(p, univ)
+    before = _with_ids(r)
+    kept = filter_result(r, source, compile_where(parse_condition("notnull($id)"), source))
+    assert kept is r
+    swept = filter_result(r, source, compile_where(parse_condition('$n != "Math School"'), source))
+    assert _with_ids(r) == before  # the match result is not written to
+    assert school_view(swept) == [("Computer School", ["0001", "0012", "0013"])]
+    assert swept.items[0] is r.items[0]
+    swept = filter_result(r, source, compile_where(parse_condition('$id = "0001"'), source))
+    assert school_view(swept) == [("Computer School", ["0001"]), ("Math School", ["0001"])]
+
+
+def test_the_root_tuple_tests_each_pair_before_merging_it():
+    # the residual sees each pair the partition forms as (earlier, later)
+    # environments, in the nested loop's order; a pair that holds is kept as
+    # its tokens, with no environment
+    p = parse_pattern('{"xs":<[{"n":$n1,"k":$k1}],[{"n":$n2,"k":$k2}]>}')
+    source, seen = derive_matching_term(p), []
+
+    def residual(partitioned):
+        assert partitioned == {("k1", "k2"), ("k2", "k1")}
+        return lambda a, b: seen.append((a["n1"], b["n2"], "n2" in a)) or a["n1"] < b["n2"]
+
+    each, _ = _enumerator(source, {"n1", "k1", "n2", "k2"}, {}, (("k1", "k2"),), residual)
+    got = each(match_value(p, parse_document(json.dumps({"xs": XS}))), None, None)
+    assert seen == [(a["n"], b["n"], False) for a in XS for b in XS if _same(a["k"], b["k"])]
+    assert [env for env, _ in got] == [None] * sum(a < b for a, b, _ in seen) != []
+
+
+def test_a_residual_tested_on_the_pair_keeps_its_order_and_its_errors(monkeypatch):
+    # the residual runs on each pair the partition forms, before the pair is
+    # merged: in the nested loop's order, the first pair to raise raises as
+    # there, and a conjunct after a false one is not evaluated
+    import jpq.filtering
+
+    reg = DocRegistry()
+    reg.register("d", parse_document(json.dumps({"xs": XS})))
+    unequal = COMPARISONS["!="]
+
+    def run(where, partition, raising=False):
+        compared = []
+
+        def spy(a, b):
+            compared.append((a, b))
+            if raising and a != b:
+                raise TypeError_(f"{a} against {b}")
+            return unequal(a, b)
+
+        with monkeypatch.context() as m:
+            m.setattr(jpq.filtering, "COMPARISONS", {**COMPARISONS, "!=": spy})
+            out, _ = _recorded(monkeypatch, reg, SELF_JOIN + where, partition)
+        return out, compared
+
+    partitioned = run("$k1 = $k2 and $n1 != $n2", partition=True)
+    assert partitioned == run("$k1 = $k2 and $n1 != $n2", partition=False)
+    assert partitioned[1] and len(partitioned[1]) < len(XS) ** 2
+    for partition in (True, False):
+        with pytest.raises(TypeError_, match="^x0 against x1$"):
+            run("$k1 = $k2 and $n1 != $n2", partition, raising=True)
+        out, compared = run('$k1 = $k2 and $n1 = "none" and $n1 != $n2', partition, raising=True)
+        assert json.loads(out) == {"r": []} and compared == []
+    # a count reading a range neither environment binds raises, as on one environment
+    count = _predicate(parse_condition("count[$x] > 0"), {})
+    for pair in (({}, {}), ({"y": 1}, {"z": 2})):
+        with pytest.raises(TypeError_, match=r"^count\[\$x\] applies to arrays only$"):
+            count(*pair)
 
 
 def test_satisfied_footprints_per_template_are_pinned(monkeypatch):

@@ -23,49 +23,30 @@ keys as `tests/golden.json`, a digest of the result tree the transform stage
 hands to the build, element ids and option branch tokens included: ids are
 drawn in one order, whatever the stages before the build skip or compile.
 The same command records it.
-
-`bench/` is only read: its modules are loaded without writing bytecode.
 """
 
 from __future__ import annotations
 
 import hashlib
-import importlib.util
 import itertools
 import json
 import pathlib
 import random
 import re
-import sys
 
 from jpq import DocRegistry, Engine, parse_document, parse_query, serialize, unparse_query
 from jpq.errors import JpqError
 from jpq.matching import MArray, MBind, MOption, MTuple
 from jpq.rewrite import RULES, Transformer
 
+from .support import ROOT, T, gen
 from .test_engine import mutated_queries
 
-ROOT = pathlib.Path(__file__).parent.parent
 GOLDEN = pathlib.Path(__file__).parent / "golden.json"
 GOLDEN_RULES = pathlib.Path(__file__).parent / "golden_rules.json"
 GOLDEN_PARSE = pathlib.Path(__file__).parent / "golden_parse.txt"
 GOLDEN_IDS = pathlib.Path(__file__).parent / "golden_ids.json"
 SEED = 2015
-
-
-def _load(name: str):
-    spec = importlib.util.spec_from_file_location(f"_golden_bench_{name}", ROOT / "bench" / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses look their module up here
-    saved, sys.dont_write_bytecode = sys.dont_write_bytecode, True
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        sys.dont_write_bytecode = saved
-    return module
-
-
-gen, T = _load("gen"), _load("templates")
 
 
 def document_sets() -> dict[str, dict[str, str]]:

@@ -26,7 +26,7 @@ from .generators import (
     ResultBuilder, _Vars, _same, gen_document, gen_matching_pattern, gen_term, projected,
 )
 from .oracles import instantiates, render_result
-from .test_golden import T, gen
+from .support import T, gen
 
 
 def bind_values(r):
