@@ -84,8 +84,7 @@ class Engine:
             route = same[0].route if same else infer_route(source, target, shape[0])
             terms = same[0].terms if same else replay(shape[0], route)
             plan = Plan(source, target, route, terms, optioned(source), shown,
-                        None if q.where is None else compile_where(q.where, source, any(
-                            step.rule == "array-tuple-distribution" for step in route)),
+                        None if q.where is None else compile_where(q.where, source),
                         compile_construction(q.construct, terms[-1]))
             if len(self._routes) >= ROUTE_CACHE_SIZE:
                 del self._routes[next(iter(self._routes))]

@@ -7,21 +7,20 @@ array element survives when at least one satisfied assignment involves it; an
 option branch the condition covers is emptied when no satisfied assignment
 selects it.  The satisfied footprints are also recorded as constraints so a
 later array distribution only couples combinations some support tuple allows
-(joins across sibling arrays); when the plan's route distributes an array,
-the filter builds each constraint's postings, which that distribution reads.
+(joins across sibling arrays); that distribution alone builds and reads each
+constraint's postings (`Constraint`).
 
 `par` evaluates its parts independently against the same result and merges
 survivors branchwise; the `with` stages (`ast.where_stages`) apply in turn,
 each on what the stages before it left.  `compile_where` compiles a clause
 once per plan: each part becomes an enumerator of its support tuples,
-compiled against the matching term, and a test of what its hash joins leave,
-applied to each pair the root tuple forms before the pair is merged.  A run
-walks only the result, and records into lists of its own.
+compiled against the matching term, and a predicate over one assignment's
+environment.  A run walks only the result, and records into lists of its own.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable
+from collections.abc import Callable
 from decimal import Decimal
 from typing import Optional
 
@@ -39,7 +38,7 @@ from .matching import (
     succeeded,
 )
 from .model import BUILTINS, COMPARISONS, MISSING, get_field, key
-from .rewrite import Constraint, _index
+from .rewrite import Constraint
 from .terms import (
     ArrayT, OptionT, Path, Term, TupleT, Var, children, subterm, var_counts, var_set,
 )
@@ -48,9 +47,8 @@ from .terms import (
 # assignment enumeration
 
 
-Assignment = tuple[Optional[dict], tuple]  # an environment, and the identity tokens it stands on
+Assignment = tuple[dict, tuple]  # an environment, and the identity tokens it stands on
 Enumerate = Callable[[MatchResult, Optional[list], Optional[list]], list[Assignment]]
-Test = Callable[[dict, dict], bool]  # a condition on an (earlier, later) pair of environments
 
 
 def _enumerator(
@@ -58,7 +56,6 @@ def _enumerator(
     needed: set[str],
     anchors: dict[Path, list[str]],
     joins: tuple[tuple[str, str], ...] = (),
-    residual: Optional[Callable[[frozenset], Test]] = None,
 ) -> tuple[Enumerate, frozenset]:
     """The enumerator of a (not failed) result of the matching term `t`'s
     support tuples, binding the `needed` variables and, at an `anchors` path,
@@ -69,12 +66,7 @@ def _enumerator(
     component binding one with earlier components binding the other, only pairs
     with equal values are formed (a hash partition).  Returned beside the
     enumerator: the joins partitioned on the way to every assignment, under no
-    option, both ways round; they hold on every assignment.
-
-    When `t` is a tuple, its last pairing completes each assignment.  Given a
-    `residual`, that pairing tests each pair before merging it, with the test
-    `residual(partitioned)` compiles, and a pair that holds keeps no
-    environment (`None`), as nothing reads one after."""
+    option, both ways round; they hold on every assignment."""
     relevant = needed | {v for vs in anchors.values() for v in vs}
     partitioned: set = set()
 
@@ -102,17 +94,13 @@ def _enumerator(
                     bound |= here
 
             (first, first_sub, _), *rest = comps
-            test = residual(frozenset(partitioned)) if residual and rest and not path else None
 
             def tuple_(r: MatchResult, groups, options) -> list[Assignment]:
                 # the first component's assignments are handed on as they are
                 parts = shaped(r, t).items
                 combos = first_sub(parts[first], groups, options)
-                for n, (i, sub, join) in enumerate(rest, 1):
-                    pairs = _pairs(combos, sub(parts[i], groups, options), join)
-                    if test and n == len(rest):
-                        return [(None, ta + tb) for (ea, ta), (eb, tb) in pairs if test(ea, eb)]
-                    combos = [({**ea, **eb}, ta + tb) for (ea, ta), (eb, tb) in pairs]
+                for i, sub, join in rest:
+                    combos = _pairs(combos, sub(parts[i], groups, options), join)
                 return combos
             return tuple_
         if isinstance(t, OptionT):
@@ -148,85 +136,84 @@ def _enumerator(
 
 def _pairs(
     combos: list[Assignment], subs: list[Assignment], join: Optional[tuple[str, str]]
-) -> Iterable[tuple[Assignment, Assignment]]:
-    """The (earlier, new) assignment pairs, outer in `combos` order and inner
-    in `subs` order.  With a join `(u, v)`, each earlier assignment meets only
-    the new ones whose `v` has the same `key` as its `u`, the pairs on which
-    `u = v` holds, so the condition need not test it again.  An assignment
-    lacking its join variable pairs with nothing: `=` on a missing operand is
-    false."""
+) -> list[Assignment]:
+    """The merged (earlier, new) assignment pairs, outer in `combos` order and
+    inner in `subs` order.  With a join `(u, v)`, each earlier assignment meets
+    only the new ones whose `v` has the same `key` as its `u`, the pairs on
+    which `u = v` holds, so the condition need not test it again.  An
+    assignment lacking its join variable pairs with nothing: `=` on a missing
+    operand is false."""
     if join is None:
-        return ((a, b) for a in combos for b in subs)
-    u, v = join
-    buckets: dict = {}
-    for b in subs:
-        if v in b[0]:
-            buckets.setdefault(key(b[0][v]), []).append(b)
-    return ((a, b) for a in combos if u in a[0] for b in buckets.get(key(a[0][u]), ()))
+        pairs = ((a, b) for a in combos for b in subs)
+    else:
+        u, v = join
+        buckets: dict = {}
+        for b in subs:
+            if v in b[0]:
+                buckets.setdefault(key(b[0][v]), []).append(b)
+        pairs = ((a, b) for a in combos if u in a[0] for b in buckets.get(key(a[0][u]), ()))
+    return [({**ea, **eb}, ta + tb) for (ea, ta), (eb, tb) in pairs]
 
 
 # ---------------------------------------------------------------------------
-# conditions compiled into tests of an (earlier, later) pair of environments,
-# read as their merge `{**earlier, **later}`; one environment `env` as (env, env)
+# conditions compiled into predicates over one assignment
 
 
-def _value(e: A.CondExpr) -> Callable[[dict, dict], object]:
-    """What `e` reads from a pair of environments."""
+def _value(e: A.CondExpr) -> Callable[[dict], object]:
+    """What `e` reads from an assignment's environment."""
     if isinstance(e, A.ELit):
-        return lambda a, b, value=e.value: value
+        return lambda env, value=e.value: value
     if isinstance(e, A.EVar):
-        return lambda a, b, k=e.name: b[k] if k in b else a.get(k, MISSING)
+        return lambda env, name=e.name: env.get(name, MISSING)
     if isinstance(e, A.EField):
-        def field(a: dict, b: dict, k=e.var, names=e.keys):
-            v = b[k] if k in b else a.get(k, MISSING)
+        def field(env: dict, var=e.var, names=e.keys):
+            v = env.get(var, MISSING)
             for name in names:
                 v = get_field(v, name)
             return v
         return field
     if isinstance(e, A.ECount):
-        def count(a: dict, b: dict, k=("range", e.var)) -> Decimal:
-            items = b[k] if k in b else a.get(k, MISSING)
+        def count(env: dict, var=e.var) -> Decimal:
+            items = env.get(("range", var), MISSING)
             if items is MISSING:
-                raise TypeError_(f"count[${k[1]}] applies to arrays only")
+                raise TypeError_(f"count[${var}] applies to arrays only")
             return Decimal(len(items))
         return count
     raise TypeError_(f"not a condition expression: {e!r}")
 
 
-def _predicate(c: A.Condition, elems: dict[str, Term]) -> Test:
-    """`c` as a test of a pair of environments; `elems` maps each range
+def _predicate(c: A.Condition, elems: dict[str, Term]) -> Callable[[dict], bool]:
+    """`c` as a test of one assignment's environment; `elems` maps each range
     variable to the element term of the array it ranges over."""
     if isinstance(c, A.CCompare):
         lhs, rhs, holds = _value(c.lhs), _value(c.rhs), COMPARISONS[c.op]
 
-        def compare(a: dict, b: dict) -> bool:
-            x, y = lhs(a, b), rhs(a, b)
-            return x is not MISSING and y is not MISSING and holds(x, y)
+        def compare(env: dict) -> bool:
+            a, b = lhs(env), rhs(env)
+            return a is not MISSING and b is not MISSING and holds(a, b)
         return compare
     if isinstance(c, A.CCall):
         _, call = BUILTINS[c.name]
-        args = [_value(x) for x in c.args]
-        return lambda a, b: call(*[x(a, b) for x in args])
+        args = [_value(a) for a in c.args]
+        return lambda env: call(*[a(env) for a in args])
     if isinstance(c, A.CBool):
         subs = [_predicate(s, elems) for s in c.subs]
         if c.op == "and":
-            return lambda a, b: all(s(a, b) for s in subs)
+            return lambda env: all(s(env) for s in subs)
         if c.op == "or":
-            return lambda a, b: any(s(a, b) for s in subs)
-        return lambda a, b: not subs[0](a, b)
+            return lambda env: any(s(env) for s in subs)
+        return lambda env: not subs[0](env)
     if isinstance(c, A.CQuant):
         elem = elems[c.var]
         each, _ = _enumerator(elem, set(A.cond_vars(c.body)) & var_set(elem), {})
-        body, kind, k = _predicate(c.body, elems), c.kind, ("range", c.var)
+        body, kind, var = _predicate(c.body, elems), c.kind, c.var
 
-        def quantifier(a: dict, b: dict) -> bool:
-            items = b[k] if k in b else a.get(k, MISSING)
+        def quantifier(env: dict) -> bool:
+            items = env.get(("range", var), MISSING)
             if items is MISSING:
-                raise TypeError_(f"{kind} ${k[1]} needs an array binding for ${k[1]}")
-            env = a if a is b else {**a, **b}
-            # lazy: the first item that decides ends the walk (a body raises nothing);
-            # the body reads the pair (outer environment, the item's assignment)
-            judged = (any(body(env, e) for e, _ in each(item, None, None)) for item in items)
+                raise TypeError_(f"{kind} ${var} needs an array binding for ${var}")
+            # lazy: the first item that decides ends the walk (a body raises nothing)
+            judged = (any(body({**env, **e}) for e, _ in each(item, None, None)) for item in items)
             return all(judged) if kind == "foreach" else any(judged)
         return quantifier
     raise TypeError_(f"not a condition: {c!r}")
@@ -278,30 +265,22 @@ def _sweep(r: MatchResult, removed: set, emptied: set) -> MatchResult:
 Where = tuple[tuple[Callable[[MatchResult], Constraint], ...], ...]
 
 
-def compile_where(c: A.Condition, source: Term, indexed: bool = False) -> Where:
-    """`c` compiled against the matching term `source`; `indexed` when the plan's
-    route distributes an array, which reads the postings the filter then builds."""
-    return tuple(tuple(_part(part, source, indexed) for part in stage)
-                 for stage in A.where_stages(c))
+def compile_where(c: A.Condition, source: Term) -> Where:
+    """`c` compiled against the matching term `source`."""
+    return tuple(tuple(_part(part, source) for part in stage) for stage in A.where_stages(c))
 
 
-def _part(c: A.Condition, source: Term, indexed: bool) -> Callable[[MatchResult], Constraint]:
+def _part(c: A.Condition, source: Term) -> Callable[[MatchResult], Constraint]:
     anchors, needed = A.condition_scope(c, source)
+    each, partitioned = _enumerator(source, needed, anchors, _equi_joins(c, needed, source))
+    rest = tuple(s for s, pair in _conjuncts(c) if pair not in partitioned)  # left to test
     elems = {v: subterm(source, p).elem for p, vs in anchors.items() for v in vs}
-
-    def residual(partitioned: frozenset) -> Test:
-        rest = tuple(s for s, pair in _conjuncts(c) if pair not in partitioned)  # left to test
-        return _predicate(rest[0] if len(rest) == 1 else A.CBool("and", rest), elems)
-
-    each, partitioned = _enumerator(source, needed, anchors, _equi_joins(c, needed, source), residual)
-    holds = residual(partitioned)
+    holds = _predicate(rest[0] if len(rest) == 1 else A.CBool("and", rest), elems)
 
     def outcome(r: MatchResult) -> Constraint:
         groups, options = [], []
-        # an assignment the enumerator has tested keeps no environment
-        tokens = [toks for env, toks in each(r, groups, options) if env is None or holds(env, env)]
-        c = Constraint(tuple(map(frozenset, tokens)), tuple(groups), tuple(options))
-        return c.indexed(_index(tokens)) if indexed else c
+        footprints = tuple(frozenset(toks) for env, toks in each(r, groups, options) if holds(env))
+        return Constraint(footprints, tuple(groups), tuple(options))
     return outcome
 
 

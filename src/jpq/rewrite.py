@@ -562,19 +562,12 @@ class Constraint(Record):
     read alike, with `picks`, and paired by `allows`.
 
     Array distribution (`Transformer.allowed`) alone reads the postings, token
-    -> the footprints holding it, and the groups of each token.  The filter
-    builds the postings as it records the footprints when the plan's route
-    distributes an array (`indexed`); else they, like the groups, are built on
-    first use."""
+    -> the footprints holding it, and the groups of each token; both are built
+    on first use, so a plan that distributes no array builds neither."""
 
     footprints: tuple[frozenset, ...]
     groups: tuple[frozenset, ...]
     option_universe: tuple[tuple[frozenset, frozenset], ...] = ()
-
-    def indexed(self, postings: dict) -> Constraint:
-        """This constraint, with `postings` (`_index(footprints)`) as its `_postings`."""
-        self.__dict__["_postings"] = postings  # where `cached_property` keeps them
-        return self
 
     def picks(self, tokens: AbstractSet) -> Picks:
         """What `tokens` pick from each group, and the footprints holding each lone pick."""
@@ -622,7 +615,7 @@ class Constraint(Record):
         return _index(self.footprints)
 
 
-def _index(sets: Iterable[Iterable]) -> dict:
+def _index(sets: tuple[frozenset, ...]) -> dict:
     """Token -> indexes of the sets holding it."""
     index: dict = {}
     for i, tokens in enumerate(sets):

@@ -29,7 +29,7 @@ from jpq.matching import (
 )
 from jpq.model import BUILTINS, COMPARISONS, DocRegistry, get_field, parse_document, serialize
 from jpq.parser import parse_condition, parse_pattern, parse_query
-from jpq.rewrite import Constraint, Step, Transformer, _index, replay
+from jpq.rewrite import Constraint, Step, Transformer, replay
 from jpq.terms import ArrayT, OptionT, TupleT, Var, optioned
 
 from . import stages
@@ -595,7 +595,7 @@ def _filtered(monkeypatch, reg, query):
         return lambda *a: compares.append(a) or compare(*a)
 
     def counted_pairs(combos, subs, join):
-        out = list(real_pairs(combos, subs, join))  # the pairs formed, before any test
+        out = real_pairs(combos, subs, join)
         pairs.append(len(out) if join else 0)
         return out
 
@@ -635,33 +635,6 @@ def test_the_partitioned_conjunct_is_not_tested_again(monkeypatch):
     assert 0 < pairs < len(XS) ** 2 and compares == pairs
 
 
-WHERE_TEMPLATES = [t for t in T.ALL if " where " in t.text]
-
-
-@pytest.mark.parametrize("template", WHERE_TEMPLATES, ids=lambda t: t.name)
-def test_the_filter_hands_the_transform_the_postings_it_would_build(monkeypatch, template):
-    # a plan whose route distributes an array gets each constraint with its
-    # postings built by the filter; a plan with no distribution reads none,
-    # so none are built.  Either way a constraint built from its fields alone
-    # reads the same
-    reg = DocRegistry()
-    for name, text in {**document_sets()["univ-6x5"], **document_sets()["people-jobs-30"]}.items():
-        reg.register(name, parse_document(text))
-    route = Engine(reg).plan(parse_query(template.text)).route
-    distributes = any(step.rule == "array-tuple-distribution" for step in route)
-    _, constraints = _recorded(monkeypatch, reg, template.text, partition=True)
-    assert constraints
-    for c in constraints:
-        assert ("_postings" in vars(c)) == distributes  # before the reads below build them
-        fresh = Constraint(c.footprints, c.groups, c.option_universe)
-        assert c == fresh
-        assert c._postings == fresh._postings == _index(c.footprints)
-        assert c._groups_of == fresh._groups_of == _index(c.groups)
-        tokens = sorted(set().union(*c.footprints, *c.groups), key=str)
-        for head in [frozenset(tokens[i:i + 3]) for i in range(0, len(tokens), 2)]:
-            assert c.picks(head) == fresh.picks(head)
-
-
 def test_a_where_clause_that_removes_nothing_leaves_the_match_as_it_was(monkeypatch, univ):
     # EX3 on a generated university removes nothing: each faculty ID sits in
     # two schools, so the filter hands on the match result itself
@@ -695,27 +668,10 @@ def test_a_where_clause_that_removes_nothing_leaves_the_match_as_it_was(monkeypa
     assert school_view(swept) == [("Computer School", ["0001"]), ("Math School", ["0001"])]
 
 
-def test_the_root_tuple_tests_each_pair_before_merging_it():
-    # the residual sees each pair the partition forms as (earlier, later)
-    # environments, in the nested loop's order; a pair that holds is kept as
-    # its tokens, with no environment
-    p = parse_pattern('{"xs":<[{"n":$n1,"k":$k1}],[{"n":$n2,"k":$k2}]>}')
-    source, seen = derive_matching_term(p), []
-
-    def residual(partitioned):
-        assert partitioned == {("k1", "k2"), ("k2", "k1")}
-        return lambda a, b: seen.append((a["n1"], b["n2"], "n2" in a)) or a["n1"] < b["n2"]
-
-    each, _ = _enumerator(source, {"n1", "k1", "n2", "k2"}, {}, (("k1", "k2"),), residual)
-    got = each(match_value(p, parse_document(json.dumps({"xs": XS}))), None, None)
-    assert seen == [(a["n"], b["n"], False) for a in XS for b in XS if _same(a["k"], b["k"])]
-    assert [env for env, _ in got] == [None] * sum(a < b for a, b, _ in seen) != []
-
-
-def test_a_residual_tested_on_the_pair_keeps_its_order_and_its_errors(monkeypatch):
-    # the residual runs on each pair the partition forms, before the pair is
-    # merged: in the nested loop's order, the first pair to raise raises as
-    # there, and a conjunct after a false one is not evaluated
+def test_a_partitioned_residual_keeps_its_order_and_its_errors(monkeypatch):
+    # the residual runs on each pair the partition forms, in the nested loop's
+    # order: the first pair to raise raises as without the partition, and a
+    # conjunct after a false one is not evaluated
     import jpq.filtering
 
     reg = DocRegistry()
@@ -744,11 +700,11 @@ def test_a_residual_tested_on_the_pair_keeps_its_order_and_its_errors(monkeypatc
             run("$k1 = $k2 and $n1 != $n2", partition, raising=True)
         out, compared = run('$k1 = $k2 and $n1 = "none" and $n1 != $n2', partition, raising=True)
         assert json.loads(out) == {"r": []} and compared == []
-    # a count reading a range neither environment binds raises, as on one environment
+    # a count reading a range the environment does not bind raises
     count = _predicate(parse_condition("count[$x] > 0"), {})
-    for pair in (({}, {}), ({"y": 1}, {"z": 2})):
+    for env in ({}, {"y": 1}):
         with pytest.raises(TypeError_, match=r"^count\[\$x\] applies to arrays only$"):
-            count(*pair)
+            count(env)
 
 
 def test_satisfied_footprints_per_template_are_pinned(monkeypatch):
