@@ -5,14 +5,16 @@ Concrete syntax notes (the abstract syntax leaves these open):
   - String predicates are double-quoted; `?` is a multi-character wildcard,
     matching anchored at both ends.  A string without `?` is an exact key or
     an equality test.
-  - Juxtaposition `$r"?president?"` (optionally parenthesized) denotes a
-    var-and-predicate key.
+  - A key part is `*`, `$k`, `"p"`, or the var-and-predicate key `$k "p"`,
+    optionally parenthesized `($k "p")`; a `:` follows it.
   - Value predicates: a bare literal means equality; comparisons are written
     `(= lit)`, `(< lit)`, etc.
   - `|` binds looser than `:` and tighter than `,` inside `{}`/`<>`;
-    parentheses override.  After `|`, a branch that looks like `key : ...`
+    parentheses override.  After `|`, a branch that starts with a key part
     continues a key-value option, anything else a value option.
   - `#` starts a line comment.
+
+The parser decides every choice by a bounded lookahead and never rewinds.
 
 `parse_query` keeps the queries of the last PARSE_CACHE_SIZE texts it parsed,
 per process: a QueryAst is immutable and depends on its text alone, so a
@@ -113,6 +115,14 @@ def tokenize(text: str) -> list[Token]:
 
 
 _LITERALS = ("STRING", "NUMBER", "TRUE", "FALSE", "NULL")  # the token kinds of a literal
+# the token forms of a key part and its ':', keyed by their first token's kind:
+# `*`, `$k "p"`, `$k`, `"p"` and `($k "p")`
+_KEY_FORMS = {
+    "*": (("*", ":"),),
+    "VAR": (("VAR", "STRING", ":"), ("VAR", ":")),
+    "STRING": (("STRING", ":"),),
+    "(": (("(", "VAR", "STRING", ")", ":"),),
+}
 
 
 class Parser:
@@ -146,7 +156,7 @@ class Parser:
 
     def _describe(self) -> str:
         tok = self.peek()
-        return "end of input" if tok.kind == "EOF" else repr(tok.value)
+        return "end of input" if tok.kind == "EOF" else repr(str(tok.value))
 
     def error(self, message: str) -> NoReturn:
         tok = self.peek()
@@ -230,61 +240,34 @@ class Parser:
             return inner
         self.error(f"expected a value pattern, found {self._describe()}")
 
-    def _try_key_part(self) -> Optional[tuple[Optional[str], Optional[A.StringPredicate]]]:
-        """Parse a key part followed by ':' or report None (restoring)."""
-        mark = self.pos
-        key: Optional[tuple[Optional[str], Optional[A.StringPredicate]]] = None
-        if self.at("*"):
-            self.next()
-            key = (None, None)
-        elif self.at("VAR"):
-            var = self.next().value
-            pred = None
-            if self.at("STRING"):
-                pred = A.StringPredicate(self.next().value)
-            key = (var, pred)
-        elif self.at("STRING"):
-            key = (None, A.StringPredicate(self.next().value))
-        elif self.at("("):
-            self.next()
-            if self.at("VAR"):
-                var = self.next().value
-                if self.at("STRING"):
-                    pred = A.StringPredicate(self.next().value)
-                    if self.accept(")"):
-                        key = (var, pred)
-        if key is not None and self.accept(":"):
-            return key
-        self.pos = mark
+    def _key_form(self, ahead: int = 0) -> Optional[tuple[str, ...]]:
+        """The form of the key part and ':' that start `ahead` tokens on, if any."""
+        start = self.pos + ahead
+        for form in _KEY_FORMS.get(self.peek(ahead).kind, ()):
+            if tuple(tok.kind for tok in self.tokens[start:start + len(form)]) == form:
+                return form
         return None
 
     def keyvalue_single(self) -> A.KVPattern:
-        key = self._try_key_part()
-        if key is None:
+        form = self._key_form()
+        if form is None:
             self.error(f"expected a key-value pattern, found {self._describe()}")
-        var, pred = key
-        return A.KVPattern(var, pred, self._kv_value())
+        part = {tok.kind: tok.value for tok in [self.next() for _ in form]}
+        pred = A.StringPredicate(part["STRING"]) if "STRING" in part else None
+        return A.KVPattern(part.get("VAR"), pred, self._kv_value())
 
     def _kv_value(self) -> A.ValuePattern:
         """Value side of a key-value pattern: option branches stop where a new
         `key:` begins, so `\"a\":$x|\"b\":$y` splits at the key-value level."""
         branches = [self.value_pattern_atom()]
-        while self.at("|") and not self._looks_like_key_part(1):
+        while self.at("|") and self._key_form(1) is None:
             self.next()
             branches.append(self.value_pattern_atom())
         return branches[0] if len(branches) == 1 else A.POption(tuple(branches))
 
-    def _looks_like_key_part(self, ahead: int = 0) -> bool:
-        """Whether a key part followed by ':' starts `ahead` tokens on."""
-        mark = self.pos
-        self.pos += ahead
-        found = self._try_key_part() is not None
-        self.pos = mark
-        return found
-
     def keyvalue_pattern(self) -> A.KeyValuePattern:
         branches: list[A.KeyValuePattern] = [self.keyvalue_single()]
-        while self.at("|") and self._looks_like_key_part(1):
+        while self.at("|") and self._key_form(1):
             self.next()
             branches.append(self.keyvalue_single())
         return branches[0] if len(branches) == 1 else A.KVOption(tuple(branches))
@@ -526,7 +509,7 @@ def parse_pattern(text: str):
     KeyValuePattern (matched against pairs), anything else a ValuePattern."""
     return _parse(
         text,
-        lambda p: p.keyvalue_pattern() if p._looks_like_key_part() else p.value_pattern(),
+        lambda p: p.keyvalue_pattern() if p._key_form() else p.value_pattern(),
         "pattern",
     )
 

@@ -1,5 +1,6 @@
 import io
 import json
+import random
 
 import pytest
 
@@ -19,7 +20,7 @@ from jpq.engine import Engine
 from jpq.errors import ShapeMismatchError
 
 from .conftest import FIXTURES
-from .support import DUPLICATED, REPEATED, REPEATED_WHERES, SIBLING_DOCS, SIBLING_OPTION
+from .support import DUPLICATED, REPEATED, REPEATED_WHERES, SIBLING_DOCS, SIBLING_OPTION, gen
 
 UNIV = str(FIXTURES / "univ.json")
 QUERY = 'from doc("univ") {"president":{"ID":$i}} construct {"id":$i}'
@@ -782,3 +783,62 @@ def test_a_sibling_option_restricts_distribution_to_its_taken_branch(tmp_path, d
     assert (code, err) == (EXIT_OK, "")
     assert json.loads(out) == {"p": president, "pairs": [
         {"n": s["name"], "id": f["ID"]} for s in doc["schools"] for f in s["faculty"] if f["ID"] in ids]}
+
+
+# -- a nested construction over a join ----------------------------------------------------
+
+NESTED_JOIN = pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 13: distribution copies an array the head carries whole beside every "
+    "item, so a nested array keeps partners the join does not connect"))
+VP_SCHOOLS = ('from doc("univ") {"vice-presidents":[{"ID":$i,"first name":$g}],'
+              '"schools":[{"name":$n,"faculty":[{"ID":$f}]}]} ')
+GENERATED_UNIV = gen.univ(random.Random(5), 6, 5)
+
+
+def faculty_ids(school):
+    return {f["ID"] for f in school["faculty"]}
+
+
+def run_on_univ(tmp_path, doc, query):
+    path = tmp_path / "univ.json"
+    path.write_text(gen.dump(doc))
+    code, out, err = run(CliConfig(docs=[("univ", str(path))], query_text=query))
+    assert (code, err) == (EXIT_OK, "")
+    return json.loads(out)
+
+
+@NESTED_JOIN
+def test_a_nested_self_join_lists_each_school_with_the_others_sharing_a_member(tmp_path):
+    univ = json.loads((FIXTURES / "univ.json").read_text())
+    query = ('from doc("univ") {"schools":<[{"name":$n1,"faculty":[{"ID":$id1}]}],'
+             '[{"name":$n2,"faculty":[{"ID":$id2}]}]>} '
+             'construct {"r":[{"a":$n1,"bs":[$n2]}]} where not ($n1 = $n2) and $id1 = $id2')
+    expected = []
+    for s1 in univ["schools"]:
+        bs = [s2["name"] for s2 in univ["schools"]
+              if s2["name"] != s1["name"] and faculty_ids(s1) & faculty_ids(s2)]
+        if bs:
+            expected.append({"a": s1["name"], "bs": bs})
+    assert run_on_univ(tmp_path, univ, query) == {"r": expected}
+
+
+@NESTED_JOIN
+def test_vice_presidents_list_only_the_schools_whose_faculty_hold_them(tmp_path):
+    expected = []
+    for vp in GENERATED_UNIV["vice-presidents"]:
+        names = [s["name"] for s in GENERATED_UNIV["schools"] if vp["ID"] in faculty_ids(s)]
+        if names:
+            expected.append({"vp": vp["first name"], "schools": names})
+    query = VP_SCHOOLS + 'construct {"r":[{"vp":$g,"schools":[$n]}]} where $i = $f'
+    assert run_on_univ(tmp_path, GENERATED_UNIV, query) == {"r": expected}
+
+
+@NESTED_JOIN
+def test_schools_list_only_the_vice_presidents_their_faculty_hold(tmp_path):
+    expected = []
+    for s in GENERATED_UNIV["schools"]:
+        vps = [vp["first name"] for vp in GENERATED_UNIV["vice-presidents"] if vp["ID"] in faculty_ids(s)]
+        if vps:
+            expected.append({"school": s["name"], "vps": vps})
+    query = VP_SCHOOLS + 'construct {"r":[{"school":$n,"vps":[$g]}]} where $i = $f'
+    assert run_on_univ(tmp_path, GENERATED_UNIV, query) == {"r": expected}

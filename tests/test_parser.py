@@ -67,6 +67,60 @@ def test_enumeration_patterns():
     assert descend.pattern == A.PVar("v")
 
 
+def _kv(var, key, value):
+    return A.KVPattern(var, None if key is None else A.StringPredicate(key), value)
+
+
+# the key-part forms: text, bound variable, key predicate
+KEY_PARTS = {
+    "wildcard": ("*", None, None),
+    "var-and-predicate": ('$k "?p?"', "k", "?p?"),
+    "var": ("$k", "k", None),
+    "predicate": ('"p"', None, "p"),
+    "parenthesized": ('($k "?p?")', "k", "?p?"),
+    "empty-key": ('""', None, ""),  # still a predicate, though the empty string is falsy
+}
+X, Y = A.PVar("x"), A.PVar("y")
+# pattern text -> the pattern it parses to, or the message of its syntax error
+KEY_PART_CASES = {
+    **{f"{name}-in-object": ("{%s:$x}" % key, A.PObject((_kv(var, pred, X),)))
+       for name, (key, var, pred) in KEY_PARTS.items()},
+    **{f"{name}-after-slash": (f"/{key}:$x", A.PChildren(_kv(var, pred, X)))
+       for name, (key, var, pred) in KEY_PARTS.items()},
+    **{f"{name}-standalone": (f"{key}:$x", _kv(var, pred, X))
+       for name, (key, var, pred) in KEY_PARTS.items()},
+    "parenthesized-predicate-alone": (
+        '{("a"):$x}', "expected a key-value pattern, found '(' at line 1, column 2"),
+    "parenthesized-var-alone": (
+        "{($k):$x}", "expected a key-value pattern, found '(' at line 1, column 2"),
+    "parenthesized-key-without-colon": (
+        '{($k "a") $x}', "expected a key-value pattern, found '(' at line 1, column 2"),
+    "var-and-predicate-without-colon": (
+        '{$k "a" $x}', "expected a key-value pattern, found 'k' at line 1, column 2"),
+    "key-after-bar-is-a-key-value-option": (
+        '{"a":$x|"b":$y}', A.PObject((A.KVOption((_kv(None, "a", X), _kv(None, "b", Y))),))),
+    "wildcard-key-after-bar-is-a-key-value-option": (
+        '{"a":$x|*:$y}', A.PObject((A.KVOption((_kv(None, "a", X), _kv(None, None, Y))),))),
+    "parenthesized-value-after-bar-is-a-value-option": (
+        '{"a":$x|($y)}', A.PObject((_kv(None, "a", A.POption((X, Y))),))),
+    "literal-after-bar-is-a-value-option": (
+        '{"a":1|2}', A.PObject((_kv(None, "a", A.POption((
+            A.PPred(A.ComparePredicate("=", Decimal(1))),
+            A.PPred(A.ComparePredicate("=", Decimal(2))),
+        ))),))),
+}
+
+
+@pytest.mark.parametrize("text, expected", KEY_PART_CASES.values(), ids=KEY_PART_CASES.keys())
+def test_key_parts_and_where_a_bar_splits(text, expected):
+    if isinstance(expected, str):
+        with pytest.raises(SyntaxError_) as e:
+            parse_pattern(text)
+        assert str(e.value) == expected
+    else:
+        assert parse_pattern(text) == expected
+
+
 def test_condition_precedence_with_par_or_and():
     c = parse_condition("$a=$b and not($c=$d) or $e=$f par $g=$h with $i=$j")
     assert isinstance(c, A.CCompound) and c.op == "with"
@@ -118,6 +172,13 @@ def test_syntax_errors_carry_position():
     with pytest.raises(SyntaxError_) as e:
         parse_query('from doc( {"a":$x} construct $x')
     assert "line 1" in str(e.value)
+
+
+@pytest.mark.parametrize("number", ["12", "2.5"])
+def test_syntax_errors_quote_a_number_like_any_other_token(number):
+    with pytest.raises(SyntaxError_) as e:
+        parse_query(f'from doc("d") $x {number} construct $x')
+    assert str(e.value) == f"expected 'CONSTRUCT', found '{number}' at line 1, column 18"
 
 
 LEXED = (
