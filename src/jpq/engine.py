@@ -5,11 +5,11 @@ The engine owns a document registry; `stages` yields a run's stage results,
 plan (matching term, backbone, inferred route).  A plan depends on the
 query's matching term, construction and where clause alone: it holds the
 route, the terms the route passes through, the source subterms option
-resolution enters and their projections onto the backbone's variables, the
-where clause compiled against the matching term, and the construction
-compiled against the route's last term.  Each engine keeps its plans, keyed
-by (matching term, construction text, where text), all three derived once
-per query, so a query is planned and compiled once per engine, whatever
+resolution enters, the projection onto the backbone's variables and the
+where clause with its sweep, compiled against the matching term, and the
+construction, against the route's last term.  Each engine keeps its plans,
+keyed by (matching term, construction text, where text), all three derived
+once per query, so a query is planned and compiled once per engine, whatever
 documents are loaded later, and a warm lookup unparses nothing; queries of
 one (projected matching term, backbone) shape share one route search.
 """
@@ -17,7 +17,7 @@ one (projected matching term, backbone) shape share one route search.
 from __future__ import annotations
 
 import itertools
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from . import ast as A
 from .construct import Build, build, compile_construction
@@ -28,6 +28,7 @@ from .rewrite import (
     Constraint,
     RewriteRoute,
     Transformer,
+    compile_projection,
     infer_route,
     project_result,
     replay,
@@ -43,8 +44,8 @@ class Plan(Record):
     # the backbone's variables to the term the result is built from
     terms: tuple[Term, ...]
     options: frozenset  # `optioned(source_term)`
-    shown: dict[Term, Optional[Term]]  # `projection(source_term, backbone variables)`
-    where: Optional[Where]  # the where clause, compiled against source_term
+    project: Optional[Callable]  # `projection(source_term, backbone variables)`, compiled
+    where: Optional[Where]  # the where clause and the sweep, compiled against source_term
     build: Build  # the construction, compiled against terms[-1]
 
     def describe(self) -> str:
@@ -83,7 +84,8 @@ class Engine:
             same = [p for p in self._routes.values() if (p.terms[0], p.target_term) == shape]
             route = same[0].route if same else infer_route(source, target, shape[0])
             terms = same[0].terms if same else replay(shape[0], route)
-            plan = Plan(source, target, route, terms, optioned(source), shown,
+            plan = Plan(source, target, route, terms, optioned(source),
+                        compile_projection(source, shown),
                         None if q.where is None else compile_where(q.where, source),
                         compile_construction(q.construct, terms[-1]))
             if len(self._routes) >= ROUTE_CACHE_SIZE:
@@ -109,7 +111,7 @@ class Engine:
         yield "filter", result
         result = resolve_options(result, plan.source_term, plan.options)
         if succeeded(result):
-            result = project_result(result, plan.source_term, plan.shown)
+            result = project_result(result, plan.project)
             yield "project", result
             result = Transformer(constraints, ids).transform(result, plan.terms, plan.route)
             yield "transform", result

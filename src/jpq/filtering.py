@@ -15,7 +15,8 @@ survivors branchwise; the `with` stages (`ast.where_stages`) apply in turn,
 each on what the stages before it left.  `compile_where` compiles a clause
 once per plan: each part becomes an enumerator of its support tuples,
 compiled against the matching term, and a predicate over one assignment's
-environment.  A run walks only the result, and records into lists of its own.
+environment; the sweep of what a stage removes is compiled beside them.  A
+run walks only the result, and records into lists of its own.
 """
 
 from __future__ import annotations
@@ -27,11 +28,10 @@ from typing import Optional
 from . import ast as A
 from .errors import ShapeMismatchError, TypeError_
 from .matching import (
-    MArray,
+    FAILED,
     MatchResult,
     MBind,
     MFailed,
-    MTuple,
     _viable,
     branch_token,
     shaped,
@@ -241,33 +241,43 @@ def _equi_joins(c: A.Condition, needed: set[str], source: Term) -> tuple[tuple[s
     return tuple(p for _, p in _conjuncts(c) if p and set(p) <= once)
 
 
-def _sweep(r: MatchResult, removed: set, emptied: set) -> MatchResult:
-    """`r` without the array items `removed` names and with the option branches
-    `emptied` names failed; a node nothing under which is removed or emptied is
-    returned as it is."""
-    if isinstance(r, (MBind, MFailed)):
-        return r
-    if isinstance(r, MTuple):
-        parts = [_sweep(s, removed, emptied) for s in r.items]
-        if not all(succeeded(s) for s in parts):
-            return MFailed()
-    elif isinstance(r, MArray):
-        kept = (_sweep(item, removed, emptied) for item in r.items if item.elem_id not in removed)
-        parts = [s for s in kept if succeeded(s)]
-    else:
-        parts = [MFailed() if branch_token(r, i) in emptied else _sweep(b, removed, emptied)
-                 for i, b in enumerate(r.branches)]
-        return _viable(r if parts == r.branches else r.with_parts(parts))
-    return r if parts == r.items else r.with_parts(parts)  # results equal only themselves
+def _sweeper(t: Term) -> Optional[Callable[[MatchResult, set, set], MatchResult]]:
+    """The sweep of a result of `t`: the result without the array items
+    `removed` names and with the option branches `emptied` names failed, or
+    None when `t` holds no array or option.  A node nothing under which is
+    removed or emptied is returned as it is (results equal only themselves)."""
+    kind, subs = type(t), [_sweeper(s) for s in children(t)]  # term classes are final
+    if kind is ArrayT:
+        elem = subs[0]
+
+        def array(r: MatchResult, removed: set, emptied: set) -> MatchResult:
+            parts = [item for item in shaped(r, t).items if item.elem_id not in removed]
+            if elem is not None:
+                parts = [s for s in (elem(i, removed, emptied) for i in parts) if s is not FAILED]
+            return r if parts == r.items else r.with_parts(parts)
+        return array
+    option = kind is OptionT
+
+    def node(r: MatchResult, removed: set, emptied: set) -> MatchResult:  # a tuple or an option
+        old = shaped(r, t).parts()
+        parts = [FAILED if option and branch_token(r, i) in emptied else
+                 s if sub is None or s is FAILED else sub(s, removed, emptied)
+                 for i, (sub, s) in enumerate(zip(subs, old))]
+        if option:
+            return _viable(r if parts == old else r.with_parts(parts))
+        return FAILED if FAILED in parts else r if parts == old else r.with_parts(parts)
+    return node if option or any(subs) else None
 
 
-# a compiled where clause: per `with` stage, per `par` part, a result's `Constraint`
-Where = tuple[tuple[Callable[[MatchResult], Constraint], ...], ...]
+# a compiled where clause: per `with` stage, per `par` part, a result's
+# `Constraint`; and the sweep of a result of the matching term
+Where = tuple[tuple[tuple[Callable[[MatchResult], Constraint], ...], ...], Optional[Callable]]
 
 
 def compile_where(c: A.Condition, source: Term) -> Where:
     """`c` compiled against the matching term `source`."""
-    return tuple(tuple(_part(part, source) for part in stage) for stage in A.where_stages(c))
+    stages = tuple(tuple(_part(part, source) for part in stage) for stage in A.where_stages(c))
+    return stages, _sweeper(source)
 
 
 def _part(c: A.Condition, source: Term) -> Callable[[MatchResult], Constraint]:
@@ -292,7 +302,8 @@ def filter_result(
     (`source` is not read: it keeps `constraints` the fourth argument, which
     `bench/tracing.py` reads.)"""
     constraints = [] if constraints is None else constraints
-    for stage in where:
+    stages, sweep = where
+    for stage in stages:
         if not succeeded(r):
             break
         satisfied, grouped, covered = set(), set(), set()
@@ -305,7 +316,7 @@ def filter_result(
             covered.update(*(cov for cov, _all in o.option_universe))
         removed, emptied = grouped - satisfied, covered - satisfied
         if removed or emptied:
-            r = _sweep(r, removed, emptied)
+            r = sweep(r, removed, emptied)
     return r
 
 

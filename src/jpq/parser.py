@@ -63,13 +63,14 @@ _ESCAPES = {'"': '"', "\\": "\\", "/": "/", "b": "\b", "f": "\f", "n": "\n", "r"
 
 
 class Token:
-    __slots__ = ("kind", "value", "line", "col")
+    __slots__ = ("kind", "value", "line", "col", "text")
 
-    def __init__(self, kind: str, value, line: int, col: int):
+    def __init__(self, kind: str, value, line: int, col: int, text: str = ""):
         self.kind = kind
         self.value = value
         self.line = line
         self.col = col
+        self.text = text  # as the query wrote it
 
     def __repr__(self):
         return f"Token({self.kind}, {self.value!r})"
@@ -109,7 +110,7 @@ def tokenize(text: str) -> list[Token]:
             if value == '"':
                 raise SyntaxError_("unterminated string", line, col)
             raise SyntaxError_(f"unexpected character {value!r}", line, col)
-        tokens.append(Token(kind, value, line, col))
+        tokens.append(Token(kind, value, line, col, m[0]))
     tokens.append(Token("EOF", None, line, len(text) - line_start + 1))
     return tokens
 
@@ -156,7 +157,8 @@ class Parser:
 
     def _describe(self) -> str:
         tok = self.peek()
-        return "end of input" if tok.kind == "EOF" else repr(str(tok.value))
+        shown = tok.text if tok.kind == "NUMBER" else str(tok.value)  # a number as written
+        return "end of input" if tok.kind == "EOF" else repr(shown)
 
     def error(self, message: str) -> NoReturn:
         tok = self.peek()

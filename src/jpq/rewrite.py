@@ -25,12 +25,12 @@ from .errors import (
     ShapeMismatchError,
 )
 from .matching import (
+    FAILED,
     MArray,
     MatchResult,
     MFailed,
     MOption,
     MTuple,
-    _combine,
     _flat,
     _keep_id,
     _viable,
@@ -42,6 +42,7 @@ from .matching import (
 )
 from .model import key
 from .terms import (
+    DROP,
     ArrayT,
     DistinctT,
     OptionT,
@@ -258,24 +259,20 @@ def _distribute_array(node: TupleT, _: int) -> Term:
 
 def _distribute_option_data(tr, t, r, _, ctx):
     tup = shaped(r, t)
-    *head_t, opt_t = t.items
-    opt = shaped(tup.items[-1], opt_t)
-    head, layout = tup.items[:-1], [slot_code(c) for c in head_t]
-    branches = [
-        _flat(layout + [slot_code(bt)], head + [br]) if succeeded(br) else MFailed()
-        for bt, br in zip(opt_t.branches, opt.branches)
-    ]
+    opt = shaped(tup.items[-1], t.items[-1])
+    head = tup.items[:-1]
+    branches = [_flat(layout, head + [br]) if succeeded(br) else MFailed()
+                for layout, br in zip(tr.layouts(t), opt.branches)]
     return [_keep_id(opt.with_parts(branches), r)]
 
 
 def _distribute_array_data(tr, t, r, _, ctx):
     tup = shaped(r, t)
-    *head_t, arr_t = t.items
-    arr_r = shaped(tup.items[-1], arr_t)
+    arr_r = shaped(tup.items[-1], t.items[-1])
     head, items = tup.items[:-1], arr_r.items
     if tr.constraints:
         items = tr.allowed(ctx | footprint(MTuple(head)), arr_r)
-    layout = [slot_code(c) for c in head_t] + [slot_code(arr_t.elem)]  # one per step
+    layout, = tr.layouts(t)
     return [_keep_id(arr_r.with_parts([_keep_id(_flat(layout, head + [i]), i) for i in items]), r)]
 
 
@@ -628,22 +625,20 @@ def _index(sets: tuple[frozenset, ...]) -> dict:
 # transformation of match results
 
 
-def _reading(c: Constraint, fps: list) -> tuple:
+def _reading(c: Constraint, fps: list) -> list:
     """One constraint's reading of an array's items, given their footprints:
     their picks; the groups they meet; the positions of the items that are
     open, of the others that pick nothing alone, and of all that some head may
     keep; and footprint index -> the positions of the items whose lone picks
-    it holds."""
+    it holds, None until a head with lone picks reads it."""
     picks = [c.picks(fp) for fp in fps]
-    met, opened, unheld, index = set(), set(), set(), {}
+    met, opened, unheld = set(), set(), set()
     for i, p in enumerate(picks):
         met.update(p.groups)
         if p.open or p.held is None:
             (opened if p.open else unheld).add(i)
-        else:
-            for f in p.held:
-                index.setdefault(f, []).append(i)
-    return picks, met, opened, unheld, opened.union(unheld, *index.values()), index
+    live = opened.union(unheld, (i for i, p in enumerate(picks) if p.held))
+    return [picks, met, opened, unheld, live, None]
 
 
 class Transformer:
@@ -660,6 +655,7 @@ class Transformer:
         self.constraints = tuple(constraints)
         self._ids = itertools.count(1) if ids is None else ids
         self._readings: dict = {}
+        self._layouts: tuple = (None, [])  # a distributed term, and its `layouts`
 
     def allowed(self, head: frozenset, arr: MArray) -> list[MatchResult]:
         """`arr`'s items every constraint allows beside the tokens `head`, in
@@ -672,20 +668,30 @@ class Transformer:
             fps = [footprint(item) for item in items]
             self._readings[arr] = [_reading(c, fps) for c in self.constraints]
         named, checks = None, []
-        readings = zip(self.constraints, self._readings[arr])
-        for c, (picks, met, opened, unheld, live, index) in readings:
+        for c, reading in zip(self.constraints, self._readings[arr]):
+            picks, met, opened, unheld, live, index = reading
             mine = c.picks(head)
             if mine.open:
                 continue
             if not met.isdisjoint(mine.groups):
                 checks.append((c, mine, picks))
                 continue
+            if mine.held and index is None:
+                index = reading[-1] = _index([() if p.open else p.held or () for p in picks])
             # held None: the head restricts nothing; empty: only open items go beside it
             hits = (index.get(f, ()) for f in mine.held or ())
             kept = live if mine.held is None else opened.union(unheld if mine.held else (), *hits)
             named = kept if named is None else named & kept
         at = range(len(items)) if named is None else sorted(named)
         return [items[i] for i in at if all(c.allows(h, ps[i]) for c, h, ps in checks)]
+
+    def layouts(self, t: TupleT) -> list[list[int]]:
+        """The slot codes of distributing `t`'s last component, per branch or for
+        its element; kept for the last `t`, which is one term through a step."""
+        if self._layouts[0] is not t:
+            head = [slot_code(c) for c in t.items[:-1]]
+            self._layouts = (t, [head + [slot_code(b)] for b in children(t.items[-1])])
+        return self._layouts[1]
 
     def fresh_id(self) -> int:
         return next(self._ids)
@@ -742,25 +748,41 @@ class Transformer:
         return out
 
 
-def project_result(r: MatchResult, t: Term, shown: dict[Term, Optional[Term]]) -> MatchResult:
-    """Mirror of terms.projection on a match result of the matching term
-    `t`, given the projection `shown` of t's subterms: drop the parts bound
-    to the variables it drops, collapsing exactly as the term projection
-    does.  A result of a subterm kept whole is returned as it is."""
-    p = shown[t]
-    if p is None or isinstance(r, MFailed):
-        return r
-    if isinstance(t, Var):
-        return MTuple([])
-    if isinstance(t, TupleT):
-        parts = []
-        for st, sr in zip(t.items, shaped(r, t).items):
-            parts.append((shown[st] or st, project_result(sr, st, shown)))
-        return _keep_id(_combine(parts), r)
+def compile_projection(t: Term, shown: dict[Term, Optional[Term]]) -> Optional[Callable]:
+    """Mirror of terms.projection on a match result of the matching term `t`,
+    compiled once per plan from the projection `shown` of t's subterms: drop
+    the parts bound to the variables it drops, collapsing as it does, and keep
+    a failed result.  None when `t` is kept whole, and a result of it too."""
+    p, kind = shown[t], type(t)  # term classes are final
+    if p is None:
+        return None
+    if kind is TupleT:
+        codes = [slot_code(shown[st] or st) for st in t.items]
+        # a dropped slot is not read, unless it is a tuple: its shape is checked
+        slots = [(i, compile_projection(st, shown), code) for i, (st, code)
+                 in enumerate(zip(t.items, codes)) if code != DROP or type(st) is TupleT]
+        layout = [code for _, _, code in slots]
+
+        def tuple_(r: MatchResult) -> MatchResult:
+            if r is FAILED:
+                return r
+            items = shaped(r, t).items
+            parts = [items[i] if f is None else f(items[i]) for i, f, _ in slots]
+            return _keep_id(_flat(layout, parts), r)
+        return tuple_
     if is_unit(p):
-        return _keep_id(MTuple([]), r)
-    if isinstance(t, OptionT):
-        branches = shaped(r, t).branches
-        return r.with_parts([project_result(b, bt, shown) for bt, b in zip(t.branches, branches)])
-    items = shaped(r, t).items
-    return r.with_parts([project_result(item, t.elem, shown) for item in items])
+        return lambda r: r if r is FAILED else _keep_id(MTuple([]), r)
+    # an option's branches, or an array's items, whose element term stands for each
+    subs = ([compile_projection(s, shown) for s in t.branches] if kind is OptionT
+            else itertools.repeat(compile_projection(t.elem, shown)))
+
+    def walk(r: MatchResult) -> MatchResult:
+        if r is FAILED:
+            return r
+        return shaped(r, t).with_parts([s if f is None else f(s) for f, s in zip(subs, r.parts())])
+    return walk
+
+
+def project_result(r: MatchResult, project: Optional[Callable]) -> MatchResult:
+    """`r`, a result of the term `project` was compiled for, projected."""
+    return r if project is None else project(r)

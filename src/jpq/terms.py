@@ -60,9 +60,10 @@ class Record:
 
 class Term(Record):
     def __hash__(self) -> int:
-        """Kept once computed; from kind and fields, so equal terms hash alike."""
+        """Kept once computed; from kind and fields alone, so equal terms hash alike."""
         if "_hash" not in self.__dict__:
-            self.__dict__["_hash"] = hash((type(self), *self.__dict__.values()))
+            kind, key = type(self), self._key(self)  # one field's value, or a tuple of several
+            self.__dict__["_hash"] = hash((kind, *key) if len(self._fields) > 1 else (kind, key))
         return self.__dict__["_hash"]
 
 

@@ -487,6 +487,40 @@ def test_a_shape_is_planned_per_projected_source_and_backbone(engine, searches):
     assert plain.split("\n")[1:] == wider.split("\n")[1:]
 
 
+@pytest.mark.parametrize("query", [EX3, EX4, EX6], ids=["EX3", "EX4", "EX6"])
+def test_a_plan_compiles_its_projection_and_its_sweep_once(engine, searches, monkeypatch, query):
+    # explain and two runs share one plan, which holds the projection and the
+    # filter's sweep compiled against the matching term; a run applies them
+    import jpq.engine
+    import jpq.filtering
+
+    q, compiled, projected = parse_query(query), [], []
+    real_projection, real_sweeper = jpq.engine.compile_projection, jpq.filtering._sweeper
+    real_project = jpq.engine.project_result
+
+    def compile_projection(t, shown):
+        compiled.append(("projection", t))
+        return real_projection(t, shown)
+
+    def sweeper(t):  # recursive: only the matching term's own call is kept
+        if t == q.term:
+            compiled.append(("sweep", t))
+        return real_sweeper(t)
+
+    def project_result(r, project):
+        projected.append(r)
+        return real_project(r, project)
+
+    monkeypatch.setattr(jpq.engine, "compile_projection", compile_projection)
+    monkeypatch.setattr(jpq.filtering, "_sweeper", sweeper)
+    monkeypatch.setattr(jpq.engine, "project_result", project_result)
+    engine.explain(q)
+    assert compiled == [("projection", q.term), ("sweep", q.term)]
+    outputs = {run(engine, query) for _ in range(2)}
+    assert len(searches) == 1 and len(compiled) == 2 and len(projected) == 2
+    assert outputs == {run(Engine(engine.registry), query)}
+
+
 @pytest.mark.parametrize("query", [EX1, EX3, EX5, EX6], ids=["EX1", "EX3", "EX5", "EX6"])
 def test_a_cold_plan_projects_its_source_once(monkeypatch, query):
     # the plan's projection onto the backbone's variables is the one the

@@ -19,7 +19,7 @@ from jpq.matching import (
 )
 from jpq.model import COMPARISONS, parse_document, preorder
 from jpq.parser import parse_pattern, parse_query
-from jpq.rewrite import project_result
+from jpq.rewrite import compile_projection, project_result
 from jpq.terms import UNIT, ArrayT, OptionT, TupleT, Var, projection, tuple_of
 
 from .generators import (
@@ -171,7 +171,8 @@ def test_flat_tuples_of_results_mirror_flat_tuples_of_terms():
         t = projected(gen_term(rng, names, depth=4), set(rng.sample(names, 3)))
         r = build.build(t)
         keep = set(rng.sample(names, rng.randrange(len(names) + 1)))
-        assert instantiates(project_result(r, t, projection(t, keep)), projected(t, keep)), seed
+        project = compile_projection(t, projection(t, keep))
+        assert instantiates(project_result(r, project), projected(t, keep)), seed
         slots = []
         for _ in range(rng.randrange(5)):
             pick = rng.random()

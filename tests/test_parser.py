@@ -174,8 +174,9 @@ def test_syntax_errors_carry_position():
     assert "line 1" in str(e.value)
 
 
-@pytest.mark.parametrize("number", ["12", "2.5"])
+@pytest.mark.parametrize("number", ["12", "2.5", "1e3", "0.1e1", "-0.50"])
 def test_syntax_errors_quote_a_number_like_any_other_token(number):
+    # as the query wrote it: `1e3` is not quoted as its Decimal text `1E+3`
     with pytest.raises(SyntaxError_) as e:
         parse_query(f'from doc("d") $x {number} construct $x')
     assert str(e.value) == f"expected 'CONSTRUCT', found '{number}' at line 1, column 18"

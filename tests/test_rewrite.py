@@ -25,6 +25,7 @@ from jpq.rewrite import (
     _successors,
     _TABLE,
     apply_rule,
+    compile_projection,
     infer_route,
     project_result,
     projected_source,
@@ -510,7 +511,8 @@ def test_a_result_of_another_term_passes_or_is_a_shape_mismatch():
         def result():
             return ResultBuilder(random.Random(seed)).build(other)
 
-        attempt(lambda: project_result(result(), t, projection(t, {"a", "b"})))
+        project = compile_projection(t, projection(t, {"a", "b"}))
+        attempt(lambda: project_result(result(), project))
         for step in _steps_at(t):
             attempt(lambda: Transformer().transform(result(), (t,), (step,)))
         for c in conditions:

@@ -131,6 +131,14 @@ def test_equal_terms_built_apart_hash_alike():
     assert hash(s) == hash(t)  # again, from the kept values
 
 
+def test_a_term_caching_an_attribute_before_its_first_hash_hashes_as_its_equal():
+    # a `cached_property` value sits in the term's `__dict__` beside its fields
+    for build in (lambda: Var("a"), lambda: TupleT((A, arr(B))), lambda: arr(OptionT((A, C)))):
+        cached, plain = build(), build()
+        cached.__dict__["layout"] = (1, 2)
+        assert hash(cached) == hash(plain) and cached in {plain} and plain in {cached}
+
+
 def test_equal_self_indexed_terms_built_apart_compare_in_linear_time():
     t, u = A, Var("a")
     for _ in range(60):  # each level used to double the comparison: 2**60 steps
